@@ -35,8 +35,6 @@ from .fourier import (
     fourier,
     inverse_fourier,
     partial_fourier_1,
-    partial_fourier_1_inverse,
-    partial_fourier_2,
     partial_fourier_2_inverse,
     transform_matrix,
 )
@@ -68,13 +66,10 @@ from .asymptotics import (
 )
 from .pdo import (
     PdoError,
-    PdoOperator,
     diagram_check,
     frequency_section,
     hs_norm,
-    op_apply,
     op_matrix,
-    schrodinger_matrix,
 )
 from .spectral import (
     SpectralError,
@@ -95,7 +90,6 @@ __all__ = [
     "GridFunction",
     "GroupGrid",
     "PdoError",
-    "PdoOperator",
     "PhaseFunction",
     "SamplingSchedule",
     "SpectralError",
@@ -126,16 +120,12 @@ __all__ = [
     "liminf_along",
     "limsup_along",
     "multiplier_symbol",
-    "op_apply",
     "op_matrix",
     "pairing",
     "pairing_phase",
     "partial_fourier_1",
-    "partial_fourier_1_inverse",
-    "partial_fourier_2",
     "partial_fourier_2_inverse",
     "product_group",
-    "schrodinger_matrix",
     "sigma_min",
     "singular_values",
     "symbol_from_config",

@@ -60,11 +60,6 @@ class SamplingSchedule:
             raise AsymptoticsError("need at least 16 points per scale")
         object.__setattr__(self, "scales", s)
 
-    def reduced(self, factor: int = 10) -> "SamplingSchedule":
-        return SamplingSchedule(
-            self.scales, max(self.points_per_scale // factor, 64), self.span, self.seed
-        )
-
 
 # -- filter bases -----------------------------------------------------------------
 

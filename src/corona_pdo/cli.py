@@ -238,6 +238,14 @@ def _cell(c):
     return c
 
 
+def _flags(warnings=(), violation=False, unreliable=False) -> dict:
+    return {
+        "violation": bool(violation),
+        "unreliable": bool(unreliable),
+        "warnings": list(warnings),
+    }
+
+
 def _sigma_table_csv(est) -> tuple:
     header = ["band", "shell_dim", "sigma_top"] + [
         f"window_{th}" for th in est.windows
@@ -288,11 +296,7 @@ def _task_fourier_selftest(cfg: ExperimentConfig):
     tol = float(cfg.tol("plancherel", 1e-10))
     results["tolerance"] = tol
     bad = plancherel > tol or roundtrip > tol
-    flags = {
-        "violation": bool(bad),
-        "unreliable": False,
-        "warnings": ["transform self-test exceeded tolerance"] if bad else [],
-    }
+    flags = _flags(["transform self-test exceeded tolerance"] if bad else [], violation=bad)
     print(f"[run] fourier-selftest on {xg.size} points: plancherel {plancherel:.3e}")
     return results, flags, {}
 
@@ -321,9 +325,7 @@ def _task_build_op(cfg: ExperimentConfig):
         "files": [name for name, _ in files],
     }
     print(f"[run] build-op: {m.shape[0]}x{m.shape[1]} matrix, hs norm {results['hs_norm']:.6g}")
-    return results, {"violation": False, "unreliable": False, "warnings": []}, {
-        "_matrices": [(name, saver, m) for name, saver in files]
-    }
+    return results, _flags(), {"_matrices": [(name, saver, m) for name, saver in files]}
 
 
 def _task_diagram_check(cfg: ExperimentConfig):
@@ -338,28 +340,27 @@ def _task_diagram_check(cfg: ExperimentConfig):
         "tolerance": tol,
         "pass": bool(residual <= tol),
     }
-    flags = {
-        "violation": bool(residual > tol),
-        "unreliable": False,
-        "warnings": [] if residual <= tol else [f"diagram residual {residual:.3e} > {tol:g}"],
-    }
+    flags = _flags(
+        [] if residual <= tol else [f"diagram residual {residual:.3e} > {tol:g}"],
+        violation=residual > tol,
+    )
     print(f"[run] diagram-check: residual {residual:.3e} (tol {tol:g})")
     return results, flags, {}
 
 
-def _spectral_inputs(cfg: ExperimentConfig):
+def _spectral_inputs(cfg: ExperimentConfig, symbol=None):
     sched = cfg.truncation_schedule()
-    if cfg.group is not None:
-        xg, xig = cfg.grids()
-    else:
-        xg, xig = sched.grids(sched.bands[0])
-    f = _build_symbol(cfg, xg, xig)
-    base = base_from_config(cfg.base, xig.ndim)
+    f = symbol if symbol is not None else _build_symbol(cfg, *cfg.grids())
+    base = base_from_config(cfg.base, f.xigrid.ndim)
     return f, sched, base
 
 
-def _task_gohberg(cfg: ExperimentConfig):
-    f, sched, base = _spectral_inputs(cfg)
+def _schedule_block(sched: TruncationSchedule) -> dict:
+    return {"bands": list(sched.bands), "oversampling": sched.oversampling}
+
+
+def _task_gohberg(cfg: ExperimentConfig, symbol=None):
+    f, sched, base = _spectral_inputs(cfg, symbol)
     asym = cfg.sampling_schedule()
     est = essential_norm_estimate(f, sched)
     rep = gohberg_verify(
@@ -373,7 +374,7 @@ def _task_gohberg(cfg: ExperimentConfig):
     )
     results = {
         "symbol_id": _symbol_id(f),
-        "schedule": {"bands": list(sched.bands), "oversampling": sched.oversampling},
+        "schedule": _schedule_block(sched),
         "base": base.label,
         "sigma_tables": {"top": list(est.sigma_top), "windows": est.as_dict()["windows"]},
         "ess_norm": {
@@ -390,11 +391,7 @@ def _task_gohberg(cfg: ExperimentConfig):
     warnings = list(rep.notes)
     if rep.unreliable:
         warnings.append("report is UNRELIABLE: the identity is not claimed for this input")
-    flags = {
-        "violation": bool(rep.violation),
-        "unreliable": bool(rep.unreliable),
-        "warnings": warnings,
-    }
+    flags = _flags(warnings, violation=rep.violation, unreliable=rep.unreliable)
     header, rows = _sigma_table_csv(est)
     ratio_txt = "n/a" if rep.ratio is None else f"{rep.ratio:.4f}"
     print(
@@ -403,39 +400,34 @@ def _task_gohberg(cfg: ExperimentConfig):
     return results, flags, {"sigma_by_band.csv": (header, rows)}
 
 
-def _task_spectrum_probe(cfg: ExperimentConfig):
-    f, sched, _ = _spectral_inputs(cfg)
+def _task_spectrum_probe(cfg: ExperimentConfig, symbol=None, lambdas=None):
+    f, sched, _ = _spectral_inputs(cfg, symbol)
     probe = essential_spectrum_probe(
-        f, cfg.lambdas, sched, support_tol=float(cfg.tol("support_tol", 0.05))
+        f,
+        cfg.lambdas if lambdas is None else lambdas,
+        sched,
+        support_tol=float(cfg.tol("support_tol", 0.05)),
     )
-    weyl = []
-    rows = []
-    for i, lam in enumerate(probe.lambdas):
-        traj = list(probe.sigma_min_table[i])
-        weyl.append(
-            {
-                "lambda": lam.real if lam.imag == 0 else str(lam),
-                "traj": traj,
-                "verdict": probe.verdicts[i],
-            }
-        )
-        for band, s in zip(probe.bands, traj):
-            rows.append([lam.real if lam.imag == 0 else str(lam), band, s])
+    weyl = [
+        {"lambda": lam.real if lam.imag == 0 else str(lam), "traj": list(traj), "verdict": v}
+        for lam, traj, v in zip(probe.lambdas, probe.sigma_min_table, probe.verdicts)
+    ]
+    rows = [
+        [w["lambda"], band, s] for w in weyl for band, s in zip(probe.bands, w["traj"])
+    ]
     results = {
         "symbol_id": _symbol_id(f),
-        "schedule": {"bands": list(sched.bands), "oversampling": sched.oversampling},
+        "schedule": _schedule_block(sched),
         "scale": probe.scale,
         "weyl": weyl,
     }
     counts = {v: probe.verdicts.count(v) for v in sorted(set(probe.verdicts))}
     print(f"[run] spectrum-probe over {len(probe.lambdas)} points: {counts}")
-    return results, {"violation": False, "unreliable": False, "warnings": []}, {
-        "sigma_by_band.csv": (["lambda", "band", "sigma_min"], rows)
-    }
+    return results, _flags(), {"sigma_by_band.csv": (["lambda", "band", "sigma_min"], rows)}
 
 
-def _task_fredholm(cfg: ExperimentConfig):
-    f, sched, base = _spectral_inputs(cfg)
+def _task_fredholm(cfg: ExperimentConfig, symbol=None):
+    f, sched, base = _spectral_inputs(cfg, symbol)
     res = fredholm_check(
         f,
         base,
@@ -446,7 +438,7 @@ def _task_fredholm(cfg: ExperimentConfig):
     )
     results = {
         "symbol_id": _symbol_id(f),
-        "schedule": {"bands": list(sched.bands), "oversampling": sched.oversampling},
+        "schedule": _schedule_block(sched),
         "fredholm": {
             "verdict": res.verdict,
             "c": res.floor,
@@ -457,9 +449,7 @@ def _task_fredholm(cfg: ExperimentConfig):
     }
     rows = [[band, s] for band, s in zip(res.bands, res.sigma_min_full)]
     print(f"[run] fredholm: {res.verdict} (floor {res.floor:.6g})")
-    return results, {"violation": False, "unreliable": False, "warnings": list(res.notes)}, {
-        "sigma_by_band.csv": (["band", "sigma_min"], rows)
-    }
+    return results, _flags(res.notes), {"sigma_by_band.csv": (["band", "sigma_min"], rows)}
 
 
 def _task_asymptotics(cfg: ExperimentConfig):
@@ -489,9 +479,7 @@ def _task_asymptotics(cfg: ExperimentConfig):
         results["vo"] = prof.as_dict()
     header, rows = _fit_csv_rows({"limsup": hi, "liminf": lo})
     print(f"[run] asymptotics: limsup {hi.value:.6g}, liminf {lo.value:.6g} along {base.label}")
-    return results, {"violation": False, "unreliable": False, "warnings": []}, {
-        "sups_by_scale.csv": (header, rows)
-    }
+    return results, _flags(), {"sups_by_scale.csv": (header, rows)}
 
 
 # -- example presets ---------------------------------------------------------------
@@ -525,9 +513,7 @@ def _example_stoskan(cfg: ExperimentConfig):
         f"[run] stoskan: standard limsup {std.value:.4f}, "
         f"one-sided limsup {one_sided.value:.2e}, slow wave {prof.verdict}"
     )
-    return results, {"violation": False, "unreliable": False, "warnings": []}, {
-        "sups_by_scale.csv": (header, rows)
-    }
+    return results, _flags(), {"sups_by_scale.csv": (header, rows)}
 
 
 def _example_rradial(cfg: ExperimentConfig):
@@ -562,9 +548,7 @@ def _example_rradial(cfg: ExperimentConfig):
         f"[run] rradial: directional {along.value:.2e} vs standard {std.value:.4f}; "
         f"cone flattening {flat.value:.2e}"
     )
-    return results, {"violation": False, "unreliable": False, "warnings": []}, {
-        "sups_by_scale.csv": (header, rows)
-    }
+    return results, _flags(), {"sups_by_scale.csv": (header, rows)}
 
 
 def _example_pescado(cfg: ExperimentConfig):
@@ -609,7 +593,7 @@ def _example_pescado(cfg: ExperimentConfig):
         f"{off_set.value:.2e}, convex-side sup at s=8: "
         f"{offsets[-1]['sup_convex_side']:.2e}"
     )
-    return results, {"violation": False, "unreliable": False, "warnings": []}, {
+    return results, _flags(), {
         "sups_by_scale.csv": (["scale", "sup_complement"], list(zip(off_set.scales, off_set.per_scale))),
         "normal_offsets.csv": (["s", "sup_convex_side", "sup_concave_side"], rows),
     }
@@ -635,11 +619,9 @@ def _example_cesaro(cfg: ExperimentConfig):
         "roof": "2*(log2 n)^2/n for n >= 64",
         "roof_respected": bool(bound_ok),
     }
-    flags = {
-        "violation": not bound_ok,
-        "unreliable": False,
-        "warnings": [] if bound_ok else ["cesaro means exceeded the decay roof"],
-    }
+    flags = _flags(
+        [] if bound_ok else ["cesaro means exceeded the decay roof"], violation=not bound_ok
+    )
     print(
         f"[run] cesaro: final mean {res.means[-1]:.6g} over {len(radii)} balls, "
         f"tail slope {res.tail_slope:.3f}, verdict {res.verdict}"
@@ -651,82 +633,30 @@ def _example_cesaro(cfg: ExperimentConfig):
 
 def _example_sepavar(cfg: ExperimentConfig):
     sched = cfg.truncation_schedule()
-    asym = cfg.sampling_schedule()
-    xg, xig = sched.grids(sched.bands[0])
-    f = tensor_symbol(cos_profile(2.0, 1.0), sqrt_wave(), xg, xig)
-    est = essential_norm_estimate(f, sched)
-    rep = gohberg_verify(
-        f,
-        schedule=sched,
-        asym_schedule=asym,
-        ratio_band=tuple(cfg.tol("ratio_band", (0.85, 1.15))),
-        zero_tol=float(cfg.tol("zero_tol", 0.05)),
-        est_result=est,
-    )
+    f = tensor_symbol(cos_profile(2.0, 1.0), sqrt_wave(), *sched.grids(sched.bands[0]))
     lambdas = cfg.lambdas or (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
-    probe = essential_spectrum_probe(
-        f, lambdas, sched, support_tol=float(cfg.tol("support_tol", 0.05))
-    )
-    fred = fredholm_check(
-        f,
-        schedule=sched,
-        asym_schedule=asym,
-        floor_tol=float(cfg.tol("floor_tol", 1e-2)),
-        margin_factor=float(cfg.tol("margin_factor", 0.5)),
-    )
-    weyl = [
-        {
-            "lambda": lam.real if lam.imag == 0 else str(lam),
-            "traj": list(probe.sigma_min_table[i]),
-            "verdict": probe.verdicts[i],
-        }
-        for i, lam in enumerate(probe.lambdas)
-    ]
+    goh, goh_flags, goh_files = _task_gohberg(cfg, f)
+    probe, probe_flags, probe_files = _task_spectrum_probe(cfg, f, lambdas)
+    fred, fred_flags, _ = _task_fredholm(cfg, f)
     results = {
         "preset": "sepavar",
-        "symbol_id": _symbol_id(f),
-        "schedule": {"bands": list(sched.bands), "oversampling": sched.oversampling},
-        "sigma_tables": {"top": list(est.sigma_top), "windows": est.as_dict()["windows"]},
-        "ess_norm": {
-            "value": est.estimate,
-            "fit": {
-                "slope": est.slope,
-                "residual": est.residual,
-                "rel_residual": est.rel_residual,
-            },
-            "flag": "ok" if est.reliable else "unreliable",
-        },
-        "gohberg": rep.as_dict(),
-        "fredholm": {
-            "verdict": fred.verdict,
-            "c": fred.floor,
-            "sigma_min_traj": list(fred.sigma_min_full),
-            "corroborated": fred.corroborated,
-        },
-        "weyl": weyl,
+        "symbol_id": goh["symbol_id"],
+        "schedule": goh["schedule"],
+        "sigma_tables": goh["sigma_tables"],
+        "ess_norm": goh["ess_norm"],
+        "gohberg": goh["gohberg"],
+        "weyl": probe["weyl"],
+        "fredholm": fred["fredholm"],
     }
-    warnings = list(rep.notes) + list(fred.notes)
-    if rep.unreliable:
-        warnings.append("report is UNRELIABLE: the identity is not claimed for this input")
-    flags = {
-        "violation": bool(rep.violation),
-        "unreliable": bool(rep.unreliable),
-        "warnings": warnings,
-    }
-    header, rows = _sigma_table_csv(est)
-    probe_rows = [
-        [w["lambda"], band, s]
-        for w in weyl
-        for band, s in zip(sched.bands, w["traj"])
-    ]
-    ratio_txt = "n/a" if rep.ratio is None else f"{rep.ratio:.4f}"
-    print(
-        f"[run] sepavar: estimate {rep.estimate:.6g}, rhs {rep.rhs:.6g}, "
-        f"ratio {ratio_txt}, fredholm {fred.verdict}"
+    parts = (goh_flags, probe_flags, fred_flags)
+    flags = _flags(
+        [w for part in parts for w in part["warnings"]],
+        violation=any(part["violation"] for part in parts),
+        unreliable=any(part["unreliable"] for part in parts),
     )
     return results, flags, {
-        "sigma_by_band.csv": (header, rows),
-        "weyl_by_band.csv": (["lambda", "band", "sigma_min"], probe_rows),
+        "sigma_by_band.csv": goh_files["sigma_by_band.csv"],
+        "weyl_by_band.csv": probe_files["sigma_by_band.csv"],
     }
 
 

@@ -190,24 +190,6 @@ def partial_fourier_1(g: PhaseFunction, out_grid: GroupGrid | None = None) -> Ph
     return PhaseFunction(out, g.xigrid, vals.reshape(out.size, g.xigrid.size))
 
 
-def partial_fourier_1_inverse(h: PhaseFunction, out_grid: GroupGrid | None = None) -> PhaseFunction:
-    """Synthesis in the first variable; inverse of :func:`partial_fourier_1`."""
-    out = out_grid if out_grid is not None else h.xgrid.dual()
-    assert_dual_pair(out, h.xgrid)
-    vals = h.values.reshape(*h.xgrid.shape, h.xigrid.size)
-    vals = _run_axes(vals, h.xgrid, out, 0, forward=False)
-    return PhaseFunction(out, h.xigrid, vals.reshape(out.size, h.xigrid.size))
-
-
-def partial_fourier_2(g: PhaseFunction, out_grid: GroupGrid | None = None) -> PhaseFunction:
-    """Analysis in the second variable (the second grid acts as primal)."""
-    out = out_grid if out_grid is not None else g.xigrid.dual()
-    assert_dual_pair(g.xigrid, out)
-    vals = g.values.reshape(g.xgrid.size, *g.xigrid.shape)
-    vals = _run_axes(vals, g.xigrid, out, 1, forward=True)
-    return PhaseFunction(g.xgrid, out, vals.reshape(g.xgrid.size, out.size))
-
-
 def partial_fourier_2_inverse(g: PhaseFunction, out_grid: GroupGrid | None = None) -> PhaseFunction:
     """Synthesis in the second variable: kern(x, z) = sum_xi w <z,xi> g(x, xi).
 

@@ -25,7 +25,6 @@ dual frequencies are integer multiples of the wrap period.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 import math
 
 import numpy as np
@@ -204,15 +203,6 @@ class GroupGrid:
             for f in self.factors
         )
 
-    def add_indices(self, i, j):
-        mi = self.unravel(i)
-        mj = self.unravel(j)
-        summed = tuple(
-            (a + b - o) % n
-            for a, b, o, n in zip(mi, mj, self._origins(), self.shape)
-        )
-        return np.ravel_multi_index(summed, self.shape)
-
     def sub_indices(self, i, j):
         """Index of x_i * x_j^{-1} (broadcasting over i, j)."""
         mi = self.unravel(i)
@@ -222,13 +212,6 @@ class GroupGrid:
             for a, b, o, n in zip(mi, mj, self._origins(), self.shape)
         )
         return np.ravel_multi_index(diff, self.shape)
-
-    def neg_indices(self, i):
-        mi = self.unravel(i)
-        neg = tuple(
-            (2 * o - a) % n for a, o, n in zip(mi, self._origins(), self.shape)
-        )
-        return np.ravel_multi_index(neg, self.shape)
 
     @property
     def identity_index(self) -> int:
@@ -240,9 +223,6 @@ class GroupGrid:
         if self.ndim == 1:
             return self.factors[0].descriptor()
         return {"kind": "product", "factors": [f.descriptor() for f in self.factors]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
 
     @staticmethod
     def from_descriptor(d: dict) -> "GroupGrid":
@@ -259,10 +239,6 @@ class GroupGrid:
         if kind == "line":
             return GroupGrid.line(float(d["step"]), float(d["extent"]))
         raise GridError(f"unknown grid kind {kind!r}")
-
-    @staticmethod
-    def from_json(s: str) -> "GroupGrid":
-        return GroupGrid.from_descriptor(json.loads(s))
 
 
 def product_group(*grids: GroupGrid) -> GroupGrid:

@@ -23,19 +23,16 @@ tool, not a solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .fourier import (
     fourier,
-    inverse_fourier,
     inverse_transform_matrix,
     partial_fourier_1,
     partial_fourier_2_inverse,
     transform_matrix,
 )
-from .groups import GridFunction, GroupGrid, pairing
+from .groups import GridFunction, GroupGrid
 from .symbols import Symbol
 
 DENSE_CAP = 4096
@@ -61,46 +58,6 @@ def op_matrix(symbol: Symbol, cap: int = DENSE_CAP) -> np.ndarray:
     rows = np.arange(xg.size)
     sub = xg.sub_indices(rows[:, None], rows[None, :])  # x y^{-1}
     return kern.values[rows[:, None], sub] * xg.weight_per_point
-
-
-def op_apply(symbol: Symbol, u, method: str = "auto") -> GridFunction:
-    """Apply Op(f) to u without materializing the matrix when possible.
-
-    ``method``: "tensor" (FFT per tensor term), "matrix" (dense), "sum"
-    (chunked frequency synthesis, no dense matrix), or "auto".
-    """
-    if method not in ("auto", "tensor", "matrix", "sum"):
-        raise PdoError(f"unknown apply method {method!r}")
-    if not isinstance(u, GridFunction):
-        u = GridFunction(symbol.xgrid, u)
-    if u.grid.descriptor() != symbol.xgrid.descriptor():
-        raise PdoError("vector lives on a different grid than the symbol")
-    terms = symbol.tensor_terms
-    if method in ("auto", "tensor") and terms is not None:
-        uhat = fourier(u, out_grid=symbol.xigrid)
-        out = np.zeros(symbol.xgrid.size, dtype=complex)
-        for gv, psi in terms:
-            pv = psi(symbol.xigrid.coords)
-            back = inverse_fourier(
-                GridFunction(symbol.xigrid, pv * uhat.values), out_grid=symbol.xgrid
-            )
-            out += gv * back.values
-        return GridFunction(symbol.xgrid, out)
-    if method == "tensor":
-        raise PdoError("symbol has no tensor terms")
-    if method == "matrix" or (method == "auto" and symbol.xgrid.size <= 2048):
-        return GridFunction(symbol.xgrid, op_matrix(symbol) @ u.values)
-    # chunked synthesis: (Op u)(x) = sum_xi w^ <x, xi> f(x, xi) uhat(xi)
-    uhat = fourier(u, out_grid=symbol.xigrid)
-    what = symbol.xigrid.weight_per_point
-    tab = symbol.table().values
-    xi_idx = np.arange(symbol.xigrid.size)
-    out = np.empty(symbol.xgrid.size, dtype=complex)
-    for s in range(0, symbol.xgrid.size, 256):
-        x_idx = np.arange(s, min(s + 256, symbol.xgrid.size))
-        ph = pairing(symbol.xgrid, symbol.xigrid, x_idx[:, None], xi_idx[None, :])
-        out[x_idx] = what * np.sum(ph * tab[x_idx] * uhat.values[None, :], axis=1)
-    return GridFunction(symbol.xgrid, out)
 
 
 # -- frequency picture ---------------------------------------------------------------
@@ -153,12 +110,6 @@ def frequency_section(
     return psi1.values[sub, indices[None, :]] * what
 
 
-def schrodinger_matrix(symbol: Symbol, cap: int = DENSE_CAP) -> np.ndarray:
-    """Full frequency-side matrix (all dual indices)."""
-    _check_cap(symbol.xigrid.size, cap, "schrodinger_matrix")
-    return frequency_section(symbol, cap=max(cap, symbol.xigrid.size))
-
-
 def diagram_check(symbol: Symbol) -> float:
     """Relative spectral-norm gap between the kernel route and F^-1 S F.
 
@@ -169,7 +120,7 @@ def diagram_check(symbol: Symbol) -> float:
     if not xg.is_finite_kind:
         raise PdoError("diagram check compares full transforms: finite cyclic only")
     M = op_matrix(symbol)
-    S = schrodinger_matrix(symbol)
+    S = frequency_section(symbol, cap=DENSE_CAP)
     F = transform_matrix(xg, symbol.xigrid)
     Fi = inverse_transform_matrix(xg, symbol.xigrid)
     num = float(np.linalg.norm(Fi @ S @ F - M, 2))
@@ -205,26 +156,6 @@ def hs_norm(matrix: np.ndarray) -> float:
     symbol's L2 norm is one of the exact identities the tests pin down.
     """
     return float(np.linalg.norm(matrix, "fro"))
-
-
-@dataclass
-class PdoOperator:
-    """Op(f) with a lazily built dense matrix."""
-
-    symbol: Symbol
-    cap: int = DENSE_CAP
-    _matrix: np.ndarray | None = field(default=None, repr=False)
-
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = op_matrix(self.symbol, self.cap)
-        return self._matrix
-
-    def apply(self, u) -> GridFunction:
-        return op_apply(self.symbol, u)
-
-    def hs_norm(self) -> float:
-        return hs_norm(self.matrix())
 
 
 # -- file formats ------------------------------------------------------------------------

@@ -67,12 +67,8 @@ def directions(n: int, dim: int, seed: int = 0, extra=None) -> np.ndarray:
 
 
 def annulus(lo: float, hi: float, dim: int, n: int, seed: int = 0,
-            extra_directions=None, integer_lattice: bool = False) -> np.ndarray:
-    """About n points with radius in (lo, hi]: radii x directions product net.
-
-    ``integer_lattice`` rounds coordinates to integers (sampling a copy of Z^dim)
-    and drops points whose rounded radius fell below ``lo``.
-    """
+            extra_directions=None) -> np.ndarray:
+    """About n points with radius in (lo, hi]: radii x directions product net."""
     if dim == 1:
         r = log_radii(lo, hi, max(n // 2, 1), seed)
         pts = np.concatenate([r, -r])[:, None]
@@ -82,10 +78,6 @@ def annulus(lo: float, hi: float, dim: int, n: int, seed: int = 0,
         nrad = max(n // len(dirs), 4)
         r = log_radii(lo, hi, nrad, seed + 7)
         pts = (r[None, :, None] * dirs[:, None, :]).reshape(-1, dim)
-    if integer_lattice:
-        pts = np.round(pts)
-        keep = np.linalg.norm(pts, axis=1) > lo
-        pts = pts[keep]
     return pts
 
 

@@ -17,12 +17,10 @@ unreliable rather than silently smoothing it away.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from .asymptotics import (
     FilterBase,
@@ -71,34 +69,9 @@ class TruncationSchedule:
         return xg, truncated_dual(xg, band)
 
 
-def singular_values(operator, k: int | None = None, which: str = "top", method: str = "dense") -> np.ndarray:
-    """Singular values, descending: top-k (default all) or bottom-k.
-
-    Accepts a dense array or anything with a .matrix().  The iterative route
-    (Lanczos on the dense matvec) exists to cross-check the dense one; the
-    two must agree to 1e-8 relative where they overlap.  k beyond the
-    dimension clamps with a warning.
-    """
-    m = operator.matrix() if hasattr(operator, "matrix") else np.asarray(operator)
-    n = min(m.shape)
-    if which not in ("top", "bottom"):
-        raise SpectralError(f"unknown which={which!r}")
-    if k is None:
-        k = n
-    if k > n:
-        warnings.warn(f"requested {k} singular values of a rank-{n} section; clamping")
-        k = n
-    if k < 1:
-        raise SpectralError("k must be >= 1")
-    if method == "dense":
-        s = sla.svdvals(m)
-        return s[:k] if which == "top" else s[-k:]
-    if method != "iterative":
-        raise SpectralError(f"unknown method={method!r}")
-    if k >= n:
-        raise SpectralError("iterative route needs k < dimension; use dense")
-    s = spla.svds(m, k=k, which="LM" if which == "top" else "SM", return_singular_vectors=False)
-    return np.sort(s)[::-1]
+def singular_values(operator: np.ndarray) -> np.ndarray:
+    """All singular values of a dense matrix, descending."""
+    return sla.svdvals(operator)
 
 
 def sigma_min(

@@ -21,14 +21,13 @@ advisory diagnostics: they sample tails, they do not prove membership.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import PhaseFunction, partial_fourier_1
-from .groups import GridError, GridFunction, GroupGrid, assert_dual_pair
-from .sampling import annulus, log_radii
+from .fourier import PhaseFunction
+from .groups import GridFunction, GroupGrid, assert_dual_pair
+from .sampling import annulus
 
 
 class SymbolError(ValueError):
@@ -473,12 +472,10 @@ def cesaro_mean(psi, exhaustion: CompactExhaustion) -> CesaroResult:
 
 @dataclass
 class ThickenedSet:
-    """A closed set E in the dual with a distance function, plus a certificate
-    flag asserting E*K never covers the dual for compact K (not verified)."""
+    """A closed set E in the dual with a distance function."""
 
     distance: object  # (n, d) points -> distances (n,)
     dim: int
-    gaps_certified: bool
     label: str
 
     def complement_radius(self, t: float) -> float:
@@ -490,7 +487,7 @@ def halfline_set(a: float = 0.0) -> ThickenedSet:
     def dist(pts):
         return np.maximum(_pts2d(pts)[:, 0] - a, 0.0)
 
-    return ThickenedSet(dist, 1, True, f"(-inf,{a}]")
+    return ThickenedSet(dist, 1, f"(-inf,{a}]")
 
 
 def parabola_graph() -> ThickenedSet:
@@ -517,7 +514,7 @@ def parabola_graph() -> ThickenedSet:
             )
         return out
 
-    ts = ThickenedSet(dist, 2, True, "graph(t->t^2)")
+    ts = ThickenedSet(dist, 2, "graph(t->t^2)")
     ts.parametrize = lambda t: np.stack([t, np.asarray(t) ** 2], axis=1)
     return ts
 
@@ -536,18 +533,7 @@ def syndetic_thickening_filter_data(E: ThickenedSet, probe_scale: float = 1.0) -
     return E
 
 
-# -- diagnostics and IO ------------------------------------------------------------
-
-
-def symbol_class_diagnostic(f: Symbol) -> float:
-    """Truncated weighted sup-sum sum_eta w_eta * sup_xi |(F1 f)(eta, xi)|.
-
-    A finite-table surrogate for a summability-class membership quantity;
-    reported as a number, never used as a gate.
-    """
-    h = partial_fourier_1(f.table())
-    row_sups = np.max(np.abs(h.values), axis=1)
-    return float(h.xgrid.weight_per_point * row_sups.sum())
+# -- CSV tables --------------------------------------------------------------------
 
 
 def save_symbol_csv(f: Symbol, path) -> None:
@@ -563,7 +549,11 @@ def save_symbol_csv(f: Symbol, path) -> None:
 def load_symbol_csv(path, xgrid: GroupGrid, xigrid: GroupGrid) -> TableSymbol:
     vals = np.zeros((xgrid.size, xigrid.size), dtype=complex)
     seen = np.zeros(vals.shape, dtype=bool)
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise SymbolError(f"cannot read symbol CSV {path!r}: {e.strerror}") from e
+    with fh:
         rd = csv.reader(fh)
         header = next(rd)
         if [h.strip() for h in header[:4]] != ["x_index", "xi_index", "re", "im"]:
@@ -642,7 +632,9 @@ def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid) -> Symbol:
     if fam == "tensor":
         terms_spec = spec.get("terms")
         if terms_spec is None:
-            terms_spec = [{"gamma": spec.get("gamma"), "psi": spec["psi"]}]
+            terms_spec = [spec]
+        if any("psi" not in t for t in terms_spec):
+            raise SymbolError("tensor symbol needs a 'psi' entry in every term")
         terms = [
             (gamma_from_config(t.get("gamma")), psi_from_config(t["psi"]))
             for t in terms_spec

@@ -70,7 +70,7 @@ def test_schedule_validation():
         SamplingSchedule(scales=())
     with pytest.raises(AsymptoticsError):
         SamplingSchedule(points_per_scale=4)
-    assert SamplingSchedule().reduced().points_per_scale == 1000
+    assert SamplingSchedule(scales=[10, 100]).scales == (10.0, 100.0)
 
 
 # -- scalar limsup / liminf --
@@ -145,7 +145,7 @@ def test_ethick_halfline_excises_negative_axis():
 
 
 def test_ethick_empty_raises():
-    whole = ThickenedSet(lambda p: np.zeros(len(p)), 1, False, "everything")
+    whole = ThickenedSet(lambda p: np.zeros(len(p)), 1, "everything")
     with pytest.raises(AsymptoticsError):
         ThickenedComplementBase(whole).sample(100.0, 1000, 10.0, 0)
 

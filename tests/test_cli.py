@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import corona_pdo
 from corona_pdo.cli import CliError, ExperimentConfig, main
 from corona_pdo.groups import GroupGrid
 from corona_pdo.pdo import load_matrix_bin, op_matrix
@@ -50,6 +51,26 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     bad.write_text("{ not json")
     assert main(["run", "--config", str(bad)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        {"family": "tensor", "gamma": {"profile": "cos-offset"}},  # no psi
+        {"family": "csv", "path": "nope.csv"},  # missing file
+    ],
+)
+def test_bad_symbol_spec_exits_one(tmp_path, capsys, symbol):
+    doc = {
+        "schema": 1,
+        "task": "build-op",
+        "group": {"kind": "finite_cyclic", "n": 8},
+        "symbol": symbol,
+    }
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err.startswith("[error] ")
 
 
 def test_config_validation():
@@ -347,7 +368,8 @@ def test_sepavar_preset_small_ladder(tmp_path):
         "asym": {"points_per_scale": 4000},
         "lambdas": [0.0, 4.5],
     }
-    code, report, out = _run(tmp_path, doc)
+    (tmp_path / "sepavar").mkdir()
+    code, report, out = _run(tmp_path / "sepavar", doc)
     assert code == 0
     res = report["results"]
     assert 0.85 <= res["gohberg"]["ratio"] <= 1.15
@@ -355,7 +377,27 @@ def test_sepavar_preset_small_ladder(tmp_path):
     # sufficient-condition check cannot conclude
     assert res["fredholm"]["verdict"] == "INCONCLUSIVE"
     assert [w["verdict"] for w in res["weyl"]] == ["supporting", "against"]
-    assert (out / "weyl_by_band.csv").exists()
+    # the preset is the three spectral tasks run on the flagship symbol
+    def run_task(task):
+        (tmp_path / task).mkdir()
+        code, rep, task_out = _run(tmp_path / task, dict(doc, task=task, symbol=FLAGSHIP))
+        assert code == 0
+        return rep["results"], task_out
+
+    goh, goh_out = run_task("gohberg")
+    probe, probe_out = run_task("spectrum-probe")
+    fred, _ = run_task("fredholm")
+    for key in ("symbol_id", "schedule", "sigma_tables", "ess_norm", "gohberg"):
+        assert res[key] == goh[key], key
+    assert res["weyl"] == probe["weyl"]
+    assert res["fredholm"] == fred["fredholm"]
+    assert (out / "sigma_by_band.csv").read_bytes() == (goh_out / "sigma_by_band.csv").read_bytes()
+    assert (out / "weyl_by_band.csv").read_bytes() == (probe_out / "sigma_by_band.csv").read_bytes()
+
+
+def test_package_exports_resolve():
+    missing = [name for name in corona_pdo.__all__ if not hasattr(corona_pdo, name)]
+    assert missing == []
 
 
 def test_module_invocation_smoke():

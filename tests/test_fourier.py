@@ -9,8 +9,6 @@ from corona_pdo.fourier import (
     inverse_fourier,
     inverse_transform_matrix,
     partial_fourier_1,
-    partial_fourier_1_inverse,
-    partial_fourier_2,
     partial_fourier_2_inverse,
     transform_matrix,
 )
@@ -123,28 +121,6 @@ def test_partial_fourier_1_tensor_factorization():
     out = partial_fourier_1(table)
     expected = np.outer(fourier(gamma).values, psi)
     assert np.max(np.abs(out.values - expected)) < 1e-12
-
-
-def test_partial_fourier_1_round_trip_on_product_group():
-    X = product_group(GroupGrid.finite_cyclic(4), GroupGrid.finite_cyclic(4))
-    Xi = X.dual()
-    rng = np.random.default_rng(23)
-    table = PhaseFunction(
-        X, Xi, rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    )
-    fwd = partial_fourier_1(table)
-    back = partial_fourier_1_inverse(fwd, out_grid=X)
-    assert np.max(np.abs(back.values - table.values)) < 1e-12
-
-
-def test_partial_fourier_2_round_trip():
-    X = GroupGrid.finite_cyclic(6)
-    Xi = X.dual()
-    rng = np.random.default_rng(29)
-    table = PhaseFunction(X, Xi, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
-    kern = partial_fourier_2_inverse(table, out_grid=X)
-    table2 = partial_fourier_2(kern, out_grid=Xi)
-    assert np.max(np.abs(table2.values - table.values)) < 1e-12
 
 
 def test_kernel_of_constant_symbol_is_delta_row():

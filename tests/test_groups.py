@@ -49,18 +49,19 @@ def test_torus_truncated_pairing_frozen_value():
 
 
 def test_pairing_is_bicharacter_under_index_addition():
+    # <x_i x_j^-1, xi_k> = <x_i, xi_k> * conj(<x_j, xi_k>), in both slots
     rng = np.random.default_rng(11)
     g = GroupGrid.finite_cyclic(12)
     d = g.dual()
     for _ in range(20):
         i, j = rng.integers(0, 12, size=2)
         k = rng.integers(0, 12)
-        lhs = pairing(g, d, g.add_indices(i, j), k)
-        rhs = pairing(g, d, i, k) * pairing(g, d, j, k)
+        lhs = pairing(g, d, g.sub_indices(i, j), k)
+        rhs = pairing(g, d, i, k) * np.conj(pairing(g, d, j, k))
         assert lhs == pytest.approx(rhs, abs=1e-12)
         # and in the second slot
-        lhs2 = pairing(g, d, i, d.add_indices(j, k))
-        rhs2 = pairing(g, d, i, j) * pairing(g, d, i, k)
+        lhs2 = pairing(g, d, i, d.sub_indices(j, k))
+        rhs2 = pairing(g, d, i, j) * np.conj(pairing(g, d, i, k))
         assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
 
@@ -116,8 +117,9 @@ def test_product_structure_and_lexicographic_indexing():
 def test_index_arithmetic_wraps():
     g = GroupGrid.finite_cyclic(10)
     assert g.sub_indices(2, 7) == 5
-    assert g.add_indices(8, 5) == 3
-    assert g.neg_indices(3) == 7
+    e = g.identity_index
+    assert g.sub_indices(e, 3) == 7  # inverse of 3
+    assert g.sub_indices(8, g.sub_indices(e, 5)) == 3  # 8 + 5 wraps to 3
     t = GroupGrid.torus(8)
     assert t.sub_indices(1, 6) == 3
     assert t.identity_index == 0
@@ -133,13 +135,15 @@ def test_index_arithmetic_respects_midwindow_origin():
         i = np.arange(g.size)
         assert np.all(g.sub_indices(i, i) == e)
         assert np.all(g.sub_indices(i, e) == i)
-        assert np.all(g.add_indices(i, e) == i)
-        assert np.all(g.add_indices(i, g.neg_indices(i)) == e)
+        add = lambda a, b: g.sub_indices(a, g.sub_indices(e, b))  # a - (-b)
+        assert np.all(add(i, e) == i)
+        assert np.all(add(i, g.sub_indices(e, i)) == e)
     d = GroupGrid.truncated_integers(4)
+    e = d.identity_index
     # coordinate-level wrap: points -4..3, so 3 - (-2) = 5 wraps to -3
     assert d.coords[d.sub_indices(7, 2), 0] == -3.0
-    assert d.coords[d.add_indices(6, 7), 0] == -3.0
-    assert d.coords[d.neg_indices(0), 0] == -4.0
+    assert d.coords[d.sub_indices(6, d.sub_indices(e, 7)), 0] == -3.0  # 2 + 3
+    assert d.coords[d.sub_indices(e, 0), 0] == -4.0  # -(-4) wraps to -4
 
 
 def test_line_grid_requires_integer_point_count():
@@ -178,12 +182,10 @@ def test_descriptor_json_round_trip():
         product_group(GroupGrid.torus(8), GroupGrid.torus(8)),
     ]
     for g in grids:
-        g2 = GroupGrid.from_json(g.to_json())
+        g2 = GroupGrid.from_descriptor(json.loads(json.dumps(g.descriptor())))
         assert g2.descriptor() == g.descriptor()
         assert g2.size == g.size
         assert np.allclose(g2.coords, g.coords)
-    # descriptors are valid JSON documents
-    json.loads(grids[-1].to_json())
 
 
 def test_compactness_classification():

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from corona_pdo.groups import GridFunction, GroupGrid, truncated_dual
+from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import (
     PdoError,
-    PdoOperator,
     convolution_operator,
     diagram_check,
     frequency_section,
@@ -14,11 +13,9 @@ from corona_pdo.pdo import (
     load_matrix_bin,
     load_matrix_csv,
     multiplication_operator,
-    op_apply,
     op_matrix,
     save_matrix_bin,
     save_matrix_csv,
-    schrodinger_matrix,
 )
 from corona_pdo.symbols import (
     TableSymbol,
@@ -89,7 +86,7 @@ def test_frequency_matrix_of_multiplier_is_diagonal():
     rng = np.random.default_rng(12)
     psi_vals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     f = TableSymbol(xg, xig, np.tile(psi_vals, (4, 1)))
-    assert np.allclose(schrodinger_matrix(f), np.diag(psi_vals), atol=1e-12)
+    assert np.allclose(frequency_section(f), np.diag(psi_vals), atol=1e-12)
 
 
 # -- exact identities ------------------------------------------------------------------
@@ -154,45 +151,6 @@ def test_full_band_torus_matrix_equals_cyclic_matrix():
     assert np.allclose(m_torus, m_cyclic, atol=1e-13)
 
 
-# -- apply routes ------------------------------------------------------------------------
-
-
-def test_apply_tensor_route_matches_matrix_on_truncated_band():
-    xg = GroupGrid.torus(32)
-    xig = truncated_dual(xg, 8)
-    f = tensor_symbol(
-        2.0 + np.cos(2 * np.pi * xg.coords[:, 0]), sqrt_wave(), xg, xig
-    )
-    rng = np.random.default_rng(23)
-    u = GridFunction(xg, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    via_matrix = op_matrix(f) @ u.values
-    for method in ("auto", "tensor"):
-        assert np.allclose(op_apply(f, u, method=method).values, via_matrix, atol=1e-12)
-
-
-def test_apply_chunked_sum_matches_matrix():
-    xg, xig = _cyclic_pair(12)
-    rng = np.random.default_rng(29)
-    vals = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    f = TableSymbol(xg, xig, vals)
-    u = GridFunction(xg, rng.standard_normal(12) + 1j * rng.standard_normal(12))
-    a = op_apply(f, u, method="sum").values
-    b = op_apply(f, u, method="matrix").values
-    assert np.allclose(a, b, atol=1e-12)
-
-
-def test_apply_input_validation():
-    xg, xig = _cyclic_pair(8)
-    f = constant_symbol(1.0, xg, xig)
-    with pytest.raises(PdoError):
-        op_apply(f, GridFunction(GroupGrid.finite_cyclic(4), np.ones(4)))
-    table_only = TableSymbol(xg, xig, np.ones((8, 8)))
-    with pytest.raises(PdoError):
-        op_apply(table_only, np.ones(8), method="tensor")
-    with pytest.raises(PdoError):
-        op_apply(f, np.ones(8), method="fft")
-
-
 # -- frequency sections ---------------------------------------------------------------------
 
 
@@ -210,15 +168,7 @@ def test_frequency_section_routes_and_subsets_agree():
     assert np.allclose(sect, full_t[np.ix_(idx, idx)], atol=1e-13)
 
 
-def test_schrodinger_matrix_matches_full_section_on_cyclic():
-    xg, xig = _cyclic_pair(16)
-    rng = np.random.default_rng(31)
-    vals = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    f = TableSymbol(xg, xig, vals)
-    assert np.allclose(schrodinger_matrix(f), frequency_section(f), atol=1e-13)
-
-
-# -- guards, laziness, file formats -----------------------------------------------------------
+# -- guards, file formats -----------------------------------------------------------
 
 
 def test_dense_caps_raise():
@@ -227,20 +177,7 @@ def test_dense_caps_raise():
     with pytest.raises(PdoError):
         op_matrix(f, cap=4)
     with pytest.raises(PdoError):
-        schrodinger_matrix(f, cap=4)
-    with pytest.raises(PdoError):
         frequency_section(f, cap=4)
-
-
-def test_operator_wrapper_caches_matrix():
-    xg, xig = _cyclic_pair(8)
-    op = PdoOperator(constant_symbol(2.0, xg, xig))
-    assert op._matrix is None
-    m1 = op.matrix()
-    assert op.matrix() is m1
-    assert abs(op.hs_norm() - 2.0 * np.sqrt(8.0)) < 1e-12
-    u = op.apply(np.ones(8))
-    assert np.allclose(u.values, 2.0, atol=1e-12)
 
 
 def test_matrix_binary_round_trip(tmp_path):

@@ -62,9 +62,3 @@ def test_annulus_dim_one_signs():
     pts = annulus(1.0, 100.0, 1, 40)
     assert pts.shape[1] == 1
     assert np.any(pts > 0) and np.any(pts < 0)
-
-
-def test_annulus_integer_lattice():
-    pts = annulus(20.0, 500.0, 2, 600, seed=4, integer_lattice=True)
-    assert np.array_equal(pts, np.round(pts))
-    assert np.all(np.linalg.norm(pts, axis=1) > 20.0)

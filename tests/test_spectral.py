@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import svds
 
 from corona_pdo.asymptotics import SamplingSchedule
 from corona_pdo.groups import GroupGrid
@@ -68,11 +69,8 @@ def test_singular_values_of_diagonal():
     s = singular_values(np.diag(d))
     assert np.allclose(s, [3.0, 2.0, 1.0, 0.5], atol=1e-14)
     assert np.allclose(singular_values(np.eye(8)), 1.0, atol=1e-15)
-    assert np.allclose(singular_values(np.diag(d), k=2), [3.0, 2.0], atol=1e-14)
-    assert np.allclose(singular_values(np.diag(d), k=2, which="bottom"), [1.0, 0.5], atol=1e-14)
-    with pytest.warns(UserWarning):
-        s = singular_values(np.diag(d), k=9)
-    assert len(s) == 4
+    # rectangular input: min(shape) values
+    assert np.allclose(singular_values(np.diag(d)[:, :3]), [3.0, 1.0, 0.5], atol=1e-14)
 
 
 def test_singular_values_dense_matches_iterative_and_eig_oracle():
@@ -82,7 +80,8 @@ def test_singular_values_dense_matches_iterative_and_eig_oracle():
     # brute-force oracle through the Gram spectrum
     gram = np.sort(np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0)))[::-1]
     assert np.allclose(dense, gram, atol=1e-9)
-    it = singular_values(m, k=3, method="iterative")
+    # Lanczos on the matvec as a second, iterative route to the top three
+    it = np.sort(svds(m, k=3, return_singular_vectors=False))[::-1]
     assert np.allclose(it, dense[:3], rtol=1e-8, atol=1e-10)
 
 

@@ -35,7 +35,6 @@ from corona_pdo.symbols import (
     save_symbol_csv,
     shifted_wave,
     sqrt_wave,
-    symbol_class_diagnostic,
     symbol_from_config,
     syndetic_thickening_filter_data,
     tensor_symbol,
@@ -254,7 +253,7 @@ def test_halfline_distance_and_validation():
 
 
 def test_degenerate_thickening_rejected():
-    whole = ThickenedSet(lambda p: np.zeros(len(p)), 1, False, "everything")
+    whole = ThickenedSet(lambda p: np.zeros(len(p)), 1, "everything")
     with pytest.raises(SymbolError):
         syndetic_thickening_filter_data(whole)
 
@@ -268,14 +267,7 @@ def test_parabola_distance_frozen_points():
     assert np.allclose(E.parametrize(np.array([1.0, 2.0])), [[1.0, 1.0], [2.0, 4.0]])
 
 
-# -- diagnostics, IO, config --
-
-
-def test_class_diagnostic_frozen_constant():
-    xg = GroupGrid.finite_cyclic(4)
-    f = constant_symbol(2.0, xg, xg.dual())
-    # F1 of the constant concentrates at frequency zero with mass 4*2
-    assert symbol_class_diagnostic(f) == pytest.approx(2.0, abs=1e-12)
+# -- IO, config --
 
 
 def test_misc_closure_values():
