@@ -47,7 +47,6 @@ from .symbols import (
     cesaro_mean,
     constant_symbol,
     multiplier_symbol,
-    symbol_from_config,
     tensor_symbol,
     vanishing_oscillation_test,
 )
@@ -56,7 +55,6 @@ from .asymptotics import (
     FilterBase,
     SamplingSchedule,
     StandardBase,
-    base_from_config,
     cluster_set,
     fredholm_floor,
     gohberg_rhs_maxform,
@@ -100,7 +98,6 @@ __all__ = [
     "TensorSymbol",
     "TruncationSchedule",
     "assert_dual_pair",
-    "base_from_config",
     "cesaro_mean",
     "cluster_set",
     "constant_symbol",
@@ -128,7 +125,6 @@ __all__ = [
     "product_group",
     "sigma_min",
     "singular_values",
-    "symbol_from_config",
     "tensor_symbol",
     "transform_matrix",
     "truncated_dual",

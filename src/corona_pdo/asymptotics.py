@@ -27,13 +27,7 @@ from scipy.optimize import minimize_scalar
 
 from .groups import GroupGrid
 from .sampling import _norm_ppf, annulus, kronecker, log_radii
-from .symbols import (
-    Symbol,
-    ThickenedSet,
-    halfline_set,
-    parabola_graph,
-    syndetic_thickening_filter_data,
-)
+from .symbols import Symbol, ThickenedSet
 
 
 class AsymptoticsError(ValueError):
@@ -234,34 +228,6 @@ class IntersectionBase(FilterBase):
         for p in self.parts:
             out &= p.mask(pts, scale)
         return out
-
-
-def base_from_config(spec, dim: int) -> FilterBase:
-    """Filter base from the config wire format (string or mapping)."""
-    if spec is None or spec == "standard":
-        return StandardBase(dim)
-    if isinstance(spec, str):
-        raise AsymptoticsError(f"unknown filter base {spec!r}")
-    kind = spec.get("kind", "standard")
-    if kind == "standard":
-        return StandardBase(dim, extra_directions=spec.get("extra_directions"))
-    if kind == "directional":
-        ap = float(spec.get("aperture_scale", 1.0))
-        return DirectionalBase(spec["omega0"], aperture=lambda t: ap / t)
-    if kind == "ethick":
-        shape = spec.get("set", "halfline")
-        if shape == "halfline":
-            E = halfline_set(float(spec.get("a", 0.0)))
-        elif shape == "parabola":
-            E = parabola_graph()
-        else:
-            raise AsymptoticsError(f"unknown thickened set {shape!r}")
-        return ThickenedComplementBase(syndetic_thickening_filter_data(E))
-    if kind == "density":
-        return DensityBase(dim)
-    if kind == "intersection":
-        return IntersectionBase(*(base_from_config(p, dim) for p in spec["parts"]))
-    raise AsymptoticsError(f"unknown filter base kind {kind!r}")
 
 
 # -- extrapolation ------------------------------------------------------------------

@@ -15,27 +15,30 @@ produces byte-identical JSON except for the ``meta.timestamp`` field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .asymptotics import (
     AsymptoticsError,
+    DensityBase,
     DirectionalBase,
+    IntersectionBase,
     SamplingSchedule,
     StandardBase,
     ThickenedComplementBase,
-    base_from_config,
     liminf_along,
     limsup_along,
 )
 from .fourier import fourier, inverse_fourier, transform_matrix
-from .groups import GridError, GridFunction, GroupGrid, truncated_dual
+from .groups import GridError, GridFunction, GroupGrid, product_group, truncated_dual
 from .pdo import (
     PdoError,
     diagram_check,
@@ -55,39 +58,27 @@ from .spectral import (
 from .symbols import (
     DualClosure,
     SymbolError,
+    TensorSymbol,
     ball_exhaustion,
     cesaro_mean,
+    const_profile,
+    constant_closure,
+    constant_symbol,
     cos_profile,
     directional_decay_symbol,
     dyadic_indicator,
     halfline_set,
+    inverse_decay,
+    load_symbol_csv,
+    multiplier_symbol,
     parabola_graph,
-    psi_from_config,
+    power_wave,
+    shifted_wave,
     sqrt_wave,
-    symbol_from_config,
     syndetic_thickening_filter_data,
     tensor_symbol,
     vanishing_oscillation_test,
 )
-
-TASKS = (
-    "fourier-selftest",
-    "build-op",
-    "diagram-check",
-    "gohberg",
-    "spectrum-probe",
-    "fredholm",
-    "asymptotics",
-)
-
-# preset name -> one-line description for list-examples
-EXAMPLES = {
-    "stoskan": "one-sided ideal on R: vanishing at +inf only, plus a slow-wave oscillation certificate",
-    "rradial": "directional-at-infinity ideal on R^2/R^3: decay inside a cone that the standard base misses",
-    "pescado": "non-syndetic parabola graph in R^2: vanishing off the thickened set, sup 1 on the set",
-    "cesaro": "density ideal on Z: dyadic block indicator with Cesaro means -> 0",
-    "sepavar": "separated-variables flagship: full ladder, distance identity, spectrum probe, Fredholm",
-}
 
 
 class CliError(ValueError):
@@ -105,107 +96,279 @@ _CONFIG_ERRORS = (
 )
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment: what to run, on which grids, and where to write."""
+# -- config schema ------------------------------------------------------------------
+# The only code that knows the config wire format.  A checker maps a JSON value and
+# its dotted path to the coerced value or raises CliError.  A mapping field is
+# ``checker`` (left out when absent, so the callee's default applies) or ``(checker,
+# default)``, where ``...`` means required; JSON null counts as absent.  A tagged
+# table maps each tag to ``(fields, builder)``; builders take the fields as kwargs.
 
-    task: str
-    seed: int = 0
-    group: dict | None = None
-    band: int | None = None
-    symbol: object | None = None
-    base: object | None = None
-    schedule: dict | None = None
-    asym: dict | None = None
-    lambdas: tuple = ()
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str = "."
-    matrix_format: str = "bin"
-    raw: dict = field(default_factory=dict)
+
+def _bad(where, msg):
+    raise CliError(f"{where}: {msg}" if where else msg)
+
+
+def _num(cast=float, lo=-math.inf, hi=math.inf, strict=False):
+    """Finite number in [lo, hi] (above lo if ``strict``), cast to float or int."""
+    def check(v, where):
+        with contextlib.suppress(TypeError, OverflowError):  # not a number, or too big
+            if not isinstance(v, bool) and math.isfinite(v) and cast(v) == v and lo <= v <= hi:
+                if not (strict and v == lo):
+                    return cast(v)
+        span = f"{'(' if strict else '['}{lo}, {hi}]"
+        _bad(where, f"expected {'an integer' if cast is int else 'a number'} in {span}, got {v!r}")
+    return check
+
+
+def _complex(v, where):
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # numbers and "1+2j"
+        if not isinstance(v, bool) and math.isfinite(abs(complex(v))):
+            return complex(v)
+    _bad(where, f"expected a finite complex number, got {v!r}")
+
+
+def _str(*choices):
+    def check(v, where):
+        if not isinstance(v, str) or (choices and v not in choices):
+            _bad(where, f"expected {' | '.join(choices) or 'a string'}, got {v!r}")
+        return v
+    return check
+
+
+def _list(item, lo=0, hi=math.inf):
+    def check(v, where):
+        if not isinstance(v, list) or not lo <= len(v) <= hi:
+            _bad(where, f"expected a list of {lo}..{hi} items, got {v!r}")
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(v)]
+    return check
+
+
+def _map(fields):
+    def check(v, where):
+        if not isinstance(v, dict):
+            _bad(where, f"expected a mapping, got {v!r}")
+        for key in v:
+            if key not in fields:
+                _bad(where, f"unknown key {key!r} (known: {', '.join(fields)})")
+        out = {}
+        for key, entry in fields.items():
+            checker, default = entry if isinstance(entry, tuple) else (entry, None)
+            value = default if v.get(key) is None else v[key]
+            if value is ...:
+                _bad(where, f"missing required key {key!r}")
+            if value is not None:
+                out[key] = checker(value, f"{where}.{key}" if where else key)
+        return out
+    return check
+
+
+def _tagged(tag, table, default=None, spell=lambda s: None):
+    def check(v, where):
+        v = (spell(v) or v) if isinstance(v, str) else v
+        name = v.get(tag, default) if isinstance(v, dict) else None
+        if not isinstance(name, str) or name not in table:
+            _bad(where, f"expected a mapping with {tag} in {', '.join(table)}, got {v!r}")
+        fields = table[name][0] if callable(table[name][0]) else _map(table[name][0])
+        return {tag: name, **fields({k: x for k, x in v.items() if k != tag}, where)}
+    return check
+
+
+def _build(table, tag, spec, *context):
+    """Call the builder of ``spec``'s table entry on its coerced fields."""
+    return table[spec[tag]][1](*context, **{k: v for k, v in spec.items() if k != tag})
+
+
+_REAL, _NONNEG, _POS = _num(), _num(lo=0), _num(lo=0, strict=True)
+_SEED, _VECTOR = _num(int, 0), _list(_REAL, 1, 8)
+
+
+def _task(v, where):
+    return _str(*_RUNNERS)(v, where)  # the runner registry is defined last
+
+
+def _ratio_band(v, where):
+    lo, hi = _list(_REAL, 2, 2)(v, where)  # v is kept as given: the report echoes it
+    return v if lo <= hi else _bad(where, f"lower end {lo} exceeds upper end {hi}")
+
+
+def _direction(v, where):
+    v = _VECTOR(v, where)
+    return v if any(v) else _bad(where, "must be a nonzero vector")
+
+
+def _spell_psi(s):
+    with contextlib.suppress(ValueError):
+        if s.startswith("vo:pow:"):
+            return {"family": "vo:pow", "alpha": float(s[7:])}
+    return {"family": s} if s in ("vo:sqrt", "dirdecay", "cesaro-indicator") else None
+
+
+_PSIS = {
+    "vo:sqrt": ({}, sqrt_wave),
+    "vo:pow": ({"alpha": (_NONNEG, ...)}, power_wave),
+    "vo:shifted": ({"offset": (_REAL, ...), "alpha": _NONNEG}, shifted_wave),
+    "dirdecay": ({"omega0": (_direction, [0.0, 1.0]), "rate": _NONNEG}, directional_decay_symbol),
+    "cesaro-indicator": ({}, dyadic_indicator),
+    "c0:inv": ({"power": _NONNEG}, inverse_decay),
+    "const": ({"value": (_complex, 1.0)}, constant_closure),
+}
+_GAMMAS = {
+    "const": ({"value": _complex}, const_profile),
+    "cos-offset": ({"offset": _REAL, "amplitude": _REAL, "frequency": _num(int)}, cos_profile),
+    "values": ({"data": (_list(_complex, 1), ...)}, lambda data: np.asarray(data, dtype=complex)),
+}
+_PSI = _tagged("family", _PSIS, spell=_spell_psi)
+_GAMMA = _tagged("profile", _GAMMAS, "const")
+_TERM = _map({"gamma": (_GAMMA, {}), "psi": (_PSI, ...)})
+
+
+def _tensor_fields(v, where):
+    # the one-term spelling {gamma, psi} normalises to {terms: [{gamma, psi}]}
+    spec = _map({"terms": _list(_TERM, 1), "gamma": _GAMMA, "psi": _PSI})(v, where)
+    return {"terms": spec.get("terms") or [_TERM(spec, where)]}
+
+
+_SYMBOLS = {
+    **{name: (fields, None) for name, (fields, _) in _PSIS.items()},
+    "tensor": (_tensor_fields, lambda xg, xig, terms: TensorSymbol(xg, xig, [
+        (_build(_GAMMAS, "profile", t["gamma"]), _psi(t["psi"], xig.ndim)) for t in terms
+    ])),
+    "csv": ({"path": (_str(), ...)}, lambda xg, xig, path: load_symbol_csv(path, xg, xig)),
+    "const": ({"value": (_complex, 1.0)}, lambda xg, xig, value: constant_symbol(value, xg, xig)),
+}
+_SETS = {"halfline": ({"a": _REAL}, halfline_set), "parabola": ({}, parabola_graph)}
+_BASES = {
+    "standard": ({"extra_directions": _list(_direction, 1)}, StandardBase),
+    "directional": (
+        {"omega0": (_direction, ...), "aperture_scale": (_POS, 1.0)},
+        lambda dim, omega0, aperture_scale: DirectionalBase(omega0, lambda t: aperture_scale / t),
+    ),
+    "ethick": (_tagged("set", _SETS, "halfline"), lambda dim, **e: ThickenedComplementBase(
+        syndetic_thickening_filter_data(_build(_SETS, "set", e)))),
+    "density": ({}, DensityBase),
+    "intersection": ({"parts": (_list(lambda v, where: _BASE(v, where), 1), ...)},
+                     lambda dim, parts: IntersectionBase(*[base_from_config(p, dim) for p in parts])),
+}
+_GROUPS = {
+    "finite_cyclic": ({"n": (_num(int, 1), ...), "weight": _POS}, GroupGrid.finite_cyclic),
+    "torus": ({"samples": (_num(int, 2), ...)}, GroupGrid.torus),
+    "truncated_integers": ({"band": (_num(int, 1), ...)}, GroupGrid.truncated_integers),
+    "line": ({"step": (_POS, ...), "extent": (_POS, ...)}, GroupGrid.line),
+    "product": ({"factors": (_list(lambda v, where: _GROUP(v, where), 1), ...)},
+                lambda factors: product_group(*(_build(_GROUPS, "kind", f) for f in factors))),
+}
+_SYMBOL = _tagged("family", _SYMBOLS, spell=_spell_psi)
+_BASE = _tagged("kind", _BASES, "standard", spell=lambda s: {"kind": s} if s == "standard" else None)
+_GROUP = _tagged("kind", _GROUPS)
+
+
+# every top-level key: a key no task reads is an error, one another task reads is ignored
+_FIELDS = {
+    "schema": (_num(int, 1, 1), ...),
+    "task": (_task, ...),
+    "seed": (_SEED, 0),
+    "out_dir": (_str(), "."),
+    "group": _GROUP,
+    "band": _num(int, 1),
+    "symbol": _SYMBOL,
+    "base": (_BASE, "standard"),
+    "schedule": (_map({"bands": _list(_num(int, 4)), "oversampling": _num(int, 2)}), {}),
+    "asym": (_map({"scales": _list(_POS, 1), "points_per_scale": _num(int, 16),
+                   "span": _num(lo=1, strict=True), "seed": _SEED}), {}),
+    "lambdas": _list(_complex),
+    "tolerances": (_map({  # the spectral ones default in the spectral signatures
+        "plancherel": (_NONNEG, 1e-10),  # fourier-selftest
+        "diagram": (_NONNEG, 1e-10),  # diagram-check
+        "ratio_band": _ratio_band, "zero_tol": _NONNEG,  # gohberg
+        "support_tol": _NONNEG,  # spectrum-probe
+        "floor_tol": _NONNEG, "margin_factor": _NONNEG,  # fredholm
+    }), {}),
+    "matrix_format": (_str("bin", "csv", "both"), "bin"),
+    "psi": _PSI,  # asymptotics
+    "dim": (_num(int, 1, 8), 1),  # asymptotics
+    "vo": (lambda v, where: ({} if v else None) if isinstance(v, bool) else _map(  # asymptotics
+        {"shifts": _list(_VECTOR, 1), "radii": _list(_POS, 1)}  # true: default shifts and radii
+    )(v, where) or None, False),  # false or {}: no oscillation profile
+}
+# per task: the keys it requires, and the keys it checks more narrowly than _FIELDS
+_REQUIRED = {
+    "fourier-selftest": "group", "build-op": "group symbol", "diagram-check": "group symbol",
+    "gohberg": "symbol", "spectrum-probe": "symbol lambdas", "fredholm": "symbol",
+    "asymptotics": "psi",
+}
+_NARROWER = {"spectrum-probe": {"lambdas": _list(_complex, 1)},
+             "examples:cesaro": {"band": (_num(int, 16), 4096)}}
+
+
+def _psi(spec: dict, dim: int | None = None):
+    if "omega0" in spec and dim not in (None, len(spec["omega0"])):
+        raise SymbolError(f"psi omega0 {spec['omega0']} does not fit a {dim}-d dual")
+    return _build(_PSIS, "family", spec)
+
+
+def _checked(error, check, spec, where):
+    try:
+        return check(spec, where)
+    except CliError as e:
+        raise error(str(e)) from None
+
+
+def psi_from_config(spec):
+    """Dual closure from a psi spec, string or mapping (SymbolError if malformed)."""
+    return _psi(_checked(SymbolError, _PSI, spec, "psi"))
+
+
+def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid):
+    """Symbol from a symbol spec, raw or as coerced (SymbolError if malformed)."""
+    spec = _checked(SymbolError, _SYMBOL, spec, "symbol")
+    if _SYMBOLS[spec["family"]][1] is None:  # a psi family: the multiplier psi(xi)
+        return multiplier_symbol(_psi(spec, xigrid.ndim), xgrid, xigrid)
+    return _build(_SYMBOLS, "family", spec, xgrid, xigrid)
+
+
+def base_from_config(spec, dim: int):
+    """Filter base from a base spec or None (AsymptoticsError if malformed)."""
+    spec = _checked(AsymptoticsError, _BASE, "standard" if spec is None else spec, "base")
+    base = _build(_BASES, "kind", spec, dim)
+    if {base.dim, *map(len, spec.get("extra_directions", ()))} != {dim}:
+        raise AsymptoticsError(f"filter base {base.label} does not fit a {dim}-d dual")
+    return base
+
+
+class ExperimentConfig(SimpleNamespace):
+    """One experiment as ``from_mapping`` coerced it: an attribute per key of the table
+    above (None when absent), plus ``raw``, the document as given, for the report."""
 
     @staticmethod
     def from_mapping(doc) -> "ExperimentConfig":
+        """Check and coerce a config document; CliError names the first bad key."""
         if not isinstance(doc, dict):
             raise CliError("config must be a JSON object")
-        if doc.get("schema") != 1:
-            raise CliError(f"unsupported config schema {doc.get('schema')!r} (expected 1)")
-        task = doc.get("task")
-        if not isinstance(task, str) or not task:
-            raise CliError("config needs a non-empty 'task' string")
-        if task.startswith("examples:"):
-            name = task.split(":", 1)[1]
-            if name not in EXAMPLES:
-                raise CliError(
-                    f"unknown example preset {name!r}; see 'corona-pdo list-examples'"
-                )
-        elif task not in TASKS:
-            raise CliError(f"unknown task {task!r}")
-        cfg = ExperimentConfig(
-            task=task,
-            seed=int(doc.get("seed", 0)),
-            group=doc.get("group"),
-            band=doc.get("band"),
-            symbol=doc.get("symbol"),
-            base=doc.get("base"),
-            schedule=doc.get("schedule"),
-            asym=doc.get("asym"),
-            lambdas=tuple(doc.get("lambdas", ())),
-            tolerances=dict(doc.get("tolerances", {})),
-            out_dir=str(doc.get("out_dir", ".")),
-            matrix_format=str(doc.get("matrix_format", "bin")),
-            raw=doc,
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        """Task-specific required fields, checked before any computation."""
-        needs_group = self.task in ("fourier-selftest", "build-op", "diagram-check")
-        needs_symbol = self.task in (
-            "build-op",
-            "diagram-check",
-            "gohberg",
-            "spectrum-probe",
-            "fredholm",
-        )
-        if needs_group and self.group is None:
-            raise CliError(f"task {self.task!r} needs a 'group' descriptor")
-        if needs_symbol and self.symbol is None:
-            raise CliError(f"task {self.task!r} needs a 'symbol' spec")
-        if self.task == "spectrum-probe" and not self.lambdas:
-            raise CliError("task 'spectrum-probe' needs a non-empty 'lambdas' list")
-        if self.task == "asymptotics" and self.raw.get("psi") is None:
-            raise CliError("task 'asymptotics' needs a 'psi' closure spec")
-        if self.matrix_format not in ("bin", "csv", "both"):
-            raise CliError(f"matrix_format must be bin/csv/both, got {self.matrix_format!r}")
+        task = _task(doc.get("task"), "task")
+        fields = {**_FIELDS, **_NARROWER.get(task, {})}
+        fields.update({key: (fields[key], ...) for key in _REQUIRED.get(task, "").split()})
+        spec = _map(fields)(doc, "")
+        return ExperimentConfig(**{**dict.fromkeys(_FIELDS), **spec, "raw": doc})
 
     # -- resolved pieces ---------------------------------------------------
 
     def truncation_schedule(self) -> TruncationSchedule:
-        spec = dict(self.schedule or {})
-        if "bands" in spec:
-            spec["bands"] = tuple(spec["bands"])
-        return TruncationSchedule(**spec)
+        return TruncationSchedule(**self.schedule)
 
     def sampling_schedule(self) -> SamplingSchedule:
-        spec = dict(self.asym or {})
-        if "scales" in spec:
-            spec["scales"] = tuple(spec["scales"])
-        spec.setdefault("seed", self.seed)
-        return SamplingSchedule(**spec)
+        return SamplingSchedule(**{"seed": self.seed, **self.asym})
 
     def grids(self):
-        """(x grid, dual grid) from the group descriptor, or the schedule's
-        base rung when no explicit group is configured."""
+        """(x grid, dual grid): the configured group, else the schedule's base rung."""
         if self.group is not None:
-            xg = GroupGrid.from_descriptor(self.group)
-            xig = truncated_dual(xg, int(self.band)) if self.band else xg.dual()
-            return xg, xig
+            xg = _build(_GROUPS, "kind", self.group)
+            return xg, (truncated_dual(xg, self.band) if self.band else xg.dual())
         sched = self.truncation_schedule()
         return sched.grids(sched.bands[0])
 
-    def tol(self, key: str, default):
-        return self.tolerances.get(key, default)
+    def tols(self, *keys) -> dict:
+        """The named tolerances the config sets; unset ones keep the callee's default."""
+        return {k: self.tolerances[k] for k in keys if k in self.tolerances}
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -293,7 +456,7 @@ def _task_fourier_selftest(cfg: ExperimentConfig):
         F = transform_matrix(xg, xig)
         gap = np.linalg.norm(F @ u.values - v.values) / np.linalg.norm(v.values)
         results["matrix_agreement"] = float(gap)
-    tol = float(cfg.tol("plancherel", 1e-10))
+    tol = cfg.tolerances["plancherel"]
     results["tolerance"] = tol
     bad = plancherel > tol or roundtrip > tol
     flags = _flags(["transform self-test exceeded tolerance"] if bad else [], violation=bad)
@@ -301,15 +464,9 @@ def _task_fourier_selftest(cfg: ExperimentConfig):
     return results, flags, {}
 
 
-def _build_symbol(cfg: ExperimentConfig, xg, xig):
-    if cfg.symbol is None:
-        raise CliError("missing 'symbol' spec")
-    return symbol_from_config(cfg.symbol, xg, xig)
-
-
 def _task_build_op(cfg: ExperimentConfig):
     xg, xig = cfg.grids()
-    f = _build_symbol(cfg, xg, xig)
+    f = symbol_from_config(cfg.symbol, xg, xig)
     m = op_matrix(f)
     files = []
     if cfg.matrix_format in ("bin", "both"):
@@ -330,9 +487,9 @@ def _task_build_op(cfg: ExperimentConfig):
 
 def _task_diagram_check(cfg: ExperimentConfig):
     xg, xig = cfg.grids()
-    f = _build_symbol(cfg, xg, xig)
+    f = symbol_from_config(cfg.symbol, xg, xig)
     residual = diagram_check(f)
-    tol = float(cfg.tol("diagram", 1e-10))
+    tol = cfg.tolerances["diagram"]
     results = {
         "symbol_id": _symbol_id(f),
         "group": xg.descriptor(),
@@ -350,7 +507,7 @@ def _task_diagram_check(cfg: ExperimentConfig):
 
 def _spectral_inputs(cfg: ExperimentConfig, symbol=None):
     sched = cfg.truncation_schedule()
-    f = symbol if symbol is not None else _build_symbol(cfg, *cfg.grids())
+    f = symbol if symbol is not None else symbol_from_config(cfg.symbol, *cfg.grids())
     base = base_from_config(cfg.base, f.xigrid.ndim)
     return f, sched, base
 
@@ -368,9 +525,8 @@ def _task_gohberg(cfg: ExperimentConfig, symbol=None):
         base,
         sched,
         asym,
-        ratio_band=tuple(cfg.tol("ratio_band", (0.85, 1.15))),
-        zero_tol=float(cfg.tol("zero_tol", 0.05)),
         est_result=est,
+        **cfg.tols("ratio_band", "zero_tol"),
     )
     results = {
         "symbol_id": _symbol_id(f),
@@ -406,7 +562,7 @@ def _task_spectrum_probe(cfg: ExperimentConfig, symbol=None, lambdas=None):
         f,
         cfg.lambdas if lambdas is None else lambdas,
         sched,
-        support_tol=float(cfg.tol("support_tol", 0.05)),
+        **cfg.tols("support_tol"),
     )
     weyl = [
         {"lambda": lam.real if lam.imag == 0 else str(lam), "traj": list(traj), "verdict": v}
@@ -433,8 +589,7 @@ def _task_fredholm(cfg: ExperimentConfig, symbol=None):
         base,
         sched,
         cfg.sampling_schedule(),
-        floor_tol=float(cfg.tol("floor_tol", 1e-2)),
-        margin_factor=float(cfg.tol("margin_factor", 0.5)),
+        **cfg.tols("floor_tol", "margin_factor"),
     )
     results = {
         "symbol_id": _symbol_id(f),
@@ -453,9 +608,8 @@ def _task_fredholm(cfg: ExperimentConfig, symbol=None):
 
 
 def _task_asymptotics(cfg: ExperimentConfig):
-    psi = psi_from_config(cfg.raw["psi"])
-    dim = int(cfg.raw.get("dim", 1))
-    base = base_from_config(cfg.base, dim)
+    psi = _psi(cfg.psi, cfg.dim)
+    base = base_from_config(cfg.base, cfg.dim)
     asym = cfg.sampling_schedule()
     polish = not isinstance(base, ThickenedComplementBase)
     phi = lambda p: np.abs(psi(p))
@@ -467,16 +621,12 @@ def _task_asymptotics(cfg: ExperimentConfig):
         "limsup": hi.as_dict(),
         "liminf": lo.as_dict(),
     }
-    vo_spec = cfg.raw.get("vo")
-    if vo_spec:
-        shifts = vo_spec.get("shifts") if isinstance(vo_spec, dict) else None
-        radii = vo_spec.get("radii") if isinstance(vo_spec, dict) else None
-        if shifts is None:
-            shifts = (np.eye(dim)[0][None, :] * np.array([[0.5], [1.0], [2.0]])).tolist()
-        if radii is None:
-            radii = np.logspace(2, 6, 9).tolist()
-        prof = vanishing_oscillation_test(psi, shifts, radii, seed=cfg.seed)
-        results["vo"] = prof.as_dict()
+    if cfg.vo is not None:
+        shifts = cfg.vo.get("shifts", np.eye(cfg.dim)[:1] * [[0.5], [1.0], [2.0]])
+        if any(len(z) != cfg.dim for z in shifts):
+            raise CliError(f"vo.shifts must be {cfg.dim}-d points, like the dual")
+        radii = cfg.vo.get("radii", np.logspace(2, 6, 9))
+        results["vo"] = vanishing_oscillation_test(psi, shifts, radii, seed=cfg.seed).as_dict()
     header, rows = _fit_csv_rows({"limsup": hi, "liminf": lo})
     print(f"[run] asymptotics: limsup {hi.value:.6g}, liminf {lo.value:.6g} along {base.label}")
     return results, _flags(), {"sups_by_scale.csv": (header, rows)}
@@ -486,7 +636,7 @@ def _task_asymptotics(cfg: ExperimentConfig):
 
 
 def _example_stoskan(cfg: ExperimentConfig):
-    # ideal on R: functions vanishing toward +inf only (no condition at -inf)
+    """one-sided ideal on R: vanishing at +inf only, plus a slow-wave oscillation certificate"""
     asym = cfg.sampling_schedule()
     phi = DualClosure(
         lambda p: np.exp(-np.maximum(p[:, 0], 0.0)).astype(complex),
@@ -517,6 +667,7 @@ def _example_stoskan(cfg: ExperimentConfig):
 
 
 def _example_rradial(cfg: ExperimentConfig):
+    """directional-at-infinity ideal on R^2/R^3: decay inside a cone that the standard base misses"""
     asym = cfg.sampling_schedule()
     psi = directional_decay_symbol([0.0, 1.0])
     mod = lambda p: np.abs(psi(p))
@@ -552,15 +703,12 @@ def _example_rradial(cfg: ExperimentConfig):
 
 
 def _example_pescado(cfg: ExperimentConfig):
+    """non-syndetic parabola graph in R^2: vanishing off the thickened set, sup 1 on the set"""
     E = syndetic_thickening_filter_data(parabola_graph())
     phi = lambda p: np.exp(-E.distance(p))
     # the parametric distance scan is the cost center: keep scales desk-sized
-    spec = dict(cfg.asym or {})
-    spec.setdefault("scales", (1e2, 1e3))
-    spec.setdefault("points_per_scale", 2000)
-    spec.setdefault("seed", cfg.seed)
-    spec["scales"] = tuple(spec["scales"])
-    asym = SamplingSchedule(**spec)
+    desk = {"scales": (1e2, 1e3), "points_per_scale": 2000, "seed": cfg.seed}
+    asym = SamplingSchedule(**{**desk, **cfg.asym})
     off_set = limsup_along(phi, ThickenedComplementBase(E), asym, polish=False)
     t = np.linspace(-40.0, 40.0, 2001)
     on_set_sup = float(np.max(phi(E.parametrize(t))))
@@ -600,7 +748,8 @@ def _example_pescado(cfg: ExperimentConfig):
 
 
 def _example_cesaro(cfg: ExperimentConfig):
-    band = int(cfg.band or 4096)
+    """density ideal on Z: dyadic block indicator with Cesaro means -> 0"""
+    band = cfg.band
     grid = GroupGrid.truncated_integers(band)
     radii = [2**k for k in range(4, band.bit_length()) if 2**k <= band]
     res = cesaro_mean(dyadic_indicator(), ball_exhaustion(grid, radii))
@@ -632,6 +781,7 @@ def _example_cesaro(cfg: ExperimentConfig):
 
 
 def _example_sepavar(cfg: ExperimentConfig):
+    """separated-variables flagship: full ladder, distance identity, spectrum probe, Fredholm"""
     sched = cfg.truncation_schedule()
     f = tensor_symbol(cos_profile(2.0, 1.0), sqrt_wave(), *sched.grids(sched.bands[0]))
     lambdas = cfg.lambdas or (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
@@ -736,27 +886,20 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except CliError as e:
-        print(f"[error] {e}", file=sys.stderr)
-        return 1
-
-    if args.command == "list-examples":
-        for name in sorted(EXAMPLES):
-            print(f"{name:10s} {EXAMPLES[name]}")
-        return 0
-    if args.command != "run":
-        parser.print_usage(sys.stderr)
-        return 1
-
-    try:
-        doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"[error] cannot read config: {e}", file=sys.stderr)
-        return 1
-    try:
+        if args.command == "list-examples":
+            for task in sorted(t for t in _RUNNERS if t.startswith("examples:")):
+                print(f"{task[9:]:10s} {_RUNNERS[task].__doc__}")
+            return 0
+        if args.command != "run":
+            parser.print_usage(sys.stderr)
+            return 1
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as e:
+            raise CliError(f"cannot read config: {e}") from None
         cfg = ExperimentConfig.from_mapping(doc)
         if args.seed is not None:
-            cfg.seed = int(args.seed)
+            cfg.seed = _SEED(args.seed, "--seed")
         if args.out is not None:
             cfg.out_dir = args.out
         return _run(cfg)

@@ -177,9 +177,6 @@ class PhaseFunction:
         w = self.xgrid.weight_per_point * self.xigrid.weight_per_point
         return float(np.sqrt(w * np.sum(np.abs(self.values) ** 2)))
 
-    def copy(self) -> "PhaseFunction":
-        return PhaseFunction(self.xgrid, self.xigrid, self.values.copy())
-
 
 def partial_fourier_1(g: PhaseFunction, out_grid: GroupGrid | None = None) -> PhaseFunction:
     """Analysis in the first variable: (F1 g)(eta, xi) = sum_x w conj(<x,eta>) g(x, xi)."""

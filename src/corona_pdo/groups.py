@@ -157,10 +157,6 @@ class GroupGrid:
         return self._coords
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.size, self.weight_per_point)
-
-    @property
     def total_mass(self) -> float:
         return self.weight_per_point * self.size
 
@@ -194,9 +190,6 @@ class GroupGrid:
     def unravel(self, idx):
         return np.unravel_index(np.asarray(idx), self.shape)
 
-    def ravel(self, multi):
-        return np.ravel_multi_index(multi, self.shape, mode="wrap")
-
     def _origins(self):
         return tuple(
             0 if f.kind == "finite_cyclic" else int(np.argmin(np.abs(f.points)))
@@ -223,22 +216,6 @@ class GroupGrid:
         if self.ndim == 1:
             return self.factors[0].descriptor()
         return {"kind": "product", "factors": [f.descriptor() for f in self.factors]}
-
-    @staticmethod
-    def from_descriptor(d: dict) -> "GroupGrid":
-        kind = d.get("kind")
-        if kind == "product":
-            subs = [GroupGrid.from_descriptor(s) for s in d["factors"]]
-            return product_group(*subs)
-        if kind == "finite_cyclic":
-            return GroupGrid.finite_cyclic(int(d["n"]), float(d.get("weight", 1.0)))
-        if kind == "torus":
-            return GroupGrid.torus(int(d["samples"]))
-        if kind == "truncated_integers":
-            return GroupGrid.truncated_integers(int(d["band"]))
-        if kind == "line":
-            return GroupGrid.line(float(d["step"]), float(d["extent"]))
-        raise GridError(f"unknown grid kind {kind!r}")
 
 
 def product_group(*grids: GroupGrid) -> GroupGrid:
@@ -337,6 +314,3 @@ class GridFunction:
 
     def inner(self, other: "GridFunction") -> complex:
         return complex(self.grid.weight_per_point * np.vdot(other.values, self.values))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())

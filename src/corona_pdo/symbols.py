@@ -65,8 +65,8 @@ class DualClosure:
         return np.asarray(self.fun(_pts2d(pts)), dtype=complex)
 
 
-def constant_closure(c: complex) -> DualClosure:
-    c = complex(c)
+def constant_closure(value: complex) -> DualClosure:
+    c = complex(value)
     return DualClosure(lambda p: np.full(len(p), c), abs(c), f"const({c})")
 
 
@@ -569,79 +569,3 @@ def load_symbol_csv(path, xgrid: GroupGrid, xigrid: GroupGrid) -> TableSymbol:
     if not seen.all():
         raise SymbolError("symbol CSV does not cover the full grid pair")
     return TableSymbol(xgrid, xigrid, vals)
-
-
-# -- config-string registry ---------------------------------------------------------
-
-
-def psi_from_config(spec) -> DualClosure:
-    if isinstance(spec, str):
-        if spec == "vo:sqrt":
-            return sqrt_wave()
-        if spec.startswith("vo:pow:"):
-            return power_wave(float(spec.split(":")[2]))
-        if spec == "dirdecay":
-            return directional_decay_symbol([0.0, 1.0])
-        if spec == "cesaro-indicator":
-            return dyadic_indicator()
-        raise SymbolError(f"unknown psi family {spec!r}")
-    fam = spec.get("family")
-    if fam == "vo:sqrt":
-        return sqrt_wave()
-    if fam == "vo:pow":
-        return power_wave(float(spec["alpha"]))
-    if fam == "vo:shifted":
-        return shifted_wave(float(spec["offset"]), float(spec.get("alpha", 0.5)))
-    if fam == "dirdecay":
-        return directional_decay_symbol(
-            spec.get("omega0", [0.0, 1.0]), float(spec.get("rate", 1.0))
-        )
-    if fam == "cesaro-indicator":
-        return dyadic_indicator()
-    if fam == "c0:inv":
-        return inverse_decay(float(spec.get("power", 1.0)))
-    if fam == "const":
-        return constant_closure(complex(spec.get("value", 1.0)))
-    raise SymbolError(f"unknown psi family {fam!r}")
-
-
-def gamma_from_config(spec):
-    if spec is None:
-        return const_profile(1.0)
-    prof = spec.get("profile", "const")
-    if prof == "cos-offset":
-        return cos_profile(
-            float(spec.get("offset", 2.0)),
-            float(spec.get("amplitude", 1.0)),
-            int(spec.get("frequency", 1)),
-        )
-    if prof == "const":
-        return const_profile(complex(spec.get("value", 1.0)))
-    if prof == "values":
-        return np.asarray(spec["data"], dtype=complex)
-    raise SymbolError(f"unknown gamma profile {prof!r}")
-
-
-def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid) -> Symbol:
-    """Build a symbol from a config string or mapping (the CLI wire format)."""
-    if isinstance(spec, str):
-        if spec == "tensor":
-            raise SymbolError("'tensor' needs a mapping with gamma and psi entries")
-        return multiplier_symbol(psi_from_config(spec), xgrid, xigrid)
-    fam = spec.get("family")
-    if fam == "tensor":
-        terms_spec = spec.get("terms")
-        if terms_spec is None:
-            terms_spec = [spec]
-        if any("psi" not in t for t in terms_spec):
-            raise SymbolError("tensor symbol needs a 'psi' entry in every term")
-        terms = [
-            (gamma_from_config(t.get("gamma")), psi_from_config(t["psi"]))
-            for t in terms_spec
-        ]
-        return TensorSymbol(xgrid, xigrid, terms)
-    if fam == "csv":
-        return load_symbol_csv(spec["path"], xgrid, xigrid)
-    if fam == "const":
-        return constant_symbol(complex(spec.get("value", 1.0)), xgrid, xigrid)
-    return multiplier_symbol(psi_from_config(spec), xgrid, xigrid)

@@ -18,7 +18,6 @@ from corona_pdo.asymptotics import (
     SamplingSchedule,
     StandardBase,
     ThickenedComplementBase,
-    base_from_config,
     cluster_set,
     fit_inverse_sqrt,
     fredholm_floor,
@@ -192,21 +191,6 @@ def test_intersection_of_disjoint_cones_is_empty():
     b = IntersectionBase(DirectionalBase([1.0, 0.0]), DirectionalBase([-1.0, 0.0]))
     with pytest.raises(AsymptoticsError):
         b.sample(100.0, 2000, 10.0, 0)
-
-
-def test_base_from_config():
-    assert base_from_config(None, 2).label.startswith("standard")
-    assert base_from_config({"kind": "directional", "omega0": [0, 1]}, 2).dim == 2
-    assert base_from_config({"kind": "ethick", "set": "parabola"}, 2).dim == 2
-    assert base_from_config({"kind": "density"}, 1).label == "density"
-    inter = base_from_config(
-        {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "density"}]}, 1
-    )
-    assert inter.label.startswith("intersection")
-    with pytest.raises(AsymptoticsError):
-        base_from_config("weird", 1)
-    with pytest.raises(AsymptoticsError):
-        base_from_config({"kind": "ethick", "set": "moon"}, 1)
 
 
 # -- per-fiber fields and Gohberg right-hand sides --

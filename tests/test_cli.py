@@ -8,10 +8,19 @@ import numpy as np
 import pytest
 
 import corona_pdo
-from corona_pdo.cli import CliError, ExperimentConfig, main
-from corona_pdo.groups import GroupGrid
+from corona_pdo.asymptotics import AsymptoticsError
+from corona_pdo.cli import (
+    _CONFIG_ERRORS,
+    CliError,
+    ExperimentConfig,
+    base_from_config,
+    main,
+    psi_from_config,
+    symbol_from_config,
+)
+from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import load_matrix_bin, op_matrix
-from corona_pdo.symbols import symbol_from_config
+from corona_pdo.symbols import SymbolError, cos_profile, sqrt_wave, tensor_symbol
 
 FLAGSHIP = {
     "family": "tensor",
@@ -53,24 +62,226 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+NAN = float("nan")
+
+
 @pytest.mark.parametrize(
-    "symbol",
+    "patch",
     [
-        {"family": "tensor", "gamma": {"profile": "cos-offset"}},  # no psi
-        {"family": "csv", "path": "nope.csv"},  # missing file
+        # ids symbol0/symbol1: the symbol spec cases this test started with
+        pytest.param(
+            {"symbol": {"family": "tensor", "gamma": {"profile": "cos-offset"}}}, id="symbol0"
+        ),
+        pytest.param({"symbol": {"family": "csv", "path": "nope.csv"}}, id="symbol1"),
+        pytest.param({"seed": "abc"}, id="seed-str"),
+        pytest.param({"seed": 1.7}, id="seed-fraction"),
+        pytest.param({"seed": True}, id="seed-bool"),
+        pytest.param({"tolerances": [1]}, id="tolerances-list"),
+        pytest.param({"tolerances": {"zero_tol": "x"}}, id="zero_tol-str"),
+        pytest.param({"tolerances": {"ratio_band": [0.9]}}, id="ratio_band-short"),
+        pytest.param({"tolerances": {"ratio_band": [NAN, 1.2]}}, id="ratio_band-nan"),
+        pytest.param({"tolerances": {"ratio_band": [1.15, 0.85]}}, id="ratio_band-reversed"),
+        pytest.param({"tolerances": {"ratio_bnd": [0.85, 1.15]}}, id="tolerance-typo"),
+        pytest.param({"schedule": [16, 32, 64]}, id="schedule-list"),
+        pytest.param({"schedule": {"bands": [16, 32, 64], "oversample": 4}}, id="schedule-typo"),
+        pytest.param({"schedule": {"bands": "abc"}}, id="bands-str"),
+        pytest.param({"asym": {"points": 500}}, id="asym-typo"),
+        pytest.param({"asym": {"points_per_scale": "many"}}, id="points-str"),
+        pytest.param({"asym": {"span": 0}}, id="span-zero"),
+        pytest.param({"task": "spectrum-probe", "lambdas": "abc"}, id="lambdas-str"),
+        pytest.param({"task": "spectrum-probe", "lambdas": ["x"]}, id="lambda-str"),
+        pytest.param({"band": "x"}, id="band-str"),
+        pytest.param({"group": "cyclic"}, id="group-str"),
+        pytest.param({"group": {"kind": "finite_cyclic"}}, id="group-no-n"),
+        pytest.param({"symbol": [1]}, id="symbol-list"),
+        pytest.param({"symbol": {"family": "vo:pow", "alpha": "x"}}, id="alpha-str"),
+        pytest.param({"task": "asymptotics", "base": [1]}, id="base-list"),
+        pytest.param({"task": "asymptotics", "base": {"kind": "directional"}}, id="base-no-omega0"),
+        pytest.param({"task": "asymptotics", "dim": "two"}, id="dim-str"),
+        pytest.param({"task": "asymptotics", "vo": [1]}, id="vo-list"),
+        pytest.param(
+            {"task": "asymptotics", "base": {"kind": "directional", "omega0": [0, 1]}},
+            id="omega0-2d-dim-1",
+        ),
+        pytest.param({"task": "examples:cesaro", "band": "big"}, id="cesaro-band-str"),
+        pytest.param({"out_dir": [1]}, id="out_dir-list"),
+        pytest.param({"schedul": {"bands": [16, 32, 64]}}, id="top-level-typo"),
     ],
 )
-def test_bad_symbol_spec_exits_one(tmp_path, capsys, symbol):
+def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
+    # a gohberg config on small ladders, with psi for the tasks a patch switches to
     doc = {
         "schema": 1,
-        "task": "build-op",
-        "group": {"kind": "finite_cyclic", "n": 8},
-        "symbol": symbol,
+        "task": "gohberg",
+        "symbol": "vo:sqrt",
+        "psi": "vo:sqrt",
+        "schedule": {"bands": [16, 32, 64]},
+        "asym": {"points_per_scale": 500},
+        **patch,
     }
     code, report, _ = _run(tmp_path, doc)
     assert code == 1
     assert report is None
-    assert capsys.readouterr().err.startswith("[error] ")
+    err = capsys.readouterr().err
+    assert err.startswith("[error] ")
+    assert "Traceback" not in err
+
+
+# one valid document per task; the fuzz below mutates them
+VALID_DOCS = [
+    {
+        "task": "fourier-selftest",
+        "group": {"kind": "product", "factors": [
+            {"kind": "finite_cyclic", "n": 4, "weight": 0.5},
+            {"kind": "line", "step": 0.5, "extent": 2},
+        ]},
+        "tolerances": {"plancherel": 1e-9},
+    },
+    {
+        "task": "build-op",
+        "group": {"kind": "torus", "samples": 8},
+        "band": 2,
+        "symbol": {"family": "tensor", "terms": [
+            {"gamma": {"profile": "values", "data": [1, 2, 3, 4, 5, 6, 7, "1+2j"]},
+             "psi": "vo:pow:0.75"},
+            {"gamma": {"profile": "cos-offset", "offset": 1, "frequency": 2},
+             "psi": {"family": "c0:inv"}},
+        ]},
+        "matrix_format": "csv",
+    },
+    {
+        "task": "diagram-check",
+        "group": {"kind": "finite_cyclic", "n": 8},
+        "symbol": {"family": "const", "value": 2},
+        "tolerances": {"diagram": 1e-9},
+    },
+    {
+        "task": "gohberg",
+        "symbol": FLAGSHIP,
+        "base": {"kind": "intersection", "parts": [
+            {"kind": "standard"}, {"kind": "ethick", "set": "halfline", "a": 1},
+        ]},
+        "schedule": {"bands": [16, 32, 64], "oversampling": 2},
+        "asym": {"scales": [100, 1000], "span": 4},
+        "tolerances": {"ratio_band": [0.8, 1.2], "zero_tol": 0.1},
+    },
+    {
+        "task": "spectrum-probe",
+        "symbol": {"family": "vo:shifted", "offset": 2, "alpha": 0.5},
+        "lambdas": [0, "1+2j"],
+        "tolerances": {"support_tol": 0.1},
+        "seed": 4,
+    },
+    {
+        "task": "fredholm",
+        "symbol": {"family": "dirdecay", "omega0": [1], "rate": 2},
+        "base": "standard",
+        "tolerances": {"floor_tol": 0.02, "margin_factor": 0.4},
+    },
+    {
+        "task": "asymptotics",
+        "dim": 2,
+        "psi": {"family": "dirdecay", "omega0": [0, 1]},
+        "base": {"kind": "directional", "omega0": [0, 1], "aperture_scale": 2},
+        "vo": {"shifts": [[1, 0]], "radii": [100, 1000]},
+    },
+    {"task": "examples:sepavar", "lambdas": [1.5], "asym": {"points_per_scale": 100, "seed": 3}},
+    {"task": "examples:cesaro", "band": 64, "out_dir": "out"},
+    {"task": "examples:pescado", "base": {"kind": "density"}},
+]
+JUNK = ["abc", 1.7, True, None, [1], {"bogus": 1}, NAN, float("inf"), -1, 0, 3, []]
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(child, path + (key,))
+
+
+def _mutate(doc, path, junk, how):
+    """Copy of doc with the value at path replaced, deleted, or given an unknown key."""
+    holder = {"doc": json.loads(json.dumps(doc))}
+    parent, key = holder, "doc"
+    for step in path:
+        parent, key = parent[key], step
+    if how == "replace":
+        parent[key] = junk
+    elif how == "delete" and parent is not holder and isinstance(parent, dict):
+        del parent[key]
+    elif isinstance(parent[key], dict):
+        parent[key]["bogus"] = junk
+    return holder["doc"]
+
+
+def test_config_fuzz_raises_only_config_errors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    xg = GroupGrid.torus(8)
+    xig = truncated_dual(xg, 4)
+    for doc in VALID_DOCS:
+        ExperimentConfig.from_mapping({"schema": 1, **doc})
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(VALID_DOCS), st.data())
+    def check(base, data):
+        base = {"schema": 1, **base}
+        path = data.draw(st.sampled_from(list(_paths(base))))
+        how = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        doc = _mutate(base, path, data.draw(st.sampled_from(JUNK)), how)
+        try:
+            cfg = ExperimentConfig.from_mapping(doc)
+        except CliError:
+            return
+        try:
+            cfg.truncation_schedule()
+            cfg.sampling_schedule()
+            base_from_config(cfg.base, 1)
+            if cfg.symbol is not None:
+                symbol_from_config(cfg.symbol, xg, xig)
+            if cfg.psi is not None:
+                psi_from_config(cfg.psi)
+        except _CONFIG_ERRORS:
+            pass
+
+    check()
+
+
+def test_base_from_config():
+    assert base_from_config(None, 2).label.startswith("standard")
+    assert base_from_config({"kind": "directional", "omega0": [0, 1]}, 2).dim == 2
+    assert base_from_config({"kind": "ethick", "set": "parabola"}, 2).dim == 2
+    assert base_from_config({"kind": "density"}, 1).label == "density"
+    inter = base_from_config(
+        {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "density"}]}, 1
+    )
+    assert inter.label.startswith("intersection")
+    with pytest.raises(AsymptoticsError):
+        base_from_config("weird", 1)
+    with pytest.raises(AsymptoticsError):
+        base_from_config({"kind": "ethick", "set": "moon"}, 1)
+
+
+def test_symbol_from_config_families():
+    xg = GroupGrid.torus(8)
+    xig = truncated_dual(xg, 4)
+    f = symbol_from_config(
+        {"family": "tensor", "gamma": {"profile": "cos-offset", "offset": 2.0}, "psi": "vo:sqrt"},
+        xg,
+        xig,
+    )
+    direct = tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, xig)
+    assert np.allclose(f.table().values, direct.table().values)
+    m = symbol_from_config("vo:pow:0.75", xg, xig)
+    assert m.has_closure and m.tensor_terms is not None
+    c = symbol_from_config({"family": "const", "value": 3.0}, xg, xig)
+    assert np.allclose(c.table().values, 3.0)
+    with pytest.raises(SymbolError):
+        symbol_from_config("tensor", xg, xig)
+    with pytest.raises(SymbolError):
+        symbol_from_config("no-such-family", xg, xig)
+    with pytest.raises(SymbolError):
+        psi_from_config({"family": "nope"})
 
 
 def test_config_validation():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from corona_pdo.cli import ExperimentConfig
 from corona_pdo.groups import (
     GridError,
     GridFunction,
@@ -182,7 +183,8 @@ def test_descriptor_json_round_trip():
         product_group(GroupGrid.torus(8), GroupGrid.torus(8)),
     ]
     for g in grids:
-        g2 = GroupGrid.from_descriptor(json.loads(json.dumps(g.descriptor())))
+        doc = {"schema": 1, "task": "fourier-selftest", "group": g.descriptor()}
+        g2 = ExperimentConfig.from_mapping(json.loads(json.dumps(doc))).grids()[0]
         assert g2.descriptor() == g.descriptor()
         assert g2.size == g.size
         assert np.allclose(g2.coords, g.coords)

@@ -9,6 +9,7 @@ Frozen quantities used as fixed points below:
 import numpy as np
 import pytest
 
+from corona_pdo.cli import symbol_from_config
 from corona_pdo.groups import GridFunction, GroupGrid, truncated_dual
 from corona_pdo.sampling import annulus
 from corona_pdo.symbols import (
@@ -31,11 +32,9 @@ from corona_pdo.symbols import (
     multiplier_symbol,
     parabola_graph,
     power_wave,
-    psi_from_config,
     save_symbol_csv,
     shifted_wave,
     sqrt_wave,
-    symbol_from_config,
     syndetic_thickening_filter_data,
     tensor_symbol,
     vanishing_oscillation_test,
@@ -304,28 +303,6 @@ def test_symbol_csv_rejects_bad_header_gaps_and_oob(tmp_path):
     oob.write_text("x_index,xi_index,re,im\n9,0,1.0,0.0\n")
     with pytest.raises(SymbolError):
         load_symbol_csv(oob, xg, xig)
-
-
-def test_symbol_from_config_families():
-    xg = GroupGrid.torus(8)
-    xig = truncated_dual(xg, 4)
-    f = symbol_from_config(
-        {"family": "tensor", "gamma": {"profile": "cos-offset", "offset": 2.0}, "psi": "vo:sqrt"},
-        xg,
-        xig,
-    )
-    direct = tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, xig)
-    assert np.allclose(f.table().values, direct.table().values)
-    m = symbol_from_config("vo:pow:0.75", xg, xig)
-    assert m.has_closure and m.tensor_terms is not None
-    c = symbol_from_config({"family": "const", "value": 3.0}, xg, xig)
-    assert np.allclose(c.table().values, 3.0)
-    with pytest.raises(SymbolError):
-        symbol_from_config("tensor", xg, xig)
-    with pytest.raises(SymbolError):
-        symbol_from_config("no-such-family", xg, xig)
-    with pytest.raises(SymbolError):
-        psi_from_config({"family": "nope"})
 
 
 def test_gamma_values_profile():
