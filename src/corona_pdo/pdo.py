@@ -17,8 +17,11 @@ operator (the Haar weights swap between the two pictures and cancel), which
 is what makes frequency-side truncation analysis legitimate for sampled
 symbols.
 
-Everything here is dense and size-capped: this is a desk-scale verification
-tool, not a solver.
+Operator matrices are dense and size-capped: this is a desk-scale
+verification tool, not a solver.  Frequency sections of tensor symbols on a
+1-d grid also come in LAPACK band storage: S = T(gamma^) diag(psi) is a
+Toeplitz-times-diagonal matrix whose bandwidth is the largest Fourier mode of
+gamma, so the truncation ladders never form the n x n array.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .groups import GridFunction, GroupGrid
 from .symbols import Symbol
 
 DENSE_CAP = 4096
+# banded sections drop gamma^ modes worth at most this fraction of sup|f|
+BAND_TOL = 1e-13
 
 
 class PdoError(ValueError):
@@ -81,24 +86,40 @@ def _embed_dual_indices(xigrid: GroupGrid, omega: GroupGrid) -> np.ndarray:
 
 
 def frequency_section(
-    symbol: Symbol, indices=None, cap: int = 6000, prefer_tensor: bool = True
+    symbol: Symbol,
+    indices=None,
+    cap: int = 6000,
+    prefer_tensor: bool = True,
+    banded: bool = False,
 ) -> np.ndarray:
     """Square frequency-side section S[a, b] = w^ * (F1 f)(xi_a - eta_b, eta_b).
 
     ``indices`` picks the rows/columns (defaults to the whole dual grid); the
     difference xi_a - eta_b wraps inside the full dual of the x grid, which is
     exact because dual frequencies are multiples of the wrap period.
+
+    ``banded=True`` (tensor symbols on a 1-d grid) returns the section in
+    LAPACK general band storage ``ab[K + a - b, b] = S[a, b]``, shape
+    (2K + 1, n), without the ``cap``.  K is the smallest bandwidth with
+    w^ * sum_i sup|psi_i| * (gamma_i^ mass beyond mode K) <= BAND_TOL *
+    sup_bound.  That sum bounds every row and column sum of the dropped
+    entries, hence their norm, so by Weyl's inequality no singular value
+    moves further.  Indices that do not increase keep every entry.
     """
     xig = symbol.xigrid
     if indices is None:
         indices = np.arange(xig.size)
     indices = np.asarray(indices, dtype=int)
-    _check_cap(len(indices), cap, "frequency_section")
     omega = symbol.xgrid.dual()
     embed = _embed_dual_indices(xig, omega)[indices]
-    sub = omega.sub_indices(embed[:, None], embed[None, :])
     what = xig.weight_per_point
     terms = symbol.tensor_terms
+    if banded:
+        if terms is None or omega.ndim != 1:
+            raise PdoError("band storage needs a tensor symbol on a 1-d grid")
+        return _band_section(symbol, xig.coords[indices], embed, omega) * what
+    _check_cap(len(indices), cap, "frequency_section")
+    sub = omega.sub_indices(embed[:, None], embed[None, :])
     if prefer_tensor and terms is not None:
         S = np.zeros((len(indices), len(indices)), dtype=complex)
         psi_cols = xig.coords[indices]
@@ -108,6 +129,35 @@ def frequency_section(
         return S * what
     psi1 = partial_fourier_1(symbol.table())
     return psi1.values[sub, indices[None, :]] * what
+
+
+def _band_section(symbol, cols, embed, omega) -> np.ndarray:
+    """Band storage of sum_i gamma_i^(xi_a - eta_b) psi_i(eta_b), before w^."""
+    n, period = len(embed), omega.size
+    origin = int(np.argmin(np.abs(omega.coords[:, 0])))
+    wrap = np.arange(period)
+    wrap = np.minimum(wrap, period - wrap)  # mode distance of each rolled bin
+    hats, psis, tail = [], [], 0.0
+    for gv, psi in symbol.tensor_terms:
+        gh = np.roll(fourier(GridFunction(symbol.xgrid, gv)).values, -origin)
+        pv = psi(cols)
+        mass = np.bincount(wrap, weights=np.abs(gh))
+        beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past distance k
+        tail = tail + np.max(np.abs(pv), initial=0.0) * beyond
+        hats.append(gh)
+        psis.append(pv)
+    k = int(np.argmax(tail * symbol.xigrid.weight_per_point <= BAND_TOL * symbol.sup_bound))
+    # an entry outside the band is a dropped mode only when positions order modes
+    ordered = np.all(np.diff(embed) > 0) and embed[-1] - embed[0] < period - k
+    k = min(k, n - 1) if ordered else n - 1
+    b = np.arange(n)
+    a = b[None, :] + np.arange(-k, k + 1)[:, None]
+    inside = (a >= 0) & (a < n)
+    diff = (embed[np.clip(a, 0, n - 1)] - embed[None, :]) % period
+    ab = np.zeros((2 * k + 1, n), dtype=complex)
+    for gh, pv in zip(hats, psis):
+        ab += gh[diff] * pv[None, :]
+    return np.where(inside, ab, 0.0)
 
 
 def diagram_check(symbol: Symbol) -> float:

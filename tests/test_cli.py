@@ -436,6 +436,24 @@ def test_gohberg_violation_exits_two(tmp_path):
     assert report["flags"]["violation"] is True
 
 
+def test_gohberg_estimate_above_sup_bound_is_unreliable(tmp_path):
+    # a three-rung ladder extrapolates to 1.29 > sup|f| = 1, which bounds ||Op(f)||:
+    # an unconverged ladder, not a broken identity
+    doc = {
+        "schema": 1,
+        "task": "gohberg",
+        "symbol": "vo:sqrt",
+        "schedule": {"bands": [16, 32, 64]},
+        "asym": {"points_per_scale": 500},
+    }
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 0
+    assert report["results"]["gohberg"]["estimate"] > 1.05
+    assert report["flags"]["unreliable"] is True
+    assert report["flags"]["violation"] is False
+    assert any("exceeds 1.05 x sup_bound" in w for w in report["flags"]["warnings"])
+
+
 def test_spectrum_probe_task(tmp_path):
     doc = {
         "schema": 1,

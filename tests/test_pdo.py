@@ -168,6 +168,39 @@ def test_frequency_section_routes_and_subsets_agree():
     assert np.allclose(sect, full_t[np.ix_(idx, idx)], atol=1e-13)
 
 
+def _unband(band):
+    k, n = band.shape[0] // 2, band.shape[1]
+    dense = np.zeros((n, n), dtype=complex)
+    for o in range(-k, k + 1):
+        cols = np.arange(max(0, -o), min(n, n - o))
+        dense[cols + o, cols] = band[k + o, cols]
+    return dense
+
+
+def test_banded_section_matches_dense():
+    xg = GroupGrid.torus(64)
+    xig = truncated_dual(xg, 16)
+    f = tensor_symbol(lambda c: 2.0 + np.cos(2 * np.pi * c[:, 0]) + 0j, sqrt_wave(), xg, xig)
+    shell = np.where(np.abs(xig.coords[:, 0]) > 8)[0]
+    for idx in (None, shell):
+        dense = frequency_section(f, idx)
+        band = frequency_section(f, idx, banded=True)
+        # gamma has modes 0 and +-1: bandwidth 1, the band entries bit for bit
+        assert band.shape == (3, dense.shape[0])
+        assert np.array_equal(_unband(band)[np.abs(dense) > 1e-12], dense[np.abs(dense) > 1e-12])
+        assert np.max(np.abs(_unband(band) - dense)) < 1e-13
+    # multipliers are exactly diagonal
+    m = frequency_section(multiplier_symbol(sqrt_wave(), xg, xig), banded=True)
+    assert m.shape == (1, xig.size)
+    # positions that do not order the modes keep every entry
+    perm = np.array([5, 0, 9, 3, 17])
+    band = frequency_section(f, perm, banded=True)
+    assert band.shape == (9, 5)
+    assert np.allclose(_unband(band), frequency_section(f, perm), atol=1e-15)
+    with pytest.raises(PdoError):
+        frequency_section(TableSymbol(xg, xig, f.table().values), banded=True)
+
+
 # -- guards, file formats -----------------------------------------------------------
 
 

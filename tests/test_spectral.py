@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.sparse.linalg import svds
 
 from corona_pdo.asymptotics import SamplingSchedule
 from corona_pdo.groups import GroupGrid
+from corona_pdo.pdo import frequency_section
 from corona_pdo.spectral import (
     EssentialNormResult,
     SpectralError,
@@ -20,8 +22,12 @@ from corona_pdo.spectral import (
 )
 from corona_pdo.symbols import (
     DualClosure,
+    TensorSymbol,
+    const_profile,
+    constant_closure,
     cos_profile,
     constant_symbol,
+    dyadic_indicator,
     inverse_decay,
     multiplier_symbol,
     power_wave,
@@ -64,44 +70,135 @@ def test_shell_indices_cover_outer_band():
     assert np.all(np.abs(xig.coords[idx, 0]) > 4)
 
 
+def _band(m, k=None):
+    """General band storage band[k + a - b, b] = m[a, b] of a square matrix."""
+    n = m.shape[0]
+    k = n - 1 if k is None else k
+    band = np.zeros((2 * k + 1, n), dtype=complex)
+    for o in range(-k, k + 1):
+        cols = np.arange(max(0, -o), min(n, n - o))
+        band[k + o, cols] = m[cols + o, cols]
+    return band
+
+
 def test_singular_values_of_diagonal():
     d = np.array([3.0, -1.0, 0.5, 2.0])
-    s = singular_values(np.diag(d))
+    s = singular_values(d[None, :])
     assert np.allclose(s, [3.0, 2.0, 1.0, 0.5], atol=1e-14)
-    assert np.allclose(singular_values(np.eye(8)), 1.0, atol=1e-15)
-    # rectangular input: min(shape) values
-    assert np.allclose(singular_values(np.diag(d)[:, :3]), [3.0, 1.0, 0.5], atol=1e-14)
+    assert np.allclose(singular_values(np.ones((1, 8))), 1.0, atol=1e-15)
+    # zero off-diagonals stored explicitly give the same values
+    assert np.allclose(singular_values(_band(np.diag(d))), s, atol=1e-14)
 
 
 def test_singular_values_dense_matches_iterative_and_eig_oracle():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    dense = singular_values(m)
+    dense = sla.svdvals(m)
+    assert np.allclose(singular_values(_band(m)), dense, atol=1e-9)
     # brute-force oracle through the Gram spectrum
     gram = np.sort(np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0)))[::-1]
     assert np.allclose(dense, gram, atol=1e-9)
     # Lanczos on the matvec as a second, iterative route to the top three
     it = np.sort(svds(m, k=3, return_singular_vectors=False))[::-1]
     assert np.allclose(it, dense[:3], rtol=1e-8, atol=1e-10)
+    # a genuinely banded matrix: tridiagonal Toeplitz
+    t = np.diag(np.full(40, 2.0)) + np.diag(np.full(39, 1.0), 1) + np.diag(np.full(39, 0.5), -1)
+    assert np.allclose(singular_values(_band(t, 1)), sla.svdvals(t), atol=1e-12)
 
 
-def test_sigma_min_iterative_matches_dense():
+def test_sigma_min_banded_matches_dense():
     rng = np.random.default_rng(2)
     n = 300
     q1, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     vals = np.concatenate([[0.2], np.linspace(0.4, 3.0, n - 1)])
     a = (q1 * vals) @ q2.conj().T
-    assert abs(sigma_min(a) - 0.2) < 1e-10
-    assert abs(sigma_min(a, dense_cap=0) - 0.2) < 1e-8
+    band = _band(a)
+    assert abs(sigma_min(band) - 0.2) < 1e-10
+    for lam in (0.5, 0.3 - 1.2j):
+        dense = sla.svdvals(a - lam * np.eye(n))[-1]
+        assert abs(sigma_min(band, lam=lam) - dense) < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_sigma_min_singular_matrix_reports_zero():
     rng = np.random.default_rng(3)
     a = np.outer(rng.standard_normal(10), rng.standard_normal(10)) + 0j
-    assert sigma_min(a) < 1e-12
-    assert sigma_min(a, dense_cap=0) < 1e-12
+    assert sigma_min(_band(a)) < 1e-12
+    # an exactly zero diagonal entry of a diagonal matrix is exact
+    assert sigma_min(np.array([[2.0, 0.0, -1.0]])) == 0.0
+
+
+PSIS = [
+    sqrt_wave(),
+    power_wave(1.0),
+    shifted_wave(2.0),
+    inverse_decay(),
+    dyadic_indicator(),
+    constant_closure(1.5 - 0.5j),
+]
+
+
+def _gram_close(got, dense, i):
+    """Banded value against ``dense[i]``, dense svdvals (descending) of the same matrix.
+
+    The banded route takes square roots of Gram eigenvalues, which carry an
+    absolute error of a few eps ||S||^2: about eps ||S||^2 / sigma in sigma,
+    and about sqrt(eps) ||S|| as sigma -> 0.
+    """
+    return abs(got**2 - dense[i] ** 2) <= 64 * np.finfo(float).eps * dense[0] ** 2
+
+
+def test_banded_route_matches_dense_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    level = st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)
+    gammas = st.builds(const_profile, level) | st.builds(
+        cos_profile, st.floats(-3.0, 3.0), level, st.integers(1, 6)
+    )
+    terms = st.lists(st.tuples(gammas, st.sampled_from(PSIS)), min_size=1, max_size=2)
+    lams = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+    @hypothesis.settings(max_examples=30, deadline=None, database=None)
+    @hypothesis.given(terms, st.sampled_from([16, 24, 32]), st.sampled_from([2, 4]), lams)
+    def check(terms, start, oversampling, lam):
+        sched = TruncationSchedule(bands=(start, 2 * start, 4 * start), oversampling=oversampling)
+        f = TensorSymbol(*sched.grids(start), terms)
+        est = essential_norm_estimate(f, sched)
+        probe = essential_spectrum_probe(f, [lam.real, lam], sched)
+        for j, band in enumerate(sched.bands):
+            xg, xig = sched.grids(band)
+            fb = f.rebound(xg, xig)
+            sect = frequency_section(fb, shell_indices(xig, band / 2))
+            n = sect.shape[0]
+            s = sla.svdvals(sect)
+            assert abs(est.sigma_top[j] - s[0]) <= 1e-9 * f.sup_bound
+            for th, traj in est.windows.items():
+                assert _gram_close(traj[j], s, min(int(th * n), n - 1))
+            for row, z in zip(probe.sigma_min_table, probe.lambdas):
+                shifted = sla.svdvals(sect - z * np.eye(n))
+                assert _gram_close(row[j], shifted, -1)
+            full = sla.svdvals(frequency_section(fb))
+            assert _gram_close(sigma_min(frequency_section(fb, banded=True)), full, -1)
+
+    check()
+
+
+def test_sigma_min_clustered_spectrum_matches_dense_reference():
+    # dense svdvals of the flagship's band-2048 shell section minus lambda, copied
+    # from perfbench/weyl_reference.json; the spectrum clusters near each lambda
+    reference = {-1.5: 0.003823725077158904, 4.0: 1.011016358359657}
+    sched = TruncationSchedule()
+    xg, xig = sched.grids(2048)
+    f = tensor_symbol(cos_profile(2.0, 1.0), sqrt_wave(), xg, xig)
+    band = frequency_section(f, shell_indices(xig, 1024), banded=True)
+    assert band.shape == (3, 2047)
+    for lam, dense in reference.items():
+        assert abs(sigma_min(band, lam=lam) - dense) < 1e-10
+
+
+def test_band_storage_must_be_odd():
+    with pytest.raises(SpectralError):
+        singular_values(np.ones((2, 5)))
 
 
 def test_constant_multiplier_estimates_its_modulus_exactly():

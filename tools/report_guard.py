@@ -1,7 +1,7 @@
 """Refactor guard: run every corona-pdo entry point from two source trees and
 diff what they write.
 
-    python3 tools/report_guard.py OLD_ROOT NEW_ROOT [--work DIR]
+    python3 tools/report_guard.py OLD_ROOT NEW_ROOT [--work DIR] [--atol X]
 
 Each root is a source checkout holding ``src/corona_pdo``.  All 7 tasks and
 5 presets run once per root on a small fixed config, plus variants that
@@ -9,16 +9,24 @@ spell every config table entry (psi families, gamma profiles, filter bases,
 groups, ``vo`` and per-task tolerances), each in its own
 ``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1``.  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
-other report line and every side file must match byte for byte.  Prints each
-difference and exits 1 if there is any, 0 otherwise.  Standard library only.
+other report line and every side file must match byte for byte.  With
+``--atol X``, report.json and CSV files compare by value instead: numbers
+within X of each other match (a CSV cell is a number when it parses as one,
+also inside a ``np.float64(...)`` repr), while strings, booleans, nulls, keys,
+list lengths, CSV shapes and exit codes must still match exactly.  Prints
+each difference and exits 1 if there is any, 0 otherwise.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import csv
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -195,12 +203,17 @@ def run_all(root: Path, work: Path) -> dict:
     return outputs
 
 
-def diff(old: dict, new: dict) -> list:
+def diff(old: dict, new: dict, atol: float | None = None) -> list:
     problems = []
     for name in CONFIGS:
         a, b = old[name], new[name]
         for fname in sorted(set(a) | set(b)):
             if a.get(fname) == b.get(fname):
+                continue
+            if atol is not None and fname in a and fname in b and fname.endswith((".json", ".csv")):
+                found = []
+                _compare(_parse(fname, a[fname]), _parse(fname, b[fname]), atol, fname, found)
+                problems.extend(f"{name}: {line}" for line in found)
                 continue
             problems.append(f"{name}: {fname} differs")
             if fname.endswith((".json", ".csv")) and fname in a and fname in b:
@@ -210,17 +223,57 @@ def diff(old: dict, new: dict) -> list:
     return problems
 
 
+_NUMPY_REPR = re.compile(r"np\.float64\((.*)\)")
+
+
+def _parse(fname: str, data: bytes):
+    text = data.decode("utf-8")
+    if fname.endswith(".json"):
+        return json.loads(text)
+    return [[_csv_cell(c) for c in row] for row in csv.reader(text.splitlines())]
+
+
+def _csv_cell(cell: str):
+    match = _NUMPY_REPR.fullmatch(cell)
+    try:
+        return float(match.group(1) if match else cell)
+    except ValueError:
+        return cell
+
+
+def _compare(a, b, atol: float, where: str, found: list) -> None:
+    """Append one line per leaf where ``a`` and ``b`` differ beyond ``atol``."""
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if number(a) and number(b):
+        if not (a == b or abs(a - b) <= atol or (math.isnan(a) and math.isnan(b))):
+            found.append(f"{where}: {a!r} -> {b!r} (diff {abs(a - b):.3g})")
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            found.append(f"{where}: keys {sorted(a.keys() ^ b.keys())} differ")
+        for key in a.keys() & b.keys():
+            _compare(a[key], b[key], atol, f"{where}.{key}", found)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            found.append(f"{where}: length {len(a)} -> {len(b)}")
+        for i, (u, v) in enumerate(zip(a, b)):
+            _compare(u, v, atol, f"{where}[{i}]", found)
+    elif a != b or type(a) is not type(b):
+        found.append(f"{where}: {a!r} -> {b!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root", type=Path)
     parser.add_argument("new_root", type=Path)
     parser.add_argument("--work", type=Path, help="keep run outputs here (default: a temp dir)")
+    parser.add_argument("--atol", type=float, help="compare numbers in reports and CSVs within X")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         for tag in ("old", "new"):
             (work / tag).mkdir(parents=True)
-        problems = diff(run_all(args.old_root, work / "old"), run_all(args.new_root, work / "new"))
+        old, new = run_all(args.old_root, work / "old"), run_all(args.new_root, work / "new")
+        problems = diff(old, new, args.atol)
     for line in problems:
         print(line)
     print(f"[guard] {len(CONFIGS)} configs, {'differences found' if problems else 'no differences'}")
