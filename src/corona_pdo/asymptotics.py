@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .groups import GroupGrid
 from .sampling import _norm_ppf, annulus, kronecker, log_radii
@@ -281,16 +280,18 @@ def _polish_span(n: int, dim: int, span: float) -> float:
 
 def _refine_ray_extremum(phi, pts, vals, maximize: bool, q: float, top: int = 6) -> float:
     """Polish the sampled extremum by bounded search along candidate rays."""
+    from scipy.optimize import minimize_scalar  # loaded by the runs that polish
+
     s = 1.0 if maximize else -1.0
     sv = s * np.asarray(vals, dtype=float)
     best = float(np.max(sv))
-    order = np.argsort(sv)[-top:]
-    radii = np.linalg.norm(pts, axis=1)
-    for i in order:
-        r0 = radii[i]
+    keep = sv.size - min(top, sv.size)
+    rays = pts[np.argpartition(sv, keep)[keep:]]
+    radii = np.sqrt(np.add.reduce(rays * rays, axis=1))  # bit-equal to the row norm
+    for p0, r0 in zip(rays, radii):
         if r0 <= 0:
             continue
-        u = pts[i] / r0
+        u = p0 / r0
         res = minimize_scalar(
             lambda r: -s * float(np.real(phi((r * u)[None, :])[0])),
             bounds=(r0 / q, r0 * q),

@@ -394,9 +394,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _cell(c):
-    if isinstance(c, float):
-        return repr(c)
-    if isinstance(c, (np.floating, np.integer)):
+    # np.float64 is a float whose repr reads "np.float64(...)": convert first
+    if isinstance(c, (float, np.floating, np.integer)):
         return repr(float(c))
     return c
 
@@ -706,7 +705,6 @@ def _example_pescado(cfg: ExperimentConfig):
     """non-syndetic parabola graph in R^2: vanishing off the thickened set, sup 1 on the set"""
     E = syndetic_thickening_filter_data(parabola_graph())
     phi = lambda p: np.exp(-E.distance(p))
-    # the parametric distance scan is the cost center: keep scales desk-sized
     desk = {"scales": (1e2, 1e3), "points_per_scale": 2000, "seed": cfg.seed}
     asym = SamplingSchedule(**{**desk, **cfg.asym})
     off_set = limsup_along(phi, ThickenedComplementBase(E), asym, polish=False)

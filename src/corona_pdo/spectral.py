@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .asymptotics import (
     FilterBase,
@@ -97,12 +96,16 @@ def singular_values(band: np.ndarray) -> np.ndarray:
     (see ``pdo.frequency_section``); the values are square roots of the
     eigenvalues of the banded Gram matrix S^H S, from one LAPACK call.
     """
+    import scipy.linalg as sla  # loaded by the runs that take singular values
+
     ev = sla.eigvals_banded(_gram(band), lower=False)
     return np.sqrt(np.maximum(ev[::-1], 0.0))
 
 
 def sigma_min(band: np.ndarray, lam: complex = 0.0) -> float:
     """Smallest singular value of S - lam, S in band storage, from the Gram matrix."""
+    import scipy.linalg as sla
+
     ev = sla.eigvals_banded(_gram(band, lam), lower=False, select="i", select_range=(0, 0))
     return float(np.sqrt(max(ev[0], 0.0)))
 

@@ -491,28 +491,39 @@ def halfline_set(a: float = 0.0) -> ThickenedSet:
 
 
 def parabola_graph() -> ThickenedSet:
-    """E = {(t, t^2)} in R^2; distance via coarse parametric scan + Newton."""
+    """E = {(t, t^2)} in R^2; distance from the real roots of the stationarity cubic.
+
+    The foot t of a nearest point to (a, b) solves t^3 + (1/2 - b) t - a/2 = 0.
+    Cardano gives the root where it is the only real one; inside the evolute
+    (a, b) = (-4s^3, 1/2 + 3s^2) the trigonometric form gives all three.  Each
+    candidate gets two Newton steps and the nearest one wins; every candidate
+    is a point of E, so a spurious one can only lose.
+    """
 
     def dist(pts):
         p = _pts2d(pts)
         a, b = p[:, 0], p[:, 1]
-        T = float(max(4.0, np.sqrt(np.abs(b).max() + 1) + 2, np.abs(a).max() + 2))
-        tgrid = np.linspace(-T, T, 2048)
-        out = np.empty(len(p))
-        chunk = 256
-        for s in range(0, len(p), chunk):
-            aa, bb = a[s : s + chunk, None], b[s : s + chunk, None]
-            d2 = (tgrid[None, :] - aa) ** 2 + (tgrid[None, :] ** 2 - bb) ** 2
-            t = tgrid[np.argmin(d2, axis=1)]
-            for _ in range(12):  # Newton on the stationarity cubic
-                f = 2 * t**3 + (1 - 2 * bb[:, 0]) * t - aa[:, 0]
-                fp = 6 * t**2 + (1 - 2 * bb[:, 0])
-                step = np.where(np.abs(fp) > 1e-12, f / np.where(fp == 0, 1, fp), 0.0)
-                t = t - np.clip(step, -1.0, 1.0)
-            out[s : s + chunk] = np.sqrt(
-                (t - aa[:, 0]) ** 2 + (t**2 - bb[:, 0]) ** 2
-            )
-        return out
+        lin = 0.5 - b  # t^3 + lin t - 2 h = 0 with h = a / 4
+        h = a / 4
+        disc = h**2 + (lin / 3) ** 3
+        # the cusp (0, 1/2) has disc = lin = 0 and stays with Cardano (u = 0, t = 0)
+        three = (disc <= 0) & (lin < 0)
+        # a never-zero sign: with np.sign, a = 0 would zero the Cardano term
+        sgn = np.where(h >= 0, 1.0, -1.0)
+        u = np.cbrt(h + sgn * np.sqrt(np.maximum(disc, 0.0)))
+        nz = u != 0
+        one = np.where(nz, u - lin / (3 * np.where(nz, u, 1.0)), 0.0)
+        m = np.sqrt(np.maximum(-lin / 3, 0.0))
+        m3 = np.where(three, m**3, 1.0)
+        ang = np.arccos(np.clip(h / m3, -1.0, 1.0)) / 3
+        roots = 2 * m[:, None] * np.cos(ang[:, None] - (2 * np.pi / 3) * np.arange(3))
+        t = np.where(three[:, None], roots, one[:, None])
+        aa, c = a[:, None], (1 - 2 * b)[:, None]
+        for _ in range(2):
+            fp = 6 * t**2 + c
+            ok = fp != 0
+            t = t - np.where(ok, (2 * t**3 + c * t - aa) / np.where(ok, fp, 1.0), 0.0)
+        return np.sqrt(np.min((t - aa) ** 2 + (t**2 - b[:, None]) ** 2, axis=1))
 
     ts = ThickenedSet(dist, 2, "graph(t->t^2)")
     ts.parametrize = lambda t: np.stack([t, np.asarray(t) ** 2], axis=1)

@@ -578,6 +578,35 @@ def test_pescado_preset_envelope(tmp_path):
     assert (out / "normal_offsets.csv").exists()
 
 
+def test_side_csv_cells_are_plain_numbers(tmp_path):
+    # the probe's sigma_min and pescado's per-scale sups are numpy scalars
+    docs = {
+        "probe": {
+            "schema": 1,
+            "task": "spectrum-probe",
+            "symbol": FLAGSHIP,
+            "schedule": {"bands": [16, 32, 64]},
+            "lambdas": [0.0, 4.5],
+        },
+        "pescado": {
+            "schema": 1,
+            "task": "examples:pescado",
+            "seed": 5,
+            "asym": {"scales": [100.0], "points_per_scale": 400},
+        },
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).mkdir()
+        code, _, out = _run(tmp_path / name, doc)
+        assert code == 0
+        tables = sorted(out.glob("*.csv"))
+        assert tables, name
+        for table in tables:
+            for line in table.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    float(cell)
+
+
 def test_cesaro_preset_roof(tmp_path):
     doc = {"schema": 1, "task": "examples:cesaro", "seed": 5, "band": 1024}
     code, report, out = _run(tmp_path, doc)
@@ -637,3 +666,19 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert "sepavar" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported where it is called (ray polish, banded eigenvalues)
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, corona_pdo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -266,6 +266,51 @@ def test_parabola_distance_frozen_points():
     assert np.allclose(E.parametrize(np.array([1.0, 2.0])), [[1.0, 1.0], [2.0, 4.0]])
 
 
+def _parabola_distance_oracle(a: float, b: float) -> float:
+    # every root of the stationarity cubic, Newton-polished; each candidate is
+    # a point of the graph, so the minimum over a superset of the feet is exact
+    best = np.inf
+    for t in np.roots([1.0, 0.0, 0.5 - b, -a / 2]).real:
+        for _ in range(8):
+            fp = 6 * t**2 + 1 - 2 * b
+            if fp == 0:
+                break
+            t -= (2 * t**3 + (1 - 2 * b) * t - a) / fp
+        best = min(best, float(np.hypot(t - a, t * t - b)))
+    return best
+
+
+def test_parabola_distance_matches_root_oracle():
+    E = parabola_graph()
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-3.0, 3.0, 40)
+    t = np.linspace(-40.0, 40.0, 81)
+    normal = np.stack([-2.0 * t, np.ones_like(t)], axis=1)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    curve = np.stack([t, t * t], axis=1)
+    pts = np.concatenate(
+        [
+            [[0.0, 2.0], [-0.0, 2.0], [0.0, -1.0], [-0.0, -1.0], [0.0, 0.5], [0.0, 0.0]],
+            np.stack([np.zeros(9), np.linspace(-1e4, 1e4, 9)], axis=1),  # the axis
+            np.stack([-4 * s**3, 0.5 + 3 * s**2], axis=1),  # on the evolute
+            np.stack(  # inside the evolute: three real roots
+                [rng.uniform(-1, 1, 40) * (4 * np.abs(s) ** 3), 0.5 + 3 * s**2 + 5], axis=1
+            ),
+            np.stack([s, s * s], axis=1),  # on the graph
+            *[curve + k * normal for k in (-8, -4, -2, -1, 1, 2, 4, 8)],  # pescado offsets
+            annulus(1e2, 1e4, 2, 2000, seed=5),
+            annulus(0.9e4, 1e4, 2, 500, seed=6),
+        ]
+    )
+    d = E.distance(pts)
+    ref = np.array([_parabola_distance_oracle(a, b) for a, b in pts])
+    assert np.all(np.abs(d - ref) <= 1e-12 * np.maximum(ref, 1.0))
+    inside = (0.5 - pts[:, 1] < 0) & ((pts[:, 0] / 4) ** 2 + ((0.5 - pts[:, 1]) / 3) ** 3 < 0)
+    assert inside.sum() >= 40  # the three-root branch is exercised
+    below = curve - 4 * normal  # the convex side sits at distance exactly s
+    assert np.allclose(E.distance(below), 4.0, rtol=0, atol=1e-12)
+
+
 # -- IO, config --
 
 
