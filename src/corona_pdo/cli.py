@@ -408,18 +408,6 @@ def _flags(warnings=(), violation=False, unreliable=False) -> dict:
     }
 
 
-def _sigma_table_csv(est) -> tuple:
-    header = ["band", "shell_dim", "sigma_top"] + [
-        f"window_{th}" for th in est.windows
-    ]
-    rows = []
-    for i, band in enumerate(est.bands):
-        row = [band, est.shell_dims[i], est.sigma_top[i]]
-        row += [est.windows[th][i] for th in est.windows]
-        rows.append(row)
-    return header, rows
-
-
 def _fit_csv_rows(fits: dict) -> tuple:
     scales = None
     for f in fits.values():
@@ -531,7 +519,7 @@ def _task_gohberg(cfg: ExperimentConfig, symbol=None):
         "symbol_id": _symbol_id(f),
         "schedule": _schedule_block(sched),
         "base": base.label,
-        "sigma_tables": {"top": list(est.sigma_top), "windows": est.as_dict()["windows"]},
+        "sigma_tables": {"top": list(est.sigma_top)},
         "ess_norm": {
             "value": est.estimate,
             "fit": {
@@ -547,12 +535,12 @@ def _task_gohberg(cfg: ExperimentConfig, symbol=None):
     if rep.unreliable:
         warnings.append("report is UNRELIABLE: the identity is not claimed for this input")
     flags = _flags(warnings, violation=rep.violation, unreliable=rep.unreliable)
-    header, rows = _sigma_table_csv(est)
     ratio_txt = "n/a" if rep.ratio is None else f"{rep.ratio:.4f}"
     print(
         f"[run] gohberg: estimate {rep.estimate:.6g}, rhs {rep.rhs:.6g}, ratio {ratio_txt}"
     )
-    return results, flags, {"sigma_by_band.csv": (header, rows)}
+    rows = list(zip(est.bands, est.shell_dims, est.sigma_top))
+    return results, flags, {"sigma_by_band.csv": (["band", "shell_dim", "sigma_top"], rows)}
 
 
 def _task_spectrum_probe(cfg: ExperimentConfig, symbol=None, lambdas=None):
@@ -610,10 +598,9 @@ def _task_asymptotics(cfg: ExperimentConfig):
     psi = _psi(cfg.psi, cfg.dim)
     base = base_from_config(cfg.base, cfg.dim)
     asym = cfg.sampling_schedule()
-    polish = not isinstance(base, ThickenedComplementBase)
     phi = lambda p: np.abs(psi(p))
-    hi = limsup_along(phi, base, asym, polish=polish)
-    lo = liminf_along(phi, base, asym, polish=polish)
+    hi = limsup_along(phi, base, asym)
+    lo = liminf_along(phi, base, asym)
     results = {
         "psi": psi.name,
         "base": base.label,
@@ -645,7 +632,7 @@ def _example_stoskan(cfg: ExperimentConfig):
     mod = lambda p: np.abs(phi(p))
     std = limsup_along(mod, StandardBase(1), asym)
     plus_base = ThickenedComplementBase(syndetic_thickening_filter_data(halfline_set(0.0)))
-    one_sided = limsup_along(mod, plus_base, asym, polish=False)
+    one_sided = limsup_along(mod, plus_base, asym)
     # slow wave sin(sqrt|xi|): the beta' -> 0 membership certificate
     prof = vanishing_oscillation_test(
         sqrt_wave(), [[0.5], [1.0], [2.0]], np.logspace(2, 6, 9), seed=cfg.seed
@@ -707,7 +694,7 @@ def _example_pescado(cfg: ExperimentConfig):
     phi = lambda p: np.exp(-E.distance(p))
     desk = {"scales": (1e2, 1e3), "points_per_scale": 2000, "seed": cfg.seed}
     asym = SamplingSchedule(**{**desk, **cfg.asym})
-    off_set = limsup_along(phi, ThickenedComplementBase(E), asym, polish=False)
+    off_set = limsup_along(phi, ThickenedComplementBase(E), asym)
     t = np.linspace(-40.0, 40.0, 2001)
     on_set_sup = float(np.max(phi(E.parametrize(t))))
     # unit normals (-2t, 1)/sqrt(1+4t^2); +s points into the epigraph, -s

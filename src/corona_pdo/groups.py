@@ -272,11 +272,11 @@ def pairing_phase(xgrid: GroupGrid, xigrid: GroupGrid, x_coords, xi_coords):
     return np.squeeze((x * xi * scales).sum(axis=-1))
 
 
-def pairing(xgrid: GroupGrid, xigrid: GroupGrid, x_idx, xi_idx):
+def pairing(xgrid: GroupGrid, xigrid: GroupGrid, x_indices, xi_indices):
     """Value of the character <x_i, xi_k> = exp(2*pi*i*x.xi), by index."""
     assert_dual_pair(xgrid, xigrid)
-    x = xgrid.coords[np.asarray(x_idx)]
-    xi = xigrid.coords[np.asarray(xi_idx)]
+    x = xgrid.coords[np.asarray(x_indices)]
+    xi = xigrid.coords[np.asarray(xi_indices)]
     ph = pairing_phase(xgrid, xigrid, x, xi)
     return np.exp(2j * np.pi * ph)
 

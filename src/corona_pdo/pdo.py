@@ -89,14 +89,14 @@ def frequency_section(
     symbol: Symbol,
     indices=None,
     cap: int = 6000,
-    prefer_tensor: bool = True,
     banded: bool = False,
 ) -> np.ndarray:
     """Square frequency-side section S[a, b] = w^ * (F1 f)(xi_a - eta_b, eta_b).
 
     ``indices`` picks the rows/columns (defaults to the whole dual grid); the
     difference xi_a - eta_b wraps inside the full dual of the x grid, which is
-    exact because dual frequencies are multiples of the wrap period.
+    exact because dual frequencies are multiples of the wrap period.  Tensor
+    symbols sum their terms; other symbols transform their table.
 
     ``banded=True`` (tensor symbols on a 1-d grid) returns the section in
     LAPACK general band storage ``ab[K + a - b, b] = S[a, b]``, shape
@@ -120,7 +120,7 @@ def frequency_section(
         return _band_section(symbol, xig.coords[indices], embed, omega) * what
     _check_cap(len(indices), cap, "frequency_section")
     sub = omega.sub_indices(embed[:, None], embed[None, :])
-    if prefer_tensor and terms is not None:
+    if terms is not None:
         S = np.zeros((len(indices), len(indices)), dtype=complex)
         psi_cols = xig.coords[indices]
         for gv, psi in terms:

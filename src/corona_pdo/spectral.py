@@ -10,18 +10,16 @@ whether lambda is approached by high-frequency almost-eigenvectors.
 Every ladder section is built in band storage (``pdo.frequency_section``)
 and its singular values are square roots of the eigenvalues of the banded
 Gram matrix (S - lambda)^H (S - lambda), from direct LAPACK calls: all of
-them for sigma_top and the windows, the smallest one for sigma_min.
+them for sigma_top, the smallest one for sigma_min.
 Nothing iterates.  The squared values carry an absolute error of a few
 eps ||S||^2, so sigma is good to about eps ||S||^2 / sigma, and to about
 sqrt(eps) ||S|| as sigma -> 0.
 
 All verdicts here are numerical evidence at desk scale, not proofs.  The
-estimator ladder is heuristic in two places that the results report
-explicitly: the N^{-1/2} extrapolation model, and quantile "windows" of
-the shell spectrum that should plateau when the shell truly captures
-asymptotic behavior.  High relative residual in the fit, or an estimate
-above the symbol's sup bound (which bounds ||Op(f)||), marks the result
-unreliable rather than silently smoothing it away.
+estimator ladder is heuristic in its N^{-1/2} extrapolation model, which
+the results report explicitly: high relative residual in the fit, or an
+estimate above the symbol's sup bound (which bounds ||Op(f)||), marks the
+result unreliable rather than silently smoothing it away.
 """
 
 from __future__ import annotations
@@ -129,7 +127,6 @@ class EssentialNormResult:
     bands: tuple
     shell_dims: tuple
     sigma_top: tuple
-    windows: dict  # theta -> per-band quantile sigma
     estimate: float
     slope: float
     residual: float
@@ -142,7 +139,6 @@ class EssentialNormResult:
             "bands": list(self.bands),
             "shell_dims": list(self.shell_dims),
             "sigma_top": list(self.sigma_top),
-            "windows": {str(k): list(v) for k, v in self.windows.items()},
             "estimate": self.estimate,
             "slope": self.slope,
             "residual": self.residual,
@@ -155,27 +151,19 @@ class EssentialNormResult:
 def essential_norm_estimate(
     symbol: Symbol,
     schedule: TruncationSchedule | None = None,
-    window_thetas: tuple = (0.5, 0.75, 0.9),
 ) -> EssentialNormResult:
     """Distance-to-compacts estimate from high-frequency shell compressions.
 
     Per band N: sigma_max of the shell section, then an a + b*N^{-1/2} fit;
-    the extrapolated a (clamped at 0) is the estimate.  Quantile windows of
-    the shell spectrum ride along as diagnostics: they should plateau across
-    bands when the shell has stabilized, and a drifting window is a reason
-    to distrust the fit, not data to average in.  A fit residual above 20%
-    or an estimate above 1.05 * sup_bound marks the ladder unreliable.
+    the extrapolated a (clamped at 0) is the estimate.  A fit residual above
+    20% or an estimate above 1.05 * sup_bound marks the ladder unreliable.
     """
     schedule = schedule or TruncationSchedule()
     tops, dims, notes = [], [], []
-    windows = {th: [] for th in window_thetas}
     for band in schedule.bands:
         s = singular_values(_shell_section(symbol, schedule, band))
-        n = len(s)
-        dims.append(n)
+        dims.append(len(s))
         tops.append(float(s[0]))
-        for th in window_thetas:
-            windows[th].append(float(s[min(int(th * n), n - 1)]))
     a, b, resid, rel = fit_inverse_sqrt(np.array(schedule.bands, dtype=float), np.array(tops))
     est = max(a, 0.0)
     if a < 0:
@@ -194,7 +182,6 @@ def essential_norm_estimate(
         bands=schedule.bands,
         shell_dims=tuple(dims),
         sigma_top=tuple(tops),
-        windows=windows,
         estimate=float(est),
         slope=float(b),
         residual=float(resid),

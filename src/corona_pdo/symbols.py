@@ -201,9 +201,9 @@ class Symbol:
     def table(self) -> PhaseFunction:
         raise NotImplementedError
 
-    def eval_outer(self, x_idx, xi_points) -> np.ndarray:
-        """Values f(x_i, xi) on the outer product of grid indices x_idx and
-        off-grid dual points xi_points; shape (len(x_idx), len(xi_points))."""
+    def eval_outer(self, x_indices, xi_points) -> np.ndarray:
+        """Values f(x_i, xi) on the outer product of grid indices x_indices and
+        off-grid dual points xi_points; shape (len(x_indices), len(xi_points))."""
         raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
 
     def rebound(self, xgrid: GroupGrid, xigrid: GroupGrid) -> "Symbol":
@@ -256,11 +256,11 @@ class TensorSymbol(Symbol):
             self._table = PhaseFunction(self.xgrid, self.xigrid, vals)
         return self._table
 
-    def eval_outer(self, x_idx, xi_points) -> np.ndarray:
-        x_idx = np.atleast_1d(np.asarray(x_idx, dtype=int))
-        out = np.zeros((len(x_idx), len(_pts2d(xi_points))), dtype=complex)
+    def eval_outer(self, x_indices, xi_points) -> np.ndarray:
+        x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
+        out = np.zeros((len(x_indices), len(_pts2d(xi_points))), dtype=complex)
         for _, gv, psi in self.terms:
-            out += np.outer(gv[x_idx], psi(xi_points))
+            out += np.outer(gv[x_indices], psi(xi_points))
         return out
 
     def rebound(self, xgrid, xigrid) -> "TensorSymbol":
@@ -287,7 +287,7 @@ class TableSymbol(Symbol):
         )
         self.closure = closure
         if closure is not None and not callable(closure):
-            raise SymbolError("closure must map (x_idx, xi_points) to values")
+            raise SymbolError("closure must map (x_indices, xi_points) to values")
 
     @property
     def has_closure(self):
@@ -302,11 +302,11 @@ class TableSymbol(Symbol):
             self._table = PhaseFunction(self.xgrid, self.xigrid, self.values)
         return self._table
 
-    def eval_outer(self, x_idx, xi_points):
+    def eval_outer(self, x_indices, xi_points):
         if self.closure is None:
-            return super().eval_outer(x_idx, xi_points)
-        x_idx = np.atleast_1d(np.asarray(x_idx, dtype=int))
-        return np.asarray(self.closure(x_idx, _pts2d(xi_points)), dtype=complex)
+            return super().eval_outer(x_indices, xi_points)
+        x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
+        return np.asarray(self.closure(x_indices, _pts2d(xi_points)), dtype=complex)
 
 
 def tensor_symbol(gamma, psi: DualClosure, xgrid: GroupGrid, xigrid: GroupGrid) -> TensorSymbol:

@@ -7,6 +7,9 @@ Oracles:
   * a two-point a + b/sqrt(t) fit is solvable by hand.
 """
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from corona_pdo.asymptotics import (
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.symbols import (
+    TableSymbol,
     ThickenedSet,
     constant_closure,
     cos_profile,
@@ -49,6 +53,11 @@ SCHED = SamplingSchedule()
 def _flagship():
     xg = GroupGrid.torus(64)
     return tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, truncated_dual(xg, 16))
+
+
+def _tabled(f):
+    """The same symbol without tensor terms: reaches the generic routes."""
+    return TableSymbol(f.xgrid, f.xigrid, f.table().values, closure=f.eval_outer)
 
 
 # -- fits and schedules --
@@ -137,8 +146,8 @@ def test_base_independence_standard_vs_density():
 def test_ethick_halfline_excises_negative_axis():
     base = ThickenedComplementBase(halfline_set(0.0))
     neg = lambda p: (p[:, 0] < 0).astype(float)
-    std = limsup_along(neg, StandardBase(1), SCHED, polish=False)
-    eth = limsup_along(neg, base, SCHED, polish=False)
+    std = limsup_along(neg, StandardBase(1), SCHED)
+    eth = limsup_along(neg, base, SCHED)
     assert std.value == pytest.approx(1.0, abs=1e-12)
     assert eth.value == pytest.approx(0.0, abs=1e-12)
 
@@ -154,7 +163,7 @@ def test_ethick_parabola_kills_distance_decay():
     base = ThickenedComplementBase(E)
     phi = lambda p: np.exp(-E.distance(p))
     sched = SamplingSchedule(scales=(1e2, 1e3), points_per_scale=2000)
-    fit = limsup_along(phi, base, sched, polish=False)
+    fit = limsup_along(phi, base, sched)
     assert fit.value <= 1e-3
 
 
@@ -163,8 +172,8 @@ def test_density_base_excludes_sparse_exceptional():
     exc = lambda p: np.real(ind(p)) > 0.5
     phi = lambda p: np.real(ind(p))
     sched = SamplingSchedule(scales=(1e2, 1e3), points_per_scale=20000)
-    std = limsup_along(phi, StandardBase(1), sched, polish=False)
-    dens = limsup_along(phi, DensityBase(1, exceptional=exc), sched, polish=False)
+    std = limsup_along(phi, StandardBase(1), sched)
+    dens = limsup_along(phi, DensityBase(1, exceptional=exc), sched)
     assert std.value == pytest.approx(1.0, abs=1e-9)  # the union is hit at both scales
     assert dens.value == pytest.approx(0.0, abs=1e-12)
 
@@ -193,6 +202,66 @@ def test_intersection_of_disjoint_cones_is_empty():
         b.sample(100.0, 2000, 10.0, 0)
 
 
+# -- ray polish --
+
+
+def test_polish_rule_follows_the_base():
+    thick = ThickenedComplementBase(halfline_set(0.0))
+    assert StandardBase(1).rays_stay_inside and DensityBase(1).rays_stay_inside
+    assert not thick.rays_stay_inside
+    assert not DensityBase(1, exceptional=lambda p: p[:, 0] < 0).rays_stay_inside
+    assert IntersectionBase(StandardBase(1), DensityBase(1)).rays_stay_inside
+    assert not IntersectionBase(StandardBase(1), thick).rays_stay_inside
+
+
+def _sampled_maxima(phi, base, sched):
+    return [
+        float(np.max(phi(base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k))))
+        for k, t in enumerate(sched.scales)
+    ]
+
+
+def test_intersection_with_thickening_reports_raw_maxima():
+    psi = sqrt_wave()
+    phi = lambda p: np.real(psi(p))
+    base = IntersectionBase(StandardBase(1), ThickenedComplementBase(halfline_set(0.0)))
+    fit = limsup_along(phi, base, SCHED)
+    assert fit.per_scale.tolist() == _sampled_maxima(phi, base, SCHED)
+
+
+def test_standard_base_polishes_sampled_maxima():
+    psi = sqrt_wave()
+    phi = lambda p: np.real(psi(p))
+    raw = np.array(_sampled_maxima(phi, StandardBase(1), SCHED))
+    fit = limsup_along(phi, StandardBase(1), SCHED)
+    assert np.all(fit.per_scale >= raw) and np.any(fit.per_scale > raw)
+    assert np.all(np.abs(fit.per_scale - 1.0) <= 1e-12)  # sup of sin is 1
+
+
+def test_fredholm_floor_flagship_reaches_the_zeros():
+    # liminf |sin sqrt|xi|| = 0: the polish lands on the zeros of the kink
+    floor, _ = fredholm_floor(_flagship(), StandardBase(1), SCHED)
+    assert 0.0 <= floor <= 1e-9
+
+
+def test_polish_loads_no_scipy():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, numpy as np; "
+            "from corona_pdo.asymptotics import SamplingSchedule, StandardBase, limsup_along; "
+            "limsup_along(lambda p: np.sin(p[:, 0]), StandardBase(1), "
+            "SamplingSchedule(scales=(1e2, 1e3), points_per_scale=64)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # -- per-fiber fields and Gohberg right-hand sides --
 
 
@@ -204,8 +273,8 @@ def test_gohberg_forms_flagship():
     assert mn == pytest.approx(1.0, abs=1e-2)
     assert mn <= mx.value + 1e-3
     # generic (non-factorized) routes agree with the tensor fast paths
-    mx2 = gohberg_rhs_maxform(f, StandardBase(1), SCHED, prefer_tensor=False)
-    mn2, _ = gohberg_rhs_minform(f, StandardBase(1), SCHED, prefer_tensor=False)
+    mx2 = gohberg_rhs_maxform(_tabled(f), StandardBase(1), SCHED)
+    mn2, _ = gohberg_rhs_minform(_tabled(f), StandardBase(1), SCHED)
     assert mx2.value == pytest.approx(mx.value, abs=2e-3)
     assert mn2 == pytest.approx(mn, abs=2e-2)
 
@@ -222,9 +291,7 @@ def test_fredholm_floor_values():
 def test_modulus_field_generic_matches_tensor():
     f = _flagship()
     xs, tensor_vals = modulus_field(f, StandardBase(1), SCHED, mode="limsup")
-    xs2, generic_vals = modulus_field(
-        f, StandardBase(1), SCHED, mode="limsup", prefer_tensor=False
-    )
+    xs2, generic_vals = modulus_field(_tabled(f), StandardBase(1), SCHED, mode="limsup")
     assert np.array_equal(xs, xs2)
     assert np.allclose(tensor_vals, generic_vals, atol=2e-2)
     with pytest.raises(AsymptoticsError):

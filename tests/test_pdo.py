@@ -160,8 +160,8 @@ def test_frequency_section_routes_and_subsets_agree():
     f = tensor_symbol(
         1.0 + 0.5 * np.sin(2 * np.pi * xg.coords[:, 0]), sqrt_wave(), xg, xig
     )
-    full_t = frequency_section(f, prefer_tensor=True)
-    full_g = frequency_section(f, prefer_tensor=False)
+    full_t = frequency_section(f)
+    full_g = frequency_section(TableSymbol(xg, xig, f.table().values))
     assert np.allclose(full_t, full_g, atol=1e-12)
     idx = np.array([0, 3, 7, 12, 15])
     sect = frequency_section(f, idx)

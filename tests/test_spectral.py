@@ -168,12 +168,14 @@ def test_banded_route_matches_dense_oracle():
         for j, band in enumerate(sched.bands):
             xg, xig = sched.grids(band)
             fb = f.rebound(xg, xig)
-            sect = frequency_section(fb, shell_indices(xig, band / 2))
+            shell = shell_indices(xig, band / 2)
+            sect = frequency_section(fb, shell)
             n = sect.shape[0]
             s = sla.svdvals(sect)
             assert abs(est.sigma_top[j] - s[0]) <= 1e-9 * f.sup_bound
-            for th, traj in est.windows.items():
-                assert _gram_close(traj[j], s, min(int(th * n), n - 1))
+            banded = singular_values(frequency_section(fb, shell, banded=True))
+            for i in (n // 2, 3 * n // 4, 9 * n // 10):
+                assert _gram_close(banded[i], s, i)
             for row, z in zip(probe.sigma_min_table, probe.lambdas):
                 shifted = sla.svdvals(sect - z * np.eye(n))
                 assert _gram_close(row[j], shifted, -1)
@@ -209,8 +211,6 @@ def test_constant_multiplier_estimates_its_modulus_exactly():
     assert np.allclose(res.sigma_top, 2.0, atol=1e-9)
     assert abs(res.estimate - 2.0) < 1e-9
     assert res.reliable
-    for traj in res.windows.values():
-        assert np.allclose(traj, 2.0, atol=1e-9)
 
 
 def test_fast_decaying_perturbation_is_invisible():
@@ -222,8 +222,6 @@ def test_fast_decaying_perturbation_is_invisible():
     res = essential_norm_estimate(_multiplier(psi, sched), sched)
     assert np.allclose(res.sigma_top, 1.0, atol=1e-3)
     assert abs(res.estimate - 1.0) < 1e-2
-    for traj in res.windows.values():
-        assert np.allclose(traj, 1.0, atol=1e-3)
 
 
 def test_flagship_estimate_small_ladder():

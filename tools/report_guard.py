@@ -13,9 +13,10 @@ other report line and every side file must match byte for byte.  With
 ``--atol X``, report.json and CSV files compare by value instead: numbers
 within X of each other match (a CSV cell is a number when it parses as one,
 also inside a ``np.float64(...)`` repr), while strings, booleans, nulls, keys,
-list lengths, CSV shapes and exit codes must still match exactly.  Prints
-each difference and exits 1 if there is any, 0 otherwise.  Standard library
-only.
+list lengths, CSV shapes and exit codes must still match exactly.  With
+``--work DIR``, a directory that must not exist yet, the run outputs stay in
+DIR.  Prints each difference and exits 1 if there is any, 0 otherwise.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -166,6 +167,10 @@ ASYM_CASES = {
         "psi": {"family": "vo:shifted", "offset": 2},
         "base": {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "density"}]},
     },
+    "base=intersection-ethick": {  # an ethick part turns the ray polish off
+        "psi": "vo:sqrt",
+        "base": {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "ethick"}]},
+    },
     "base=directional-aperture": {
         "dim": 2, "psi": {"family": "dirdecay", "omega0": [0, 2], "rate": 2},
         "base": {"kind": "directional", "omega0": [0, 1], "aperture_scale": 0.5},
@@ -268,6 +273,8 @@ def main(argv=None) -> int:
     parser.add_argument("--work", type=Path, help="keep run outputs here (default: a temp dir)")
     parser.add_argument("--atol", type=float, help="compare numbers in reports and CSVs within X")
     args = parser.parse_args(argv)
+    if args.work is not None and args.work.exists():
+        parser.error(f"--work {args.work} already exists: give a new directory")
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         for tag in ("old", "new"):
