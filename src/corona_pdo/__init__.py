@@ -56,9 +56,6 @@ from .asymptotics import (
     SamplingSchedule,
     StandardBase,
     cluster_set,
-    fredholm_floor,
-    gohberg_rhs_maxform,
-    gohberg_rhs_minform,
     liminf_along,
     limsup_along,
 )
@@ -107,10 +104,7 @@ __all__ = [
     "essential_spectrum_probe",
     "fourier",
     "fredholm_check",
-    "fredholm_floor",
     "frequency_section",
-    "gohberg_rhs_maxform",
-    "gohberg_rhs_minform",
     "gohberg_verify",
     "hs_norm",
     "inverse_fourier",

@@ -185,11 +185,10 @@ class DensityBase(FilterBase):
     """The annulus minus an exceptional set; the sampled density of what is
     kept must stay above 1 - 1/sqrt(t), otherwise the base is rejected."""
 
-    def __init__(self, dim: int, exceptional=None, min_density=None):
+    def __init__(self, dim: int, exceptional=None):
         self.dim = int(dim)
         self.exceptional = exceptional
         self.rays_stay_inside = exceptional is None
-        self.min_density = min_density or (lambda t: 1.0 - t**-0.5)
         self.label = "density" if exceptional is None else "density(-exceptional)"
 
     def sample(self, scale, n, span, seed):
@@ -198,10 +197,11 @@ class DensityBase(FilterBase):
             return pts
         keep = ~np.asarray(self.exceptional(pts), dtype=bool)
         dens = float(keep.mean()) if len(keep) else 0.0
-        if dens < self.min_density(scale):
+        need = 1.0 - scale**-0.5
+        if dens < need:
             raise AsymptoticsError(
                 f"exceptional set too thick at scale {scale:g}: kept density "
-                f"{dens:.4f} < required {self.min_density(scale):.4f}"
+                f"{dens:.4f} < required {need:.4f}"
             )
         return pts[keep]
 
@@ -329,6 +329,29 @@ def _refine_ray_extremum(phi, pts, vals, maximize: bool, q: float) -> float:
     return s * best
 
 
+def _samples(base: FilterBase, sched: SamplingSchedule):
+    """The base's sample points at each scale of the schedule, one seed per scale."""
+    for k, t in enumerate(sched.scales):
+        yield base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
+
+
+def _extremum(phi, pts, vals, maximize: bool, base: FilterBase, sched) -> float:
+    """One scale's extremum of phi, which takes the values vals at pts.
+
+    Polished along the best rays when ``base.rays_stay_inside``; otherwise
+    reported as sampled.
+    """
+    if not base.rays_stay_inside:
+        return float(vals.max() if maximize else vals.min())
+    q = _polish_span(sched.points_per_scale, base.dim, sched.span)
+    return _refine_ray_extremum(phi, pts, vals, maximize, q)
+
+
+def _sup_fit(label: str, scales, sups: np.ndarray) -> AsymptoticFit:
+    a, b, resid, rel = fit_inverse_sqrt(scales, sups)
+    return AsymptoticFit(label, "sup", scales, sups, a, b, resid, rel)
+
+
 def limsup_along(
     phi,
     base: FilterBase,
@@ -341,19 +364,11 @@ def limsup_along(
     ``base.rays_stay_inside``; otherwise it is reported as sampled.
     """
     sched = schedule or SamplingSchedule()
-    q = _polish_span(sched.points_per_scale, base.dim, sched.span)
-    sups = []
-    for k, t in enumerate(sched.scales):
-        pts = base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
-        vals = np.real(np.asarray(phi(pts)))
-        sups.append(
-            _refine_ray_extremum(phi, pts, vals, True, q)
-            if base.rays_stay_inside
-            else float(vals.max())
-        )
-    sups = np.array(sups)
-    a, b, resid, rel = fit_inverse_sqrt(sched.scales, sups)
-    return AsymptoticFit(label, "sup", sched.scales, sups, a, b, resid, rel)
+    sups = [
+        _extremum(phi, pts, np.real(np.asarray(phi(pts))), True, base, sched)
+        for pts in _samples(base, sched)
+    ]
+    return _sup_fit(label, sched.scales, np.array(sups))
 
 
 def liminf_along(phi, base, schedule=None, label="liminf"):
@@ -374,10 +389,21 @@ def _require_noncompact_dual(grid: GroupGrid):
         )
 
 
-def _x_subsample(n: int, limit: int = 512) -> np.ndarray:
-    if n <= limit:
+def _x_subsample(n: int) -> np.ndarray:
+    if n <= 512:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, limit).astype(int))
+    return np.unique(np.linspace(0, n - 1, 512).astype(int))
+
+
+def _blocks(symbol: Symbol, x_indices: np.ndarray, pts: np.ndarray, fn):
+    """fn(f(x, xi)) on x_indices times pts, 64 fibers at a time: (rows, values).
+
+    fn runs here so that no raw block outlives its turn: callers that held
+    one while the next was built took several times the page faults.
+    """
+    for s in range(0, len(x_indices), 64):
+        rows = slice(s, s + 64)
+        yield rows, fn(symbol.eval_outer(x_indices[rows], pts))
 
 
 def modulus_field(
@@ -388,12 +414,15 @@ def modulus_field(
 ):
     """Per-fiber limsup (or liminf) of |f(x, .)| along the base.
 
-    Returns (x_indices, values) over a subsample of at most 512 fibers.
-    Single-term tensor symbols factor exactly; the generic path batches the
-    per-scale extremes over shared sample points and then, where the base
-    allows a ray polish, re-polishes the 3 fibers where the min over x is
-    attained (the sampled sup is a lower bound, so the reported min over x
-    may sit slightly low).
+    Returns (x_indices, values, envelope) over a subsample of at most 512
+    fibers.  For mode "limsup", envelope is the fit of the limsup of
+    max over x of |f(x, .)| (the Gohberg right-hand side; min of values is
+    the lower bound); for "liminf" it is None.  Single-term tensor symbols
+    factor exactly.  The generic path takes both from one pass over shared
+    sample points; where the base allows a ray polish it polishes the
+    envelope and re-polishes the 3 fibers where the min over x is attained
+    (the sampled sup is a lower bound, so the reported min over x may sit
+    slightly low).
     """
     if mode not in ("limsup", "liminf"):
         raise AsymptoticsError(f"unknown field mode {mode!r}")
@@ -403,90 +432,42 @@ def modulus_field(
     maximize = mode == "limsup"
     terms = symbol.tensor_terms
     if terms is not None and len(terms) == 1:
-        gv, psi = terms[0]
-        mod = lambda p: np.abs(psi(p))
-        f = limsup_along(mod, base, sched) if maximize else liminf_along(mod, base, sched)
-        return x_indices, np.abs(gv[x_indices]) * f.value
-    K = len(sched.scales)
-    per_scale = np.empty((K, len(x_indices)))
-    pts_cache = []
-    for k, t in enumerate(sched.scales):
-        pts = base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
-        pts_cache.append(pts)
-        ext = np.empty(len(x_indices))
-        for s in range(0, len(x_indices), 64):
-            block = np.abs(symbol.eval_outer(x_indices[s : s + 64], pts))
-            ext[s : s + 64] = block.max(axis=1) if maximize else block.min(axis=1)
-        per_scale[k] = ext
-    A = np.stack([np.ones(K), np.asarray(sched.scales) ** -0.5], axis=1)
-    coef, *_ = np.linalg.lstsq(A, per_scale, rcond=None)
+        g, psi = np.abs(terms[0][0]), terms[0][1]
+        along = limsup_along if maximize else liminf_along
+        f = along(lambda p: np.abs(psi(p)), base, sched)
+        envelope = None
+        if maximize:
+            gmax = float(np.max(g))
+            envelope = AsymptoticFit(
+                "maxform", "sup", f.scales, gmax * f.per_scale, gmax * f.value,
+                gmax * f.slope, gmax * f.residual, f.rel_residual,
+            )
+        return x_indices, g[x_indices] * f.value, envelope
+
+    def top(p):
+        return np.max([v.max(axis=0) for _, v in _blocks(symbol, x_indices, p, np.abs)], axis=0)
+
+    per_scale, sampled, sups = [], [], []
+    for pts in _samples(base, sched):
+        ext, env = np.empty(len(x_indices)), np.zeros(len(pts))
+        for rows, vals in _blocks(symbol, x_indices, pts, np.abs):
+            ext[rows] = vals.max(axis=1) if maximize else vals.min(axis=1)
+            if maximize:
+                np.maximum(env, vals.max(axis=0), out=env)
+        if maximize:
+            sups.append(_extremum(top, pts, env, True, base, sched))
+        per_scale.append(ext)
+        sampled.append(pts)
+    A = np.stack([np.ones(len(sched.scales)), np.asarray(sched.scales) ** -0.5], axis=1)
+    coef, *_ = np.linalg.lstsq(A, np.array(per_scale), rcond=None)
     values = coef[0].copy()
-    if base.rays_stay_inside:
-        q = _polish_span(sched.points_per_scale, base.dim, sched.span)
+    if base.rays_stay_inside:  # elsewhere _extremum returns the sampled extremes
         for j in np.argsort(values)[:3]:
-            xi = int(x_indices[j])
-            phi_x = lambda p, _xi=xi: np.abs(symbol.eval_outer([_xi], p))[0]
-            exts = [
-                _refine_ray_extremum(phi_x, pts_cache[k], phi_x(pts_cache[k]), maximize, q)
-                for k in range(K)
-            ]
+            phi = lambda p, _x=int(x_indices[j]): np.abs(symbol.eval_outer([_x], p))[0]
+            exts = [_extremum(phi, pts, phi(pts), maximize, base, sched) for pts in sampled]
             values[j] = fit_inverse_sqrt(sched.scales, exts)[0]
-    return x_indices, values
-
-
-def gohberg_rhs_maxform(
-    symbol: Symbol,
-    base: FilterBase,
-    schedule: SamplingSchedule | None = None,
-) -> AsymptoticFit:
-    """limsup along the base of sup over x of |f(x, xi)|."""
-    _require_noncompact_dual(symbol.xigrid)
-    sched = schedule or SamplingSchedule()
-    terms = symbol.tensor_terms
-    if terms is not None and len(terms) == 1:
-        gv, psi = terms[0]
-        f = limsup_along(lambda p: np.abs(psi(p)), base, sched, label="maxform")
-        g = float(np.max(np.abs(gv)))
-        return AsymptoticFit(
-            "maxform", "sup", f.scales, g * f.per_scale, g * f.value, g * f.slope,
-            g * f.residual, f.rel_residual,
-        )
-    x_indices = _x_subsample(symbol.xgrid.size)
-
-    def envelope(p):
-        out = None
-        for s in range(0, len(x_indices), 64):
-            b = np.abs(symbol.eval_outer(x_indices[s : s + 64], p)).max(axis=0)
-            out = b if out is None else np.maximum(out, b)
-        return out
-
-    return limsup_along(envelope, base, sched, label="maxform")
-
-
-def gohberg_rhs_minform(
-    symbol: Symbol,
-    base: FilterBase,
-    schedule: SamplingSchedule | None = None,
-):
-    """min over x of limsup along the base of |f(x, .)|; returns (value, x_index)."""
-    x_indices, vals = modulus_field(symbol, base, schedule, mode="limsup")
-    j = int(np.argmin(vals))
-    return float(vals[j]), int(x_indices[j])
-
-
-def fredholm_floor(
-    symbol: Symbol,
-    base: FilterBase,
-    schedule: SamplingSchedule | None = None,
-):
-    """min over x of liminf along the base of |f(x, .)|; returns (value, x_index).
-
-    This is the quantity whose strict positivity pushes invertibility out to
-    infinity; it is clamped at zero since it estimates a modulus.
-    """
-    x_indices, vals = modulus_field(symbol, base, schedule, mode="liminf")
-    j = int(np.argmin(vals))
-    return float(max(vals[j], 0.0)), int(x_indices[j])
+    envelope = _sup_fit("maxform", sched.scales, np.array(sups)) if maximize else None
+    return x_indices, values, envelope
 
 
 # -- cluster sets --------------------------------------------------------------------
@@ -499,7 +480,6 @@ class ClusterSet:
     eps: float
     cells: np.ndarray  # (m, 2) integer cell coordinates of (re, im)
     zero_added: bool
-    label: str
 
     @property
     def centers(self) -> np.ndarray:
@@ -519,15 +499,6 @@ class ClusterSet:
     def covers_real_interval(self, a: float, b: float, slack: int = 1) -> bool:
         lo, hi = int(round(a / self.eps)), int(round(b / self.eps))
         return all(self.contains_value(c * self.eps, slack) for c in range(lo, hi + 1))
-
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "cells": self.cells.tolist(),
-            "zero_added": self.zero_added,
-            "max_abs": self.max_abs,
-            "label": self.label,
-        }
 
 
 _NEIGHBORHOOD = np.array(
@@ -552,8 +523,6 @@ def cluster_set(
     base: FilterBase,
     schedule: SamplingSchedule | None = None,
     eps: float = 0.05,
-    x_limit: int = 512,
-    label: str = "cluster",
 ) -> ClusterSet:
     """eps-raster of the symbol values attained near infinity at every scale.
 
@@ -563,14 +532,10 @@ def cluster_set(
     """
     _require_noncompact_dual(symbol.xigrid)
     sched = schedule or SamplingSchedule()
-    x_indices = _x_subsample(symbol.xgrid.size, x_limit)
+    x_indices = _x_subsample(symbol.xgrid.size)
     common = None
-    for k, t in enumerate(sched.scales):
-        pts = base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
-        cells = []
-        for s in range(0, len(x_indices), 64):
-            vals = symbol.eval_outer(x_indices[s : s + 64], pts).ravel()
-            cells.append(_raster(vals, eps))
+    for pts in _samples(base, sched):
+        cells = [_raster(vals, eps) for _, vals in _blocks(symbol, x_indices, pts, np.ravel)]
         cells = _dilate(np.unique(np.concatenate(cells), axis=0))
         cset = set(map(tuple, cells.tolist()))
         common = cset if common is None else (common & cset)
@@ -580,4 +545,4 @@ def cluster_set(
     out = (
         np.array(sorted(common), dtype=np.int64) if common else np.empty((0, 2), np.int64)
     )
-    return ClusterSet(eps, out, zero_added, label)
+    return ClusterSet(eps, out, zero_added)

@@ -311,6 +311,3 @@ class GridFunction:
 
     def norm(self) -> float:
         return float(np.sqrt(self.grid.weight_per_point * np.sum(np.abs(self.values) ** 2)))
-
-    def inner(self, other: "GridFunction") -> complex:
-        return complex(self.grid.weight_per_point * np.vdot(other.values, self.values))

@@ -33,9 +33,7 @@ from .asymptotics import (
     SamplingSchedule,
     StandardBase,
     fit_inverse_sqrt,
-    fredholm_floor,
-    gohberg_rhs_maxform,
-    gohberg_rhs_minform,
+    modulus_field,
 )
 from .groups import GroupGrid, truncated_dual
 from .pdo import frequency_section
@@ -134,19 +132,6 @@ class EssentialNormResult:
     reliable: bool
     notes: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "bands": list(self.bands),
-            "shell_dims": list(self.shell_dims),
-            "sigma_top": list(self.sigma_top),
-            "estimate": self.estimate,
-            "slope": self.slope,
-            "residual": self.residual,
-            "rel_residual": self.rel_residual,
-            "reliable": self.reliable,
-            "notes": list(self.notes),
-        }
-
 
 def essential_norm_estimate(
     symbol: Symbol,
@@ -199,15 +184,6 @@ class ProbeResult:
     verdicts: tuple
     scale: float
 
-    def as_dict(self) -> dict:
-        return {
-            "lambdas": [complex(l).real if complex(l).imag == 0 else str(complex(l)) for l in self.lambdas],
-            "bands": list(self.bands),
-            "sigma_min": [list(row) for row in self.sigma_min_table],
-            "verdicts": list(self.verdicts),
-            "scale": self.scale,
-        }
-
 
 def essential_spectrum_probe(
     symbol: Symbol,
@@ -256,22 +232,10 @@ def essential_spectrum_probe(
 class FredholmResult:
     verdict: str  # FREDHOLM-SUFFICIENT | INCONCLUSIVE | NOT-FREDHOLM
     floor: float
-    floor_x_index: int | None
     bands: tuple
     sigma_min_full: tuple
     corroborated: bool
     notes: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "floor": self.floor,
-            "floor_x_index": self.floor_x_index,
-            "bands": list(self.bands),
-            "sigma_min_full": list(self.sigma_min_full),
-            "corroborated": self.corroborated,
-            "notes": list(self.notes),
-        }
 
 
 def fredholm_check(
@@ -297,14 +261,14 @@ def fredholm_check(
         return FredholmResult(
             verdict="NOT-FREDHOLM",
             floor=0.0,
-            floor_x_index=None,
             bands=(),
             sigma_min_full=(),
             corroborated=True,
             notes=("x group is non-compact: 0 lies in the spectrum at infinity",),
         )
     base = base or StandardBase(symbol.xigrid.ndim)
-    floor, x_j = fredholm_floor(symbol, base, asym_schedule)
+    # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
+    floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[1].min()), 0.0)
     schedule = schedule or TruncationSchedule()
     sigmas = []
     for band in schedule.bands:
@@ -327,8 +291,7 @@ def fredholm_check(
         )
     return FredholmResult(
         verdict=verdict,
-        floor=float(floor),
-        floor_x_index=int(x_j),
+        floor=floor,
         bands=schedule.bands,
         sigma_min_full=tuple(float(s) for s in sigmas),
         corroborated=corroborated,
@@ -390,9 +353,8 @@ def gohberg_verify(
     """
     base = base or StandardBase(symbol.xigrid.ndim)
     est_res = est_result or essential_norm_estimate(symbol, schedule)
-    max_fit = gohberg_rhs_maxform(symbol, base, asym_schedule)
-    minform, _ = gohberg_rhs_minform(symbol, base, asym_schedule)
-    est, rhs = est_res.estimate, max_fit.value
+    _, per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
+    est, rhs, minform = est_res.estimate, max_fit.value, float(per_fiber.min())
     notes = list(est_res.notes)
     unreliable = not est_res.reliable
 

@@ -21,7 +21,7 @@ advisory diagnostics: they sample tails, they do not prove membership.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class DualClosure:
     fun: object
     sup_bound: float
     name: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, pts) -> np.ndarray:
         return np.asarray(self.fun(_pts2d(pts)), dtype=complex)
@@ -70,30 +69,18 @@ def constant_closure(value: complex) -> DualClosure:
     return DualClosure(lambda p: np.full(len(p), c), abs(c), f"const({c})")
 
 
-def vo_symbol(beta, beta_prime=None, name: str = "sin(beta(|xi|))") -> DualClosure:
+def vo_symbol(beta, name: str = "sin(beta(|xi|))") -> DualClosure:
     """Radial wave psi(xi) = sin(beta(|xi|)).
 
-    ``beta`` must come with its derivative: the oscillation bound
-    |psi(xi + z) - psi(xi)| <= |z| * sup |beta'| is the whole point of the
-    family, and the diagnostics use it.
+    |psi(xi + z) - psi(xi)| is at most |z| times the sup of |beta'| between
+    |xi| and |xi + z|, so the oscillation vanishes at infinity when beta' does.
     """
-    if beta_prime is None:
-        raise SymbolError("vo_symbol requires the derivative of beta")
-    return DualClosure(
-        lambda p: np.sin(beta(_radial(p))).astype(complex),
-        1.0,
-        name,
-        meta={"beta": beta, "beta_prime": beta_prime, "radial_wave": True},
-    )
+    return DualClosure(lambda p: np.sin(beta(_radial(p))).astype(complex), 1.0, name)
 
 
 def power_wave(alpha: float) -> DualClosure:
     """sin(|xi|^alpha); oscillation dies out iff alpha < 1."""
-    return vo_symbol(
-        lambda r: r**alpha,
-        lambda r: alpha * np.maximum(r, 1e-300) ** (alpha - 1.0),
-        name=f"sin(|xi|^{alpha})",
-    )
+    return vo_symbol(lambda r: r**alpha, name=f"sin(|xi|^{alpha})")
 
 
 def sqrt_wave() -> DualClosure:
@@ -103,13 +90,9 @@ def sqrt_wave() -> DualClosure:
 def shifted_wave(offset: float, alpha: float = 0.5) -> DualClosure:
     """offset + sin(|xi|^alpha); stays away from zero when offset > 1."""
     base = power_wave(alpha)
-    psi = DualClosure(
-        lambda p: offset + base(p),
-        abs(offset) + 1.0,
-        f"{offset}+sin(|xi|^{alpha})",
-        meta=dict(base.meta),
+    return DualClosure(
+        lambda p: offset + base(p), abs(offset) + 1.0, f"{offset}+sin(|xi|^{alpha})"
     )
-    return psi
 
 
 def inverse_decay(power: float = 1.0) -> DualClosure:
@@ -118,7 +101,6 @@ def inverse_decay(power: float = 1.0) -> DualClosure:
         lambda p: (1.0 / (1.0 + _radial(p)) ** power).astype(complex),
         1.0,
         f"(1+|xi|)^-{power}",
-        meta={"c0": True},
     )
 
 
@@ -134,7 +116,6 @@ def directional_decay_symbol(omega0, rate: float = 1.0) -> DualClosure:
         lambda p: np.exp(-rate * np.abs(_pts2d(p) @ w)).astype(complex),
         1.0,
         f"exp(-{rate}|<xi,omega0>|)",
-        meta={"omega0": w},
     )
 
 
@@ -154,7 +135,7 @@ def dyadic_indicator() -> DualClosure:
             out[pos] = (x[pos] <= 2.0**k + k).astype(float)
         return out.astype(complex)
 
-    return DualClosure(fun, 1.0, "indicator(U[2^k, 2^k+k])", meta={"dyadic": True})
+    return DualClosure(fun, 1.0, "indicator(U[2^k, 2^k+k])")
 
 
 # -- x-variable profiles ---------------------------------------------------------
@@ -530,14 +511,14 @@ def parabola_graph() -> ThickenedSet:
     return ts
 
 
-def syndetic_thickening_filter_data(E: ThickenedSet, probe_scale: float = 1.0) -> ThickenedSet:
+def syndetic_thickening_filter_data(E: ThickenedSet) -> ThickenedSet:
     """Validate E as the datum of a thickened-complement filter base.
 
     Degenerate sets whose unit thickening already covers everything (e.g.
     E = the whole dual) are rejected by probing an annulus.
     """
-    probe = annulus(10.0 * probe_scale, 100.0 * probe_scale, E.dim, 512, seed=3)
-    if not np.any(E.distance(probe) > probe_scale):
+    probe = annulus(10.0, 100.0, E.dim, 512, seed=3)
+    if not np.any(E.distance(probe) > 1.0):
         raise SymbolError(
             f"thickened set {E.label!r} is degenerate: unit thickening covers the probe annulus"
         )

@@ -18,9 +18,8 @@ from corona_pdo.asymptotics import (
     DirectionalBase,
     SamplingSchedule,
     StandardBase,
-    gohberg_rhs_maxform,
-    gohberg_rhs_minform,
     limsup_along,
+    modulus_field,
 )
 from corona_pdo.cli import main
 from corona_pdo.fourier import fourier
@@ -118,7 +117,7 @@ def test_criterion_1_exact_identities():
 
 def test_criterion_2_distance_identity(flagship, flagship_estimate):
     est = flagship_estimate.estimate
-    rhs = gohberg_rhs_maxform(flagship, StandardBase(1)).value
+    rhs = modulus_field(flagship, StandardBase(1))[2].value
     _verdict(
         2,
         "distance estimate vs sampled tail sup",
@@ -131,7 +130,7 @@ def test_criterion_2_distance_identity(flagship, flagship_estimate):
 
 def test_criterion_3_lower_bound(flagship, flagship_estimate):
     est = flagship_estimate.estimate
-    mn, _ = gohberg_rhs_minform(flagship, StandardBase(1))
+    mn = modulus_field(flagship, StandardBase(1))[1].min()
     _verdict(
         3,
         "min-form lower bound",
@@ -251,7 +250,7 @@ def test_criterion_9_determinism(tmp_path):
     xg, xig = LADDER.grids(LADDER.bands[0])
     f = _flagship(xg, xig)
     sched = SamplingSchedule(points_per_scale=2000)
-    rhs = [gohberg_rhs_maxform(f, StandardBase(1), sched).value for _ in range(2)]
+    rhs = [modulus_field(f, StandardBase(1), sched)[2].value for _ in range(2)]
     osc = [
         vanishing_oscillation_test(sqrt_wave(), [1.0], np.logspace(2, 6, 5)).as_dict()
         for _ in range(2)

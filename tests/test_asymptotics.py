@@ -23,9 +23,6 @@ from corona_pdo.asymptotics import (
     ThickenedComplementBase,
     cluster_set,
     fit_inverse_sqrt,
-    fredholm_floor,
-    gohberg_rhs_maxform,
-    gohberg_rhs_minform,
     liminf_along,
     limsup_along,
     modulus_field,
@@ -238,9 +235,9 @@ def test_standard_base_polishes_sampled_maxima():
     assert np.all(np.abs(fit.per_scale - 1.0) <= 1e-12)  # sup of sin is 1
 
 
-def test_fredholm_floor_flagship_reaches_the_zeros():
+def test_liminf_floor_flagship_reaches_the_zeros():
     # liminf |sin sqrt|xi|| = 0: the polish lands on the zeros of the kink
-    floor, _ = fredholm_floor(_flagship(), StandardBase(1), SCHED)
+    floor = max(modulus_field(_flagship(), StandardBase(1), SCHED, "liminf")[1].min(), 0.0)
     assert 0.0 <= floor <= 1e-9
 
 
@@ -267,31 +264,33 @@ def test_polish_loads_no_scipy():
 
 def test_gohberg_forms_flagship():
     f = _flagship()
-    mx = gohberg_rhs_maxform(f, StandardBase(1), SCHED)
-    mn, _ = gohberg_rhs_minform(f, StandardBase(1), SCHED)
+    _, vals, mx = modulus_field(f, StandardBase(1), SCHED)
+    mn = vals.min()
     assert mx.value == pytest.approx(3.0, abs=3e-3)
     assert mn == pytest.approx(1.0, abs=1e-2)
     assert mn <= mx.value + 1e-3
     # generic (non-factorized) routes agree with the tensor fast paths
-    mx2 = gohberg_rhs_maxform(_tabled(f), StandardBase(1), SCHED)
-    mn2, _ = gohberg_rhs_minform(_tabled(f), StandardBase(1), SCHED)
+    _, vals2, mx2 = modulus_field(_tabled(f), StandardBase(1), SCHED)
     assert mx2.value == pytest.approx(mx.value, abs=2e-3)
-    assert mn2 == pytest.approx(mn, abs=2e-2)
+    assert vals2.min() == pytest.approx(mn, abs=2e-2)
 
 
-def test_fredholm_floor_values():
+def test_liminf_floor_values():
     xg = GroupGrid.torus(64)
     xig = truncated_dual(xg, 16)
-    away, _ = fredholm_floor(multiplier_symbol(shifted_wave(2.0), xg, xig), StandardBase(1), SCHED)
-    near, _ = fredholm_floor(multiplier_symbol(shifted_wave(1.0), xg, xig), StandardBase(1), SCHED)
+    floor = lambda psi: max(
+        modulus_field(multiplier_symbol(psi, xg, xig), StandardBase(1), SCHED, "liminf")[1].min(),
+        0.0,
+    )
+    away, near = floor(shifted_wave(2.0)), floor(shifted_wave(1.0))
     assert away == pytest.approx(1.0, abs=1e-2)
     assert near <= 1e-2
 
 
 def test_modulus_field_generic_matches_tensor():
     f = _flagship()
-    xs, tensor_vals = modulus_field(f, StandardBase(1), SCHED, mode="limsup")
-    xs2, generic_vals = modulus_field(_tabled(f), StandardBase(1), SCHED, mode="limsup")
+    xs, tensor_vals, _ = modulus_field(f, StandardBase(1), SCHED, mode="limsup")
+    xs2, generic_vals, _ = modulus_field(_tabled(f), StandardBase(1), SCHED, mode="limsup")
     assert np.array_equal(xs, xs2)
     assert np.allclose(tensor_vals, generic_vals, atol=2e-2)
     with pytest.raises(AsymptoticsError):
@@ -325,4 +324,4 @@ def test_compact_dual_rejected():
     with pytest.raises(AsymptoticsError):
         cluster_set(f, StandardBase(1))
     with pytest.raises(AsymptoticsError):
-        gohberg_rhs_maxform(f, StandardBase(1))
+        modulus_field(f, StandardBase(1))

@@ -340,11 +340,25 @@ def test_gohberg_non_vanishing_oscillation_flags_unreliable():
 def test_result_dicts_are_json_shaped():
     sched = TruncationSchedule(bands=(16, 32, 64))
     f = _multiplier(shifted_wave(2.0), sched)
-    d1 = essential_norm_estimate(f, sched).as_dict()
-    d2 = essential_spectrum_probe(f, [0.0], sched).as_dict()
-    d3 = fredholm_check(f, schedule=sched, asym_schedule=ASYM).as_dict()
-    d4 = gohberg_verify(f, schedule=sched, asym_schedule=ASYM).as_dict()
     import json
 
-    for d in (d1, d2, d3, d4):
-        json.dumps(d)
+    json.dumps(gohberg_verify(f, schedule=sched, asym_schedule=ASYM).as_dict())
+
+
+def test_gohberg_verify_evaluates_each_sampled_pair_about_once():
+    # the rhs and the min-form lower bound share one sampling pass over |f|
+    sched = TruncationSchedule(bands=(16, 32, 64))
+    xg, xig = sched.grids(sched.bands[0])
+    terms = [(cos_profile(2.0, 1.0), sqrt_wave()), (cos_profile(0.0, 0.5, 5), sqrt_wave())]
+    f = TensorSymbol(xg, xig, terms)
+    evaluated, eval_outer = [], f.eval_outer
+
+    def counted(x_indices, xi_points):
+        out = eval_outer(x_indices, xi_points)
+        evaluated.append(out.size)
+        return out
+
+    f.eval_outer = counted
+    gohberg_verify(f, schedule=sched, asym_schedule=ASYM)
+    pairs = xg.size * len(ASYM.scales) * ASYM.points_per_scale
+    assert pairs <= sum(evaluated) < 1.5 * pairs

@@ -138,7 +138,7 @@ def test_sampled_oscillation_not_degenerate():
 
 
 def test_full_strength_wave_fails():
-    psi = vo_symbol(lambda r: r, lambda r: np.ones_like(r), name="sin(|xi|)")
+    psi = vo_symbol(lambda r: r, name="sin(|xi|)")
     prof = vanishing_oscillation_test(psi, [[1.0]], RADII)
     assert prof.verdict == "FAIL"
     assert 0.93 <= prof.osc[0, -1] <= 2 * np.sin(0.5) + 1e-12
@@ -159,11 +159,6 @@ def test_oscillation_band_guard_and_bad_radii():
         vanishing_oscillation_test(sqrt_wave(), [[1.0]], [10.0, 100.0], band=1000.0)
     with pytest.raises(SymbolError):
         vanishing_oscillation_test(sqrt_wave(), [[1.0]], [0.0, 10.0])
-
-
-def test_vo_symbol_requires_derivative():
-    with pytest.raises(SymbolError):
-        vo_symbol(np.sqrt)
 
 
 # -- directional decay --
@@ -319,7 +314,6 @@ def test_misc_closure_values():
     s = shifted_wave(2.0)
     assert s(np.array([[0.0]]))[0] == pytest.approx(2.0)
     assert s.sup_bound == pytest.approx(3.0)
-    assert "beta" in s.meta
 
 
 def test_symbol_csv_round_trip(tmp_path):

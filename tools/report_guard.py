@@ -90,6 +90,13 @@ VALUES_TERMS = {"family": "tensor", "terms": [
         "psi": {"family": "vo:shifted", "offset": 1.5},
     },
 ]}
+TWO_TERM = {"family": "tensor", "terms": [
+    {"gamma": {"profile": "cos-offset", "offset": 2.0, "amplitude": 1.0}, "psi": "vo:sqrt"},
+    {
+        "gamma": {"profile": "cos-offset", "offset": 0.0, "amplitude": 0.5, "frequency": 5},
+        "psi": "vo:sqrt",
+    },
+]}
 CONFIGS.update({
     "build-op/symbol=dirdecay": {"task": "build-op", "group": PRODUCT, "symbol": "dirdecay"},
     "build-op/symbol=dirdecay-map": {
@@ -148,6 +155,12 @@ CONFIGS.update({
         "asym": {"scales": [100, 200], "points_per_scale": 300, "span": 4},
     },
     "examples:cesaro/default": {"task": "examples:cesaro"},
+    # two terms reach the generic (non-factorized) at-infinity pass
+    "gohberg/two-term": {"task": "gohberg", "symbol": TWO_TERM, **LADDER},
+    "gohberg/two-term+ethick": {  # no ray polish: sampled extremes only
+        "task": "gohberg", "symbol": TWO_TERM, **LADDER, "base": {"kind": "ethick"},
+    },
+    "fredholm/two-term": {"task": "fredholm", "symbol": TWO_TERM, **LADDER},
 })
 ASYM_CASES = {
     "base=standard": {"psi": "vo:sqrt", "base": {"kind": "standard"}},
