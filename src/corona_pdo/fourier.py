@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GridError, GridFunction, GroupGrid, assert_dual_pair, pairing_phase
+from .groups import GridError, GridFunction, GroupGrid, assert_dual_pair
 
 
 def _along(vec, axis, ndim):
@@ -44,7 +44,9 @@ def _axis_forward(vals, fac, out_fac, axis):
     """Analysis along one factor: primal factor ``fac`` -> dual ``out_fac``."""
     vals = np.asarray(vals, dtype=complex)
     if fac.kind == "finite_cyclic":
-        return fac.weight * np.fft.fft(vals, axis=axis)
+        out = np.fft.fft(vals, axis=axis)
+        out *= fac.weight
+        return out
     if fac.kind == "torus":
         full = np.fft.fft(vals, axis=axis) * fac.weight
         bins = out_fac.points.astype(int) % fac.n
@@ -71,7 +73,9 @@ def _axis_inverse(vals, fac, out_fac, axis):
     """
     vals = np.asarray(vals, dtype=complex)
     if fac.kind == "finite_cyclic":
-        return fac.weight * fac.n * np.fft.ifft(vals, axis=axis)
+        out = np.fft.ifft(vals, axis=axis)
+        out *= fac.weight * fac.n
+        return out
     if fac.kind == "truncated_integers":
         m = out_fac.n
         bins = fac.points.astype(int) % m
@@ -123,24 +127,36 @@ def inverse_fourier(v: GridFunction, out_grid: GroupGrid | None = None, method: 
     return GridFunction(out, vals.reshape(-1))
 
 
+def _character_table(rows: GroupGrid, cols: GroupGrid, xgrid: GroupGrid, turn, weight) -> np.ndarray:
+    """weight * exp(turn * pairing phase) on rows x cols.  The phase is summed
+    factor by factor in place, rounding as ``pairing_phase`` does up to 7
+    factors, without its (rows, cols, ndim) temporary."""
+    d = xgrid.ndim
+    z = np.zeros(rows.shape + cols.shape, dtype=complex)
+    for k, (fr, fc, fx) in enumerate(zip(rows.factors, cols.factors, xgrid.factors)):
+        part = np.multiply.outer(fr.points, fc.points)
+        part *= fx.phase_scale
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = fr.n, fc.n
+        z.real += part.reshape(shape)
+    z *= turn
+    np.exp(z, out=z)
+    z *= weight
+    return z.reshape(rows.size, cols.size)
+
+
 def transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid | None = None) -> np.ndarray:
     """Dense analysis matrix F with F[k, j] = w_j * conj(<x_j, xi_k>)."""
     xi = xigrid if xigrid is not None else xgrid.dual()
     assert_dual_pair(xgrid, xi)
-    ph = pairing_phase(
-        xgrid, xi, xgrid.coords[None, :, :], xi.coords[:, None, :]
-    ).reshape(xi.size, xgrid.size)
-    return xgrid.weight_per_point * np.exp(-2j * np.pi * ph)
+    return _character_table(xi, xgrid, xgrid, -2j * np.pi, xgrid.weight_per_point)
 
 
 def inverse_transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid | None = None) -> np.ndarray:
     """Dense synthesis matrix G with G[j, k] = w_xi_k * <x_j, xi_k>."""
     xi = xigrid if xigrid is not None else xgrid.dual()
     assert_dual_pair(xgrid, xi)
-    ph = pairing_phase(
-        xgrid, xi, xgrid.coords[:, None, :], xi.coords[None, :, :]
-    ).reshape(xgrid.size, xi.size)
-    return xi.weight_per_point * np.exp(2j * np.pi * ph)
+    return _character_table(xgrid, xi, xgrid, 2j * np.pi, xi.weight_per_point)
 
 
 def convolve(u: GridFunction, v: GridFunction) -> GridFunction:

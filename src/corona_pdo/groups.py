@@ -24,7 +24,8 @@ dual frequencies are integer multiples of the wrap period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -47,10 +48,23 @@ class Factor:
 
     kind: str
     n: int
-    points: np.ndarray = field(repr=False)
     weight: float
     phase_scale: float
     params: tuple
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Read-only sample coordinates, built on first use (FFT routes need none)."""
+        if self.kind == "finite_cyclic":
+            pts = np.arange(self.n, dtype=float)
+        elif self.kind == "torus":
+            pts = np.arange(self.n, dtype=float) / self.n
+        elif self.kind == "truncated_integers":
+            pts = np.arange(-self.params[0], self.params[0], dtype=float)
+        else:
+            pts = (np.arange(self.n, dtype=float) - self.n // 2) * self.params[0]
+        pts.flags.writeable = False
+        return pts
 
     def descriptor(self) -> dict:
         d = {"kind": self.kind}
@@ -70,23 +84,20 @@ class Factor:
 def _cyclic_factor(n: int, weight: float = 1.0) -> Factor:
     if n < 1:
         raise GridError(f"finite_cyclic needs n >= 1, got {n}")
-    pts = np.arange(n, dtype=float)
-    return Factor("finite_cyclic", n, pts, float(weight), 1.0 / n, (n, float(weight)))
+    return Factor("finite_cyclic", n, float(weight), 1.0 / n, (n, float(weight)))
 
 
 def _torus_factor(m: int) -> Factor:
     # m even so the canonical dual band m/2 makes the transform square/unitary
     if m < 2 or m % 2:
         raise GridError(f"torus needs an even sample count >= 2, got {m}")
-    pts = np.arange(m, dtype=float) / m
-    return Factor("torus", m, pts, 1.0 / m, 1.0, (m,))
+    return Factor("torus", m, 1.0 / m, 1.0, (m,))
 
 
 def _integers_factor(band: int) -> Factor:
     if band < 1:
         raise GridError(f"truncated_integers needs band >= 1, got {band}")
-    pts = np.arange(-band, band, dtype=float)
-    return Factor("truncated_integers", 2 * band, pts, 1.0, 1.0, (band,))
+    return Factor("truncated_integers", 2 * band, 1.0, 1.0, (band,))
 
 
 def _line_factor(step: float, extent: float) -> Factor:
@@ -98,8 +109,7 @@ def _line_factor(step: float, extent: float) -> Factor:
         raise GridError(
             f"line grid extent/step must be a positive integer, got {ratio!r}"
         )
-    pts = (np.arange(n, dtype=float) - n // 2) * step
-    return Factor("line", n, pts, float(step), 1.0, (float(step), float(extent)))
+    return Factor("line", n, float(step), 1.0, (float(step), float(extent)))
 
 
 def _dual_factor(f: Factor) -> Factor:
@@ -150,7 +160,9 @@ class GroupGrid:
 
     @property
     def coords(self) -> np.ndarray:
-        """(size, ndim) array of point coordinates, row-major over factors."""
+        """(size, ndim) point coordinates, row-major; a read-only view in 1-d."""
+        if self.ndim == 1:
+            return self.factors[0].points[:, None]
         if self._coords is None:
             axes = np.meshgrid(*[f.points for f in self.factors], indexing="ij")
             self._coords = np.stack([a.reshape(-1) for a in axes], axis=1)
@@ -310,4 +322,6 @@ class GridFunction:
         self.values = v
 
     def norm(self) -> float:
-        return float(np.sqrt(self.grid.weight_per_point * np.sum(np.abs(self.values) ** 2)))
+        a = np.abs(self.values)
+        a *= a
+        return float(np.sqrt(self.grid.weight_per_point * np.sum(a)))

@@ -240,8 +240,10 @@ class TensorSymbol(Symbol):
     def eval_outer(self, x_indices, xi_points) -> np.ndarray:
         x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
         out = np.zeros((len(x_indices), len(_pts2d(xi_points))), dtype=complex)
+        term = np.empty_like(out)  # one scratch block for every term
         for _, gv, psi in self.terms:
-            out += np.outer(gv[x_indices], psi(xi_points))
+            np.multiply.outer(gv[x_indices], psi(xi_points), out=term)
+            out += term
         return out
 
     def rebound(self, xgrid, xigrid) -> "TensorSymbol":

@@ -351,6 +351,24 @@ def test_fourier_selftest_report(tmp_path):
     assert report["flags"]["violation"] is False
 
 
+def test_fourier_selftest_builds_no_cyclic_points(tmp_path, monkeypatch):
+    # the FFT route never reads cyclic coordinates, so none are built
+    grids = []
+    build = ExperimentConfig.grids
+
+    def recording(cfg):
+        pair = build(cfg)
+        grids.extend(pair)
+        return pair
+
+    monkeypatch.setattr(ExperimentConfig, "grids", recording)
+    doc = {"schema": 1, "task": "fourier-selftest", "group": {"kind": "finite_cyclic", "n": 2**16}}
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 0 and report["results"]["size"] == 2**16
+    assert len(grids) == 2
+    assert all("points" not in f.__dict__ for g in grids for f in g.factors)
+
+
 def test_build_op_writes_loadable_matrix(tmp_path):
     doc = {
         "schema": 1,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corona_pdo.groups import GridFunction, GroupGrid, product_group, truncated_dual
+from corona_pdo.groups import GridFunction, GroupGrid, pairing_phase, product_group, truncated_dual
 from corona_pdo.fourier import (
     PhaseFunction,
     convolve,
@@ -153,6 +153,34 @@ def test_dense_matrices_are_mutual_inverses_on_full_pairs():
         F = transform_matrix(g)
         G = inverse_transform_matrix(g)
         assert np.max(np.abs(G @ F - np.eye(g.size))) < 1e-11
+
+
+def _pairing_phase_matrices(xg, xi):
+    """The dense matrices as one (n, n, ndim) pairing_phase table: the oracle."""
+    ph = pairing_phase(xg, xi, xg.coords[None, :, :], xi.coords[:, None, :]).reshape(xi.size, xg.size)
+    F = xg.weight_per_point * np.exp(-2j * np.pi * ph)
+    ph = pairing_phase(xg, xi, xg.coords[:, None, :], xi.coords[None, :, :]).reshape(xg.size, xi.size)
+    G = xi.weight_per_point * np.exp(2j * np.pi * ph)
+    return F, G
+
+
+@pytest.mark.parametrize(
+    "xg, xi",
+    [
+        (GroupGrid.finite_cyclic(12), None),
+        (GroupGrid.torus(16), GroupGrid.truncated_integers(5)),
+        (product_group(GroupGrid.finite_cyclic(8), GroupGrid.finite_cyclic(16)), None),
+        (
+            product_group(GroupGrid.finite_cyclic(3), GroupGrid.torus(6), GroupGrid.line(0.5, 3.0)),
+            None,
+        ),
+    ],
+)
+def test_dense_matrices_equal_pairing_phase_formula(xg, xi):
+    xi = xi if xi is not None else xg.dual()
+    F, G = _pairing_phase_matrices(xg, xi)
+    assert np.array_equal(transform_matrix(xg, xi), F)
+    assert np.array_equal(inverse_transform_matrix(xg, xi), G)
 
 
 def test_phase_function_hs_norm():

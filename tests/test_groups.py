@@ -218,3 +218,21 @@ def test_pairing_phase_accepts_raw_coordinates():
     d = truncated_dual(g, 4)
     ph = pairing_phase(g, d, np.array([[0.25]]), np.array([[2.0]]))
     assert ph == pytest.approx(0.5)
+
+
+def test_factor_points_match_arange_expressions_and_are_read_only():
+    cases = [
+        (GroupGrid.finite_cyclic(6), np.arange(6, dtype=float)),
+        (GroupGrid.torus(8), np.arange(8, dtype=float) / 8),
+        (GroupGrid.truncated_integers(5), np.arange(-5, 5, dtype=float)),
+        (GroupGrid.line(0.5, 4.0), (np.arange(8, dtype=float) - 8 // 2) * 0.5),
+    ]
+    for g, want in cases:
+        pts = g.factors[0].points
+        assert np.array_equal(pts, want)
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
+        # a 1-d grid's coords are a read-only view of its points
+        assert g.coords.shape == (g.size, 1)
+        assert np.shares_memory(g.coords, pts) and not g.coords.flags.writeable

@@ -1,11 +1,14 @@
 """Operator construction: frozen kernels, exact identities, route agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import (
     PdoError,
+    _spectral_norm,
     convolution_operator,
     diagram_check,
     frequency_section,
@@ -239,3 +242,32 @@ def test_matrix_csv_round_trip(tmp_path):
     bad.write_text("a,b,c\n")
     with pytest.raises(PdoError):
         load_matrix_csv(bad)
+
+
+def test_matrix_csv_bytes_match_per_entry_format(tmp_path):
+    m = np.empty((3, 4), dtype=np.complex128)
+    m.real = [[-0.0, 1e-300, 1e16, np.nan], [np.inf, 3.0, -7.25e-5, 0.1], [1 / 3, -0.0, 1.5, 2.0]]
+    m.imag = [[0.0, -2.5, 0.1, 0.0], [-np.inf, 0.0, 1e300, 0.2], [-0.0, 5e-324, np.nan, -1e16]]
+    # the per-entry writer this format was defined by, as the oracle
+    lines = ["row,col,re,im\n"]
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            lines.append(f"{i},{j},{float(m[i, j].real)!r},{float(m[i, j].imag)!r}\n")
+    p = tmp_path / "op.csv"
+    save_matrix_csv(m, p)
+    assert p.read_bytes() == "".join(lines).encode()
+    finite = np.isfinite(m)
+    with np.errstate(invalid="ignore"):  # the loader forms re + 1j * im, so inf * 0 is NaN
+        back = load_matrix_csv(p)
+    assert np.array_equal(back[finite], m[finite])
+
+
+def test_spectral_norm_matches_svd():
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        assert _spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    rank1 = np.outer(rng.standard_normal(64), rng.standard_normal(64) + 1j)
+    assert _spectral_norm(rank1) == pytest.approx(np.linalg.norm(rank1, 2), rel=1e-12)
+    zero = _spectral_norm(np.zeros((8, 8), dtype=complex))
+    assert zero == 0.0 and not math.isnan(zero) and math.copysign(1.0, zero) == 1.0

@@ -67,6 +67,10 @@ PRODUCT = {
     "kind": "product",
     "factors": [{"kind": "finite_cyclic", "n": 4}, {"kind": "torus", "samples": 4}],
 }
+PRODUCT_CYCLIC = {  # finite: reaches the dense DFT matrix and a 2-d diagram residual
+    "kind": "product",
+    "factors": [{"kind": "finite_cyclic", "n": 8}, {"kind": "finite_cyclic", "n": 16}],
+}
 PSI_SPELLINGS = {
     "vo:sqrt": "vo:sqrt",
     "vo:sqrt-map": {"family": "vo:sqrt"},
@@ -125,6 +129,11 @@ CONFIGS.update({
     },
     "diagram-check/tolerances": {
         "task": "diagram-check", "group": PRODUCT, "symbol": "vo:sqrt",
+        "tolerances": {"diagram": 1e-9},
+    },
+    "fourier-selftest/product-cyclic": {"task": "fourier-selftest", "group": PRODUCT_CYCLIC},
+    "diagram-check/product-cyclic": {
+        "task": "diagram-check", "group": PRODUCT_CYCLIC, "symbol": "vo:sqrt",
         "tolerances": {"diagram": 1e-9},
     },
     "gohberg/tolerances+base": {
