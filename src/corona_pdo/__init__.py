@@ -74,7 +74,6 @@ from .spectral import (
     fredholm_check,
     gohberg_verify,
     sigma_min,
-    singular_values,
 )
 
 __all__ = [
@@ -118,7 +117,6 @@ __all__ = [
     "partial_fourier_2_inverse",
     "product_group",
     "sigma_min",
-    "singular_values",
     "tensor_symbol",
     "transform_matrix",
     "truncated_dual",

@@ -244,7 +244,9 @@ def load_matrix_bin(path) -> np.ndarray:
     if data.size != 2 * rows * cols:
         raise PdoError("operator matrix file is truncated")
     data = data.reshape(int(rows), int(cols), 2)
-    return (data[..., 0] + 1j * data[..., 1]).astype(np.complex128)
+    out = np.empty((int(rows), int(cols)), dtype=np.complex128)
+    out.real, out.imag = data[..., 0], data[..., 1]  # re + 1j * im turns inf * 0 into nan
+    return out
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
@@ -275,5 +277,6 @@ def load_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise PdoError("operator CSV is empty")
     out = np.zeros((max(rows) + 1, max(cols) + 1), dtype=np.complex128)
-    out[rows, cols] = np.array(re) + 1j * np.array(im)
+    out.real[rows, cols] = re
+    out.imag[rows, cols] = im
     return out

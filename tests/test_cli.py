@@ -487,6 +487,22 @@ def test_spectrum_probe_task(tmp_path):
     assert (out / "sigma_by_band.csv").exists()
 
 
+def test_non_finite_section_exits_one(tmp_path, capsys):
+    # finite config values whose Gram matrix overflows: an error, not a verdict
+    doc = {
+        "schema": 1,
+        "task": "spectrum-probe",
+        "symbol": {"family": "const", "value": 1e200},
+        "schedule": {"bands": [16, 32, 64]},
+        "lambdas": [0.0],
+    }
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 1
+    assert report is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("[error] section has non-finite entries")
+
+
 def test_fredholm_task_noncompact_group(tmp_path):
     doc = {
         "schema": 1,
@@ -635,7 +651,13 @@ def test_cesaro_preset_roof(tmp_path):
     assert lines[0] == "radius,mean,roof"
 
 
-def test_sepavar_preset_small_ladder(tmp_path):
+def test_sepavar_preset_small_ladder(tmp_path, monkeypatch):
+    import scipy.linalg
+
+    def no_tridiagonal_reduction(*args, **kwargs):
+        raise AssertionError("ladder singular values come from banded Cholesky bisection")
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", no_tridiagonal_reduction)
     doc = {
         "schema": 1,
         "task": "examples:sepavar",
@@ -687,7 +709,7 @@ def test_module_invocation_smoke():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported where it is called (ray polish, banded eigenvalues)
+    # scipy is imported where it is called (the banded Cholesky of the spectral tasks)
     proc = subprocess.run(
         [
             sys.executable,

@@ -18,7 +18,7 @@ from corona_pdo.spectral import (
     gohberg_verify,
     shell_indices,
     sigma_min,
-    singular_values,
+    sigma_top,
 )
 from corona_pdo.symbols import (
     DualClosure,
@@ -81,20 +81,23 @@ def _band(m, k=None):
     return band
 
 
-def test_singular_values_of_diagonal():
+def test_sigma_top_and_min_of_diagonal():
     d = np.array([3.0, -1.0, 0.5, 2.0])
-    s = singular_values(d[None, :])
-    assert np.allclose(s, [3.0, 2.0, 1.0, 0.5], atol=1e-14)
-    assert np.allclose(singular_values(np.ones((1, 8))), 1.0, atol=1e-15)
+    assert np.isclose(sigma_top(d[None, :]), 3.0, atol=1e-14)
+    assert np.isclose(sigma_min(d[None, :]), 0.5, atol=1e-14)
+    assert np.isclose(sigma_top(np.ones((1, 8))), 1.0, atol=1e-15)
+    assert np.isclose(sigma_min(np.ones((1, 8))), 1.0, atol=1e-15)
     # zero off-diagonals stored explicitly give the same values
-    assert np.allclose(singular_values(_band(np.diag(d))), s, atol=1e-14)
+    assert np.isclose(sigma_top(_band(np.diag(d))), 3.0, atol=1e-14)
+    assert np.isclose(sigma_min(_band(np.diag(d))), 0.5, atol=1e-14)
 
 
-def test_singular_values_dense_matches_iterative_and_eig_oracle():
+def test_sigma_top_and_min_match_dense_and_eig_oracle():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     dense = sla.svdvals(m)
-    assert np.allclose(singular_values(_band(m)), dense, atol=1e-9)
+    assert np.isclose(sigma_top(_band(m)), dense[0], atol=1e-9)
+    assert np.isclose(sigma_min(_band(m)), dense[-1], atol=1e-9)
     # brute-force oracle through the Gram spectrum
     gram = np.sort(np.sqrt(np.maximum(np.linalg.eigvalsh(m.conj().T @ m), 0.0)))[::-1]
     assert np.allclose(dense, gram, atol=1e-9)
@@ -103,7 +106,9 @@ def test_singular_values_dense_matches_iterative_and_eig_oracle():
     assert np.allclose(it, dense[:3], rtol=1e-8, atol=1e-10)
     # a genuinely banded matrix: tridiagonal Toeplitz
     t = np.diag(np.full(40, 2.0)) + np.diag(np.full(39, 1.0), 1) + np.diag(np.full(39, 0.5), -1)
-    assert np.allclose(singular_values(_band(t, 1)), sla.svdvals(t), atol=1e-12)
+    dense = sla.svdvals(t)
+    assert np.isclose(sigma_top(_band(t, 1)), dense[0], atol=1e-12)
+    assert np.isclose(sigma_min(_band(t, 1)), dense[-1], atol=1e-12)
 
 
 def test_sigma_min_banded_matches_dense():
@@ -126,6 +131,43 @@ def test_sigma_min_singular_matrix_reports_zero():
     assert sigma_min(_band(a)) < 1e-12
     # an exactly zero diagonal entry of a diagonal matrix is exact
     assert sigma_min(np.array([[2.0, 0.0, -1.0]])) == 0.0
+    assert sigma_min(np.zeros((3, 6))) == 0.0
+    assert sigma_top(np.zeros((3, 6))) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
+def test_non_finite_section_raises(bad):
+    band = _band(np.diag(np.full(6, 2.0)) + np.diag(np.ones(5), 1), 1)
+    band[1, 3] = bad
+    with pytest.raises(SpectralError):
+        sigma_min(band)
+    with pytest.raises(SpectralError):
+        sigma_min(band, lam=0.5j)
+    with pytest.raises(SpectralError):
+        sigma_top(band)
+    # a finite section whose Gram matrix overflows is no better
+    with pytest.raises(SpectralError):
+        sigma_top(np.full((1, 4), 1e200))
+
+
+def test_each_value_costs_at_most_64_factorisations(monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    calls = []
+    zpbtrf = lapack.zpbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return zpbtrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zpbtrf", counted)
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
+    band = _band(np.triu(np.tril(m, 4), -4), 4)
+    for value in (lambda: sigma_top(band), lambda: sigma_min(band), lambda: sigma_min(band, 1 - 2j)):
+        calls.clear()
+        value()
+        assert 0 < len(calls) <= 64
 
 
 PSIS = [
@@ -173,9 +215,7 @@ def test_banded_route_matches_dense_oracle():
             n = sect.shape[0]
             s = sla.svdvals(sect)
             assert abs(est.sigma_top[j] - s[0]) <= 1e-9 * f.sup_bound
-            banded = singular_values(frequency_section(fb, shell, banded=True))
-            for i in (n // 2, 3 * n // 4, 9 * n // 10):
-                assert _gram_close(banded[i], s, i)
+            assert _gram_close(sigma_top(frequency_section(fb, shell, banded=True)), s, 0)
             for row, z in zip(probe.sigma_min_table, probe.lambdas):
                 shifted = sla.svdvals(sect - z * np.eye(n))
                 assert _gram_close(row[j], shifted, -1)
@@ -200,7 +240,9 @@ def test_sigma_min_clustered_spectrum_matches_dense_reference():
 
 def test_band_storage_must_be_odd():
     with pytest.raises(SpectralError):
-        singular_values(np.ones((2, 5)))
+        sigma_top(np.ones((2, 5)))
+    with pytest.raises(SpectralError):
+        sigma_min(np.ones((2, 5)))
 
 
 def test_constant_multiplier_estimates_its_modulus_exactly():

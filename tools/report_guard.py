@@ -170,6 +170,10 @@ CONFIGS.update({
         "task": "gohberg", "symbol": TWO_TERM, **LADDER, "base": {"kind": "ethick"},
     },
     "fredholm/two-term": {"task": "fredholm", "symbol": TWO_TERM, **LADDER},
+    # a Gram bandwidth of 10: real, complex and outside-the-spectrum lambdas
+    "spectrum-probe/two-term": {
+        "task": "spectrum-probe", "symbol": TWO_TERM, **LADDER, "lambdas": [1.5, "0.5+0.2j", 6.0],
+    },
 })
 ASYM_CASES = {
     "base=standard": {"psi": "vo:sqrt", "base": {"kind": "standard"}},
