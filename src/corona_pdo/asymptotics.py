@@ -271,18 +271,6 @@ class AsymptoticFit:
     residual: float
     rel_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "scales": list(self.scales),
-            "per_scale": [float(v) for v in self.per_scale],
-            "value": self.value,
-            "slope": self.slope,
-            "residual": self.residual,
-            "rel_residual": self.rel_residual,
-        }
-
 
 def _polish_span(n: int, dim: int, span: float) -> float:
     # geometric bracket covering a few sample gaps along a ray
@@ -356,7 +344,6 @@ def limsup_along(
     phi,
     base: FilterBase,
     schedule: SamplingSchedule | None = None,
-    label: str = "limsup",
 ) -> AsymptoticFit:
     """Extrapolated limsup of the real functional phi along the filter base.
 
@@ -368,13 +355,13 @@ def limsup_along(
         _extremum(phi, pts, np.real(np.asarray(phi(pts))), True, base, sched)
         for pts in _samples(base, sched)
     ]
-    return _sup_fit(label, sched.scales, np.array(sups))
+    return _sup_fit("limsup", sched.scales, np.array(sups))
 
 
-def liminf_along(phi, base, schedule=None, label="liminf"):
-    neg = limsup_along(lambda p: -np.real(np.asarray(phi(p))), base, schedule, label)
+def liminf_along(phi, base, schedule=None):
+    neg = limsup_along(lambda p: -np.real(np.asarray(phi(p))), base, schedule)
     return AsymptoticFit(
-        label, "inf", neg.scales, -neg.per_scale, -neg.value, -neg.slope,
+        "liminf", "inf", neg.scales, -neg.per_scale, -neg.value, -neg.slope,
         neg.residual, neg.rel_residual,
     )
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import json
 import math
@@ -56,6 +57,7 @@ from .spectral import (
     gohberg_verify,
 )
 from .symbols import (
+    VO_RADII,
     DualClosure,
     SymbolError,
     TensorSymbol,
@@ -76,8 +78,8 @@ from .symbols import (
     shifted_wave,
     sqrt_wave,
     syndetic_thickening_filter_data,
-    tensor_symbol,
     vanishing_oscillation_test,
+    vo_shifts,
 )
 
 
@@ -400,6 +402,16 @@ def _cell(c):
     return c
 
 
+def _report_value(obj):
+    """JSON for what the report holds besides JSON types: a result record as its
+    fields, a numpy array or scalar as Python values.  Anything else is an error."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"report.json cannot hold a {type(obj).__name__}")
+
+
 def _flags(warnings=(), violation=False, unreliable=False) -> dict:
     return {
         "violation": bool(violation),
@@ -496,9 +508,9 @@ def _task_diagram_check(cfg: ExperimentConfig):
     return results, flags, {}
 
 
-def _spectral_inputs(cfg: ExperimentConfig, symbol=None):
+def _spectral_inputs(cfg: ExperimentConfig):
     sched = cfg.truncation_schedule()
-    f = symbol if symbol is not None else symbol_from_config(cfg.symbol, *cfg.grids())
+    f = symbol_from_config(cfg.symbol, *cfg.grids())
     base = base_from_config(cfg.base, f.xigrid.ndim)
     return f, sched, base
 
@@ -507,8 +519,8 @@ def _schedule_block(sched: TruncationSchedule) -> dict:
     return {"bands": list(sched.bands), "oversampling": sched.oversampling}
 
 
-def _task_gohberg(cfg: ExperimentConfig, symbol=None):
-    f, sched, base = _spectral_inputs(cfg, symbol)
+def _task_gohberg(cfg: ExperimentConfig):
+    f, sched, base = _spectral_inputs(cfg)
     asym = cfg.sampling_schedule()
     est = essential_norm_estimate(f, sched)
     rep = gohberg_verify(
@@ -533,7 +545,7 @@ def _task_gohberg(cfg: ExperimentConfig, symbol=None):
             },
             "flag": "ok" if est.reliable else "unreliable",
         },
-        "gohberg": rep.as_dict(),
+        "gohberg": rep,
     }
     warnings = list(rep.notes)
     if rep.unreliable:
@@ -547,14 +559,9 @@ def _task_gohberg(cfg: ExperimentConfig, symbol=None):
     return results, flags, {"sigma_by_band.csv": (["band", "shell_dim", "sigma_top"], rows)}
 
 
-def _task_spectrum_probe(cfg: ExperimentConfig, symbol=None, lambdas=None):
-    f, sched, _ = _spectral_inputs(cfg, symbol)
-    probe = essential_spectrum_probe(
-        f,
-        cfg.lambdas if lambdas is None else lambdas,
-        sched,
-        **cfg.tols("support_tol"),
-    )
+def _task_spectrum_probe(cfg: ExperimentConfig):
+    f, sched, _ = _spectral_inputs(cfg)
+    probe = essential_spectrum_probe(f, cfg.lambdas, sched, **cfg.tols("support_tol"))
     weyl = [
         {"lambda": lam.real if lam.imag == 0 else str(lam), "traj": list(traj), "verdict": v}
         for lam, traj, v in zip(probe.lambdas, probe.sigma_min_table, probe.verdicts)
@@ -573,8 +580,8 @@ def _task_spectrum_probe(cfg: ExperimentConfig, symbol=None, lambdas=None):
     return results, _flags(), {"sigma_by_band.csv": (["lambda", "band", "sigma_min"], rows)}
 
 
-def _task_fredholm(cfg: ExperimentConfig, symbol=None):
-    f, sched, base = _spectral_inputs(cfg, symbol)
+def _task_fredholm(cfg: ExperimentConfig):
+    f, sched, base = _spectral_inputs(cfg)
     res = fredholm_check(
         f,
         base,
@@ -608,15 +615,15 @@ def _task_asymptotics(cfg: ExperimentConfig):
     results = {
         "psi": psi.name,
         "base": base.label,
-        "limsup": hi.as_dict(),
-        "liminf": lo.as_dict(),
+        "limsup": hi,
+        "liminf": lo,
     }
     if cfg.vo is not None:
-        shifts = cfg.vo.get("shifts", np.eye(cfg.dim)[:1] * [[0.5], [1.0], [2.0]])
+        shifts = cfg.vo.get("shifts", vo_shifts(cfg.dim))
         if any(len(z) != cfg.dim for z in shifts):
             raise CliError(f"vo.shifts must be {cfg.dim}-d points, like the dual")
-        radii = cfg.vo.get("radii", np.logspace(2, 6, 9))
-        results["vo"] = vanishing_oscillation_test(psi, shifts, radii, seed=cfg.seed).as_dict()
+        radii = cfg.vo.get("radii", VO_RADII)
+        results["vo"] = vanishing_oscillation_test(psi, shifts, radii, seed=cfg.seed)
     header, rows = _fit_csv_rows({"limsup": hi, "liminf": lo})
     print(f"[run] asymptotics: limsup {hi.value:.6g}, liminf {lo.value:.6g} along {base.label}")
     return results, _flags(), {"sups_by_scale.csv": (header, rows)}
@@ -638,15 +645,13 @@ def _example_stoskan(cfg: ExperimentConfig):
     plus_base = ThickenedComplementBase(syndetic_thickening_filter_data(halfline_set(0.0)))
     one_sided = limsup_along(mod, plus_base, asym)
     # slow wave sin(sqrt|xi|): the beta' -> 0 membership certificate
-    prof = vanishing_oscillation_test(
-        sqrt_wave(), [[0.5], [1.0], [2.0]], np.logspace(2, 6, 9), seed=cfg.seed
-    )
+    prof = vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII, seed=cfg.seed)
     results = {
         "preset": "stoskan",
         "function": phi.name,
-        "standard_limsup": std.as_dict(),
-        "onesided_limsup": one_sided.as_dict(),
-        "slow_wave_oscillation": prof.as_dict(),
+        "standard_limsup": std,
+        "onesided_limsup": one_sided,
+        "slow_wave_oscillation": prof,
     }
     header, rows = _fit_csv_rows({"standard": std, "onesided": one_sided})
     print(
@@ -677,10 +682,10 @@ def _example_rradial(cfg: ExperimentConfig):
     results = {
         "preset": "rradial",
         "function": psi.name,
-        "directional_limsup": along.as_dict(),
-        "standard_limsup": std.as_dict(),
-        "orthogonal_limsup": ortho.as_dict(),
-        "cone_flattening_limsup": flat.as_dict(),
+        "directional_limsup": along,
+        "standard_limsup": std,
+        "orthogonal_limsup": ortho,
+        "cone_flattening_limsup": flat,
     }
     header, rows = _fit_csv_rows(
         {"directional": along, "standard": std, "orthogonal": ortho, "flattening": flat}
@@ -714,7 +719,7 @@ def _example_pescado(cfg: ExperimentConfig):
         "preset": "pescado",
         "set": E.label,
         "function": "exp(-dist(xi, E))",
-        "complement_limsup": off_set.as_dict(),
+        "complement_limsup": off_set,
         "on_set_sup": on_set_sup,
         "normal_offset_sups": offsets,
         "note": (
@@ -753,7 +758,7 @@ def _example_cesaro(cfg: ExperimentConfig):
         "preset": "cesaro",
         "set": "union of [2^k, 2^k+k]",
         "band": band,
-        "means": res.as_dict(),
+        "means": res,
         "roof": "2*(log2 n)^2/n for n >= 64",
         "roof_respected": bool(bound_ok),
     }
@@ -771,12 +776,17 @@ def _example_cesaro(cfg: ExperimentConfig):
 
 def _example_sepavar(cfg: ExperimentConfig):
     """separated-variables flagship: full ladder, distance identity, spectrum probe, Fredholm"""
-    sched = cfg.truncation_schedule()
-    f = tensor_symbol(cos_profile(2.0, 1.0), sqrt_wave(), *sched.grids(sched.bands[0]))
-    lambdas = cfg.lambdas or (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
-    goh, goh_flags, goh_files = _task_gohberg(cfg, f)
-    probe, probe_flags, probe_files = _task_spectrum_probe(cfg, f, lambdas)
-    fred, fred_flags, _ = _task_fredholm(cfg, f)
+    # the three tasks on a copy of cfg: the flagship symbol on the schedule's grids
+    gamma = {"profile": "cos-offset", "offset": 2.0, "amplitude": 1.0}
+    flagship = ExperimentConfig(**{
+        **vars(cfg),
+        "group": None,
+        "symbol": {"family": "tensor", "gamma": gamma, "psi": "vo:sqrt"},
+        "lambdas": cfg.lambdas or [-3.0, -1.5, 0.0, 1.5, 3.0, 4.0],
+    })
+    goh, goh_flags, goh_files = _task_gohberg(flagship)
+    probe, probe_flags, probe_files = _task_spectrum_probe(flagship)
+    fred, fred_flags, _ = _task_fredholm(flagship)
     results = {
         "preset": "sepavar",
         "symbol_id": goh["symbol_id"],
@@ -851,7 +861,8 @@ def _run(cfg: ExperimentConfig) -> int:
         "flags": flags,
     }
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(report, sort_keys=True, indent=2, default=_report_value)
+    report_path.write_text(text + "\n")
     print(f"[write] {report_path}")
     for w in flags["warnings"]:
         print(f"[warn] {w}", file=sys.stderr)

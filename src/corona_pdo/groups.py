@@ -31,7 +31,6 @@ import math
 import numpy as np
 
 COMPACT_KINDS = ("finite_cyclic", "torus")
-FACTOR_KINDS = ("finite_cyclic", "torus", "truncated_integers", "line")
 
 
 class GridError(ValueError):

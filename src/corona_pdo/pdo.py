@@ -17,11 +17,11 @@ operator (the Haar weights swap between the two pictures and cancel), which
 is what makes frequency-side truncation analysis legitimate for sampled
 symbols.
 
-Operator matrices are dense and size-capped: this is a desk-scale
-verification tool, not a solver.  Frequency sections of tensor symbols on a
-1-d grid also come in LAPACK band storage: S = T(gamma^) diag(psi) is a
-Toeplitz-times-diagonal matrix whose bandwidth is the largest Fourier mode of
-gamma, so the truncation ladders never form the n x n array.
+Operator matrices and unbanded sections are dense, at most DENSE_CAP a side:
+this is a desk-scale verification tool, not a solver.  Frequency sections of
+tensor symbols on a 1-d grid also come in LAPACK band storage: S = T(gamma^)
+diag(psi) is a Toeplitz-times-diagonal matrix whose bandwidth is the largest
+Fourier mode of gamma, so the truncation ladders never form the n x n array.
 """
 
 from __future__ import annotations
@@ -49,18 +49,15 @@ class PdoError(ValueError):
     """Raised for unbuildable operators (size, grid kind, misuse)."""
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n > cap:
-        raise PdoError(
-            f"{what} needs a dense {n} x {n} array; cap is {cap} "
-            "(pass a larger cap explicitly if the memory is really there)"
-        )
+def _check_cap(n: int, what: str) -> None:
+    if n > DENSE_CAP:
+        raise PdoError(f"{what} needs a dense {n} x {n} array; the cap is {DENSE_CAP}")
 
 
-def op_matrix(symbol: Symbol, cap: int = DENSE_CAP) -> np.ndarray:
+def op_matrix(symbol: Symbol) -> np.ndarray:
     """Dense matrix of Op(f) on l2 of the x grid (kernel route)."""
     xg = symbol.xgrid
-    _check_cap(xg.size, cap, "op_matrix")
+    _check_cap(xg.size, "op_matrix")
     kern = partial_fourier_2_inverse(symbol.table(), out_grid=xg)
     rows = np.arange(xg.size)
     sub = xg.sub_indices(rows[:, None], rows[None, :])  # x y^{-1}
@@ -87,12 +84,7 @@ def _embed_dual_indices(xigrid: GroupGrid, omega: GroupGrid) -> np.ndarray:
     )
 
 
-def frequency_section(
-    symbol: Symbol,
-    indices=None,
-    cap: int = 6000,
-    banded: bool = False,
-) -> np.ndarray:
+def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.ndarray:
     """Square frequency-side section S[a, b] = w^ * (F1 f)(xi_a - eta_b, eta_b).
 
     ``indices`` picks the rows/columns (defaults to the whole dual grid); the
@@ -102,7 +94,7 @@ def frequency_section(
 
     ``banded=True`` (tensor symbols on a 1-d grid) returns the section in
     LAPACK general band storage ``ab[K + a - b, b] = S[a, b]``, shape
-    (2K + 1, n), without the ``cap``.  K is the smallest bandwidth with
+    (2K + 1, n), without the dense cap.  K is the smallest bandwidth with
     w^ * sum_i sup|psi_i| * (gamma_i^ mass beyond mode K) <= BAND_TOL *
     sup_bound.  That sum bounds every row and column sum of the dropped
     entries, hence their norm, so by Weyl's inequality no singular value
@@ -120,7 +112,7 @@ def frequency_section(
         if terms is None or omega.ndim != 1:
             raise PdoError("band storage needs a tensor symbol on a 1-d grid")
         return _band_section(symbol, xig.coords[indices], embed, omega) * what
-    _check_cap(len(indices), cap, "frequency_section")
+    _check_cap(len(indices), "frequency_section")
     sub = omega.sub_indices(embed[:, None], embed[None, :])
     if terms is not None:
         S = np.zeros((len(indices), len(indices)), dtype=complex)
@@ -172,7 +164,7 @@ def diagram_check(symbol: Symbol) -> float:
     if not xg.is_finite_kind:
         raise PdoError("diagram check compares full transforms: finite cyclic only")
     M = op_matrix(symbol)
-    S = frequency_section(symbol, cap=DENSE_CAP)
+    S = frequency_section(symbol)
     F = transform_matrix(xg, symbol.xigrid)
     Fi = inverse_transform_matrix(xg, symbol.xigrid)
     num = _spectral_norm(Fi @ S @ F - M)

@@ -39,7 +39,7 @@ from .asymptotics import (
 )
 from .groups import GroupGrid, truncated_dual
 from .pdo import frequency_section
-from .symbols import Symbol, vanishing_oscillation_test
+from .symbols import VO_RADII, Symbol, vanishing_oscillation_test, vo_shifts
 
 
 class SpectralError(ValueError):
@@ -335,21 +335,6 @@ class GohbergReport:
     violation: bool
     notes: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "rhs": self.rhs,
-            "minform": self.minform,
-            "ratio": self.ratio,
-            "ratio_band": list(self.ratio_band),
-            "ratio_in_band": self.ratio_in_band,
-            "lower_bound_ok": self.lower_bound_ok,
-            "vo_verdicts": list(self.vo_verdicts),
-            "unreliable": self.unreliable,
-            "violation": self.violation,
-            "notes": list(self.notes),
-        }
-
 
 def gohberg_verify(
     symbol: Symbol,
@@ -382,11 +367,7 @@ def gohberg_verify(
 
     vo_verdicts = []
     for _, psi in symbol.tensor_terms or ():
-        prof = vanishing_oscillation_test(
-            psi,
-            shifts=np.eye(symbol.xigrid.ndim)[0][None, :] * np.array([[0.5], [1.0], [2.0]]),
-            radii=np.logspace(2, 6, 9),
-        )
+        prof = vanishing_oscillation_test(psi, vo_shifts(symbol.xigrid.ndim), VO_RADII)
         vo_verdicts.append(prof.verdict)
         if prof.verdict == "FAIL":
             unreliable = True

@@ -148,7 +148,6 @@ def cos_profile(offset: float = 2.0, amplitude: float = 1.0, frequency: int = 1)
         x = _pts2d(coords)[:, 0]
         return (offset + amplitude * np.cos(2 * np.pi * frequency * x)).astype(complex)
 
-    fun.sup_bound = abs(offset) + abs(amplitude)
     return fun
 
 
@@ -156,7 +155,6 @@ def const_profile(value: complex = 1.0):
     def fun(coords):
         return np.full(len(_pts2d(coords)), complex(value))
 
-    fun.sup_bound = abs(value)
     return fun
 
 
@@ -172,7 +170,6 @@ class Symbol:
         self.xigrid = xigrid
         self._table = None
 
-    has_closure = False
     tensor_terms = None
 
     @property
@@ -213,8 +210,6 @@ class TensorSymbol(Symbol):
                     raise SymbolError("gamma values do not match the x grid")
                 gfun = None
             self.terms.append((gfun, gvals, psi))
-
-    has_closure = True
 
     @property
     def tensor_terms(self):
@@ -273,10 +268,6 @@ class TableSymbol(Symbol):
             raise SymbolError("closure must map (x_indices, xi_points) to values")
 
     @property
-    def has_closure(self):
-        return self.closure is not None
-
-    @property
     def sup_bound(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -319,34 +310,25 @@ class OscillationProfile:
     tol: float
     verdict: str  # "PASS" | "FAIL"
 
-    def as_dict(self) -> dict:
-        return {
-            "shifts": self.shifts.tolist(),
-            "radii": self.radii.tolist(),
-            "osc": self.osc.tolist(),
-            "tol": self.tol,
-            "verdict": self.verdict,
-        }
-
 
 # Acceptance-level default: sin(|xi|^0.75) must PASS at R_max = 1e6, and its
 # true osc(1, 1e6) is 0.75e6^(-1/4) ~ 2.4e-2, so the gate sits above that.
 OSCILLATION_TOL = 3e-2
+# the default probe: radii 1e2..1e6 and, from vo_shifts, shifts 0.5, 1, 2 on the first axis
+VO_RADII = np.logspace(2, 6, 9)
+
+
+def vo_shifts(dim: int) -> np.ndarray:
+    return np.eye(dim)[:1] * [[0.5], [1.0], [2.0]]
 
 
 def vanishing_oscillation_test(
-    psi: DualClosure,
-    shifts,
-    radii,
-    tol: float = OSCILLATION_TOL,
-    samples: int = 20000,
-    seed: int = 0,
-    band: float | None = None,
-    span: float = 10.0,
+    psi: DualClosure, shifts, radii, seed: int = 0
 ) -> OscillationProfile:
     """Estimate osc(shift, R) by dense tail sampling and return a verdict.
 
-    PASS means every tested shift has sampled oscillation <= tol at the
+    The tail |xi| in [radii[0], 10 radii[-1]] gets 20000 samples.  PASS means
+    every tested shift has sampled oscillation <= OSCILLATION_TOL at the
     largest radius.  The sampled sup is a lower bound for the true sup, so
     PASS is advisory while FAIL is hard evidence.
     """
@@ -354,13 +336,8 @@ def vanishing_oscillation_test(
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii[0] <= 0:
         raise SymbolError("radii must be positive")
-    if band is not None and radii[-1] < band:
-        raise SymbolError(
-            f"largest radius {radii[-1]} is below the grid band {band}; "
-            "the tail is not being probed"
-        )
     dim = shifts.shape[1]
-    pts = annulus(radii[0], radii[-1] * span, dim, samples, seed)
+    pts = annulus(radii[0], radii[-1] * 10.0, dim, 20000, seed)
     r = np.linalg.norm(pts, axis=1)
     order = np.argsort(r)
     pts, r = pts[order], r[order]
@@ -371,8 +348,8 @@ def vanishing_oscillation_test(
         suffix = np.maximum.accumulate(diff[::-1])[::-1]
         idx = np.searchsorted(r, radii, side="left")
         osc[i] = [suffix[k] if k < len(suffix) else 0.0 for k in idx]
-    verdict = "PASS" if np.all(osc[:, -1] <= tol) else "FAIL"
-    return OscillationProfile(shifts, radii, osc, tol, verdict)
+    verdict = "PASS" if np.all(osc[:, -1] <= OSCILLATION_TOL) else "FAIL"
+    return OscillationProfile(shifts, radii, osc, OSCILLATION_TOL, verdict)
 
 
 # -- Cesaro means -----------------------------------------------------------------
@@ -415,15 +392,6 @@ class CesaroResult:
     measures: np.ndarray
     verdict: bool  # True = means tend to zero (tail-slope test)
     tail_slope: float
-
-    def as_dict(self):
-        return {
-            "labels": self.labels,
-            "means": self.means.tolist(),
-            "measures": self.measures.tolist(),
-            "verdict": bool(self.verdict),
-            "tail_slope": self.tail_slope,
-        }
 
 
 def cesaro_mean(psi, exhaustion: CompactExhaustion) -> CesaroResult:
@@ -544,21 +512,29 @@ def load_symbol_csv(path, xgrid: GroupGrid, xigrid: GroupGrid) -> TableSymbol:
     vals = np.zeros((xgrid.size, xigrid.size), dtype=complex)
     seen = np.zeros(vals.shape, dtype=bool)
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", errors="replace")  # a bad byte fails to parse on its line
     except OSError as e:
         raise SymbolError(f"cannot read symbol CSV {path!r}: {e.strerror}") from e
     with fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])  # an empty file has no header line
         if [h.strip() for h in header[:4]] != ["x_index", "xi_index", "re", "im"]:
-            raise SymbolError("symbol CSV must have header x_index,xi_index,re,im")
+            raise SymbolError(f"symbol CSV {path!r} must have header x_index,xi_index,re,im")
         for row in rd:
             if not row:
                 continue
-            i, k = int(row[0]), int(row[1])
+            try:
+                i, k, real, imag = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+            except (ValueError, IndexError):
+                raise SymbolError(
+                    f"symbol CSV {path!r} line {rd.line_num}: expected x_index,xi_index,re,im, "
+                    f"got {row}"
+                ) from None
             if not (0 <= i < xgrid.size and 0 <= k < xigrid.size):
-                raise SymbolError(f"symbol CSV index ({i},{k}) outside the grid pair")
-            vals[i, k] = float(row[2]) + 1j * float(row[3])
+                raise SymbolError(
+                    f"symbol CSV {path!r} line {rd.line_num}: index ({i},{k}) outside the grid pair"
+                )
+            vals[i, k] = real + 1j * imag
             seen[i, k] = True
     if not seen.all():
         raise SymbolError("symbol CSV does not cover the full grid pair")

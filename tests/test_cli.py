@@ -1,5 +1,6 @@
 """End-to-end runner checks: configs in, reports/CSVs/exit codes out."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,11 +9,12 @@ import numpy as np
 import pytest
 
 import corona_pdo
-from corona_pdo.asymptotics import AsymptoticsError
+from corona_pdo.asymptotics import AsymptoticsError, SamplingSchedule, StandardBase, limsup_along
 from corona_pdo.cli import (
     _CONFIG_ERRORS,
     CliError,
     ExperimentConfig,
+    _report_value,
     base_from_config,
     main,
     psi_from_config,
@@ -20,7 +22,19 @@ from corona_pdo.cli import (
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import load_matrix_bin, op_matrix
-from corona_pdo.symbols import SymbolError, cos_profile, sqrt_wave, tensor_symbol
+from corona_pdo.spectral import GohbergReport, TruncationSchedule, gohberg_verify
+from corona_pdo.symbols import (
+    VO_RADII,
+    SymbolError,
+    ball_exhaustion,
+    cesaro_mean,
+    cos_profile,
+    dyadic_indicator,
+    sqrt_wave,
+    tensor_symbol,
+    vanishing_oscillation_test,
+    vo_shifts,
+)
 
 FLAGSHIP = {
     "family": "tensor",
@@ -273,7 +287,7 @@ def test_symbol_from_config_families():
     direct = tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, xig)
     assert np.allclose(f.table().values, direct.table().values)
     m = symbol_from_config("vo:pow:0.75", xg, xig)
-    assert m.has_closure and m.tensor_terms is not None
+    assert m.tensor_terms is not None
     c = symbol_from_config({"family": "const", "value": 3.0}, xg, xig)
     assert np.allclose(c.table().values, 3.0)
     with pytest.raises(SymbolError):
@@ -503,6 +517,34 @@ def test_non_finite_section_exits_one(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("[error] section has non-finite entries")
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        pytest.param("x_index,xi_index,re,im\n0,0,abc,0\n", "line 2", id="not-a-number"),
+        pytest.param("x_index,xi_index,re,im\n0,0,,0\n", "line 2", id="empty-cell"),
+        pytest.param("x_index,xi_index,re,im\n0,0,1.0\n", "line 2", id="short-row"),
+        pytest.param("x_index,xi_index,re,im\n0,0,1.\udcff,0\n", "line 2", id="not-utf8"),
+        pytest.param("", "must have header", id="empty-file"),
+    ],
+)
+def test_malformed_symbol_csv_exits_one(tmp_path, capsys, text, where):
+    path = tmp_path / "symbol.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    doc = {
+        "schema": 1,
+        "task": "build-op",
+        "group": {"kind": "finite_cyclic", "n": 2},
+        "symbol": {"family": "csv", "path": str(path)},
+    }
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 1
+    assert report is None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"[error] symbol CSV {str(path)!r}") and where in err
+
+
 def test_fredholm_task_noncompact_group(tmp_path):
     doc = {
         "schema": 1,
@@ -691,6 +733,26 @@ def test_sepavar_preset_small_ladder(tmp_path, monkeypatch):
     assert res["fredholm"] == fred["fredholm"]
     assert (out / "sigma_by_band.csv").read_bytes() == (goh_out / "sigma_by_band.csv").read_bytes()
     assert (out / "weyl_by_band.csv").read_bytes() == (probe_out / "sigma_by_band.csv").read_bytes()
+
+
+def test_report_writes_each_record_type_field_by_field():
+    # the four result records a report holds, through the one report.json encoder
+    sched, asym = TruncationSchedule(bands=(16, 32, 64)), SamplingSchedule(points_per_scale=500)
+    records = [
+        limsup_along(lambda p: np.abs(sqrt_wave()(p)), StandardBase(1), asym),
+        vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII),
+        cesaro_mean(dyadic_indicator(), ball_exhaustion(GroupGrid.truncated_integers(64), [16, 64])),
+        gohberg_verify(symbol_from_config("vo:sqrt", *sched.grids(16)), None, sched, asym),
+    ]
+    for record in records:
+        text = json.dumps(record, sort_keys=True, default=_report_value)
+        doc = json.loads(text)
+        assert set(doc) == {field.name for field in dataclasses.fields(record)}
+        assert json.dumps(doc, sort_keys=True) == text  # plain JSON values, nothing lost
+    assert doc["ratio_band"] == [0.85, 1.15] and doc["notes"] == list(records[-1].notes)
+    for unknown in (object(), 1j, GohbergReport):
+        with pytest.raises(TypeError):
+            json.dumps({"x": unknown}, default=_report_value)
 
 
 def test_package_exports_resolve():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from corona_pdo import pdo
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import (
     PdoError,
@@ -207,13 +208,14 @@ def test_banded_section_matches_dense():
 # -- guards, file formats -----------------------------------------------------------
 
 
-def test_dense_caps_raise():
+def test_dense_caps_raise(monkeypatch):
     xg, xig = _cyclic_pair(8)
     f = constant_symbol(1.0, xg, xig)
+    monkeypatch.setattr(pdo, "DENSE_CAP", 4)
     with pytest.raises(PdoError):
-        op_matrix(f, cap=4)
+        op_matrix(f)
     with pytest.raises(PdoError):
-        frequency_section(f, cap=4)
+        frequency_section(f)
 
 
 def test_matrix_binary_round_trip(tmp_path):

@@ -379,14 +379,6 @@ def test_gohberg_non_vanishing_oscillation_flags_unreliable():
     assert not rep.violation
 
 
-def test_result_dicts_are_json_shaped():
-    sched = TruncationSchedule(bands=(16, 32, 64))
-    f = _multiplier(shifted_wave(2.0), sched)
-    import json
-
-    json.dumps(gohberg_verify(f, schedule=sched, asym_schedule=ASYM).as_dict())
-
-
 def test_gohberg_verify_evaluates_each_sampled_pair_about_once():
     # the rhs and the min-form lower bound share one sampling pass over |f|
     sched = TruncationSchedule(bands=(16, 32, 64))

@@ -159,6 +159,10 @@ CONFIGS.update({
             "floor_tol": 0.02, "margin_factor": 0.4,
         },
     },
+    "examples:sepavar/ignored-keys": {  # the preset runs its own symbol on the schedule's grids
+        "task": "examples:sepavar", **LADDER, "symbol": {"family": "const", "value": 2},
+        "group": CYCLIC,
+    },
     "examples:pescado/scales": {
         "task": "examples:pescado",
         "asym": {"scales": [100, 200], "points_per_scale": 300, "span": 4},
