@@ -437,6 +437,8 @@ def _fit_csv_rows(fits: dict) -> tuple:
 
 def _task_fourier_selftest(cfg: ExperimentConfig):
     xg, xig = cfg.grids()
+    if xig != xg.dual():  # the drawn data is not band-limited: Plancherel cannot hold
+        raise CliError(f"fourier-selftest needs the full dual; band {cfg.band} truncates it")
     rng = np.random.default_rng(cfg.seed)
     values = np.empty(xg.size, dtype=complex)
     values.real = rng.standard_normal(xg.size)
@@ -523,14 +525,7 @@ def _task_gohberg(cfg: ExperimentConfig):
     f, sched, base = _spectral_inputs(cfg)
     asym = cfg.sampling_schedule()
     est = essential_norm_estimate(f, sched)
-    rep = gohberg_verify(
-        f,
-        base,
-        sched,
-        asym,
-        est_result=est,
-        **cfg.tols("ratio_band", "zero_tol"),
-    )
+    rep = gohberg_verify(f, est, base, asym, **cfg.tols("ratio_band", "zero_tol"))
     results = {
         "symbol_id": _symbol_id(f),
         "schedule": _schedule_block(sched),

@@ -10,10 +10,12 @@ with <x, xi> = exp(2*pi*i*x.xi) and the correlated Haar weights chosen in
 :mod:`corona_pdo.groups`, so that F is unitary (Plancherel) whenever the
 dual carries the full band, and exact on band-limited data otherwise.
 
-Every transform has two routes: an FFT route (used by default; exact, not
-an approximation, since the pairings are discrete characters) and a dense
-DFT-matrix route used as an independent cross-check and for small exact
-work.  The two agree to 1e-12 by property test.
+The transforms take one FFT route for every factor (exact, not an
+approximation, since the pairings are discrete characters).  The dense
+matrices ``transform_matrix`` and ``inverse_transform_matrix`` are built
+from float coordinates instead of labels: they are the independent oracle
+for that route and serve small exact work.  The two agree to 1e-12 by
+property test.
 """
 
 from __future__ import annotations
@@ -25,12 +27,6 @@ import numpy as np
 from .groups import GridError, GridFunction, GroupGrid, assert_dual_pair
 
 
-def _along(vec, axis, ndim):
-    shape = [1] * ndim
-    shape[axis] = len(vec)
-    return vec.reshape(shape)
-
-
 def _scatter(vals, bins, n, axis):
     out_shape = list(vals.shape)
     out_shape[axis] = n
@@ -40,88 +36,50 @@ def _scatter(vals, bins, n, axis):
     return out
 
 
-def _axis_forward(vals, fac, out_fac, axis):
-    """Analysis along one factor: primal factor ``fac`` -> dual ``out_fac``."""
-    vals = np.asarray(vals, dtype=complex)
-    if fac.kind == "finite_cyclic":
-        out = np.fft.fft(vals, axis=axis)
-        out *= fac.weight
-        return out
-    if fac.kind == "torus":
-        full = np.fft.fft(vals, axis=axis) * fac.weight
-        bins = out_fac.points.astype(int) % fac.n
-        return np.take(full, bins, axis=axis)
-    if fac.kind == "truncated_integers":
-        bins = fac.points.astype(int) % fac.n
-        emb = _scatter(vals, bins, fac.n, axis)
-        return fac.weight * np.fft.fft(emb, axis=axis)
-    if fac.kind == "line":
-        n, j0, k0 = fac.n, fac.n // 2, out_fac.n // 2
-        full = np.fft.fft(vals, axis=axis)
-        gather = (np.arange(n) - k0) % n
-        out = np.take(full, gather, axis=axis)
-        phase = fac.weight * np.exp(2j * np.pi * j0 * (np.arange(n) - k0) / n)
-        return out * _along(phase, axis, out.ndim)
-    raise GridError(f"cannot transform factor kind {fac.kind!r}")
+def _axis(vals, fac, out_fac, axis, forward):
+    """Analysis (``forward``) or synthesis along one factor, ``fac`` -> ``out_fac``.
 
-
-def _axis_inverse(vals, fac, out_fac, axis):
-    """Synthesis along one factor: dual factor ``fac`` -> primal ``out_fac``.
-
-    ``out_fac`` may be a finer torus than the canonical dual (synthesis of a
-    band-limited function on more sample points); this stays exact.
+    Both factors are Z_L with L = max(fac.n, out_fac.n) on the labels of
+    :mod:`corona_pdo.groups`; ``out_fac`` may be a finer torus than the
+    canonical dual (synthesis of a band-limited function on more sample
+    points), which stays exact.  Labels scatter into an FFT of length L and
+    the output labels are gathered from it.
     """
-    vals = np.asarray(vals, dtype=complex)
-    if fac.kind == "finite_cyclic":
-        out = np.fft.ifft(vals, axis=axis)
-        out *= fac.weight * fac.n
-        return out
-    if fac.kind == "truncated_integers":
-        m = out_fac.n
-        bins = fac.points.astype(int) % m
-        emb = _scatter(vals, bins, m, axis)
-        return fac.weight * m * np.fft.ifft(emb, axis=axis)
-    if fac.kind == "torus":
-        full = fac.weight * fac.n * np.fft.ifft(vals, axis=axis)
-        bins = out_fac.points.astype(int) % fac.n
-        return np.take(full, bins, axis=axis)
-    if fac.kind == "line":
-        n, k0, j0 = fac.n, fac.n // 2, out_fac.n // 2
-        full = n * np.fft.ifft(vals, axis=axis)
-        gather = (np.arange(n) - j0) % n
-        out = np.take(full, gather, axis=axis)
-        phase = fac.weight * np.exp(-2j * np.pi * k0 * (np.arange(n) - j0) / n)
-        return out * _along(phase, axis, out.ndim)
-    raise GridError(f"cannot transform factor kind {fac.kind!r}")
+    L = max(fac.n, out_fac.n)
+    if fac.offset or fac.n != L:
+        vals = _scatter(vals, (np.arange(fac.n) + fac.offset) % L, L, axis)
+    if forward:
+        out = np.fft.fft(vals, axis=axis)
+    else:
+        out = np.fft.ifft(vals, axis=axis, norm="forward")
+    out *= fac.weight
+    if out_fac.offset or out_fac.n != L:
+        out = np.take(out, (np.arange(out_fac.n) + out_fac.offset) % L, axis=axis)
+    return out
 
 
 def _run_axes(values, in_grid, out_grid, first_axis, forward):
-    step = _axis_forward if forward else _axis_inverse
     for k, (fac, ofac) in enumerate(zip(in_grid.factors, out_grid.factors)):
-        values = step(values, fac, ofac, first_axis + k)
+        values = _axis(values, fac, ofac, first_axis + k, forward)
     return values
 
 
 # -- whole-grid transforms ----------------------------------------------------
 
 
-def fourier(u: GridFunction, out_grid: GroupGrid | None = None, method: str = "auto") -> GridFunction:
+def fourier(u: GridFunction, out_grid: GroupGrid | None = None) -> GridFunction:
     """Analysis transform of ``u`` onto ``out_grid`` (default: canonical dual)."""
     out = out_grid if out_grid is not None else u.grid.dual()
     assert_dual_pair(u.grid, out)
-    if method == "dense":
-        return GridFunction(out, transform_matrix(u.grid, out) @ u.values)
     vals = u.values.reshape(u.grid.shape)
     vals = _run_axes(vals, u.grid, out, 0, forward=True)
     return GridFunction(out, vals.reshape(-1))
 
 
-def inverse_fourier(v: GridFunction, out_grid: GroupGrid | None = None, method: str = "auto") -> GridFunction:
+def inverse_fourier(v: GridFunction, out_grid: GroupGrid | None = None) -> GridFunction:
     """Synthesis transform of ``v`` (living on a dual grid) onto ``out_grid``."""
     out = out_grid if out_grid is not None else v.grid.dual()
     assert_dual_pair(out, v.grid)
-    if method == "dense":
-        return GridFunction(out, inverse_transform_matrix(out, v.grid) @ v.values)
     vals = v.values.reshape(v.grid.shape)
     vals = _run_axes(vals, v.grid, out, 0, forward=False)
     return GridFunction(out, vals.reshape(-1))

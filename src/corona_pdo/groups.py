@@ -20,6 +20,12 @@ the exponent for the cyclic kind, where coordinates are integers).  Points
 are always addressed by index; group products and inverses are index
 arithmetic with wrap-around, which is exact for the pairings above because
 dual frequencies are integer multiples of the wrap period.
+
+One label rule covers all four kinds: point j of a factor carries the
+integer label ``offset + j``, and a factor with n points paired against one
+with m points is Z_L with L = max(n, m), labels a and b pairing as
+exp(2*pi*i * a*b / L).  The coordinate is the label itself (cyclic,
+truncated integers), the label / n (torus) or the label * step (line).
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ class Factor:
 
     ``phase_scale`` is the factor that multiplies x*xi inside the pairing
     exponent; 1/N for the cyclic kind (integer coordinates), 1 otherwise.
+    ``offset`` is the integer label of point 0 (point j has label offset + j).
     """
 
     kind: str
@@ -50,18 +57,16 @@ class Factor:
     weight: float
     phase_scale: float
     params: tuple
+    offset: int
 
     @cached_property
     def points(self) -> np.ndarray:
         """Read-only sample coordinates, built on first use (FFT routes need none)."""
-        if self.kind == "finite_cyclic":
-            pts = np.arange(self.n, dtype=float)
-        elif self.kind == "torus":
-            pts = np.arange(self.n, dtype=float) / self.n
-        elif self.kind == "truncated_integers":
-            pts = np.arange(-self.params[0], self.params[0], dtype=float)
-        else:
-            pts = (np.arange(self.n, dtype=float) - self.n // 2) * self.params[0]
+        pts = np.arange(self.offset, self.offset + self.n, dtype=float)
+        if self.kind == "torus":
+            pts /= self.n
+        elif self.kind == "line":
+            pts *= self.params[0]
         pts.flags.writeable = False
         return pts
 
@@ -83,20 +88,20 @@ class Factor:
 def _cyclic_factor(n: int, weight: float = 1.0) -> Factor:
     if n < 1:
         raise GridError(f"finite_cyclic needs n >= 1, got {n}")
-    return Factor("finite_cyclic", n, float(weight), 1.0 / n, (n, float(weight)))
+    return Factor("finite_cyclic", n, float(weight), 1.0 / n, (n, float(weight)), 0)
 
 
 def _torus_factor(m: int) -> Factor:
     # m even so the canonical dual band m/2 makes the transform square/unitary
     if m < 2 or m % 2:
         raise GridError(f"torus needs an even sample count >= 2, got {m}")
-    return Factor("torus", m, 1.0 / m, 1.0, (m,))
+    return Factor("torus", m, 1.0 / m, 1.0, (m,), 0)
 
 
 def _integers_factor(band: int) -> Factor:
     if band < 1:
         raise GridError(f"truncated_integers needs band >= 1, got {band}")
-    return Factor("truncated_integers", 2 * band, 1.0, 1.0, (band,))
+    return Factor("truncated_integers", 2 * band, 1.0, 1.0, (band,), -band)
 
 
 def _line_factor(step: float, extent: float) -> Factor:
@@ -108,7 +113,7 @@ def _line_factor(step: float, extent: float) -> Factor:
         raise GridError(
             f"line grid extent/step must be a positive integer, got {ratio!r}"
         )
-    return Factor("line", n, float(step), 1.0, (float(step), float(extent)))
+    return Factor("line", n, float(step), 1.0, (float(step), float(extent)), -(n // 2))
 
 
 def _dual_factor(f: Factor) -> Factor:
@@ -191,9 +196,8 @@ class GroupGrid:
         return f"GroupGrid[{inner}]"
 
     # -- index arithmetic ----------------------------------------------------
-    # Group ops act on coordinates; indices are coordinates shifted by the
-    # per-factor origin (index of coordinate 0: 0 for cyclic/torus samples,
-    # mid-window for truncated/line kinds) and wrap modulo the cardinality.
+    # Group ops act on labels; indices are labels shifted by the per-factor
+    # origin -offset (the index of label 0) and wrap modulo the cardinality.
     # For every dual pair built here the wrap period is invisible to the
     # pairing (frequencies are multiples of 1/period), so the wrap is exact,
     # not an approximation.
@@ -202,10 +206,7 @@ class GroupGrid:
         return np.unravel_index(np.asarray(idx), self.shape)
 
     def _origins(self):
-        return tuple(
-            0 if f.kind == "finite_cyclic" else int(np.argmin(np.abs(f.points)))
-            for f in self.factors
-        )
+        return tuple(-f.offset for f in self.factors)
 
     def sub_indices(self, i, j):
         """Index of x_i * x_j^{-1} (broadcasting over i, j)."""

@@ -68,16 +68,13 @@ def op_matrix(symbol: Symbol) -> np.ndarray:
 
 
 def _embed_dual_indices(xigrid: GroupGrid, omega: GroupGrid) -> np.ndarray:
-    """Indices of the (possibly truncated) dual grid's points inside the full dual."""
-    embeds = []
-    for fx, fo in zip(xigrid.factors, omega.factors):
-        step = fo.points[1] - fo.points[0] if fo.n > 1 else 1.0
-        e = np.round((fx.points - fo.points[0]) / step).astype(int)
-        if np.any(e < 0) or np.any(e >= fo.n) or not np.allclose(
-            fo.points[e], fx.points, atol=1e-12
-        ):
-            raise PdoError("dual grid does not embed in the full dual of the x grid")
-        embeds.append(e)
+    """Indices of the (possibly truncated) dual grid's points inside the full dual.
+
+    A label sits ``fx.offset - fo.offset`` further along each axis of the full
+    dual; the Symbol's dual-pair check already made it fit.
+    """
+    pairs = zip(xigrid.factors, omega.factors)
+    embeds = [np.arange(fx.n) + (fx.offset - fo.offset) for fx, fo in pairs]
     multi = np.unravel_index(np.arange(xigrid.size), xigrid.shape)
     return np.ravel_multi_index(
         tuple(embeds[d][m] for d, m in enumerate(multi)), omega.shape
@@ -128,7 +125,7 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
 def _band_section(symbol, cols, embed, omega) -> np.ndarray:
     """Band storage of sum_i gamma_i^(xi_a - eta_b) psi_i(eta_b), before w^."""
     n, period = len(embed), omega.size
-    origin = int(np.argmin(np.abs(omega.coords[:, 0])))
+    origin = -omega.factors[0].offset
     wrap = np.arange(period)
     wrap = np.minimum(wrap, period - wrap)  # mode distance of each rolled bin
     hats, psis, tail = [], [], 0.0

@@ -338,32 +338,30 @@ class GohbergReport:
 
 def gohberg_verify(
     symbol: Symbol,
+    est_result: EssentialNormResult,
     base: FilterBase | None = None,
-    schedule: TruncationSchedule | None = None,
     asym_schedule: SamplingSchedule | None = None,
     ratio_band: tuple = (0.85, 1.15),
     zero_tol: float = 0.05,
-    est_result: EssentialNormResult | None = None,
 ) -> GohbergReport:
     """Distance-to-compacts identity check: truncation ladder vs sampled limsup.
 
-    Left side: essential_norm_estimate.  Right side: max over x of
-    limsup |f(x, .)| along the base (and the min-over-x variant, whose value
-    must stay below the estimate: the lower-bound half of the identity).
+    Left side: ``est_result``, the essential_norm_estimate ladder of ``symbol``.
+    Right side: max over x of limsup |f(x, .)| along the base (and the
+    min-over-x variant, whose value must stay below the estimate: the
+    lower-bound half of the identity).
     Both sides tiny means ratio 1 by convention.  A degenerate rhs under a
     nonzero estimate, an out-of-band ratio, or a broken lower bound is a
     VIOLATION — unless the inputs disqualify themselves first: a failed
     vanishing-oscillation test on a tensor factor or an unreliable ladder
     marks the whole report UNRELIABLE, where the identity is simply not
-    claimed and no violation is raised.  Pass ``est_result`` to reuse an
-    already-computed ladder instead of rebuilding it.
+    claimed and no violation is raised.
     """
     base = base or StandardBase(symbol.xigrid.ndim)
-    est_res = est_result or essential_norm_estimate(symbol, schedule)
     _, per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
-    est, rhs, minform = est_res.estimate, max_fit.value, float(per_fiber.min())
-    notes = list(est_res.notes)
-    unreliable = not est_res.reliable
+    est, rhs, minform = est_result.estimate, max_fit.value, float(per_fiber.min())
+    notes = list(est_result.notes)
+    unreliable = not est_result.reliable
 
     vo_verdicts = []
     for _, psi in symbol.tensor_terms or ():

@@ -22,7 +22,12 @@ from corona_pdo.cli import (
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import load_matrix_bin, op_matrix
-from corona_pdo.spectral import GohbergReport, TruncationSchedule, gohberg_verify
+from corona_pdo.spectral import (
+    GohbergReport,
+    TruncationSchedule,
+    essential_norm_estimate,
+    gohberg_verify,
+)
 from corona_pdo.symbols import (
     VO_RADII,
     SymbolError,
@@ -363,6 +368,21 @@ def test_fourier_selftest_report(tmp_path):
     assert res["matrix_agreement"] <= 1e-10
     assert report["meta"]["task"] == "fourier-selftest"
     assert report["flags"]["violation"] is False
+
+
+@pytest.mark.parametrize("band, code", [(8, 1), (32, 0)])
+def test_fourier_selftest_band_below_nyquist_is_a_config_error(tmp_path, capsys, band, code):
+    # random data is not band-limited, so a truncated dual is a usage error, not a violation
+    group = {"kind": "torus", "samples": 64}
+    doc = {"schema": 1, "task": "fourier-selftest", "group": group, "band": band}
+    got, report, _ = _run(tmp_path, doc)
+    assert got == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert report is None
+        assert len(err) == 1 and err[0].startswith("[error] fourier-selftest needs the full dual")
+    else:
+        assert report["results"]["plancherel_defect"] <= 1e-12 and err == []
 
 
 def test_fourier_selftest_builds_no_cyclic_points(tmp_path, monkeypatch):
@@ -738,11 +758,12 @@ def test_sepavar_preset_small_ladder(tmp_path, monkeypatch):
 def test_report_writes_each_record_type_field_by_field():
     # the four result records a report holds, through the one report.json encoder
     sched, asym = TruncationSchedule(bands=(16, 32, 64)), SamplingSchedule(points_per_scale=500)
+    symbol = symbol_from_config("vo:sqrt", *sched.grids(16))
     records = [
         limsup_along(lambda p: np.abs(sqrt_wave()(p)), StandardBase(1), asym),
         vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII),
         cesaro_mean(dyadic_indicator(), ball_exhaustion(GroupGrid.truncated_integers(64), [16, 64])),
-        gohberg_verify(symbol_from_config("vo:sqrt", *sched.grids(16)), None, sched, asym),
+        gohberg_verify(symbol, essential_norm_estimate(symbol, sched), None, asym),
     ]
     for record in records:
         text = json.dumps(record, sort_keys=True, default=_report_value)

@@ -40,25 +40,57 @@ def test_round_trip_and_plancherel_finite_cyclic():
         assert np.max(np.abs(back.values - u.values)) < 1e-12
 
 
+def _factor_pair(kind, a, b):
+    """(x grid, dual grid) of one factor; ``b`` is the weight, the dual band or the line size."""
+    if kind == "finite_cyclic":
+        x = GroupGrid.finite_cyclic(a, b)
+    elif kind == "torus":  # a band below Nyquist truncates the dual
+        x = GroupGrid.torus(2 * a)
+        return x, truncated_dual(x, min(a, b))
+    elif kind == "truncated_integers":
+        x = GroupGrid.truncated_integers(a)
+    else:
+        x = GroupGrid.line(a, a * b)
+    return x, x.dual()
+
+
 def test_fft_path_matches_dense_matrix():
-    # the dense DFT matrix is the independent oracle for the FFT route
-    grids = [
-        GroupGrid.finite_cyclic(16),
-        GroupGrid.finite_cyclic(12),  # not a power of two
-        GroupGrid.torus(16),
-        GroupGrid.truncated_integers(8),
-        GroupGrid.line(0.5, 8.0),
-        product_group(GroupGrid.finite_cyclic(4), GroupGrid.finite_cyclic(6)),
-    ]
-    for k, g in enumerate(grids):
-        u = _rand(g, 100 + k)
-        a = fourier(u).values
-        b = fourier(u, method="dense").values
-        assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a)))
-        v = GridFunction(g.dual(), a)
-        c = inverse_fourier(v).values
-        d = inverse_fourier(v, method="dense").values
-        assert np.max(np.abs(c - d)) < 1e-12 * max(1.0, np.max(np.abs(c)))
+    # the dense DFT matrices, built from float coordinates, are the independent oracle
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factor = st.one_of(
+        st.tuples(st.just("finite_cyclic"), st.integers(1, 7), st.sampled_from([1.0, 0.3, 2.5])),
+        st.tuples(st.just("torus"), st.integers(1, 4), st.integers(1, 4)),
+        st.tuples(st.just("truncated_integers"), st.integers(1, 3), st.just(0)),
+        st.tuples(st.just("line"), st.sampled_from([0.25, 0.5, 2.0]), st.integers(1, 7)),
+    )
+
+    def close(fast, dense):
+        return np.max(np.abs(fast - dense)) <= 1e-12 * max(np.max(np.abs(dense)), 1e-300)
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None)
+    @hypothesis.given(st.lists(factor, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+    @hypothesis.example([("line", 0.5, 15)], 1)  # odd size: extent 7.5
+    @hypothesis.example([("finite_cyclic", 12, 0.3)], 2)  # not a power of two, weighted
+    @hypothesis.example([("torus", 8, 3)], 3)  # band 3 < Nyquist 8: synthesis onto a finer torus
+    @hypothesis.example([("finite_cyclic", 3, 0.3), ("torus", 3, 1), ("line", 0.5, 5)], 4)
+    def check(specs, seed):
+        pairs = [_factor_pair(*spec) for spec in specs]
+        xg = product_group(*[x for x, _ in pairs])
+        xi = product_group(*[x for _, x in pairs])
+        for g in (xg, xi):
+            assert np.all(g.coords[g.identity_index] == 0)
+        F, G = transform_matrix(xg, xi), inverse_transform_matrix(xg, xi)
+        u, v = _rand(xg, seed), _rand(xi, seed + 1)
+        assert close(fourier(u, xi).values, F @ u.values)
+        assert close(inverse_fourier(v, xg).values, G @ v.values)
+        shape = (xg.size, xi.size)
+        rng = np.random.default_rng(seed)
+        table = PhaseFunction(xg, xi, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        assert close(partial_fourier_1(table, xi).values, F @ table.values)
+        assert close(partial_fourier_2_inverse(table, xg).values, table.values @ G.T)
+
+    check()
 
 
 def test_line_grid_round_trip_and_plancherel():

@@ -343,9 +343,8 @@ def test_fredholm_noncompact_x_short_circuits():
 
 def test_gohberg_compact_symbol_agrees_by_convention():
     sched = TruncationSchedule(bands=(32, 64, 128))
-    rep = gohberg_verify(
-        _multiplier(inverse_decay(), sched), schedule=sched, asym_schedule=ASYM
-    )
+    f = _multiplier(inverse_decay(), sched)
+    rep = gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
     assert rep.estimate < 0.05
     assert rep.rhs < 0.05
     assert rep.ratio == 1.0
@@ -357,7 +356,8 @@ def test_gohberg_compact_symbol_agrees_by_convention():
 
 def test_gohberg_flagship_ratio_lands_in_band():
     sched = TruncationSchedule(bands=(64, 128, 256))
-    rep = gohberg_verify(_flagship(sched), schedule=sched, asym_schedule=ASYM)
+    f = _flagship(sched)
+    rep = gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
     assert abs(rep.rhs - 3.0) < 2e-2
     assert abs(rep.minform - 1.0) < 2e-2
     assert rep.ratio is not None
@@ -371,9 +371,8 @@ def test_gohberg_flagship_ratio_lands_in_band():
 def test_gohberg_non_vanishing_oscillation_flags_unreliable():
     # psi = |xi| drifts without bound: the comparison formula is out of scope
     sched = TruncationSchedule(bands=(16, 32, 64))
-    rep = gohberg_verify(
-        _multiplier(power_wave(1.0), sched), schedule=sched, asym_schedule=ASYM
-    )
+    f = _multiplier(power_wave(1.0), sched)
+    rep = gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
     assert "FAIL" in rep.vo_verdicts
     assert rep.unreliable
     assert not rep.violation
@@ -393,6 +392,6 @@ def test_gohberg_verify_evaluates_each_sampled_pair_about_once():
         return out
 
     f.eval_outer = counted
-    gohberg_verify(f, schedule=sched, asym_schedule=ASYM)
+    gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
     pairs = xg.size * len(ASYM.scales) * ASYM.points_per_scale
     assert pairs <= sum(evaluated) < 1.5 * pairs

@@ -127,6 +127,23 @@ CONFIGS.update({
     "fourier-selftest/line": {
         "task": "fourier-selftest", "group": {"kind": "line", "step": 0.5, "extent": 8},
     },
+    # odd, weighted and truncated factors reach every branch of the label rule
+    "fourier-selftest/line-odd": {
+        "task": "fourier-selftest", "group": {"kind": "line", "step": 0.5, "extent": 7.5},
+    },
+    "fourier-selftest/cyclic-49-weighted": {
+        "task": "fourier-selftest", "group": {"kind": "finite_cyclic", "n": 49, "weight": 0.3},
+    },
+    "build-op/torus-band": {
+        "task": "build-op", "group": {"kind": "torus", "samples": 12}, "band": 5,
+        "symbol": FLAGSHIP, "matrix_format": "csv",
+    },
+    "diagram-check/product-odd": {
+        "task": "diagram-check", "symbol": "vo:sqrt", "tolerances": {"diagram": 1e-9},
+        "group": {"kind": "product", "factors": [
+            {"kind": "finite_cyclic", "n": 7, "weight": 0.3}, {"kind": "finite_cyclic", "n": 12},
+        ]},
+    },
     "diagram-check/tolerances": {
         "task": "diagram-check", "group": PRODUCT, "symbol": "vo:sqrt",
         "tolerances": {"diagram": 1e-9},
