@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupGrid
-from .sampling import _norm_ppf, annulus, kronecker, log_radii
+from .sampling import MAX_RADIUS, _norm_ppf, annulus, kronecker, log_radii
 from .symbols import Symbol, ThickenedSet
 
 
@@ -53,6 +53,12 @@ class SamplingSchedule:
             raise AsymptoticsError("scales must be positive and strictly increasing")
         if self.points_per_scale < 16:
             raise AsymptoticsError("need at least 16 points per scale")
+        top = s[-1] * self.span
+        if top > MAX_RADIUS:
+            raise AsymptoticsError(
+                f"largest sampled radius {top:g} (scale x span) exceeds "
+                f"{MAX_RADIUS:g}, beyond which float64 cannot resolve the tail"
+            )
         object.__setattr__(self, "scales", s)
 
 

@@ -315,11 +315,6 @@ def _checked(error, check, spec, where):
         raise error(str(e)) from None
 
 
-def psi_from_config(spec):
-    """Dual closure from a psi spec, string or mapping (SymbolError if malformed)."""
-    return _psi(_checked(SymbolError, _PSI, spec, "psi"))
-
-
 def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid):
     """Symbol from a symbol spec, raw or as coerced (SymbolError if malformed)."""
     spec = _checked(SymbolError, _SYMBOL, spec, "symbol")
@@ -421,15 +416,9 @@ def _flags(warnings=(), violation=False, unreliable=False) -> dict:
 
 
 def _fit_csv_rows(fits: dict) -> tuple:
-    scales = None
-    for f in fits.values():
-        scales = f.scales
-        break
+    scales = next(iter(fits.values())).scales
     header = ["scale"] + [f"sup_{k}" for k in fits]
-    rows = []
-    for i, t in enumerate(scales):
-        rows.append([t] + [f.per_scale[i] for f in fits.values()])
-    return header, rows
+    return header, list(zip(scales, *(f.per_scale for f in fits.values())))
 
 
 # -- plain tasks -------------------------------------------------------------------
@@ -473,21 +462,21 @@ def _task_build_op(cfg: ExperimentConfig):
     xg, xig = cfg.grids()
     f = symbol_from_config(cfg.symbol, xg, xig)
     m = op_matrix(f)
-    files = []
+    files = {}
     if cfg.matrix_format in ("bin", "both"):
-        files.append(("operator.bin", save_matrix_bin))
+        files["operator.bin"] = lambda path: save_matrix_bin(m, path)
     if cfg.matrix_format in ("csv", "both"):
-        files.append(("operator.csv", save_matrix_csv))
+        files["operator.csv"] = lambda path: save_matrix_csv(m, path)
     results = {
         "symbol_id": _symbol_id(f),
         "group": xg.descriptor(),
         "dual": xig.descriptor(),
         "shape": list(m.shape),
         "hs_norm": hs_norm(m),
-        "files": [name for name, _ in files],
+        "files": list(files),
     }
     print(f"[run] build-op: {m.shape[0]}x{m.shape[1]} matrix, hs norm {results['hs_norm']:.6g}")
-    return results, _flags(), {"_matrices": [(name, saver, m) for name, saver in files]}
+    return results, _flags(), files
 
 
 def _task_diagram_check(cfg: ExperimentConfig):
@@ -517,10 +506,6 @@ def _spectral_inputs(cfg: ExperimentConfig):
     return f, sched, base
 
 
-def _schedule_block(sched: TruncationSchedule) -> dict:
-    return {"bands": list(sched.bands), "oversampling": sched.oversampling}
-
-
 def _task_gohberg(cfg: ExperimentConfig):
     f, sched, base = _spectral_inputs(cfg)
     asym = cfg.sampling_schedule()
@@ -528,7 +513,7 @@ def _task_gohberg(cfg: ExperimentConfig):
     rep = gohberg_verify(f, est, base, asym, **cfg.tols("ratio_band", "zero_tol"))
     results = {
         "symbol_id": _symbol_id(f),
-        "schedule": _schedule_block(sched),
+        "schedule": sched,
         "base": base.label,
         "sigma_tables": {"top": list(est.sigma_top)},
         "ess_norm": {
@@ -566,7 +551,7 @@ def _task_spectrum_probe(cfg: ExperimentConfig):
     ]
     results = {
         "symbol_id": _symbol_id(f),
-        "schedule": _schedule_block(sched),
+        "schedule": sched,
         "scale": probe.scale,
         "weyl": weyl,
     }
@@ -586,7 +571,7 @@ def _task_fredholm(cfg: ExperimentConfig):
     )
     results = {
         "symbol_id": _symbol_id(f),
-        "schedule": _schedule_block(sched),
+        "schedule": sched,
         "fredholm": {
             "verdict": res.verdict,
             "c": res.floor,
@@ -831,15 +816,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run(cfg: ExperimentConfig) -> int:
-    results, flags, tables = _RUNNERS[cfg.task](cfg)
+    # a side file is (header, rows) for a CSV table or a writer taking the path
+    results, flags, side_files = _RUNNERS[cfg.task](cfg)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    matrices = tables.pop("_matrices", [])
-    for name, saver, matrix in matrices:
-        saver(matrix, out / name)
-        print(f"[write] {out / name}")
-    for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
+    for name, side in side_files.items():
+        if callable(side):
+            side(out / name)
+        else:
+            _write_csv(out / name, *side)
         print(f"[write] {out / name}")
     report = {
         "meta": {

@@ -103,18 +103,16 @@ def _character_table(rows: GroupGrid, cols: GroupGrid, xgrid: GroupGrid, turn, w
     return z.reshape(rows.size, cols.size)
 
 
-def transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid | None = None) -> np.ndarray:
+def transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid) -> np.ndarray:
     """Dense analysis matrix F with F[k, j] = w_j * conj(<x_j, xi_k>)."""
-    xi = xigrid if xigrid is not None else xgrid.dual()
-    assert_dual_pair(xgrid, xi)
-    return _character_table(xi, xgrid, xgrid, -2j * np.pi, xgrid.weight_per_point)
+    assert_dual_pair(xgrid, xigrid)
+    return _character_table(xigrid, xgrid, xgrid, -2j * np.pi, xgrid.weight_per_point)
 
 
-def inverse_transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid | None = None) -> np.ndarray:
+def inverse_transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid) -> np.ndarray:
     """Dense synthesis matrix G with G[j, k] = w_xi_k * <x_j, xi_k>."""
-    xi = xigrid if xigrid is not None else xgrid.dual()
-    assert_dual_pair(xgrid, xi)
-    return _character_table(xgrid, xi, xgrid, 2j * np.pi, xi.weight_per_point)
+    assert_dual_pair(xgrid, xigrid)
+    return _character_table(xgrid, xigrid, xgrid, 2j * np.pi, xigrid.weight_per_point)
 
 
 def convolve(u: GridFunction, v: GridFunction) -> GridFunction:

@@ -173,10 +173,6 @@ class GroupGrid:
         return self._coords
 
     @property
-    def total_mass(self) -> float:
-        return self.weight_per_point * self.size
-
-    @property
     def is_compact_kind(self) -> bool:
         return all(f.kind in COMPACT_KINDS for f in self.factors)
 

@@ -14,6 +14,10 @@ import math
 
 import numpy as np
 
+# Largest radius a tail sample may reach.  float64 spacing there is about 1e-4, and
+# it grows with the radius until unit shifts (xi + 0.5) and sines of it are noise.
+MAX_RADIUS = 1e12
+
 # square roots of primes: badly approximable irrationals for the recurrence
 _ALPHAS = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]))
 

@@ -134,8 +134,19 @@ def shell_indices(xigrid: GroupGrid, threshold: float) -> np.ndarray:
     return np.where(r > threshold)[0]
 
 
+def _rung_grids(symbol: Symbol, schedule: TruncationSchedule, band: int):
+    """Band N's grid pair.  A rung rebinds the symbol to a torus, so a symbol on
+    any other x group would be measured on a group its report does not name."""
+    xg = symbol.xgrid
+    if xg.ndim != 1 or xg.factors[0].kind != "torus":
+        raise SpectralError(
+            f"truncation ladders need a 1-d torus x group, got {xg.descriptor()}"
+        )
+    return schedule.grids(band)
+
+
 def _shell_section(symbol: Symbol, schedule: TruncationSchedule, band: int) -> np.ndarray:
-    xg, xig = schedule.grids(band)
+    xg, xig = _rung_grids(symbol, schedule, band)
     idx = shell_indices(xig, band / 2)
     if len(idx) < 8:
         raise SpectralError(f"band {band} leaves a degenerate shell ({len(idx)} points)")
@@ -155,17 +166,13 @@ class EssentialNormResult:
     notes: tuple
 
 
-def essential_norm_estimate(
-    symbol: Symbol,
-    schedule: TruncationSchedule | None = None,
-) -> EssentialNormResult:
+def essential_norm_estimate(symbol: Symbol, schedule: TruncationSchedule) -> EssentialNormResult:
     """Distance-to-compacts estimate from high-frequency shell compressions.
 
     Per band N: sigma_max of the shell section, then an a + b*N^{-1/2} fit;
     the extrapolated a (clamped at 0) is the estimate.  A fit residual above
     20% or an estimate above 1.05 * sup_bound marks the ladder unreliable.
     """
-    schedule = schedule or TruncationSchedule()
     tops, dims, notes = [], [], []
     for band in schedule.bands:
         sect = _shell_section(symbol, schedule, band)
@@ -210,7 +217,7 @@ class ProbeResult:
 def essential_spectrum_probe(
     symbol: Symbol,
     lambdas,
-    schedule: TruncationSchedule | None = None,
+    schedule: TruncationSchedule,
     support_tol: float = 0.05,
 ) -> ProbeResult:
     """sigma_min((shell section) - lambda) trajectories across the band ladder.
@@ -222,7 +229,6 @@ def essential_spectrum_probe(
     non-normal operators a high plateau never proves lambda is outside.
     Verdict labels are advisory; the numbers are in ``sigma_min_table``.
     """
-    schedule = schedule or TruncationSchedule()
     lambdas = tuple(complex(l) for l in lambdas)
     table = np.empty((len(lambdas), len(schedule.bands)))
     for j, band in enumerate(schedule.bands):
@@ -276,7 +282,8 @@ def fredholm_check(
     criterion is min over x of liminf |f(x, .)| > 0; full-band frequency
     sections corroborate (their sigma_min should stay above floor/2), but
     the verdict never rests on sections alone since finite truncation can
-    pollute sigma_min in both directions.
+    pollute sigma_min in both directions.  Like every ladder, the sections
+    need a 1-d torus x group.
     """
     notes = []
     if not symbol.xgrid.is_compact_kind:
@@ -294,8 +301,8 @@ def fredholm_check(
     schedule = schedule or TruncationSchedule()
     sigmas = []
     for band in schedule.bands:
-        xg, xig = schedule.grids(band)
-        sigmas.append(sigma_min(frequency_section(symbol.rebound(xg, xig), banded=True)))
+        rung = symbol.rebound(*_rung_grids(symbol, schedule, band))
+        sigmas.append(sigma_min(frequency_section(rung, banded=True)))
     verdict = "FREDHOLM-SUFFICIENT" if floor > floor_tol else "INCONCLUSIVE"
     corroborated = True
     if verdict == "FREDHOLM-SUFFICIENT":

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import PhaseFunction
-from .groups import GridFunction, GroupGrid, assert_dual_pair
-from .sampling import annulus
+from .groups import GroupGrid, assert_dual_pair
+from .sampling import MAX_RADIUS, annulus
 
 
 class SymbolError(ValueError):
@@ -69,18 +69,15 @@ def constant_closure(value: complex) -> DualClosure:
     return DualClosure(lambda p: np.full(len(p), c), abs(c), f"const({c})")
 
 
-def vo_symbol(beta, name: str = "sin(beta(|xi|))") -> DualClosure:
-    """Radial wave psi(xi) = sin(beta(|xi|)).
-
-    |psi(xi + z) - psi(xi)| is at most |z| times the sup of |beta'| between
-    |xi| and |xi + z|, so the oscillation vanishes at infinity when beta' does.
-    """
-    return DualClosure(lambda p: np.sin(beta(_radial(p))).astype(complex), 1.0, name)
-
-
 def power_wave(alpha: float) -> DualClosure:
-    """sin(|xi|^alpha); oscillation dies out iff alpha < 1."""
-    return vo_symbol(lambda r: r**alpha, name=f"sin(|xi|^{alpha})")
+    """Radial wave psi(xi) = sin(|xi|^alpha); oscillation dies out iff alpha < 1.
+
+    |psi(xi + z) - psi(xi)| is at most |z| times the sup of alpha r^(alpha-1)
+    for r between |xi| and |xi + z|, which tends to 0 exactly when alpha < 1.
+    """
+    return DualClosure(
+        lambda p: np.sin(_radial(p) ** alpha).astype(complex), 1.0, f"sin(|xi|^{alpha})"
+    )
 
 
 def sqrt_wave() -> DualClosure:
@@ -221,14 +218,11 @@ class TensorSymbol(Symbol):
             sum(np.max(np.abs(gv)) * psi.sup_bound for _, gv, psi in self.terms)
         )
 
-    def psi_on_grid(self):
-        return [psi(self.xigrid.coords) for _, _, psi in self.terms]
-
     def table(self) -> PhaseFunction:
         if self._table is None:
             vals = np.zeros((self.xgrid.size, self.xigrid.size), dtype=complex)
-            for (_, gv, _), pv in zip(self.terms, self.psi_on_grid()):
-                vals += np.outer(gv, pv)
+            for _, gv, psi in self.terms:
+                vals += np.outer(gv, psi(self.xigrid.coords))
             self._table = PhaseFunction(self.xgrid, self.xigrid, vals)
         return self._table
 
@@ -336,8 +330,14 @@ def vanishing_oscillation_test(
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii[0] <= 0:
         raise SymbolError("radii must be positive")
+    top = radii[-1] * 10.0
+    if top > MAX_RADIUS:
+        raise SymbolError(
+            f"largest sampled radius {top:g} (10 x the largest radius) exceeds "
+            f"{MAX_RADIUS:g}, beyond which float64 cannot resolve the shifts"
+        )
     dim = shifts.shape[1]
-    pts = annulus(radii[0], radii[-1] * 10.0, dim, 20000, seed)
+    pts = annulus(radii[0], top, dim, 20000, seed)
     r = np.linalg.norm(pts, axis=1)
     order = np.argsort(r)
     pts, r = pts[order], r[order]
@@ -394,14 +394,11 @@ class CesaroResult:
     tail_slope: float
 
 
-def cesaro_mean(psi, exhaustion: CompactExhaustion) -> CesaroResult:
+def cesaro_mean(psi: DualClosure, exhaustion: CompactExhaustion) -> CesaroResult:
     """Means m_n = integral over D_n of |psi| / measure(D_n) plus a verdict
     (tail slope of log m_n against log measure) on whether m_n -> 0."""
     g = exhaustion.grid
-    if isinstance(psi, GridFunction):
-        vals = np.abs(psi.values)
-    else:
-        vals = np.abs(psi(g.coords))
+    vals = np.abs(psi(g.coords))
     w = g.weight_per_point
     means, measures = [], []
     for m in exhaustion.masks:
@@ -496,16 +493,6 @@ def syndetic_thickening_filter_data(E: ThickenedSet) -> ThickenedSet:
 
 
 # -- CSV tables --------------------------------------------------------------------
-
-
-def save_symbol_csv(f: Symbol, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x_index", "xi_index", "re", "im"])
-        vals = f.table().values
-        for i in range(vals.shape[0]):
-            for k in range(vals.shape[1]):
-                w.writerow([i, k, repr(float(vals[i, k].real)), repr(float(vals[i, k].imag))])
 
 
 def load_symbol_csv(path, xgrid: GroupGrid, xigrid: GroupGrid) -> TableSymbol:

@@ -76,6 +76,9 @@ def test_schedule_validation():
     with pytest.raises(AsymptoticsError):
         SamplingSchedule(points_per_scale=4)
     assert SamplingSchedule(scales=[10, 100]).scales == (10.0, 100.0)
+    SamplingSchedule(scales=(1e11,))  # largest sampled radius 1e12: the bound itself
+    with pytest.raises(AsymptoticsError):
+        SamplingSchedule(scales=(1e11,), span=10.5)
 
 
 # -- scalar limsup / liminf --

@@ -2,13 +2,13 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import corona_pdo
 from corona_pdo.asymptotics import AsymptoticsError, SamplingSchedule, StandardBase, limsup_along
 from corona_pdo.cli import (
     _CONFIG_ERRORS,
@@ -17,7 +17,6 @@ from corona_pdo.cli import (
     _report_value,
     base_from_config,
     main,
-    psi_from_config,
     symbol_from_config,
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
@@ -82,6 +81,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 NAN = float("nan")
+LINE = {"kind": "line", "step": 0.3, "extent": 6.0}
+TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
 
 
 @pytest.mark.parametrize(
@@ -123,6 +124,18 @@ NAN = float("nan")
             id="omega0-2d-dim-1",
         ),
         pytest.param({"task": "examples:cesaro", "band": "big"}, id="cesaro-band-str"),
+        # float64 cannot resolve xi + 0.5 out there: sin|xi| would read as oscillation-free
+        pytest.param(
+            {"task": "asymptotics", "psi": "vo:pow:1", "vo": {"radii": [100, 1e17]}},
+            id="vo-radius-unresolvable",
+        ),
+        pytest.param({"task": "asymptotics", "asym": {"scales": [1e300]}}, id="scale-unresolvable"),
+        # every ladder rung is a 1-d torus: on another group the report would name a
+        # group its numbers were not computed on
+        pytest.param({"group": LINE}, id="ladder-line"),
+        pytest.param({"task": "spectrum-probe", "group": LINE, "lambdas": [0.0]}, id="probe-line"),
+        pytest.param({"group": TORUS_2D}, id="ladder-torus2"),
+        pytest.param({"task": "fredholm", "group": TORUS_2D}, id="fredholm-torus2"),
         pytest.param({"out_dir": [1]}, id="out_dir-list"),
         pytest.param({"schedul": {"bands": [16, 32, 64]}}, id="top-level-typo"),
     ],
@@ -258,8 +271,8 @@ def test_config_fuzz_raises_only_config_errors():
             base_from_config(cfg.base, 1)
             if cfg.symbol is not None:
                 symbol_from_config(cfg.symbol, xg, xig)
-            if cfg.psi is not None:
-                psi_from_config(cfg.psi)
+            if cfg.psi is not None:  # every psi family is also a multiplier symbol
+                symbol_from_config(cfg.psi, xg, xig)
         except _CONFIG_ERRORS:
             pass
 
@@ -300,7 +313,7 @@ def test_symbol_from_config_families():
     with pytest.raises(SymbolError):
         symbol_from_config("no-such-family", xg, xig)
     with pytest.raises(SymbolError):
-        psi_from_config({"family": "nope"})
+        symbol_from_config({"family": "nope"}, xg, xig)
 
 
 def test_config_validation():
@@ -776,9 +789,22 @@ def test_report_writes_each_record_type_field_by_field():
             json.dumps({"x": unknown}, default=_report_value)
 
 
-def test_package_exports_resolve():
-    missing = [name for name in corona_pdo.__all__ if not hasattr(corona_pdo, name)]
-    assert missing == []
+def _fresh_interpreter(code: str, **env) -> str:
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_thread_cap_reaches_blas_before_numpy():
+    # the package runs first on any submodule import, so the cap is in place before numpy
+    code = "import os, corona_pdo.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_interpreter(code, CORONA_PDO_THREADS="3") == "3"
+    code = "import sys, corona_pdo; print('numpy' in sys.modules)"
+    assert _fresh_interpreter(code, CORONA_PDO_THREADS="3") == "False"
 
 
 def test_module_invocation_smoke():
@@ -793,15 +819,8 @@ def test_module_invocation_smoke():
 
 def test_cli_import_loads_no_scipy():
     # scipy is imported where it is called (the banded Cholesky of the spectral tasks)
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys, corona_pdo.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        ],
-        capture_output=True,
-        text=True,
+    code = (
+        "import sys, corona_pdo.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "[]"

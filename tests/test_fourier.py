@@ -182,8 +182,8 @@ def test_kernel_synthesis_onto_finer_grid():
 
 def test_dense_matrices_are_mutual_inverses_on_full_pairs():
     for g in [GroupGrid.finite_cyclic(9), GroupGrid.torus(16), GroupGrid.line(0.5, 4.0)]:
-        F = transform_matrix(g)
-        G = inverse_transform_matrix(g)
+        F = transform_matrix(g, g.dual())
+        G = inverse_transform_matrix(g, g.dual())
         assert np.max(np.abs(G @ F - np.eye(g.size))) < 1e-11
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from corona_pdo.cli import symbol_from_config
-from corona_pdo.groups import GridFunction, GroupGrid, truncated_dual
+from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.sampling import annulus
 from corona_pdo.symbols import (
     CompactExhaustion,
@@ -32,13 +32,11 @@ from corona_pdo.symbols import (
     multiplier_symbol,
     parabola_graph,
     power_wave,
-    save_symbol_csv,
     shifted_wave,
     sqrt_wave,
     syndetic_thickening_filter_data,
     tensor_symbol,
     vanishing_oscillation_test,
-    vo_symbol,
 )
 
 RADII = np.logspace(2, 6, 9)
@@ -136,8 +134,7 @@ def test_sampled_oscillation_not_degenerate():
 
 
 def test_full_strength_wave_fails():
-    psi = vo_symbol(lambda r: r, name="sin(|xi|)")
-    prof = vanishing_oscillation_test(psi, [[1.0]], RADII)
+    prof = vanishing_oscillation_test(power_wave(1.0), [[1.0]], RADII)
     assert prof.verdict == "FAIL"
     assert 0.93 <= prof.osc[0, -1] <= 2 * np.sin(0.5) + 1e-12
 
@@ -212,14 +209,12 @@ def test_cesaro_constant_and_zero():
     assert zero.verdict
 
 
-def test_cesaro_grid_function_input():
+def test_cesaro_means_match_tabulated_values():
     grid = GroupGrid.truncated_integers(32)
-    vals = dyadic_indicator()(grid.coords)
+    vals = np.abs(dyadic_indicator()(grid.coords))
     ex = ball_exhaustion(grid, [4, 16])
-    assert np.allclose(
-        cesaro_mean(dyadic_indicator(), ex).means,
-        cesaro_mean(GridFunction(grid, vals), ex).means,
-    )
+    means = [vals[m].mean() for m in ex.masks]  # unit weights: the plain average
+    assert np.allclose(cesaro_mean(dyadic_indicator(), ex).means, means)
 
 
 def test_exhaustion_must_nest_and_have_mass():
@@ -318,7 +313,8 @@ def test_symbol_csv_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     vals = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     path = tmp_path / "sym.csv"
-    save_symbol_csv(TableSymbol(xg, xig, vals), path)
+    rows = [f"{i},{k},{float(v.real)!r},{float(v.imag)!r}\n" for (i, k), v in np.ndenumerate(vals)]
+    path.write_text("x_index,xi_index,re,im\n" + "".join(rows))
     g = load_symbol_csv(path, xg, xig)
     assert np.array_equal(g.values, vals)  # repr round-trips floats exactly
 

@@ -191,6 +191,11 @@ CONFIGS.update({
         "task": "gohberg", "symbol": TWO_TERM, **LADDER, "base": {"kind": "ethick"},
     },
     "fredholm/two-term": {"task": "fredholm", "symbol": TWO_TERM, **LADDER},
+    # the no-ladder NOT-FREDHOLM verdict: the 1-d torus check of the ladders must not reach it
+    "fredholm/noncompact-group": {
+        "task": "fredholm", "symbol": "vo:sqrt", **LADDER,
+        "group": {"kind": "line", "step": 0.5, "extent": 8.0},
+    },
     # a Gram bandwidth of 10: real, complex and outside-the-spectrum lambdas
     "spectrum-probe/two-term": {
         "task": "spectrum-probe", "symbol": TWO_TERM, **LADDER, "lambdas": [1.5, "0.5+0.2j", 6.0],
