@@ -3,7 +3,7 @@
 A *filter base* stands in for "xi -> infinity along F": for every scale t it
 produces sample points from the base element at that scale (radius > t, plus
 whatever constraint the base adds: a shrinking cone, the complement of a
-thickened set, a full-density set).  Scalar functionals (limsup, liminf)
+thickened set).  Scalar functionals (limsup, liminf)
 sample over a geometric ladder of scales and extrapolate the per-scale
 extremes with a + b / sqrt(t); field variants batch the fit over the x fiber.
 
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupGrid
 from .sampling import MAX_RADIUS, _norm_ppf, annulus, kronecker, log_radii
 from .symbols import Symbol, ThickenedSet
 
@@ -187,35 +186,13 @@ class ThickenedComplementBase(FilterBase):
         )
 
 
-class DensityBase(FilterBase):
-    """The annulus minus an exceptional set; the sampled density of what is
-    kept must stay above 1 - 1/sqrt(t), otherwise the base is rejected."""
+class DensityBase(StandardBase):
+    """The density filter sampled on the whole annulus: the standard base's
+    sampler, mask and ray polish under the label "density"."""
 
-    def __init__(self, dim: int, exceptional=None):
-        self.dim = int(dim)
-        self.exceptional = exceptional
-        self.rays_stay_inside = exceptional is None
-        self.label = "density" if exceptional is None else "density(-exceptional)"
-
-    def sample(self, scale, n, span, seed):
-        pts = annulus(scale, scale * span, self.dim, n, seed)
-        if self.exceptional is None:
-            return pts
-        keep = ~np.asarray(self.exceptional(pts), dtype=bool)
-        dens = float(keep.mean()) if len(keep) else 0.0
-        need = 1.0 - scale**-0.5
-        if dens < need:
-            raise AsymptoticsError(
-                f"exceptional set too thick at scale {scale:g}: kept density "
-                f"{dens:.4f} < required {need:.4f}"
-            )
-        return pts[keep]
-
-    def mask(self, pts, scale):
-        ok = np.linalg.norm(pts, axis=1) > scale
-        if self.exceptional is not None:
-            ok &= ~np.asarray(self.exceptional(pts), dtype=bool)
-        return ok
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self.label = "density"
 
 
 class IntersectionBase(FilterBase):
@@ -375,28 +352,21 @@ def liminf_along(phi, base, schedule=None):
 # -- per-fiber fields ----------------------------------------------------------------
 
 
-def _require_noncompact_dual(grid: GroupGrid):
-    if grid.is_compact_kind:
-        raise AsymptoticsError(
-            "dual group grid is of compact kind: no neighborhood of infinity to sample"
-        )
-
-
 def _x_subsample(n: int) -> np.ndarray:
     if n <= 512:
         return np.arange(n)
     return np.unique(np.linspace(0, n - 1, 512).astype(int))
 
 
-def _blocks(symbol: Symbol, x_indices: np.ndarray, pts: np.ndarray, fn):
-    """fn(f(x, xi)) on x_indices times pts, 64 fibers at a time: (rows, values).
+def _blocks(symbol: Symbol, x_indices: np.ndarray, pts: np.ndarray):
+    """|f(x, xi)| on x_indices times pts, 64 fibers at a time: (rows, values).
 
-    fn runs here so that no raw block outlives its turn: callers that held
-    one while the next was built took several times the page faults.
+    The modulus is taken here so that no raw block outlives its turn: callers
+    that held one while the next was built took several times the page faults.
     """
     for s in range(0, len(x_indices), 64):
         rows = slice(s, s + 64)
-        yield rows, fn(symbol.eval_outer(x_indices[rows], pts))
+        yield rows, np.abs(symbol.eval_outer(x_indices[rows], pts))
 
 
 def modulus_field(
@@ -407,10 +377,10 @@ def modulus_field(
 ):
     """Per-fiber limsup (or liminf) of |f(x, .)| along the base.
 
-    Returns (x_indices, values, envelope) over a subsample of at most 512
-    fibers.  For mode "limsup", envelope is the fit of the limsup of
-    max over x of |f(x, .)| (the Gohberg right-hand side; min of values is
-    the lower bound); for "liminf" it is None.  Single-term tensor symbols
+    Returns (values, envelope) over a subsample of at most 512 fibers.  For
+    mode "limsup", envelope is the fit of the limsup of max over x of
+    |f(x, .)| (the Gohberg right-hand side; min of values is the lower
+    bound); for "liminf" it is None.  Single-term tensor symbols
     factor exactly.  The generic path takes both from one pass over shared
     sample points; where the base allows a ray polish it polishes the
     envelope and re-polishes the 3 fibers where the min over x is attained
@@ -419,7 +389,10 @@ def modulus_field(
     """
     if mode not in ("limsup", "liminf"):
         raise AsymptoticsError(f"unknown field mode {mode!r}")
-    _require_noncompact_dual(symbol.xigrid)
+    if symbol.xigrid.is_compact_kind:
+        raise AsymptoticsError(
+            "dual group grid is of compact kind: no neighborhood of infinity to sample"
+        )
     sched = schedule or SamplingSchedule()
     x_indices = _x_subsample(symbol.xgrid.size)
     maximize = mode == "limsup"
@@ -435,15 +408,15 @@ def modulus_field(
                 "maxform", "sup", f.scales, gmax * f.per_scale, gmax * f.value,
                 gmax * f.slope, gmax * f.residual, f.rel_residual,
             )
-        return x_indices, g[x_indices] * f.value, envelope
+        return g[x_indices] * f.value, envelope
 
     def top(p):
-        return np.max([v.max(axis=0) for _, v in _blocks(symbol, x_indices, p, np.abs)], axis=0)
+        return np.max([v.max(axis=0) for _, v in _blocks(symbol, x_indices, p)], axis=0)
 
     per_scale, sampled, sups = [], [], []
     for pts in _samples(base, sched):
         ext, env = np.empty(len(x_indices)), np.zeros(len(pts))
-        for rows, vals in _blocks(symbol, x_indices, pts, np.abs):
+        for rows, vals in _blocks(symbol, x_indices, pts):
             ext[rows] = vals.max(axis=1) if maximize else vals.min(axis=1)
             if maximize:
                 np.maximum(env, vals.max(axis=0), out=env)
@@ -460,82 +433,5 @@ def modulus_field(
             exts = [_extremum(phi, pts, phi(pts), maximize, base, sched) for pts in sampled]
             values[j] = fit_inverse_sqrt(sched.scales, exts)[0]
     envelope = _sup_fit("maxform", sched.scales, np.array(sups)) if maximize else None
-    return x_indices, values, envelope
+    return values, envelope
 
-
-# -- cluster sets --------------------------------------------------------------------
-
-
-@dataclass
-class ClusterSet:
-    """eps-raster cells of values persisting at every scale of the schedule."""
-
-    eps: float
-    cells: np.ndarray  # (m, 2) integer cell coordinates of (re, im)
-    zero_added: bool
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self.cells[:, 0] * self.eps + 1j * self.cells[:, 1] * self.eps
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.abs(self.centers).max()) if len(self.cells) else 0.0
-
-    def contains_value(self, z: complex, slack: int = 1) -> bool:
-        if not len(self.cells):
-            return False
-        z = complex(z)
-        cz = np.array([round(z.real / self.eps), round(z.imag / self.eps)])
-        return bool((np.abs(self.cells - cz[None, :]).max(axis=1) <= slack).any())
-
-    def covers_real_interval(self, a: float, b: float, slack: int = 1) -> bool:
-        lo, hi = int(round(a / self.eps)), int(round(b / self.eps))
-        return all(self.contains_value(c * self.eps, slack) for c in range(lo, hi + 1))
-
-
-_NEIGHBORHOOD = np.array(
-    [[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=np.int64
-)
-
-
-def _raster(vals: np.ndarray, eps: float) -> np.ndarray:
-    cells = np.stack(
-        [np.round(vals.real / eps), np.round(vals.imag / eps)], axis=1
-    ).astype(np.int64)
-    return np.unique(cells, axis=0)
-
-
-def _dilate(cells: np.ndarray) -> np.ndarray:
-    grown = (cells[:, None, :] + _NEIGHBORHOOD[None, :, :]).reshape(-1, 2)
-    return np.unique(grown, axis=0)
-
-
-def cluster_set(
-    symbol: Symbol,
-    base: FilterBase,
-    schedule: SamplingSchedule | None = None,
-    eps: float = 0.05,
-) -> ClusterSet:
-    """eps-raster of the symbol values attained near infinity at every scale.
-
-    Each scale's cell set is dilated by one cell before intersecting, so a
-    value drifting across a cell boundary between scales is not dropped.  A
-    zero cell is appended when the x group is non-compact (escape in x).
-    """
-    _require_noncompact_dual(symbol.xigrid)
-    sched = schedule or SamplingSchedule()
-    x_indices = _x_subsample(symbol.xgrid.size)
-    common = None
-    for pts in _samples(base, sched):
-        cells = [_raster(vals, eps) for _, vals in _blocks(symbol, x_indices, pts, np.ravel)]
-        cells = _dilate(np.unique(np.concatenate(cells), axis=0))
-        cset = set(map(tuple, cells.tolist()))
-        common = cset if common is None else (common & cset)
-    zero_added = not symbol.xgrid.is_compact_kind
-    if zero_added:
-        common.add((0, 0))
-    out = (
-        np.array(sorted(common), dtype=np.int64) if common else np.empty((0, 2), np.int64)
-    )
-    return ClusterSet(eps, out, zero_added)

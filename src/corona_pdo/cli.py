@@ -3,7 +3,8 @@
 Every invocation runs a single task from an ExperimentConfig document and
 writes ``report.json`` plus task-specific CSV tables into the output
 directory.  Exit codes: 0 on success (advisory UNRELIABLE flags print a
-warning but do not fail the run), 1 on usage or config errors, 2 when a
+warning but do not fail the run), 1 on usage or config errors and on a
+report that would hold a NaN or an infinity (no file is then written), 2 when a
 computed contract violation is present in the report — the distance-identity
 ratio leaving its acceptance band, and nothing else, is what "violation"
 means here.
@@ -818,14 +819,6 @@ class _Parser(argparse.ArgumentParser):
 def _run(cfg: ExperimentConfig) -> int:
     # a side file is (header, rows) for a CSV table or a writer taking the path
     results, flags, side_files = _RUNNERS[cfg.task](cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, side in side_files.items():
-        if callable(side):
-            side(out / name)
-        else:
-            _write_csv(out / name, *side)
-        print(f"[write] {out / name}")
     report = {
         "meta": {
             "tool": "corona-pdo",
@@ -840,8 +833,21 @@ def _run(cfg: ExperimentConfig) -> int:
         "results": results,
         "flags": flags,
     }
+    try:  # strict JSON: a NaN or an infinity ends the run before any file is written
+        text = json.dumps(
+            report, sort_keys=True, indent=2, default=_report_value, allow_nan=False
+        )
+    except ValueError:
+        raise CliError(f"{cfg.task}: the report would hold a NaN or an infinity") from None
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, side in side_files.items():
+        if callable(side):
+            side(out / name)
+        else:
+            _write_csv(out / name, *side)
+        print(f"[write] {out / name}")
     report_path = out / "report.json"
-    text = json.dumps(report, sort_keys=True, indent=2, default=_report_value)
     report_path.write_text(text + "\n")
     print(f"[write] {report_path}")
     for w in flags["warnings"]:

@@ -297,7 +297,7 @@ def fredholm_check(
         )
     base = base or StandardBase(symbol.xigrid.ndim)
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
-    floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[1].min()), 0.0)
+    floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min()), 0.0)
     schedule = schedule or TruncationSchedule()
     sigmas = []
     for band in schedule.bands:
@@ -365,7 +365,7 @@ def gohberg_verify(
     claimed and no violation is raised.
     """
     base = base or StandardBase(symbol.xigrid.ndim)
-    _, per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
+    per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
     est, rhs, minform = est_result.estimate, max_fit.value, float(per_fiber.min())
     notes = list(est_result.notes)
     unreliable = not est_result.reliable
@@ -380,13 +380,11 @@ def gohberg_verify(
                 f"dual factor {psi.name or '?'} fails the vanishing-oscillation "
                 "test: the distance identity is not expected to hold"
             )
-    if symbol.tensor_terms is None:
-        notes.append("tabulated symbol: no closure to run oscillation diagnostics on")
 
     tiny = 1e-10
     violation = False
     # rhs comes from an extrapolated fit and may sit slightly below zero
-    if est < zero_tol and abs(rhs) < zero_tol:
+    if est <= zero_tol and abs(rhs) <= zero_tol:
         ratio = 1.0
         if est < tiny and abs(rhs) < tiny:
             notes.append("both sides below 1e-10: ratio 1 by convention")
@@ -394,7 +392,7 @@ def gohberg_verify(
             notes.append(
                 f"both sides below {zero_tol:g} (compact regime): ratio 1 by convention"
             )
-    elif abs(rhs) < zero_tol:
+    elif abs(rhs) <= zero_tol:
         ratio = None
         if not unreliable:
             violation = True

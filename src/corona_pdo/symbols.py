@@ -250,16 +250,13 @@ class TensorSymbol(Symbol):
 
 
 class TableSymbol(Symbol):
-    """Symbol given by a dense table, optionally with a closure for off-grid xi."""
+    """Symbol given by a dense table only: no off-grid evaluation."""
 
-    def __init__(self, xgrid, xigrid, values, closure=None):
+    def __init__(self, xgrid, xigrid, values):
         super().__init__(xgrid, xigrid)
         self.values = np.asarray(values, dtype=complex).reshape(
             xgrid.size, xigrid.size
         )
-        self.closure = closure
-        if closure is not None and not callable(closure):
-            raise SymbolError("closure must map (x_indices, xi_points) to values")
 
     @property
     def sup_bound(self) -> float:
@@ -269,12 +266,6 @@ class TableSymbol(Symbol):
         if self._table is None:
             self._table = PhaseFunction(self.xgrid, self.xigrid, self.values)
         return self._table
-
-    def eval_outer(self, x_indices, xi_points):
-        if self.closure is None:
-            return super().eval_outer(x_indices, xi_points)
-        x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
-        return np.asarray(self.closure(x_indices, _pts2d(xi_points)), dtype=complex)
 
 
 def tensor_symbol(gamma, psi: DualClosure, xgrid: GroupGrid, xigrid: GroupGrid) -> TensorSymbol:

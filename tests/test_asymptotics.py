@@ -1,4 +1,4 @@
-"""Limsup/liminf extrapolation, filter bases, and cluster sets.
+"""Limsup/liminf extrapolation, filter bases, and per-fiber modulus fields.
 
 Oracles:
   * sin(sqrt|xi|) has standard limsup 1 and liminf -1; 2+sin has liminf 1;
@@ -21,7 +21,6 @@ from corona_pdo.asymptotics import (
     SamplingSchedule,
     StandardBase,
     ThickenedComplementBase,
-    cluster_set,
     fit_inverse_sqrt,
     liminf_along,
     limsup_along,
@@ -29,12 +28,11 @@ from corona_pdo.asymptotics import (
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.symbols import (
-    TableSymbol,
+    TensorSymbol,
     ThickenedSet,
     constant_closure,
     cos_profile,
     directional_decay_symbol,
-    dyadic_indicator,
     halfline_set,
     inverse_decay,
     multiplier_symbol,
@@ -52,9 +50,12 @@ def _flagship():
     return tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, truncated_dual(xg, 16))
 
 
-def _tabled(f):
-    """The same symbol without tensor terms: reaches the generic routes."""
-    return TableSymbol(f.xgrid, f.xigrid, f.table().values, closure=f.eval_outer)
+def _two_term():
+    """The flagship split as (1 + 0.5 cos 2 pi x) x psi, twice: the same
+    symbol with two terms, which reaches the generic (non-factored) route."""
+    f = _flagship()
+    half = (cos_profile(1.0, 0.5), sqrt_wave())
+    return TensorSymbol(f.xgrid, f.xigrid, [half, half])
 
 
 # -- fits and schedules --
@@ -140,7 +141,7 @@ def test_base_independence_standard_vs_density():
     assert abs(a - b) <= 1e-3
 
 
-# -- thickened-complement and density bases --
+# -- thickened-complement and intersection bases --
 
 
 def test_ethick_halfline_excises_negative_axis():
@@ -167,27 +168,8 @@ def test_ethick_parabola_kills_distance_decay():
     assert fit.value <= 1e-3
 
 
-def test_density_base_excludes_sparse_exceptional():
-    ind = dyadic_indicator()
-    exc = lambda p: np.real(ind(p)) > 0.5
-    phi = lambda p: np.real(ind(p))
-    sched = SamplingSchedule(scales=(1e2, 1e3), points_per_scale=20000)
-    std = limsup_along(phi, StandardBase(1), sched)
-    dens = limsup_along(phi, DensityBase(1, exceptional=exc), sched)
-    assert std.value == pytest.approx(1.0, abs=1e-9)  # the union is hit at both scales
-    assert dens.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_density_guard_trips_on_thick_exceptional():
-    base = DensityBase(1, exceptional=lambda p: p[:, 0] > 0)
-    with pytest.raises(AsymptoticsError):
-        base.sample(100.0, 1000, 10.0, 0)
-
-
 def test_intersection_base_masks_and_guards():
-    base = IntersectionBase(
-        StandardBase(1), DensityBase(1, exceptional=lambda p: p[:, 0] < 0)
-    )
+    base = IntersectionBase(StandardBase(1), DirectionalBase([1.0]))
     pts = base.sample(100.0, 2000, 10.0, 0)
     assert np.all(pts[:, 0] > 0)
     with pytest.raises(AsymptoticsError):
@@ -209,7 +191,6 @@ def test_polish_rule_follows_the_base():
     thick = ThickenedComplementBase(halfline_set(0.0))
     assert StandardBase(1).rays_stay_inside and DensityBase(1).rays_stay_inside
     assert not thick.rays_stay_inside
-    assert not DensityBase(1, exceptional=lambda p: p[:, 0] < 0).rays_stay_inside
     assert IntersectionBase(StandardBase(1), DensityBase(1)).rays_stay_inside
     assert not IntersectionBase(StandardBase(1), thick).rays_stay_inside
 
@@ -240,7 +221,7 @@ def test_standard_base_polishes_sampled_maxima():
 
 def test_liminf_floor_flagship_reaches_the_zeros():
     # liminf |sin sqrt|xi|| = 0: the polish lands on the zeros of the kink
-    floor = max(modulus_field(_flagship(), StandardBase(1), SCHED, "liminf")[1].min(), 0.0)
+    floor = max(modulus_field(_flagship(), StandardBase(1), SCHED, "liminf")[0].min(), 0.0)
     assert 0.0 <= floor <= 1e-9
 
 
@@ -267,13 +248,13 @@ def test_polish_loads_no_scipy():
 
 def test_gohberg_forms_flagship():
     f = _flagship()
-    _, vals, mx = modulus_field(f, StandardBase(1), SCHED)
+    vals, mx = modulus_field(f, StandardBase(1), SCHED)
     mn = vals.min()
     assert mx.value == pytest.approx(3.0, abs=3e-3)
     assert mn == pytest.approx(1.0, abs=1e-2)
     assert mn <= mx.value + 1e-3
     # generic (non-factorized) routes agree with the tensor fast paths
-    _, vals2, mx2 = modulus_field(_tabled(f), StandardBase(1), SCHED)
+    vals2, mx2 = modulus_field(_two_term(), StandardBase(1), SCHED)
     assert mx2.value == pytest.approx(mx.value, abs=2e-3)
     assert vals2.min() == pytest.approx(mn, abs=2e-2)
 
@@ -282,7 +263,7 @@ def test_liminf_floor_values():
     xg = GroupGrid.torus(64)
     xig = truncated_dual(xg, 16)
     floor = lambda psi: max(
-        modulus_field(multiplier_symbol(psi, xg, xig), StandardBase(1), SCHED, "liminf")[1].min(),
+        modulus_field(multiplier_symbol(psi, xg, xig), StandardBase(1), SCHED, "liminf")[0].min(),
         0.0,
     )
     away, near = floor(shifted_wave(2.0)), floor(shifted_wave(1.0))
@@ -292,39 +273,16 @@ def test_liminf_floor_values():
 
 def test_modulus_field_generic_matches_tensor():
     f = _flagship()
-    xs, tensor_vals, _ = modulus_field(f, StandardBase(1), SCHED, mode="limsup")
-    xs2, generic_vals, _ = modulus_field(_tabled(f), StandardBase(1), SCHED, mode="limsup")
-    assert np.array_equal(xs, xs2)
+    tensor_vals, _ = modulus_field(f, StandardBase(1), SCHED, mode="limsup")
+    generic_vals, _ = modulus_field(_two_term(), StandardBase(1), SCHED, mode="limsup")
+    assert tensor_vals.shape == generic_vals.shape
     assert np.allclose(tensor_vals, generic_vals, atol=2e-2)
     with pytest.raises(AsymptoticsError):
         modulus_field(f, StandardBase(1), SCHED, mode="median")
 
 
-# -- cluster sets --
-
-
-def test_cluster_set_flagship_interval():
-    cs = cluster_set(_flagship(), StandardBase(1), SCHED, eps=0.05)
-    assert not cs.zero_added
-    assert cs.max_abs == pytest.approx(3.0, abs=0.08)
-    assert cs.covers_real_interval(-2.5, 2.5)
-    assert not cs.contains_value(3.5 + 0j)
-    assert not cs.contains_value(1.0 + 1.0j)
-
-
-def test_cluster_zero_cell_for_noncompact_x():
-    xg = GroupGrid.line(0.5, 16.0)
-    f = multiplier_symbol(shifted_wave(2.0), xg, xg.dual())
-    sched = SamplingSchedule(scales=(1e2, 1e3), points_per_scale=2000)
-    cs = cluster_set(f, StandardBase(1), sched)
-    assert cs.zero_added
-    assert cs.contains_value(0j, slack=0)
-
-
 def test_compact_dual_rejected():
     xg = GroupGrid.truncated_integers(8)
     f = multiplier_symbol(constant_closure(1.0), xg, xg.dual())
-    with pytest.raises(AsymptoticsError):
-        cluster_set(f, StandardBase(1))
     with pytest.raises(AsymptoticsError):
         modulus_field(f, StandardBase(1))

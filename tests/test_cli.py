@@ -1,6 +1,7 @@
 """End-to-end runner checks: configs in, reports/CSVs/exit codes out."""
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -279,6 +280,73 @@ def test_config_fuzz_raises_only_config_errors():
     check()
 
 
+# the cheap runs the end-to-end fuzz mutates: tiny groups, short ladders, few samples
+CHEAP = {"schedule": {"bands": [16, 32, 64]}, "asym": {"points_per_scale": 100}}
+CHEAP_DOCS = [
+    {"schema": 1, **doc, **{key: {**value, **doc.get(key, {})} for key, value in CHEAP.items()}}
+    for doc in VALID_DOCS
+]
+NON_FINITE_POW = {
+    "schema": 1, "task": "asymptotics", "psi": "vo:pow:400", "asym": {"points_per_scale": 500},
+}
+NON_FINITE_OP = {
+    "schema": 1, "task": "build-op", "group": {"kind": "finite_cyclic", "n": 8},
+    "symbol": {"family": "const", "value": 1e308},
+}
+ZERO_SYMBOL_ZERO_TOL = {
+    "schema": 1, "task": "gohberg", "symbol": {"family": "const", "value": 0},
+    "schedule": {"bands": [16, 32, 64]}, "tolerances": {"zero_tol": 0},
+}
+
+
+def _affordable(doc) -> bool:
+    """A mutation that undoes the cheap settings (a deleted ladder, say) is not run."""
+    try:
+        cfg = ExperimentConfig.from_mapping(doc)
+    except CliError:
+        return True  # ends at the config check
+    bands, points = cfg.schedule.get("bands"), cfg.asym.get("points_per_scale")
+    return (
+        bands is not None and max(bands, default=0) <= 64
+        and points is not None and points <= 100 and (cfg.band or 0) <= 256
+    )
+
+
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which strict JSON forbids")
+
+
+def test_cli_fuzz_exit_codes_and_strict_reports(tmp_path, capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    runs = itertools.count()
+
+    @st.composite
+    def mutated(draw):
+        base = draw(st.sampled_from(CHEAP_DOCS))
+        path = draw(st.sampled_from(list(_paths(base))))
+        how = draw(st.sampled_from(["replace", "delete", "add"]))
+        return _mutate(base, path, draw(st.sampled_from(JUNK)), how)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(mutated().filter(_affordable))
+    @hypothesis.example(NON_FINITE_POW)
+    @hypothesis.example(NON_FINITE_OP)
+    @hypothesis.example(ZERO_SYMBOL_ZERO_TOL)
+    def check(doc):
+        out = tmp_path / f"run{next(runs)}"
+        code = main(["run", "--config", _write(tmp_path, doc), "--out", str(out)])
+        capsys.readouterr()
+        assert code in (0, 1, 2)
+        report = out / "report.json"
+        assert report.exists() is (code != 1)
+        if code != 1:
+            flags = json.loads(report.read_text(), parse_constant=_reject_constant)["flags"]
+            assert flags["violation"] is (code == 2)
+
+    check()
+
+
 def test_base_from_config():
     assert base_from_config(None, 2).label.startswith("standard")
     assert base_from_config({"kind": "directional", "omega0": [0, 1]}, 2).dim == 2
@@ -532,6 +600,26 @@ def test_spectrum_probe_task(tmp_path):
     weyl = report["results"]["weyl"]
     assert [w["verdict"] for w in weyl] == ["supporting", "against"]
     assert (out / "sigma_by_band.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [NON_FINITE_POW, NON_FINITE_OP], ids=["asymptotics", "build-op"])
+def test_non_finite_report_exits_one(tmp_path, capsys, doc):
+    # sin(|xi|^400) overflows to NaN; a 1e308 symbol overflows the HS norm
+    code, report, out = _run(tmp_path, doc)
+    assert code == 1
+    assert report is None and not out.exists()  # no side file either
+    err = capsys.readouterr().err
+    assert f"[error] {doc['task']}: the report would hold a NaN or an infinity" in err
+    assert "Traceback" not in err
+
+
+def test_gohberg_zero_symbol_with_zero_tol_is_ratio_one(tmp_path):
+    # both sides exactly 0 under zero_tol 0: ratio 1 by convention, not a division by 0
+    code, report, _ = _run(tmp_path, ZERO_SYMBOL_ZERO_TOL)
+    assert code == 0
+    goh = report["results"]["gohberg"]
+    assert goh["estimate"] == 0.0 and goh["rhs"] == 0.0 and goh["ratio"] == 1.0
+    assert goh["violation"] is False
 
 
 def test_non_finite_section_exits_one(tmp_path, capsys):

@@ -5,8 +5,8 @@ diff what they write.
 
 Each root is a source checkout holding ``src/corona_pdo``.  All 7 tasks and
 5 presets run once per root on a small fixed config, plus variants that
-spell every config table entry (psi families, gamma profiles, filter bases,
-groups, ``vo`` and per-task tolerances), each in its own
+spell every config table entry (psi families, gamma profiles, CSV-backed
+symbols, filter bases, groups, ``vo`` and per-task tolerances), each in its own
 ``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1``.  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
 other report line and every side file must match byte for byte.  With
@@ -200,6 +200,20 @@ CONFIGS.update({
     "spectrum-probe/two-term": {
         "task": "spectrum-probe", "symbol": TWO_TERM, **LADDER, "lambdas": [1.5, "0.5+0.2j", 6.0],
     },
+    # table symbols read from the CSVs that run_all writes
+    "build-op/symbol=csv": {
+        "task": "build-op", "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "csv", "path": "symbol4.csv"}, "matrix_format": "both",
+    },
+    "diagram-check/symbol=csv": {
+        "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "csv", "path": "symbol4.csv"},
+    },
+    # a table has no values off the grid: the at-infinity floor ends the run with exit 1
+    "fredholm/symbol=csv": {
+        "task": "fredholm", "group": {"kind": "torus", "samples": 8},
+        "symbol": {"family": "csv", "path": "symbol8.csv"},
+    },
 })
 ASYM_CASES = {
     "base=standard": {"psi": "vo:sqrt", "base": {"kind": "standard"}},
@@ -239,9 +253,17 @@ for label, extra in ASYM_CASES.items():
     CONFIGS[f"asymptotics/{label}"] = {"task": "asymptotics", "asym": SMALL, **extra}
 
 
+def _write_symbol_csvs(work: Path) -> None:
+    """The n x n symbol tables symbol4.csv and symbol8.csv that the csv configs read."""
+    for n in (4, 8):
+        rows = [f"{i},{k},{(i * n + k) % 5 - 1.5},{0.25 * i}\n" for i in range(n) for k in range(n)]
+        (work / f"symbol{n}.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
+
+
 def run_all(root: Path, work: Path) -> dict:
     """Run every config against ``root``; name -> {file name: bytes}."""
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"), CORONA_PDO_THREADS="1")
+    _write_symbol_csvs(work)
     outputs = {}
     for name, extra in CONFIGS.items():
         out = work / name.replace(":", "_").replace("/", "__").replace("=", "-")
