@@ -23,6 +23,7 @@ import datetime
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -817,8 +818,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _run(cfg: ExperimentConfig) -> int:
-    # a side file is (header, rows) for a CSV table or a writer taking the path
-    results, flags, side_files = _RUNNERS[cfg.task](cfg)
+    # numpy's floating-point warnings are recorded, not printed: the first one
+    # names the cause of a refused report, and a finished run lists them as [warn]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        # a side file is (header, rows) for a CSV table or a writer taking the path
+        results, flags, side_files = _RUNNERS[cfg.task](cfg)
+    numpy_warnings = list(dict.fromkeys(str(w.message) for w in caught))
     report = {
         "meta": {
             "tool": "corona-pdo",
@@ -838,7 +844,8 @@ def _run(cfg: ExperimentConfig) -> int:
             report, sort_keys=True, indent=2, default=_report_value, allow_nan=False
         )
     except ValueError:
-        raise CliError(f"{cfg.task}: the report would hold a NaN or an infinity") from None
+        cause = f" (first numpy warning: {numpy_warnings[0]})" if numpy_warnings else ""
+        raise CliError(f"{cfg.task}: the report would hold a NaN or an infinity{cause}") from None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, side in side_files.items():
@@ -850,7 +857,7 @@ def _run(cfg: ExperimentConfig) -> int:
     report_path = out / "report.json"
     report_path.write_text(text + "\n")
     print(f"[write] {report_path}")
-    for w in flags["warnings"]:
+    for w in flags["warnings"] + [f"numpy: {w}" for w in numpy_warnings]:
         print(f"[warn] {w}", file=sys.stderr)
     if flags["violation"]:
         print("[verdict] contract violation present in report", file=sys.stderr)

@@ -26,6 +26,10 @@ result unreliable rather than silently smoothing it away.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +94,37 @@ def _gram(band: np.ndarray, lam: complex = 0.0) -> np.ndarray:
     return gram
 
 
+@functools.cache
+def _zpbtrf():
+    """LAPACK's banded Cholesky ``zpbtrf`` from scipy's f2py extension
+    ``scipy/linalg/_flapack``, loaded on its own: neither the lookup nor the
+    load runs ``scipy/__init__`` or the ``scipy.linalg`` package, whose import
+    takes 0.2-0.3 s where the extension takes 6-8 ms (2-core x86-64, scipy 1.17)."""
+    scipy = importlib.util.find_spec("scipy")
+    dirs = [os.path.join(d, "linalg") for d in (scipy and scipy.submodule_search_locations or ())]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        from importlib import metadata
+
+        try:
+            found = f"scipy {metadata.version('scipy')} has no"
+        except metadata.PackageNotFoundError:
+            found = "scipy is not installed, so there is no"
+        raise SpectralError(
+            f"singular values need zpbtrf, but {found} LAPACK extension linalg/_flapack"
+        )
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zpbtrf
+
+
 def _bisect(gram: np.ndarray, top: bool) -> float:
     """lambda_max (top) or lambda_min of G in upper band storage, by bisection.
 
     G - mu factors by banded Cholesky iff mu < lambda_min, and mu - G iff
     mu > lambda_max; returns the certified end of a bracket of width 8 eps ||G||.
     """
-    from scipy.linalg.lapack import zpbtrf  # loaded by the runs that take singular values
-
+    zpbtrf = _zpbtrf()  # the extension loads on the first singular value of a run
     w = gram.shape[0] - 1
     mags = np.abs(gram)
     rows = mags.sum(axis=0)
@@ -105,10 +132,11 @@ def _bisect(gram: np.ndarray, top: bool) -> float:
         rows[:-d] += mags[w - d, d:]
     norm = rows.max()  # Gershgorin: bounds lambda_max(G)
     lo, hi = (gram[w].real.max(), norm) if top else (0.0, gram[w].real.min())
-    shifted = -gram if top else gram
+    # Fortran order lets zpbtrf factor each copy in place instead of making its own
+    shifted = np.asfortranarray(-gram if top else gram)
     while hi - lo > 8 * np.finfo(float).eps * norm:
         mu = 0.5 * (lo + hi)
-        ab = shifted.copy()
+        ab = shifted.copy(order="F")
         ab[w] += mu if top else -mu
         if (zpbtrf(ab, overwrite_ab=1)[1] == 0) == top:
             hi = mu

@@ -814,21 +814,18 @@ def test_cesaro_preset_roof(tmp_path):
     assert lines[0] == "radius,mean,roof"
 
 
-def test_sepavar_preset_small_ladder(tmp_path, monkeypatch):
-    import scipy.linalg
+SEPAVAR_SMALL = {
+    "schema": 1,
+    "task": "examples:sepavar",
+    "seed": 5,
+    "schedule": {"bands": [64, 128, 256]},
+    "asym": {"points_per_scale": 4000},
+    "lambdas": [0.0, 4.5],
+}
 
-    def no_tridiagonal_reduction(*args, **kwargs):
-        raise AssertionError("ladder singular values come from banded Cholesky bisection")
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", no_tridiagonal_reduction)
-    doc = {
-        "schema": 1,
-        "task": "examples:sepavar",
-        "seed": 5,
-        "schedule": {"bands": [64, 128, 256]},
-        "asym": {"points_per_scale": 4000},
-        "lambdas": [0.0, 4.5],
-    }
+def test_sepavar_preset_small_ladder(tmp_path):
+    doc = SEPAVAR_SMALL
     (tmp_path / "sepavar").mkdir()
     code, report, out = _run(tmp_path / "sepavar", doc)
     assert code == 0
@@ -906,9 +903,70 @@ def test_module_invocation_smoke():
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is imported where it is called (the banded Cholesky of the spectral tasks)
+    # the banded Cholesky loads scipy's LAPACK extension on a run's first singular value
     code = (
         "import sys, corona_pdo.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert _fresh_interpreter(code) == "[]"
+
+
+def test_spectral_runs_load_no_scipy_package(tmp_path):
+    # zpbtrf comes from the extension module alone: no scipy package is imported
+    probe = {
+        "schema": 1,
+        "task": "spectrum-probe",
+        "symbol": FLAGSHIP,
+        "schedule": {"bands": [16, 32, 64]},
+        "lambdas": [0.0, 4.5],
+    }
+    runs = []
+    for name, doc in (("sepavar", SEPAVAR_SMALL), ("probe", probe)):
+        (tmp_path / name).mkdir()
+        out = str(tmp_path / name / "out")
+        runs.append(["run", "--config", _write(tmp_path / name, doc), "--out", out])
+    code = (
+        "import sys; from corona_pdo.cli import main; "
+        f"print([main(argv) for argv in {runs!r}], "
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "[0, 0] []"
+    for name in ("sepavar", "probe"):
+        assert (tmp_path / name / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, cause",
+    [(NON_FINITE_POW, "overflow encountered in power"), (NON_FINITE_OP, "overflow encountered in ifft")],
+    ids=["asymptotics", "build-op"],
+)
+def test_non_finite_refusal_names_the_first_numpy_warning(tmp_path, doc, cause):
+    # a fresh process: the raw RuntimeWarning lines would go to its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "corona_pdo.cli", "run", "--config", _write(tmp_path, doc)]
+        + ["--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and not (tmp_path / "out").exists()
+    assert proc.stderr.splitlines() == [
+        f"[error] {doc['task']}: the report would hold a NaN or an infinity "
+        f"(first numpy warning: {cause})"
+    ]
+
+
+def test_finished_run_lists_numpy_warnings(tmp_path, capsys, monkeypatch):
+    from corona_pdo import cli
+
+    task = cli._RUNNERS["fourier-selftest"]
+
+    def overflowing_task(cfg):
+        np.float64(1e308) * 10
+        return task(cfg)
+
+    monkeypatch.setitem(cli._RUNNERS, "fourier-selftest", overflowing_task)
+    doc = {"schema": 1, "task": "fourier-selftest", "group": {"kind": "finite_cyclic", "n": 8}}
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 0 and report is not None
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["[warn] numpy: overflow encountered in scalar multiply"]

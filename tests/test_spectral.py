@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import svds
 
+from corona_pdo import spectral
 from corona_pdo.asymptotics import SamplingSchedule
 from corona_pdo.groups import GroupGrid
 from corona_pdo.pdo import frequency_section
@@ -151,16 +152,14 @@ def test_non_finite_section_raises(bad):
 
 
 def test_each_value_costs_at_most_64_factorisations(monkeypatch):
-    import scipy.linalg.lapack as lapack
-
     calls = []
-    zpbtrf = lapack.zpbtrf
+    zpbtrf = spectral._zpbtrf()
 
     def counted(*args, **kwargs):
         calls.append(1)
         return zpbtrf(*args, **kwargs)
 
-    monkeypatch.setattr(lapack, "zpbtrf", counted)
+    monkeypatch.setattr(spectral, "_zpbtrf", lambda: counted)
     rng = np.random.default_rng(5)
     m = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
     band = _band(np.triu(np.tril(m, 4), -4), 4)
@@ -168,6 +167,30 @@ def test_each_value_costs_at_most_64_factorisations(monkeypatch):
         calls.clear()
         value()
         assert 0 < len(calls) <= 64
+
+
+@pytest.mark.parametrize("shift", [40.0, 0.5], ids=["definite", "indefinite"])
+def test_extension_zpbtrf_matches_scipy_linalg(shift):
+    # the routine loaded from scipy's LAPACK extension alone is the public one
+    from scipy.linalg.lapack import zpbtrf
+
+    rng = np.random.default_rng(7)
+    ab = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+    ab[2] = shift + rng.standard_normal(300)  # Hermitian: real diagonal
+    ours, info = spectral._zpbtrf()(np.asfortranarray(ab))
+    theirs, their_info = zpbtrf(np.asfortranarray(ab))
+    assert info == their_info and (info == 0) == (shift > 1)
+    assert ours.tobytes() == theirs.tobytes()
+
+
+def test_missing_lapack_extension_is_a_spectral_error(monkeypatch, tmp_path):
+    # a scipy whose linalg holds no _flapack: the run ends in [error], not a traceback
+    class NoLinalg:
+        submodule_search_locations = [str(tmp_path)]
+
+    monkeypatch.setattr(spectral.importlib.util, "find_spec", lambda name: NoLinalg)
+    with pytest.raises(SpectralError, match=r"scipy \S+ has no LAPACK extension"):
+        spectral._zpbtrf.__wrapped__()
 
 
 PSIS = [
