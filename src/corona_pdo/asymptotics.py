@@ -101,16 +101,16 @@ class StandardBase(FilterBase):
 
 
 class DirectionalBase(FilterBase):
-    """Shrinking cones: |xi| > t and angle(xi, omega0) <= aperture(t)."""
+    """Shrinking cones: |xi| > t and angle(xi, omega0) <= aperture_scale / t."""
 
-    def __init__(self, omega0, aperture=None):
+    def __init__(self, omega0, aperture_scale: float = 1.0):
         w = np.asarray(omega0, dtype=float).reshape(-1)
         nw = np.linalg.norm(w)
         if nw == 0:
             raise AsymptoticsError("omega0 must be nonzero")
         self.omega0 = w / nw
         self.dim = len(w)
-        self.aperture = aperture or (lambda t: 1.0 / t)
+        self.aperture_scale = float(aperture_scale)
         self.label = f"directional({np.round(self.omega0, 6).tolist()})"
         if self.dim > 1:
             proj = np.eye(self.dim) - np.outer(self.omega0, self.omega0)
@@ -124,7 +124,7 @@ class DirectionalBase(FilterBase):
         ndir = max(int(math.sqrt(n)), 8)
         nrad = max(n // ndir, 4)
         r = log_radii(scale, scale * span, nrad, seed + 7)
-        a = float(self.aperture(scale))
+        a = self.aperture_scale / scale
         u = kronecker(ndir - 1, 1, seed)[:, 0]
         if self.dim == 2:
             theta = a * (2 * u - 1)
@@ -149,11 +149,12 @@ class DirectionalBase(FilterBase):
         rr = np.linalg.norm(pts, axis=1)
         safe = np.where(rr == 0, 1.0, rr)
         cosang = (pts @ self.omega0) / safe
-        return (rr > scale) & (cosang >= math.cos(float(self.aperture(scale))) - 1e-12)
+        return (rr > scale) & (cosang >= math.cos(self.aperture_scale / scale) - 1e-12)
 
 
 class ThickenedComplementBase(FilterBase):
-    """Complements of growing thickenings of a closed set E: dist(xi, E) > s(t)."""
+    """Complements of thickenings of a closed set E that grow with the scale:
+    dist(xi, E) > t."""
 
     rays_stay_inside = False  # a ray may cross into the thickening
 
@@ -163,11 +164,10 @@ class ThickenedComplementBase(FilterBase):
         self.label = f"ethick({E.label})"
 
     def sample(self, scale, n, span, seed):
-        radius = self.E.complement_radius(scale)
         kept, total = [], 0
         for round_ in range(8):
             pts = annulus(scale, scale * span, self.dim, n, seed + 131 * round_)
-            kept.append(pts[self.E.distance(pts) > radius])
+            kept.append(pts[self.E.distance(pts) > scale])
             total += len(pts)
             if sum(len(k) for k in kept) >= n:
                 break
@@ -182,7 +182,7 @@ class ThickenedComplementBase(FilterBase):
 
     def mask(self, pts, scale):
         return (np.linalg.norm(pts, axis=1) > scale) & (
-            self.E.distance(pts) > self.E.complement_radius(scale)
+            self.E.distance(pts) > scale
         )
 
 
@@ -228,19 +228,23 @@ class IntersectionBase(FilterBase):
 
 
 def fit_inverse_sqrt(scales, values):
-    """Least squares value(t) ~ a + b/sqrt(t).
+    """Least squares value(t) ~ a + b/sqrt(t), one fit per column of a
+    (scales, k) array of values.
 
-    Returns (a, b, max_residual, rel_residual); a is the t -> infinity limit.
+    Returns (a, b, max_residual, rel_residual), each a scalar for a 1-d
+    ``values`` and a length-k array otherwise; a is the t -> infinity limit.
+    One scale gives a = value and b = 0.
     """
     t = np.asarray(scales, dtype=float)
     y = np.asarray(values, dtype=float)
-    if t.size == 1:
-        return float(y[0]), 0.0, 0.0, 0.0
     A = np.stack([np.ones_like(t), t**-0.5], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.max(np.abs(A @ coef - y)))
-    rel = resid / max(1e-12, float(np.max(np.abs(y))))
-    return float(coef[0]), float(coef[1]), resid, rel
+    if t.size == 1:  # lstsq would split y between a and b
+        coef = np.stack([y[0], np.zeros_like(y[0])])
+    else:
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = np.max(np.abs(A @ coef - y), axis=0)
+    rel = resid / np.maximum(1e-12, np.max(np.abs(y), axis=0))
+    return coef[0], coef[1], resid, rel
 
 
 @dataclass
@@ -326,22 +330,21 @@ def _sup_fit(label: str, scales, sups: np.ndarray) -> AsymptoticFit:
 def limsup_along(
     phi,
     base: FilterBase,
-    schedule: SamplingSchedule | None = None,
+    schedule: SamplingSchedule,
 ) -> AsymptoticFit:
     """Extrapolated limsup of the real functional phi along the filter base.
 
     Per scale the sampled sup is polished along its best rays when
     ``base.rays_stay_inside``; otherwise it is reported as sampled.
     """
-    sched = schedule or SamplingSchedule()
     sups = [
-        _extremum(phi, pts, np.real(np.asarray(phi(pts))), True, base, sched)
-        for pts in _samples(base, sched)
+        _extremum(phi, pts, np.real(np.asarray(phi(pts))), True, base, schedule)
+        for pts in _samples(base, schedule)
     ]
-    return _sup_fit("limsup", sched.scales, np.array(sups))
+    return _sup_fit("limsup", schedule.scales, np.array(sups))
 
 
-def liminf_along(phi, base, schedule=None):
+def liminf_along(phi, base: FilterBase, schedule: SamplingSchedule) -> AsymptoticFit:
     neg = limsup_along(lambda p: -np.real(np.asarray(phi(p))), base, schedule)
     return AsymptoticFit(
         "liminf", "inf", neg.scales, -neg.per_scale, -neg.value, -neg.slope,
@@ -372,7 +375,7 @@ def _blocks(symbol: Symbol, x_indices: np.ndarray, pts: np.ndarray):
 def modulus_field(
     symbol: Symbol,
     base: FilterBase,
-    schedule: SamplingSchedule | None = None,
+    schedule: SamplingSchedule,
     mode: str = "limsup",
 ):
     """Per-fiber limsup (or liminf) of |f(x, .)| along the base.
@@ -393,14 +396,13 @@ def modulus_field(
         raise AsymptoticsError(
             "dual group grid is of compact kind: no neighborhood of infinity to sample"
         )
-    sched = schedule or SamplingSchedule()
     x_indices = _x_subsample(symbol.xgrid.size)
     maximize = mode == "limsup"
     terms = symbol.tensor_terms
     if terms is not None and len(terms) == 1:
         g, psi = np.abs(terms[0][0]), terms[0][1]
         along = limsup_along if maximize else liminf_along
-        f = along(lambda p: np.abs(psi(p)), base, sched)
+        f = along(lambda p: np.abs(psi(p)), base, schedule)
         envelope = None
         if maximize:
             gmax = float(np.max(g))
@@ -414,24 +416,22 @@ def modulus_field(
         return np.max([v.max(axis=0) for _, v in _blocks(symbol, x_indices, p)], axis=0)
 
     per_scale, sampled, sups = [], [], []
-    for pts in _samples(base, sched):
+    for pts in _samples(base, schedule):
         ext, env = np.empty(len(x_indices)), np.zeros(len(pts))
         for rows, vals in _blocks(symbol, x_indices, pts):
             ext[rows] = vals.max(axis=1) if maximize else vals.min(axis=1)
             if maximize:
                 np.maximum(env, vals.max(axis=0), out=env)
         if maximize:
-            sups.append(_extremum(top, pts, env, True, base, sched))
+            sups.append(_extremum(top, pts, env, True, base, schedule))
         per_scale.append(ext)
         sampled.append(pts)
-    A = np.stack([np.ones(len(sched.scales)), np.asarray(sched.scales) ** -0.5], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.array(per_scale), rcond=None)
-    values = coef[0].copy()
+    values = fit_inverse_sqrt(schedule.scales, np.array(per_scale))[0]
     if base.rays_stay_inside:  # elsewhere _extremum returns the sampled extremes
         for j in np.argsort(values)[:3]:
             phi = lambda p, _x=int(x_indices[j]): np.abs(symbol.eval_outer([_x], p))[0]
-            exts = [_extremum(phi, pts, phi(pts), maximize, base, sched) for pts in sampled]
-            values[j] = fit_inverse_sqrt(sched.scales, exts)[0]
-    envelope = _sup_fit("maxform", sched.scales, np.array(sups)) if maximize else None
+            exts = [_extremum(phi, pts, phi(pts), maximize, base, schedule) for pts in sampled]
+            values[j] = fit_inverse_sqrt(schedule.scales, exts)[0]
+    envelope = _sup_fit("maxform", schedule.scales, np.array(sups)) if maximize else None
     return values, envelope
 

@@ -63,7 +63,6 @@ from .symbols import (
     DualClosure,
     SymbolError,
     TensorSymbol,
-    ball_exhaustion,
     cesaro_mean,
     const_profile,
     constant_closure,
@@ -244,8 +243,8 @@ _SETS = {"halfline": ({"a": _REAL}, halfline_set), "parabola": ({}, parabola_gra
 _BASES = {
     "standard": ({"extra_directions": _list(_direction, 1)}, StandardBase),
     "directional": (
-        {"omega0": (_direction, ...), "aperture_scale": (_POS, 1.0)},
-        lambda dim, omega0, aperture_scale: DirectionalBase(omega0, lambda t: aperture_scale / t),
+        {"omega0": (_direction, ...), "aperture_scale": _POS},
+        lambda dim, **kw: DirectionalBase(**kw),
     ),
     "ethick": (_tagged("set", _SETS, "halfline"), lambda dim, **e: ThickenedComplementBase(
         syndetic_thickening_filter_data(_build(_SETS, "set", e)))),
@@ -301,6 +300,7 @@ _REQUIRED = {
     "asymptotics": "psi",
 }
 _NARROWER = {"spectrum-probe": {"lambdas": _list(_complex, 1)},
+             "examples:sepavar": {"lambdas": _list(_complex, 1)},
              "examples:cesaro": {"band": (_num(int, 16), 4096)}}
 
 
@@ -537,7 +537,7 @@ def _task_gohberg(cfg: ExperimentConfig):
     print(
         f"[run] gohberg: estimate {rep.estimate:.6g}, rhs {rep.rhs:.6g}, ratio {ratio_txt}"
     )
-    rows = list(zip(est.bands, est.shell_dims, est.sigma_top))
+    rows = list(zip(sched.bands, est.shell_dims, est.sigma_top))
     return results, flags, {"sigma_by_band.csv": (["band", "shell_dim", "sigma_top"], rows)}
 
 
@@ -546,10 +546,10 @@ def _task_spectrum_probe(cfg: ExperimentConfig):
     probe = essential_spectrum_probe(f, cfg.lambdas, sched, **cfg.tols("support_tol"))
     weyl = [
         {"lambda": lam.real if lam.imag == 0 else str(lam), "traj": list(traj), "verdict": v}
-        for lam, traj, v in zip(probe.lambdas, probe.sigma_min_table, probe.verdicts)
+        for lam, traj, v in zip(cfg.lambdas, probe.sigma_min_table, probe.verdicts)
     ]
     rows = [
-        [w["lambda"], band, s] for w in weyl for band, s in zip(probe.bands, w["traj"])
+        [w["lambda"], band, s] for w in weyl for band, s in zip(sched.bands, w["traj"])
     ]
     results = {
         "symbol_id": _symbol_id(f),
@@ -558,7 +558,7 @@ def _task_spectrum_probe(cfg: ExperimentConfig):
         "weyl": weyl,
     }
     counts = {v: probe.verdicts.count(v) for v in sorted(set(probe.verdicts))}
-    print(f"[run] spectrum-probe over {len(probe.lambdas)} points: {counts}")
+    print(f"[run] spectrum-probe over {len(cfg.lambdas)} points: {counts}")
     return results, _flags(), {"sigma_by_band.csv": (["lambda", "band", "sigma_min"], rows)}
 
 
@@ -582,7 +582,7 @@ def _task_fredholm(cfg: ExperimentConfig):
             "notes": list(res.notes),
         },
     }
-    rows = [[band, s] for band, s in zip(res.bands, res.sigma_min_full)]
+    rows = [[band, s] for band, s in zip(sched.bands, res.sigma_min_full)]
     print(f"[run] fredholm: {res.verdict} (floor {res.floor:.6g})")
     return results, _flags(res.notes), {"sigma_by_band.csv": (["band", "sigma_min"], rows)}
 
@@ -728,7 +728,7 @@ def _example_cesaro(cfg: ExperimentConfig):
     band = cfg.band
     grid = GroupGrid.truncated_integers(band)
     radii = [2**k for k in range(4, band.bit_length()) if 2**k <= band]
-    res = cesaro_mean(dyadic_indicator(), ball_exhaustion(grid, radii))
+    res = cesaro_mean(dyadic_indicator(), grid, radii)
     # upper gaps give means ~ (log2 n)^2 / (4n); 2(log2 n)^2/n is a safe roof
     bound_rows, bound_ok = [], True
     for rad, mean in zip(radii, res.means):

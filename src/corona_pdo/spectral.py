@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (
-    FilterBase,
-    SamplingSchedule,
-    StandardBase,
-    fit_inverse_sqrt,
-    modulus_field,
-)
+from .asymptotics import FilterBase, SamplingSchedule, fit_inverse_sqrt, modulus_field
 from .groups import GroupGrid, truncated_dual
 from .pdo import frequency_section
 from .symbols import VO_RADII, Symbol, vanishing_oscillation_test, vo_shifts
@@ -162,28 +156,26 @@ def shell_indices(xigrid: GroupGrid, threshold: float) -> np.ndarray:
     return np.where(r > threshold)[0]
 
 
-def _rung_grids(symbol: Symbol, schedule: TruncationSchedule, band: int):
-    """Band N's grid pair.  A rung rebinds the symbol to a torus, so a symbol on
-    any other x group would be measured on a group its report does not name."""
-    xg = symbol.xgrid
-    if xg.ndim != 1 or xg.factors[0].kind != "torus":
+def _rungs(symbol: Symbol, schedule: TruncationSchedule, shell: bool):
+    """Each band's section in band storage, the shell |eta| > N/2 or the full band.
+
+    A rung rebinds the symbol to the schedule's torus, so a symbol on any other
+    x group would be measured on a group its report does not name.
+    """
+    if symbol.xgrid.ndim != 1 or symbol.xgrid.factors[0].kind != "torus":
         raise SpectralError(
-            f"truncation ladders need a 1-d torus x group, got {xg.descriptor()}"
+            f"truncation ladders need a 1-d torus x group, got {symbol.xgrid.descriptor()}"
         )
-    return schedule.grids(band)
-
-
-def _shell_section(symbol: Symbol, schedule: TruncationSchedule, band: int) -> np.ndarray:
-    xg, xig = _rung_grids(symbol, schedule, band)
-    idx = shell_indices(xig, band / 2)
-    if len(idx) < 8:
-        raise SpectralError(f"band {band} leaves a degenerate shell ({len(idx)} points)")
-    return frequency_section(symbol.rebound(xg, xig), idx, banded=True)
+    for band in schedule.bands:
+        xg, xig = schedule.grids(band)
+        idx = shell_indices(xig, band / 2) if shell else None
+        if shell and len(idx) < 8:
+            raise SpectralError(f"band {band} leaves a degenerate shell ({len(idx)} points)")
+        yield frequency_section(symbol.rebound(xg, xig), idx, banded=True)
 
 
 @dataclass
 class EssentialNormResult:
-    bands: tuple
     shell_dims: tuple
     sigma_top: tuple
     estimate: float
@@ -202,8 +194,7 @@ def essential_norm_estimate(symbol: Symbol, schedule: TruncationSchedule) -> Ess
     20% or an estimate above 1.05 * sup_bound marks the ladder unreliable.
     """
     tops, dims, notes = [], [], []
-    for band in schedule.bands:
-        sect = _shell_section(symbol, schedule, band)
+    for sect in _rungs(symbol, schedule, shell=True):
         dims.append(sect.shape[1])
         tops.append(sigma_top(sect))
     a, b, resid, rel = fit_inverse_sqrt(np.array(schedule.bands, dtype=float), np.array(tops))
@@ -221,7 +212,6 @@ def essential_norm_estimate(symbol: Symbol, schedule: TruncationSchedule) -> Ess
             "a bound on the operator norm: ladder has not converged"
         )
     return EssentialNormResult(
-        bands=schedule.bands,
         shell_dims=tuple(dims),
         sigma_top=tuple(tops),
         estimate=float(est),
@@ -235,8 +225,6 @@ def essential_norm_estimate(symbol: Symbol, schedule: TruncationSchedule) -> Ess
 
 @dataclass
 class ProbeResult:
-    lambdas: tuple
-    bands: tuple
     sigma_min_table: tuple  # rows per lambda
     verdicts: tuple
     scale: float
@@ -259,8 +247,7 @@ def essential_spectrum_probe(
     """
     lambdas = tuple(complex(l) for l in lambdas)
     table = np.empty((len(lambdas), len(schedule.bands)))
-    for j, band in enumerate(schedule.bands):
-        sect = _shell_section(symbol, schedule, band)
+    for j, sect in enumerate(_rungs(symbol, schedule, shell=True)):
         for i, lam in enumerate(lambdas):
             table[i, j] = sigma_min(sect, lam=lam)
     scale = max(float(symbol.sup_bound), 1e-12)
@@ -276,8 +263,6 @@ def essential_spectrum_probe(
         else:
             verdicts.append("inconclusive")
     return ProbeResult(
-        lambdas=lambdas,
-        bands=schedule.bands,
         sigma_min_table=tuple(tuple(row) for row in table),
         verdicts=tuple(verdicts),
         scale=scale,
@@ -288,7 +273,6 @@ def essential_spectrum_probe(
 class FredholmResult:
     verdict: str  # FREDHOLM-SUFFICIENT | INCONCLUSIVE | NOT-FREDHOLM
     floor: float
-    bands: tuple
     sigma_min_full: tuple
     corroborated: bool
     notes: tuple
@@ -296,9 +280,9 @@ class FredholmResult:
 
 def fredholm_check(
     symbol: Symbol,
-    base: FilterBase | None = None,
-    schedule: TruncationSchedule | None = None,
-    asym_schedule: SamplingSchedule | None = None,
+    base: FilterBase,
+    schedule: TruncationSchedule,
+    asym_schedule: SamplingSchedule,
     floor_tol: float = 1e-2,
     margin_factor: float = 0.5,
 ) -> FredholmResult:
@@ -318,19 +302,13 @@ def fredholm_check(
         return FredholmResult(
             verdict="NOT-FREDHOLM",
             floor=0.0,
-            bands=(),
             sigma_min_full=(),
             corroborated=True,
             notes=("x group is non-compact: 0 lies in the spectrum at infinity",),
         )
-    base = base or StandardBase(symbol.xigrid.ndim)
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
     floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min()), 0.0)
-    schedule = schedule or TruncationSchedule()
-    sigmas = []
-    for band in schedule.bands:
-        rung = symbol.rebound(*_rung_grids(symbol, schedule, band))
-        sigmas.append(sigma_min(frequency_section(rung, banded=True)))
+    sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, shell=False))
     verdict = "FREDHOLM-SUFFICIENT" if floor > floor_tol else "INCONCLUSIVE"
     corroborated = True
     if verdict == "FREDHOLM-SUFFICIENT":
@@ -349,8 +327,7 @@ def fredholm_check(
     return FredholmResult(
         verdict=verdict,
         floor=floor,
-        bands=schedule.bands,
-        sigma_min_full=tuple(float(s) for s in sigmas),
+        sigma_min_full=sigmas,
         corroborated=corroborated,
         notes=tuple(notes),
     )
@@ -374,8 +351,8 @@ class GohbergReport:
 def gohberg_verify(
     symbol: Symbol,
     est_result: EssentialNormResult,
-    base: FilterBase | None = None,
-    asym_schedule: SamplingSchedule | None = None,
+    base: FilterBase,
+    asym_schedule: SamplingSchedule,
     ratio_band: tuple = (0.85, 1.15),
     zero_tol: float = 0.05,
 ) -> GohbergReport:
@@ -392,7 +369,6 @@ def gohberg_verify(
     marks the whole report UNRELIABLE, where the identity is simply not
     claimed and no violation is raised.
     """
-    base = base or StandardBase(symbol.xigrid.ndim)
     per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
     est, rhs, minform = est_result.estimate, max_fit.value, float(per_fiber.min())
     notes = list(est_result.notes)

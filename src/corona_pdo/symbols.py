@@ -347,36 +347,6 @@ def vanishing_oscillation_test(
 
 
 @dataclass
-class CompactExhaustion:
-    """Nested measurable sets D_1 c D_2 c ... on a dual grid, given as masks."""
-
-    grid: GroupGrid
-    masks: list
-    labels: list
-
-    def __post_init__(self):
-        prev = None
-        for k, m in enumerate(self.masks):
-            m = np.asarray(m, dtype=bool).reshape(-1)
-            if m.size != self.grid.size:
-                raise SymbolError(f"mask {k} does not match the grid")
-            if not m.any():
-                raise SymbolError(f"set {k} has zero measure")
-            if prev is not None and np.any(prev & ~m):
-                raise SymbolError(f"sets are not nested at position {k}")
-            self.masks[k] = m
-            prev = m
-
-
-def ball_exhaustion(grid: GroupGrid, radii) -> CompactExhaustion:
-    radii = list(radii)
-    if sorted(radii) != radii:
-        raise SymbolError("ball radii must be increasing")
-    r = np.linalg.norm(grid.coords, axis=1)
-    return CompactExhaustion(grid, [r <= rad for rad in radii], [float(x) for x in radii])
-
-
-@dataclass
 class CesaroResult:
     labels: list
     means: np.ndarray
@@ -385,14 +355,21 @@ class CesaroResult:
     tail_slope: float
 
 
-def cesaro_mean(psi: DualClosure, exhaustion: CompactExhaustion) -> CesaroResult:
-    """Means m_n = integral over D_n of |psi| / measure(D_n) plus a verdict
-    (tail slope of log m_n against log measure) on whether m_n -> 0."""
-    g = exhaustion.grid
-    vals = np.abs(psi(g.coords))
-    w = g.weight_per_point
+def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
+    """Means m_n = integral over the ball B_n of |psi| / measure(B_n), for the
+    balls |xi| <= radii[n] of the grid, plus a verdict (tail slope of log m_n
+    against log measure) on whether m_n -> 0."""
+    radii = list(radii)
+    if sorted(radii) != radii:
+        raise SymbolError("ball radii must be increasing")
+    r = np.linalg.norm(grid.coords, axis=1)
+    vals = np.abs(psi(grid.coords))
+    w = grid.weight_per_point
     means, measures = [], []
-    for m in exhaustion.masks:
+    for k, rad in enumerate(radii):
+        m = r <= rad
+        if not m.any():
+            raise SymbolError(f"ball {k} (radius {rad}) holds no grid point")
         measures.append(w * int(m.sum()))
         means.append(w * float(vals[m].sum()) / measures[-1])
     means = np.array(means)
@@ -403,7 +380,7 @@ def cesaro_mean(psi: DualClosure, exhaustion: CompactExhaustion) -> CesaroResult
         x = np.log(measures[tail])
     slope = float(np.polyfit(x, y, 1)[0]) if len(means) >= 2 else 0.0
     verdict = bool(slope < -0.1 or means[-1] < 1e-12)
-    return CesaroResult(exhaustion.labels, means, measures, verdict, slope)
+    return CesaroResult([float(x) for x in radii], means, measures, verdict, slope)
 
 
 # -- thickened sets for the non-syndetic family -----------------------------------
@@ -416,10 +393,6 @@ class ThickenedSet:
     distance: object  # (n, d) points -> distances (n,)
     dim: int
     label: str
-
-    def complement_radius(self, t: float) -> float:
-        # thickening radius grows linearly in the base scale
-        return float(t)
 
 
 def halfline_set(a: float = 0.0) -> ThickenedSet:

@@ -40,7 +40,6 @@ from corona_pdo.spectral import (
 )
 from corona_pdo.symbols import (
     TableSymbol,
-    ball_exhaustion,
     cesaro_mean,
     cos_profile,
     dyadic_indicator,
@@ -78,10 +77,12 @@ def flagship_estimate(flagship):
     return essential_norm_estimate(flagship, LADDER)
 
 
+PROBE_LAMBDAS = (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
+
+
 @pytest.fixture(scope="module")
 def flagship_probe(flagship):
-    lams = (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
-    return essential_spectrum_probe(flagship, lams, LADDER)
+    return essential_spectrum_probe(flagship, PROBE_LAMBDAS, LADDER)
 
 
 def test_criterion_1_exact_identities():
@@ -118,7 +119,7 @@ def test_criterion_1_exact_identities():
 
 def test_criterion_2_distance_identity(flagship, flagship_estimate):
     est = flagship_estimate.estimate
-    rhs = modulus_field(flagship, StandardBase(1))[1].value
+    rhs = modulus_field(flagship, StandardBase(1), SamplingSchedule())[1].value
     _verdict(
         2,
         "distance estimate vs sampled tail sup",
@@ -131,7 +132,7 @@ def test_criterion_2_distance_identity(flagship, flagship_estimate):
 
 def test_criterion_3_lower_bound(flagship, flagship_estimate):
     est = flagship_estimate.estimate
-    mn = modulus_field(flagship, StandardBase(1))[0].min()
+    mn = modulus_field(flagship, StandardBase(1), SamplingSchedule())[0].min()
     _verdict(
         3,
         "min-form lower bound",
@@ -155,10 +156,10 @@ def test_criterion_4_compact_degeneration():
 
 def test_criterion_5_weyl_probe(flagship_probe):
     checks = []
-    for lam, traj in zip(flagship_probe.lambdas, flagship_probe.sigma_min_table):
-        if lam.real in (-3.0, -1.5, 0.0, 1.5, 3.0):
+    for lam, traj in zip(PROBE_LAMBDAS, flagship_probe.sigma_min_table):
+        if lam in (-3.0, -1.5, 0.0, 1.5, 3.0):
             checks.append(
-                (f"sigma_min(lam={lam.real:g}) final {traj[-1]:.3f} < 0.15", traj[-1] < 0.15)
+                (f"sigma_min(lam={lam:g}) final {traj[-1]:.3f} < 0.15", traj[-1] < 0.15)
             )
         else:  # lam = 4, outside the predicted interval [-3, 3]
             plateau = min(traj[-2], traj[-1])
@@ -170,9 +171,13 @@ def test_criterion_5_weyl_probe(flagship_probe):
 
 def test_criterion_6_fredholm_criterion():
     xg, xig = LADDER.grids(LADDER.bands[0])
-    away = fredholm_check(multiplier_symbol(shifted_wave(2.0), xg, xig), schedule=LADDER)
+    away = fredholm_check(
+        multiplier_symbol(shifted_wave(2.0), xg, xig), StandardBase(1), LADDER, SamplingSchedule()
+    )
     line = GroupGrid.line(0.5, 8.0)
-    noncompact = fredholm_check(multiplier_symbol(sqrt_wave(), line, line.dual()))
+    noncompact = fredholm_check(
+        multiplier_symbol(sqrt_wave(), line, line.dual()), StandardBase(1), LADDER, SamplingSchedule()
+    )
     _verdict(
         6,
         "invertibility-modulo-compacts verdicts",
@@ -190,13 +195,14 @@ def test_criterion_6_fredholm_criterion():
 
 
 def test_criterion_7_filter_base_functionals():
-    wave = limsup_along(sqrt_wave(), StandardBase(1)).value
+    sched = SamplingSchedule()
+    wave = limsup_along(sqrt_wave(), StandardBase(1), sched).value
     ribbon = lambda p: np.exp(-np.abs(p[:, 1]))
-    along = limsup_along(ribbon, DirectionalBase([0.0, 1.0])).value
-    broad = limsup_along(ribbon, StandardBase(2)).value
+    along = limsup_along(ribbon, DirectionalBase([0.0, 1.0]), sched).value
+    broad = limsup_along(ribbon, StandardBase(2), sched).value
     grid = GroupGrid.truncated_integers(4096)
     radii = [2**k for k in range(4, 13)]
-    ces = cesaro_mean(dyadic_indicator(), ball_exhaustion(grid, radii))
+    ces = cesaro_mean(dyadic_indicator(), grid, radii)
     roofed = all(
         m <= 2.0 * np.log2(r) ** 2 / r for r, m in zip(radii, ces.means) if r >= 64
     )

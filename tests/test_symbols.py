@@ -13,12 +13,10 @@ from corona_pdo.cli import symbol_from_config
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.sampling import annulus
 from corona_pdo.symbols import (
-    CompactExhaustion,
     SymbolError,
     TableSymbol,
     TensorSymbol,
     ThickenedSet,
-    ball_exhaustion,
     cesaro_mean,
     const_profile,
     constant_closure,
@@ -183,7 +181,7 @@ def test_dyadic_indicator_pointwise():
 def test_cesaro_means_match_exact_counts():
     grid = GroupGrid.truncated_integers(128)
     radii = [4, 8, 16, 32, 64]
-    res = cesaro_mean(dyadic_indicator(), ball_exhaustion(grid, radii))
+    res = cesaro_mean(dyadic_indicator(), grid, radii)
     members = set()
     for k in range(1, 8):
         members.update(range(2**k, 2**k + k + 1))
@@ -196,11 +194,11 @@ def test_cesaro_means_match_exact_counts():
 
 
 def test_cesaro_constant_and_zero():
-    ex = ball_exhaustion(GroupGrid.truncated_integers(64), [8, 16, 32])
-    one = cesaro_mean(constant_closure(1.0), ex)
+    grid, radii = GroupGrid.truncated_integers(64), [8, 16, 32]
+    one = cesaro_mean(constant_closure(1.0), grid, radii)
     assert np.allclose(one.means, 1.0)
     assert not one.verdict
-    zero = cesaro_mean(constant_closure(0.0), ex)
+    zero = cesaro_mean(constant_closure(0.0), grid, radii)
     assert np.allclose(zero.means, 0.0)
     assert zero.verdict
 
@@ -208,20 +206,17 @@ def test_cesaro_constant_and_zero():
 def test_cesaro_means_match_tabulated_values():
     grid = GroupGrid.truncated_integers(32)
     vals = np.abs(dyadic_indicator()(grid.coords))
-    ex = ball_exhaustion(grid, [4, 16])
-    means = [vals[m].mean() for m in ex.masks]  # unit weights: the plain average
-    assert np.allclose(cesaro_mean(dyadic_indicator(), ex).means, means)
+    r = np.linalg.norm(grid.coords, axis=1)
+    means = [vals[r <= rad].mean() for rad in (4, 16)]  # unit weights: the plain average
+    assert np.allclose(cesaro_mean(dyadic_indicator(), grid, [4, 16]).means, means)
 
 
 def test_exhaustion_must_nest_and_have_mass():
     grid = GroupGrid.truncated_integers(16)
-    with pytest.raises(SymbolError):
-        ball_exhaustion(grid, [8, 4])
-    r = np.linalg.norm(grid.coords, axis=1)
-    with pytest.raises(SymbolError):
-        CompactExhaustion(grid, [r <= 8, r <= 4], ["a", "b"])
-    with pytest.raises(SymbolError):
-        CompactExhaustion(grid, [r < -1], ["empty"])
+    with pytest.raises(SymbolError, match="increasing"):
+        cesaro_mean(constant_closure(1.0), grid, [8, 4])
+    with pytest.raises(SymbolError, match="no grid point"):
+        cesaro_mean(constant_closure(1.0), grid, [-1])
 
 
 # -- thickened sets --
