@@ -3,14 +3,17 @@
 A *filter base* stands in for "xi -> infinity along F": for every scale t it
 produces sample points from the base element at that scale (radius > t, plus
 whatever constraint the base adds: a shrinking cone, the complement of a
-thickened set).  Scalar functionals (limsup, liminf)
+thickened set, or all of an intersection's); a base checks its datum when it
+is built.  Scalar functionals (limsup, liminf)
 sample over a geometric ladder of scales and extrapolate the per-scale
 extremes with a + b / sqrt(t); field variants batch the fit over the x fiber.
 
-Direction fans always contain the signed coordinate axes and the distinguished
-direction of a directional base: sups of anisotropic functions are routinely
-attained on measure-zero rays, and a fan that misses those rays under-reports
-the limsup no matter how many points it spends.
+Beyond 1-d the bases sample the product net of ``sampling``, whose radial
+gaps the ray polish brackets.  Direction fans always contain the signed
+coordinate axes and the distinguished direction of a directional base: sups
+of anisotropic functions are routinely attained on measure-zero rays, and a
+fan that misses those rays under-reports the limsup no matter how many points
+it spends.
 
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
 Where the base lets radial rays through a sample stay inside its element, a
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import MAX_RADIUS, _norm_ppf, annulus, kronecker, log_radii
+from .sampling import MAX_RADIUS, _norm_ppf, _product_net, _radii_per_ray, _unit_rows
+from .sampling import annulus, kronecker, log_radii
 from .symbols import Symbol, ThickenedSet
 
 
@@ -121,29 +125,20 @@ class DirectionalBase(FilterBase):
         if self.dim == 1:
             r = log_radii(scale, scale * span, n, seed)
             return (self.omega0[0] * r)[:, None]
-        ndir = max(int(math.sqrt(n)), 8)
-        nrad = max(n // ndir, 4)
-        r = log_radii(scale, scale * span, nrad, seed + 7)
-        a = self.aperture_scale / scale
-        u = kronecker(ndir - 1, 1, seed)[:, 0]
+        return _product_net(scale, scale * span, n, seed,
+                            lambda k: self._fan(k, self.aperture_scale / scale, seed))
+
+    def _fan(self, k: int, aperture: float, seed: int) -> np.ndarray:
+        """omega0 exactly, then k - 1 unit rows at angles up to ``aperture`` from it."""
+        u = kronecker(k - 1, 1, seed)[:, 0]
         if self.dim == 2:
-            theta = a * (2 * u - 1)
-            perp = np.tile(self._perp[0], (ndir - 1, 1))
+            theta = aperture * (2 * u - 1)
+            perp = np.tile(self._perp[0], (k - 1, 1))
         else:
-            theta = a * u
-            g = _norm_ppf(kronecker(ndir - 1, self.dim - 1, seed + 11))
-            perp = g @ self._perp
-            nrm = np.linalg.norm(perp, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            perp /= nrm
-        dirs = np.concatenate(
-            [
-                self.omega0[None, :],  # the distinguished ray, exactly
-                np.cos(theta)[:, None] * self.omega0[None, :]
-                + np.sin(theta)[:, None] * perp,
-            ]
-        )
-        return (r[None, :, None] * dirs[:, None, :]).reshape(-1, self.dim)
+            theta = aperture * u
+            perp = _unit_rows(_norm_ppf(kronecker(k - 1, self.dim - 1, seed + 11)) @ self._perp)
+        tilted = np.cos(theta)[:, None] * self.omega0[None, :] + np.sin(theta)[:, None] * perp
+        return np.concatenate([self.omega0[None, :], tilted])
 
     def mask(self, pts, scale):
         rr = np.linalg.norm(pts, axis=1)
@@ -159,6 +154,12 @@ class ThickenedComplementBase(FilterBase):
     rays_stay_inside = False  # a ray may cross into the thickening
 
     def __init__(self, E: ThickenedSet):
+        # a set whose unit thickening covers a probe annulus (say the whole dual)
+        # leaves no neighborhood of infinity at any scale
+        if not np.any(E.distance(annulus(10.0, 100.0, E.dim, 512, seed=3)) > 1.0):
+            raise AsymptoticsError(
+                f"thickened set {E.label!r} is degenerate: unit thickening covers the probe annulus"
+            )
         self.E = E
         self.dim = E.dim
         self.label = f"ethick({E.label})"
@@ -184,15 +185,6 @@ class ThickenedComplementBase(FilterBase):
         return (np.linalg.norm(pts, axis=1) > scale) & (
             self.E.distance(pts) > scale
         )
-
-
-class DensityBase(StandardBase):
-    """The density filter sampled on the whole annulus: the standard base's
-    sampler, mask and ray polish under the label "density"."""
-
-    def __init__(self, dim: int):
-        super().__init__(dim)
-        self.label = "density"
 
 
 class IntersectionBase(FilterBase):
@@ -260,9 +252,8 @@ class AsymptoticFit:
 
 
 def _polish_span(n: int, dim: int, span: float) -> float:
-    # geometric bracket covering a few sample gaps along a ray
-    nrad = max(n // 2, 1) if dim == 1 else max(n // max(int(math.sqrt(n)), 8), 4)
-    return float(min(max(span ** (4.0 / nrad), 1.001), span))
+    # geometric bracket covering a few gaps of the annulus net's radii along a ray
+    return float(min(max(span ** (4.0 / _radii_per_ray(n, dim)), 1.001), span))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

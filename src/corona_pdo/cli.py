@@ -31,7 +31,6 @@ import numpy as np
 
 from .asymptotics import (
     AsymptoticsError,
-    DensityBase,
     DirectionalBase,
     IntersectionBase,
     SamplingSchedule,
@@ -78,7 +77,6 @@ from .symbols import (
     power_wave,
     shifted_wave,
     sqrt_wave,
-    syndetic_thickening_filter_data,
     vanishing_oscillation_test,
     vo_shifts,
 )
@@ -246,9 +244,8 @@ _BASES = {
         {"omega0": (_direction, ...), "aperture_scale": _POS},
         lambda dim, **kw: DirectionalBase(**kw),
     ),
-    "ethick": (_tagged("set", _SETS, "halfline"), lambda dim, **e: ThickenedComplementBase(
-        syndetic_thickening_filter_data(_build(_SETS, "set", e)))),
-    "density": ({}, DensityBase),
+    "ethick": (_tagged("set", _SETS, "halfline"),
+               lambda dim, **e: ThickenedComplementBase(_build(_SETS, "set", e))),
     "intersection": ({"parts": (_list(lambda v, where: _BASE(v, where), 1), ...)},
                      lambda dim, parts: IntersectionBase(*[base_from_config(p, dim) for p in parts])),
 }
@@ -326,8 +323,8 @@ def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid):
 
 
 def base_from_config(spec, dim: int):
-    """Filter base from a base spec or None (AsymptoticsError if malformed)."""
-    spec = _checked(AsymptoticsError, _BASE, "standard" if spec is None else spec, "base")
+    """Filter base from a base spec, raw or as coerced (AsymptoticsError if malformed)."""
+    spec = _checked(AsymptoticsError, _BASE, spec, "base")
     base = _build(_BASES, "kind", spec, dim)
     if {base.dim, *map(len, spec.get("extra_directions", ()))} != {dim}:
         raise AsymptoticsError(f"filter base {base.label} does not fit a {dim}-d dual")
@@ -624,8 +621,7 @@ def _example_stoskan(cfg: ExperimentConfig):
     )
     mod = lambda p: np.abs(phi(p))
     std = limsup_along(mod, StandardBase(1), asym)
-    plus_base = ThickenedComplementBase(syndetic_thickening_filter_data(halfline_set(0.0)))
-    one_sided = limsup_along(mod, plus_base, asym)
+    one_sided = limsup_along(mod, ThickenedComplementBase(halfline_set(0.0)), asym)
     # slow wave sin(sqrt|xi|): the beta' -> 0 membership certificate
     prof = vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII, seed=cfg.seed)
     results = {
@@ -681,7 +677,7 @@ def _example_rradial(cfg: ExperimentConfig):
 
 def _example_pescado(cfg: ExperimentConfig):
     """non-syndetic parabola graph in R^2: vanishing off the thickened set, sup 1 on the set"""
-    E = syndetic_thickening_filter_data(parabola_graph())
+    E = parabola_graph()
     phi = lambda p: np.exp(-E.distance(p))
     desk = {"scales": (1e2, 1e3), "points_per_scale": 2000, "seed": cfg.seed}
     asym = SamplingSchedule(**{**desk, **cfg.asym})
@@ -718,7 +714,7 @@ def _example_pescado(cfg: ExperimentConfig):
         f"{offsets[-1]['sup_convex_side']:.2e}"
     )
     return results, _flags(), {
-        "sups_by_scale.csv": (["scale", "sup_complement"], list(zip(off_set.scales, off_set.per_scale))),
+        "sups_by_scale.csv": _fit_csv_rows({"complement": off_set}),
         "normal_offsets.csv": (["s", "sup_convex_side", "sup_concave_side"], rows),
     }
 

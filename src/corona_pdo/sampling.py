@@ -39,34 +39,27 @@ def log_radii(lo: float, hi: float, n: int, seed: int = 0) -> np.ndarray:
 
 
 def directions(n: int, dim: int, seed: int = 0, extra=None) -> np.ndarray:
-    """About n unit vectors in R^dim: +-axes, any ``extra`` rows, then a
+    """About n unit vectors in R^dim, dim >= 2: +-axes, any ``extra`` rows, then a
     quasi-uniform fill of the sphere."""
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
     fixed = [np.eye(dim), -np.eye(dim)]
     if extra is not None:
-        e = np.atleast_2d(np.asarray(extra, dtype=float))
-        e = e / np.linalg.norm(e, axis=1, keepdims=True)
-        fixed.append(e)
+        fixed.append(_unit_rows(np.atleast_2d(np.asarray(extra, dtype=float))))
     fixed = np.concatenate(fixed, axis=0)
     m = max(n - len(fixed), 0)
     if m == 0:
         return fixed
-    u = kronecker(m, max(dim - 1, 1), seed)
     if dim == 2:
-        ang = 2 * np.pi * u[:, 0]
+        ang = 2 * np.pi * kronecker(m, 1, seed)[:, 0]
         fill = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     elif dim == 3:
+        u = kronecker(m, 2, seed)
         z = 2 * u[:, 0] - 1
         ang = 2 * np.pi * u[:, 1]
         r = np.sqrt(np.maximum(0.0, 1 - z * z))
         fill = np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
     else:
         # inverse-normal map keeps determinism for higher dimensions
-        g = _norm_ppf(kronecker(m, dim, seed + 1))
-        nrm = np.linalg.norm(g, axis=1, keepdims=True)
-        nrm[nrm == 0] = 1.0
-        fill = g / nrm
+        fill = _unit_rows(_norm_ppf(kronecker(m, dim, seed + 1)))
     return np.concatenate([fixed, fill], axis=0)
 
 
@@ -74,15 +67,39 @@ def annulus(lo: float, hi: float, dim: int, n: int, seed: int = 0,
             extra_directions=None) -> np.ndarray:
     """About n points with radius in (lo, hi]: radii x directions product net."""
     if dim == 1:
-        r = log_radii(lo, hi, max(n // 2, 1), seed)
-        pts = np.concatenate([r, -r])[:, None]
-    else:
-        ndir = max(int(math.sqrt(n)), 8)
-        dirs = directions(ndir, dim, seed, extra=extra_directions)
-        nrad = max(n // len(dirs), 4)
-        r = log_radii(lo, hi, nrad, seed + 7)
-        pts = (r[None, :, None] * dirs[:, None, :]).reshape(-1, dim)
-    return pts
+        r = log_radii(lo, hi, _radii_per_ray(n, 1), seed)
+        return np.concatenate([r, -r])[:, None]
+    return _product_net(lo, hi, n, seed, lambda k: directions(k, dim, seed, extra=extra_directions))
+
+
+# -- the product-net rule the filter bases share; private, so that a tracer wrapping
+# the public names here counts only the points that leave this module
+
+
+def _fan_size(n: int) -> int:
+    """Directions a net of about n points asks its fan for."""
+    return max(int(math.sqrt(n)), 8)
+
+
+def _product_net(lo: float, hi: float, n: int, seed: int, fan) -> np.ndarray:
+    """Radii x directions net of about n points with radius in (lo, hi]: the unit
+    rows fan(_fan_size(n)) times _radii_per_ray log radii drawn at seed + 7."""
+    dirs = fan(_fan_size(n))
+    r = log_radii(lo, hi, _radii_per_ray(n, dirs.shape[1], len(dirs)), seed + 7)
+    return (r[None, :, None] * dirs[:, None, :]).reshape(-1, dirs.shape[1])
+
+
+def _radii_per_ray(n: int, dim: int, rays: int | None = None) -> int:
+    """Log radii per ray of a net of about n points: n/2 per sign in 1-d, else n
+    over the rays (by default the fan size asked for)."""
+    return max(n // 2, 1) if dim == 1 else max(n // (rays or _fan_size(n)), 4)
+
+
+def _unit_rows(g: np.ndarray) -> np.ndarray:
+    """g with each nonzero row scaled to unit length."""
+    nrm = np.linalg.norm(g, axis=1, keepdims=True)
+    nrm[nrm == 0] = 1.0
+    return g / nrm
 
 
 def _norm_ppf(u):

@@ -442,20 +442,6 @@ def parabola_graph() -> ThickenedSet:
     return ts
 
 
-def syndetic_thickening_filter_data(E: ThickenedSet) -> ThickenedSet:
-    """Validate E as the datum of a thickened-complement filter base.
-
-    Degenerate sets whose unit thickening already covers everything (e.g.
-    E = the whole dual) are rejected by probing an annulus.
-    """
-    probe = annulus(10.0, 100.0, E.dim, 512, seed=3)
-    if not np.any(E.distance(probe) > 1.0):
-        raise SymbolError(
-            f"thickened set {E.label!r} is degenerate: unit thickening covers the probe annulus"
-        )
-    return E
-
-
 # -- CSV tables --------------------------------------------------------------------
 
 

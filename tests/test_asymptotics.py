@@ -15,7 +15,6 @@ import pytest
 
 from corona_pdo.asymptotics import (
     AsymptoticsError,
-    DensityBase,
     DirectionalBase,
     IntersectionBase,
     SamplingSchedule,
@@ -134,14 +133,6 @@ def test_limsup_deterministic():
     assert f1.value == f2.value
 
 
-def test_base_independence_standard_vs_density():
-    psi = sqrt_wave()
-    phi = lambda p: np.real(psi(p))
-    a = limsup_along(phi, StandardBase(1), SCHED).value
-    b = limsup_along(phi, DensityBase(1), SCHED).value
-    assert abs(a - b) <= 1e-3
-
-
 # -- thickened-complement and intersection bases --
 
 
@@ -154,10 +145,20 @@ def test_ethick_halfline_excises_negative_axis():
     assert eth.value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_ethick_empty_raises():
+def test_degenerate_thickening_rejected():
+    E = halfline_set(0.0)
+    assert ThickenedComplementBase(E).E is E
     whole = ThickenedSet(lambda p: np.zeros(len(p)), 1, "everything")
-    with pytest.raises(AsymptoticsError):
-        ThickenedComplementBase(whole).sample(100.0, 1000, 10.0, 0)
+    with pytest.raises(AsymptoticsError, match="degenerate"):
+        ThickenedComplementBase(whole)
+
+
+def test_ethick_empty_raises():
+    # distance |xi|/20 clears the unit probe beyond radius 20, but never reaches the scale
+    wide = ThickenedSet(lambda p: np.linalg.norm(p, axis=1) / 20, 1, "wide")
+    base = ThickenedComplementBase(wide)
+    with pytest.raises(AsymptoticsError, match="empty"):
+        base.sample(100.0, 1000, 10.0, 0)
 
 
 def test_ethick_parabola_kills_distance_decay():
@@ -190,9 +191,9 @@ def test_intersection_of_disjoint_cones_is_empty():
 
 def test_polish_rule_follows_the_base():
     thick = ThickenedComplementBase(halfline_set(0.0))
-    assert StandardBase(1).rays_stay_inside and DensityBase(1).rays_stay_inside
+    assert StandardBase(1).rays_stay_inside and DirectionalBase([1.0]).rays_stay_inside
     assert not thick.rays_stay_inside
-    assert IntersectionBase(StandardBase(1), DensityBase(1)).rays_stay_inside
+    assert IntersectionBase(StandardBase(1), DirectionalBase([1.0])).rays_stay_inside
     assert not IntersectionBase(StandardBase(1), thick).rays_stay_inside
 
 

@@ -121,6 +121,8 @@ TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
         pytest.param({"symbol": {"family": "vo:pow", "alpha": "x"}}, id="alpha-str"),
         pytest.param({"task": "asymptotics", "base": [1]}, id="base-list"),
         pytest.param({"task": "asymptotics", "base": {"kind": "directional"}}, id="base-no-omega0"),
+        # no base samples the density filter: the kind is refused, not run as the standard base
+        pytest.param({"task": "asymptotics", "base": {"kind": "density"}}, id="base-density"),
         pytest.param({"task": "asymptotics", "dim": "two"}, id="dim-str"),
         pytest.param({"task": "asymptotics", "vo": [1]}, id="vo-list"),
         pytest.param(
@@ -159,8 +161,7 @@ def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
     assert code == 1
     assert report is None
     err = capsys.readouterr().err
-    assert err.startswith("[error] ")
-    assert "Traceback" not in err
+    assert err.startswith("[error] ") and err.count("\n") == 1
 
 
 # one valid document per task; the fuzz below mutates them
@@ -223,7 +224,7 @@ VALID_DOCS = [
     },
     {"task": "examples:sepavar", "lambdas": [1.5], "asym": {"points_per_scale": 100, "seed": 3}},
     {"task": "examples:cesaro", "band": 64, "out_dir": "out"},
-    {"task": "examples:pescado", "base": {"kind": "density"}},
+    {"task": "examples:pescado", "base": {"kind": "directional", "omega0": [-1]}},
 ]
 JUNK = ["abc", 1.7, True, None, [1], {"bogus": 1}, NAN, float("inf"), -1, 0, 3, []]
 
@@ -351,12 +352,12 @@ def test_cli_fuzz_exit_codes_and_strict_reports(tmp_path, capsys):
 
 
 def test_base_from_config():
-    assert base_from_config(None, 2).label.startswith("standard")
     assert base_from_config({"kind": "directional", "omega0": [0, 1]}, 2).dim == 2
     assert base_from_config({"kind": "ethick", "set": "parabola"}, 2).dim == 2
-    assert base_from_config({"kind": "density"}, 1).label == "density"
+    left = base_from_config({"kind": "directional", "omega0": [-1]}, 1)
+    assert left.label == "directional([-1.0])"
     inter = base_from_config(
-        {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "density"}]}, 1
+        {"kind": "intersection", "parts": ["standard", {"kind": "directional", "omega0": [1]}]}, 1
     )
     assert inter.label.startswith("intersection")
     with pytest.raises(AsymptoticsError):

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from corona_pdo.sampling import annulus, directions, kronecker, log_radii
+from corona_pdo.sampling import (
+    _fan_size,
+    _radii_per_ray,
+    annulus,
+    directions,
+    kronecker,
+    log_radii,
+)
 
 
 def test_kronecker_deterministic_and_in_unit_box():
@@ -47,15 +54,17 @@ def test_directions_include_extra_rows_normalized():
     assert np.any(np.all(np.abs(d - np.array([0.6, 0.8])) < 1e-15, axis=1))
 
 
-def test_directions_dim_one():
-    d = directions(10, 1)
-    assert sorted(d[:, 0].tolist()) == [-1.0, 1.0]
-
-
 def test_annulus_radius_window():
     pts = annulus(10.0, 1e4, 2, 900, seed=1)
     r = np.linalg.norm(pts, axis=1)
     assert np.all((r > 10.0 - 1e-9) & (r <= 1e4 * (1 + 1e-12)))
+
+
+def test_annulus_net_carries_the_radii_per_ray_rule():
+    # the ray polish brackets a few gaps of _radii_per_ray radii: the net must hold that many
+    for dim, n in ((1, 40), (2, 900), (3, 1000)):
+        rays = 2 if dim == 1 else _fan_size(n)
+        assert len(annulus(10.0, 1e4, dim, n, seed=1)) == rays * _radii_per_ray(n, dim)
 
 
 def test_annulus_dim_one_signs():

@@ -16,7 +16,6 @@ from corona_pdo.symbols import (
     SymbolError,
     TableSymbol,
     TensorSymbol,
-    ThickenedSet,
     cesaro_mean,
     const_profile,
     constant_closure,
@@ -32,7 +31,6 @@ from corona_pdo.symbols import (
     power_wave,
     shifted_wave,
     sqrt_wave,
-    syndetic_thickening_filter_data,
     tensor_symbol,
     vanishing_oscillation_test,
 )
@@ -222,16 +220,9 @@ def test_exhaustion_must_nest_and_have_mass():
 # -- thickened sets --
 
 
-def test_halfline_distance_and_validation():
+def test_halfline_distance():
     E = halfline_set(0.0)
     assert E.distance(np.array([[-3.0], [5.0]])).tolist() == [0.0, 5.0]
-    assert syndetic_thickening_filter_data(E) is E
-
-
-def test_degenerate_thickening_rejected():
-    whole = ThickenedSet(lambda p: np.zeros(len(p)), 1, "everything")
-    with pytest.raises(SymbolError):
-        syndetic_thickening_filter_data(whole)
 
 
 def test_parabola_distance_frozen_points():

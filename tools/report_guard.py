@@ -124,6 +124,9 @@ CONFIGS.update({
     "fourier-selftest/product": {
         "task": "fourier-selftest", "group": PRODUCT, "tolerances": {"plancherel": 1e-9},
     },
+    "fourier-selftest/truncated-integers": {
+        "task": "fourier-selftest", "group": {"kind": "truncated_integers", "band": 8},
+    },
     "fourier-selftest/line": {
         "task": "fourier-selftest", "group": {"kind": "line", "step": 0.5, "extent": 8},
     },
@@ -154,7 +157,8 @@ CONFIGS.update({
         "tolerances": {"diagram": 1e-9},
     },
     "gohberg/tolerances+base": {
-        "task": "gohberg", "symbol": "vo:sqrt", **LADDER, "base": {"kind": "density"},
+        "task": "gohberg", "symbol": "vo:sqrt", **LADDER,
+        "base": {"kind": "directional", "omega0": [-1]},
         "tolerances": {"ratio_band": [0, 2], "zero_tol": 0.1},
     },
     "gohberg/group+band": {
@@ -228,10 +232,14 @@ ASYM_CASES = {
         "dim": 2, "psi": {"family": "c0:inv"}, "base": {"kind": "ethick", "set": "parabola"},
         "asym": {"scales": [100.0], "points_per_scale": 400},
     },
-    "base=density": {"psi": "cesaro-indicator", "base": {"kind": "density"}},
-    "base=intersection": {
+    "base=directional-1d": {
+        "psi": "cesaro-indicator", "base": {"kind": "directional", "omega0": [1]},
+    },
+    "base=intersection": {  # masks through a 1-d cone
         "psi": {"family": "vo:shifted", "offset": 2},
-        "base": {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "density"}]},
+        "base": {"kind": "intersection", "parts": [
+            {"kind": "standard"}, {"kind": "directional", "omega0": [1]},
+        ]},
     },
     "base=intersection-ethick": {  # an ethick part turns the ray polish off
         "psi": "vo:sqrt",
