@@ -16,10 +16,11 @@ fan that misses those rays under-reports the limsup no matter how many points
 it spends.
 
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
-Where the base lets radial rays through a sample stay inside its element, a
-golden-section search along the best rays, all rays at once in numpy, closes
-most of the gap for smooth integrands; elsewhere the sampled extremes stand.
-Verdicts derived from these numbers are evidence, not proofs.
+A golden-section search along the best rays, all rays at once in numpy,
+closes most of the gap for smooth integrands.  It scores a point only where
+the base's ``mask`` accepts it, so a polished extremum is still a value at a
+point of the base element and the bound keeps its side.  Verdicts derived
+from these numbers are evidence, not proofs.
 """
 
 from __future__ import annotations
@@ -71,14 +72,12 @@ class SamplingSchedule:
 class FilterBase:
     """Sampler plus membership test for the base elements of a filter.
 
-    ``rays_stay_inside`` says whether the radial ray through a sample stays
-    inside the base element near that sample; only then may a search along
-    the ray polish the sampled extremum.
+    ``mask(pts, t)`` is the element at scale t: every sample lies in it, and
+    the ray polish scores no point outside it.
     """
 
     label = "base"
     dim = 1
-    rays_stay_inside = True
 
     def sample(self, scale: float, n: int, span: float, seed: int) -> np.ndarray:
         raise NotImplementedError
@@ -151,8 +150,6 @@ class ThickenedComplementBase(FilterBase):
     """Complements of thickenings of a closed set E that grow with the scale:
     dist(xi, E) > t."""
 
-    rays_stay_inside = False  # a ray may cross into the thickening
-
     def __init__(self, E: ThickenedSet):
         # a set whose unit thickening covers a probe annulus (say the whole dual)
         # leaves no neighborhood of infinity at any scale
@@ -168,7 +165,7 @@ class ThickenedComplementBase(FilterBase):
         kept, total = [], 0
         for round_ in range(8):
             pts = annulus(scale, scale * span, self.dim, n, seed + 131 * round_)
-            kept.append(pts[self.E.distance(pts) > scale])
+            kept.append(pts[self.mask(pts, scale)])
             total += len(pts)
             if sum(len(k) for k in kept) >= n:
                 break
@@ -197,7 +194,6 @@ class IntersectionBase(FilterBase):
             raise AsymptoticsError("intersection parts disagree on dimension")
         self.parts = parts
         self.dim = parts[0].dim
-        self.rays_stay_inside = all(p.rays_stay_inside for p in parts)
         self.label = "intersection(" + ", ".join(p.label for p in parts) + ")"
 
     def sample(self, scale, n, span, seed):
@@ -259,25 +255,34 @@ def _polish_span(n: int, dim: int, span: float) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _refine_ray_extremum(phi, pts, vals, maximize: bool, q: float) -> float:
-    """Polish the sampled extremum by golden-section search along candidate rays.
+def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, pts, vals, maximize) -> float:
+    """One scale's extremum of phi, which takes the values vals at the samples
+    pts, polished by golden-section search along candidate rays.
 
-    The 6 best samples each define a ray searched over [r0/q, r0*q]
-    around its radius r0 to a width of max(r0 * 1e-12, 1e-12); all rays step
-    together, one call of phi per step.  The best value at any evaluated
-    point wins, so the result never falls behind the sampled one.
+    The 6 best samples each define a ray searched over [r0/q, r0*q] around
+    its radius r0 (q from ``_polish_span``) to a width of
+    max(r0 * 1e-12, 1e-12); all rays step together, one call of phi per step.
+    phi is called only at points that ``base.mask(., t)`` accepts; a point
+    outside scores as the worst value.  The best value at any evaluated point
+    of the element wins, so the result never falls behind the sampled one.
     """
+    q = _polish_span(sched.points_per_scale, base.dim, sched.span)
     s = 1.0 if maximize else -1.0
     sv = s * np.asarray(vals, dtype=float)
     best = float(np.max(sv))
     keep = sv.size - min(6, sv.size)
     rays = pts[np.argpartition(sv, keep)[keep:]]
     radii = np.sqrt(np.add.reduce(rays * rays, axis=1))  # bit-equal to the row norm
-    rays, radii = rays[radii > 0], radii[radii > 0]
-    if not radii.size:
-        return s * best
-    units = rays / radii[:, None]
-    f = lambda r: s * np.real(np.asarray(phi(r[:, None] * units)))
+    units = rays / radii[:, None]  # samples lie in the element, so radii > t > 0
+
+    def f(r):
+        x = r[:, None] * units
+        inside = base.mask(x, t)
+        out = np.full(len(r), -np.inf)
+        if inside.any():
+            out[inside] = s * np.real(np.asarray(phi(x[inside])))
+        return out
+
     lo, hi = radii / q, radii * q
     tol = np.maximum(radii * 1e-12, 1e-12)
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
@@ -296,21 +301,10 @@ def _refine_ray_extremum(phi, pts, vals, maximize: bool, q: float) -> float:
 
 
 def _samples(base: FilterBase, sched: SamplingSchedule):
-    """The base's sample points at each scale of the schedule, one seed per scale."""
+    """(scale, the base's sample points there) for each scale of the schedule,
+    one seed per scale."""
     for k, t in enumerate(sched.scales):
-        yield base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
-
-
-def _extremum(phi, pts, vals, maximize: bool, base: FilterBase, sched) -> float:
-    """One scale's extremum of phi, which takes the values vals at pts.
-
-    Polished along the best rays when ``base.rays_stay_inside``; otherwise
-    reported as sampled.
-    """
-    if not base.rays_stay_inside:
-        return float(vals.max() if maximize else vals.min())
-    q = _polish_span(sched.points_per_scale, base.dim, sched.span)
-    return _refine_ray_extremum(phi, pts, vals, maximize, q)
+        yield t, base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
 
 
 def _sup_fit(label: str, scales, sups: np.ndarray) -> AsymptoticFit:
@@ -325,12 +319,12 @@ def limsup_along(
 ) -> AsymptoticFit:
     """Extrapolated limsup of the real functional phi along the filter base.
 
-    Per scale the sampled sup is polished along its best rays when
-    ``base.rays_stay_inside``; otherwise it is reported as sampled.
+    Per scale the sampled sup is polished along its best rays, inside the
+    base element.
     """
     sups = [
-        _extremum(phi, pts, np.real(np.asarray(phi(pts))), True, base, schedule)
-        for pts in _samples(base, schedule)
+        _refine_ray_extremum(phi, base, schedule, t, pts, np.real(np.asarray(phi(pts))), True)
+        for t, pts in _samples(base, schedule)
     ]
     return _sup_fit("limsup", schedule.scales, np.array(sups))
 
@@ -376,10 +370,9 @@ def modulus_field(
     |f(x, .)| (the Gohberg right-hand side; min of values is the lower
     bound); for "liminf" it is None.  Single-term tensor symbols
     factor exactly.  The generic path takes both from one pass over shared
-    sample points; where the base allows a ray polish it polishes the
-    envelope and re-polishes the 3 fibers where the min over x is attained
-    (the sampled sup is a lower bound, so the reported min over x may sit
-    slightly low).
+    sample points, then polishes the envelope and re-polishes the 3 fibers
+    where the min over x is attained (the sampled sup is a lower bound, so
+    the reported min over x may sit slightly low).
     """
     if mode not in ("limsup", "liminf"):
         raise AsymptoticsError(f"unknown field mode {mode!r}")
@@ -406,23 +399,24 @@ def modulus_field(
     def top(p):
         return np.max([v.max(axis=0) for _, v in _blocks(symbol, x_indices, p)], axis=0)
 
-    per_scale, sampled, sups = [], [], []
-    for pts in _samples(base, schedule):
+    per_scale, sampled, sups = [], list(_samples(base, schedule)), []
+    for t, pts in sampled:
         ext, env = np.empty(len(x_indices)), np.zeros(len(pts))
         for rows, vals in _blocks(symbol, x_indices, pts):
             ext[rows] = vals.max(axis=1) if maximize else vals.min(axis=1)
             if maximize:
                 np.maximum(env, vals.max(axis=0), out=env)
         if maximize:
-            sups.append(_extremum(top, pts, env, True, base, schedule))
+            sups.append(_refine_ray_extremum(top, base, schedule, t, pts, env, True))
         per_scale.append(ext)
-        sampled.append(pts)
     values = fit_inverse_sqrt(schedule.scales, np.array(per_scale))[0]
-    if base.rays_stay_inside:  # elsewhere _extremum returns the sampled extremes
-        for j in np.argsort(values)[:3]:
-            phi = lambda p, _x=int(x_indices[j]): np.abs(symbol.eval_outer([_x], p))[0]
-            exts = [_extremum(phi, pts, phi(pts), maximize, base, schedule) for pts in sampled]
-            values[j] = fit_inverse_sqrt(schedule.scales, exts)[0]
+    for j in np.argsort(values)[:3]:
+        phi = lambda p, _x=int(x_indices[j]): np.abs(symbol.eval_outer([_x], p))[0]
+        exts = [
+            _refine_ray_extremum(phi, base, schedule, t, pts, phi(pts), maximize)
+            for t, pts in sampled
+        ]
+        values[j] = fit_inverse_sqrt(schedule.scales, exts)[0]
     envelope = _sup_fit("maxform", schedule.scales, np.array(sups)) if maximize else None
     return values, envelope
 

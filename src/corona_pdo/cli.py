@@ -274,7 +274,7 @@ _FIELDS = {
     "base": (_BASE, "standard"),
     "schedule": (_map({"bands": _list(_num(int, 4)), "oversampling": _num(int, 2)}), {}),
     "asym": (_map({"scales": _list(_POS, 1), "points_per_scale": _num(int, 16),
-                   "span": _num(lo=1, strict=True), "seed": _SEED}), {}),
+                   "span": _num(lo=1, strict=True)}), {}),
     "lambdas": _list(_complex),
     "tolerances": (_map({  # the spectral ones default in the spectral signatures
         "plancherel": (_NONNEG, 1e-10),  # fourier-selftest
@@ -352,7 +352,7 @@ class ExperimentConfig(SimpleNamespace):
         return TruncationSchedule(**self.schedule)
 
     def sampling_schedule(self) -> SamplingSchedule:
-        return SamplingSchedule(**{"seed": self.seed, **self.asym})
+        return SamplingSchedule(seed=self.seed, **self.asym)
 
     def grids(self):
         """(x grid, dual grid): the configured group, else the schedule's base rung."""

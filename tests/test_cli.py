@@ -108,6 +108,10 @@ TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
         pytest.param({"asym": {"points": 500}}, id="asym-typo"),
         pytest.param({"asym": {"points_per_scale": "many"}}, id="points-str"),
         pytest.param({"asym": {"span": 0}}, id="span-zero"),
+        # one seed per run: a second one here would not follow --seed
+        pytest.param(
+            {"task": "asymptotics", "asym": {"points_per_scale": 200, "seed": 3}}, id="asym-seed"
+        ),
         pytest.param({"task": "spectrum-probe", "lambdas": "abc"}, id="lambdas-str"),
         pytest.param({"task": "spectrum-probe", "lambdas": ["x"]}, id="lambda-str"),
         # an empty list would probe the preset's default lambdas under a report echoing []
@@ -222,7 +226,7 @@ VALID_DOCS = [
         "base": {"kind": "directional", "omega0": [0, 1], "aperture_scale": 2},
         "vo": {"shifts": [[1, 0]], "radii": [100, 1000]},
     },
-    {"task": "examples:sepavar", "lambdas": [1.5], "asym": {"points_per_scale": 100, "seed": 3}},
+    {"task": "examples:sepavar", "lambdas": [1.5], "seed": 3, "asym": {"points_per_scale": 100}},
     {"task": "examples:cesaro", "band": 64, "out_dir": "out"},
     {"task": "examples:pescado", "base": {"kind": "directional", "omega0": [-1]}},
 ]
@@ -710,6 +714,21 @@ def test_seed_flag_overrides_config(tmp_path):
     code, report, _ = _run(tmp_path, doc, extra=("--seed", "9"))
     assert code == 0
     assert report["meta"]["seed"] == 9
+    # the flag reaches the sampling, not only the report's meta
+    doc = {
+        "schema": 1,
+        "task": "asymptotics",
+        "psi": "vo:sqrt",
+        "seed": 1,
+        "asym": {"points_per_scale": 200},
+    }
+    per_scale = []
+    for seed in ("1", "9"):
+        (tmp_path / seed).mkdir()
+        code, report, _ = _run(tmp_path / seed, doc, extra=("--seed", seed))
+        assert code == 0 and report["meta"]["seed"] == int(seed)
+        per_scale.append([report["results"][k]["per_scale"] for k in ("limsup", "liminf")])
+    assert per_scale[0] != per_scale[1]
 
 
 def test_reports_identical_modulo_timestamp(tmp_path):

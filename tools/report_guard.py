@@ -191,7 +191,7 @@ CONFIGS.update({
     "examples:cesaro/default": {"task": "examples:cesaro"},
     # two terms reach the generic (non-factorized) at-infinity pass
     "gohberg/two-term": {"task": "gohberg", "symbol": TWO_TERM, **LADDER},
-    "gohberg/two-term+ethick": {  # no ray polish: sampled extremes only
+    "gohberg/two-term+ethick": {  # the generic pass polished inside a thickened complement
         "task": "gohberg", "symbol": TWO_TERM, **LADDER, "base": {"kind": "ethick"},
     },
     "fredholm/two-term": {"task": "fredholm", "symbol": TWO_TERM, **LADDER},
@@ -241,7 +241,7 @@ ASYM_CASES = {
             {"kind": "standard"}, {"kind": "directional", "omega0": [1]},
         ]},
     },
-    "base=intersection-ethick": {  # an ethick part turns the ray polish off
+    "base=intersection-ethick": {  # polished inside the ethick part's mask too
         "psi": "vo:sqrt",
         "base": {"kind": "intersection", "parts": [{"kind": "standard"}, {"kind": "ethick"}]},
     },
