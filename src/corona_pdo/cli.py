@@ -508,7 +508,7 @@ def _spectral_inputs(cfg: ExperimentConfig):
 def _task_gohberg(cfg: ExperimentConfig):
     f, sched, base = _spectral_inputs(cfg)
     asym = cfg.sampling_schedule()
-    est = essential_norm_estimate(f, sched)
+    est = essential_norm_estimate(f, sched, base)
     rep = gohberg_verify(f, est, base, asym, **cfg.tols("ratio_band", "zero_tol"))
     results = {
         "symbol_id": _symbol_id(f),
@@ -539,8 +539,8 @@ def _task_gohberg(cfg: ExperimentConfig):
 
 
 def _task_spectrum_probe(cfg: ExperimentConfig):
-    f, sched, _ = _spectral_inputs(cfg)
-    probe = essential_spectrum_probe(f, cfg.lambdas, sched, **cfg.tols("support_tol"))
+    f, sched, base = _spectral_inputs(cfg)
+    probe = essential_spectrum_probe(f, cfg.lambdas, sched, base, **cfg.tols("support_tol"))
     weyl = [
         {"lambda": lam.real if lam.imag == 0 else str(lam), "traj": list(traj), "verdict": v}
         for lam, traj, v in zip(cfg.lambdas, probe.sigma_min_table, probe.verdicts)

@@ -179,13 +179,6 @@ def _spectral_norm(a: np.ndarray) -> float:
 # -- simple named operators ------------------------------------------------------------
 
 
-def multiplication_operator(xgrid: GroupGrid, gamma_values) -> np.ndarray:
-    g = np.asarray(gamma_values, dtype=complex).reshape(-1)
-    if g.size != xgrid.size:
-        raise PdoError("multiplier values do not match the grid")
-    return np.diag(g)
-
-
 def convolution_operator(xgrid: GroupGrid, xigrid: GroupGrid, psi_values) -> np.ndarray:
     """Fourier multiplier as a dense matrix: G diag(psi) F."""
     p = np.asarray(psi_values, dtype=complex).reshape(-1)

@@ -1,11 +1,12 @@
 """Truncation ladders: essential-norm estimates, Weyl probes, Fredholm verdicts.
 
 The frequency picture makes "behavior at infinity" a concrete matrix
-question: compress the frequency-side operator onto the high-frequency
-shell {|eta| > N/2} of a band-N truncation and watch singular values as N
-grows.  The top shell singular value extrapolated in N^{-1/2} estimates
-the distance to the compact operators; sigma_min of (shell - lambda) probes
-whether lambda is approached by high-frequency almost-eigenvectors.
+question: compress a band-N truncation onto the filter base's element at
+scale N/2 (standard base: the shell {|eta| > N/2}) and watch singular
+values as N grows.  The top singular value extrapolated in N^{-1/2}
+estimates the distance to the base's ideal (standard: the compacts);
+sigma_min of (shell - lambda) probes whether lambda is approached by
+almost-eigenvectors at the base's infinity.
 
 Every ladder section is built in band storage (``pdo.frequency_section``);
 sigma_top and sigma_min are square roots of the extreme eigenvalues of the
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import FilterBase, SamplingSchedule, fit_inverse_sqrt, modulus_field
+from .asymptotics import FilterBase, SamplingSchedule, StandardBase, fit_inverse_sqrt, modulus_field
 from .groups import GroupGrid, truncated_dual
 from .pdo import frequency_section
 from .symbols import VO_RADII, Symbol, vanishing_oscillation_test, vo_shifts
@@ -151,13 +152,13 @@ def sigma_min(band: np.ndarray, lam: complex = 0.0) -> float:
 
 
 def shell_indices(xigrid: GroupGrid, threshold: float) -> np.ndarray:
-    """Dual indices with |xi| > threshold (Euclidean on coordinates)."""
-    r = np.linalg.norm(xigrid.coords, axis=1)
-    return np.where(r > threshold)[0]
+    """Dual indices on the standard base's element |xi| > threshold."""
+    return np.flatnonzero(StandardBase(xigrid.ndim).mask(xigrid.coords, threshold))
 
 
-def _rungs(symbol: Symbol, schedule: TruncationSchedule, shell: bool):
-    """Each band's section in band storage, the shell |eta| > N/2 or the full band.
+def _rungs(symbol: Symbol, schedule: TruncationSchedule, base: FilterBase | None):
+    """Each band's section in band storage, on the base's element at scale
+    N/2 (standard base: |eta| > N/2), or on the full band when base is None.
 
     A rung rebinds the symbol to the schedule's torus, so a symbol on any other
     x group would be measured on a group its report does not name.
@@ -168,9 +169,10 @@ def _rungs(symbol: Symbol, schedule: TruncationSchedule, shell: bool):
         )
     for band in schedule.bands:
         xg, xig = schedule.grids(band)
-        idx = shell_indices(xig, band / 2) if shell else None
-        if shell and len(idx) < 8:
-            raise SpectralError(f"band {band} leaves a degenerate shell ({len(idx)} points)")
+        idx = None if base is None else np.flatnonzero(base.mask(xig.coords, band / 2))
+        if idx is not None and len(idx) < 8:
+            raise SpectralError(f"band {band} leaves a degenerate shell along "
+                                f"{base.label} ({len(idx)} points)")
         yield frequency_section(symbol.rebound(xg, xig), idx, banded=True)
 
 
@@ -186,15 +188,17 @@ class EssentialNormResult:
     notes: tuple
 
 
-def essential_norm_estimate(symbol: Symbol, schedule: TruncationSchedule) -> EssentialNormResult:
-    """Distance-to-compacts estimate from high-frequency shell compressions.
+def essential_norm_estimate(
+    symbol: Symbol, schedule: TruncationSchedule, base: FilterBase
+) -> EssentialNormResult:
+    """Distance to the base's ideal from compressions onto its element at scale N/2.
 
-    Per band N: sigma_max of the shell section, then an a + b*N^{-1/2} fit;
+    Per band N: sigma_max of that shell section, then an a + b*N^{-1/2} fit;
     the extrapolated a (clamped at 0) is the estimate.  A fit residual above
     20% or an estimate above 1.05 * sup_bound marks the ladder unreliable.
     """
     tops, dims, notes = [], [], []
-    for sect in _rungs(symbol, schedule, shell=True):
+    for sect in _rungs(symbol, schedule, base):
         dims.append(sect.shape[1])
         tops.append(sigma_top(sect))
     a, b, resid, rel = fit_inverse_sqrt(np.array(schedule.bands, dtype=float), np.array(tops))
@@ -234,20 +238,22 @@ def essential_spectrum_probe(
     symbol: Symbol,
     lambdas,
     schedule: TruncationSchedule,
+    base: FilterBase,
     support_tol: float = 0.05,
 ) -> ProbeResult:
-    """sigma_min((shell section) - lambda) trajectories across the band ladder.
+    """sigma_min((shell section) - lambda) trajectories across the band ladder;
+    band N's shell is the base's element at scale N/2 (standard: |eta| > N/2).
 
     A trajectory ending below support_tol * sup|f| supports lambda being in
-    the essential spectrum (high-frequency Weyl vectors exist at every
-    scale); a stable plateau well above it is evidence against.  The
-    supporting direction is the Weyl-type necessary condition only — for
-    non-normal operators a high plateau never proves lambda is outside.
+    the essential spectrum relative to the base's ideal (Weyl vectors exist at
+    every scale of the base); a stable plateau well above it is evidence
+    against.  The supporting direction is the Weyl-type necessary condition
+    only — for non-normal operators a high plateau never proves lambda is outside.
     Verdict labels are advisory; the numbers are in ``sigma_min_table``.
     """
     lambdas = tuple(complex(l) for l in lambdas)
     table = np.empty((len(lambdas), len(schedule.bands)))
-    for j, sect in enumerate(_rungs(symbol, schedule, shell=True)):
+    for j, sect in enumerate(_rungs(symbol, schedule, base)):
         for i, lam in enumerate(lambdas):
             table[i, j] = sigma_min(sect, lam=lam)
     scale = max(float(symbol.sup_bound), 1e-12)
@@ -308,7 +314,7 @@ def fredholm_check(
         )
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
     floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min()), 0.0)
-    sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, shell=False))
+    sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, None))
     verdict = "FREDHOLM-SUFFICIENT" if floor > floor_tol else "INCONCLUSIVE"
     corroborated = True
     if verdict == "FREDHOLM-SUFFICIENT":
@@ -356,9 +362,9 @@ def gohberg_verify(
     ratio_band: tuple = (0.85, 1.15),
     zero_tol: float = 0.05,
 ) -> GohbergReport:
-    """Distance-to-compacts identity check: truncation ladder vs sampled limsup.
+    """Distance identity check for the base's ideal: ladder vs sampled limsup.
 
-    Left side: ``est_result``, the essential_norm_estimate ladder of ``symbol``.
+    Left side: ``est_result``, the essential_norm_estimate ladder of ``symbol`` on ``base``.
     Right side: max over x of limsup |f(x, .)| along the base (and the
     min-over-x variant, whose value must stay below the estimate: the
     lower-bound half of the identity).

@@ -29,7 +29,6 @@ from corona_pdo.pdo import (
     convolution_operator,
     diagram_check,
     hs_norm,
-    multiplication_operator,
     op_matrix,
 )
 from corona_pdo.spectral import (
@@ -74,7 +73,7 @@ def flagship():
 
 @pytest.fixture(scope="module")
 def flagship_estimate(flagship):
-    return essential_norm_estimate(flagship, LADDER)
+    return essential_norm_estimate(flagship, LADDER, StandardBase(1))
 
 
 PROBE_LAMBDAS = (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
@@ -82,7 +81,7 @@ PROBE_LAMBDAS = (-3.0, -1.5, 0.0, 1.5, 3.0, 4.0)
 
 @pytest.fixture(scope="module")
 def flagship_probe(flagship):
-    return essential_spectrum_probe(flagship, PROBE_LAMBDAS, LADDER)
+    return essential_spectrum_probe(flagship, PROBE_LAMBDAS, LADDER, StandardBase(1))
 
 
 def test_criterion_1_exact_identities():
@@ -107,9 +106,7 @@ def test_criterion_1_exact_identities():
 
         gamma = cos_profile(2.0, 1.0)(xg.coords)
         psi = sqrt_wave()
-        split = multiplication_operator(xg, gamma) @ convolution_operator(
-            xg, xig, psi(xig.coords)
-        )
+        split = np.diag(gamma) @ convolution_operator(xg, xig, psi(xig.coords))
         gap = float(np.max(np.abs(op_matrix(_flagship(xg, xig)) - split)))
         checks.append((f"Op(gamma x psi) factorization N={n}: {gap:.2e}", gap <= 1e-10))
     elapsed = time.time() - t0
@@ -146,7 +143,7 @@ def test_criterion_3_lower_bound(flagship, flagship_estimate):
 def test_criterion_4_compact_degeneration():
     xg, xig = LADDER.grids(LADDER.bands[0])
     f = tensor_symbol(cos_profile(2.0, 1.0), inverse_decay(), xg, xig)
-    res = essential_norm_estimate(f, LADDER)
+    res = essential_norm_estimate(f, LADDER, StandardBase(1))
     _verdict(
         4,
         "decaying frequency factor collapses the distance",

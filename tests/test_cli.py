@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from corona_pdo import cli
 from corona_pdo.asymptotics import AsymptoticsError, SamplingSchedule, StandardBase, limsup_along
 from corona_pdo.cli import (
     _CONFIG_ERRORS,
@@ -30,10 +31,12 @@ from corona_pdo.spectral import (
 )
 from corona_pdo.symbols import (
     VO_RADII,
+    DualClosure,
     SymbolError,
     cesaro_mean,
     cos_profile,
     dyadic_indicator,
+    multiplier_symbol,
     sqrt_wave,
     tensor_symbol,
     vanishing_oscillation_test,
@@ -610,6 +613,43 @@ def test_spectrum_probe_task(tmp_path):
     assert (out / "sigma_by_band.csv").exists()
 
 
+def test_spectral_tasks_follow_the_configured_base(tmp_path, monkeypatch):
+    # 1 (x) (1 - tanh(xi/4))/2 vanishes at +infinity only; no config family spells it
+    step = DualClosure(lambda p: (1 - np.tanh(p[:, 0] / 4)) / 2, 1.0, "step")
+    monkeypatch.setattr(
+        cli, "symbol_from_config", lambda spec, xg, xig: multiplier_symbol(step, xg, xig)
+    )
+    doc = {"schema": 1, "symbol": "vo:sqrt", "asym": {"points_per_scale": 2000},
+           "base": {"kind": "directional", "omega0": [1]}, "lambdas": [0.0, 1.0, 0.5]}
+    code, report, out = _run(tmp_path, {**doc, "task": "gohberg"})
+    goh = report["results"]["gohberg"]
+    assert code == 0 and goh["violation"] is False and goh["unreliable"] is False
+    assert goh["estimate"] == 0.0 and goh["rhs"] == 0.0
+    # band N's shell is eta > N/2 alone: N/2 - 1 points
+    rows = (out / "sigma_by_band.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in rows] == [127, 255, 511, 1023]
+    (tmp_path / "probe").mkdir()
+    code, report, _ = _run(tmp_path / "probe", {**doc, "task": "spectrum-probe"})
+    assert code == 0
+    assert [w["verdict"] for w in report["results"]["weyl"]] == ["supporting", "against", "against"]
+
+
+def test_degenerate_shell_names_band_and_base(tmp_path, capsys):
+    # the half-line's complement thickened by N/2 starts at 50 + N/2, beyond band 64
+    doc = {
+        "schema": 1,
+        "task": "gohberg",
+        "symbol": "vo:sqrt",
+        "schedule": {"bands": [64, 128, 256]},
+        "asym": {"points_per_scale": 500},
+        "base": {"kind": "ethick", "a": 50},
+    }
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err == "[error] band 64 leaves a degenerate shell along ethick((-inf,50.0]) (0 points)\n"
+
+
 @pytest.mark.parametrize("doc", [NON_FINITE_POW, NON_FINITE_OP], ids=["asymptotics", "build-op"])
 def test_non_finite_report_exits_one(tmp_path, capsys, doc):
     # sin(|xi|^400) overflows to NaN; a 1e308 symbol overflows the HS norm
@@ -884,7 +924,9 @@ def test_report_writes_each_record_type_field_by_field():
         limsup_along(lambda p: np.abs(sqrt_wave()(p)), StandardBase(1), asym),
         vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII),
         cesaro_mean(dyadic_indicator(), GroupGrid.truncated_integers(64), [16, 64]),
-        gohberg_verify(symbol, essential_norm_estimate(symbol, sched), StandardBase(1), asym),
+        gohberg_verify(
+            symbol, essential_norm_estimate(symbol, sched, StandardBase(1)), StandardBase(1), asym
+        ),
     ]
     for record in records:
         text = json.dumps(record, sort_keys=True, default=_report_value)

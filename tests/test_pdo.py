@@ -16,7 +16,6 @@ from corona_pdo.pdo import (
     hs_norm,
     load_matrix_bin,
     load_matrix_csv,
-    multiplication_operator,
     op_matrix,
     save_matrix_bin,
     save_matrix_csv,
@@ -63,7 +62,6 @@ def test_pure_multiplication_is_diagonal():
     gamma = rng.standard_normal(8)
     f = tensor_symbol(gamma, constant_closure(1.0), xg, xig)
     assert np.allclose(op_matrix(f), np.diag(gamma), atol=1e-12)
-    assert np.allclose(multiplication_operator(xg, gamma), np.diag(gamma))
 
 
 def test_unit_multiplier_is_identity():

@@ -204,6 +204,11 @@ CONFIGS.update({
     "spectrum-probe/two-term": {
         "task": "spectrum-probe", "symbol": TWO_TERM, **LADDER, "lambdas": [1.5, "0.5+0.2j", 6.0],
     },
+    # the probe's shell is the base's element: one-sided along a direction
+    "spectrum-probe/base": {
+        "task": "spectrum-probe", "symbol": FLAGSHIP, **LADDER, "lambdas": [0.0, 4.5],
+        "base": {"kind": "directional", "omega0": [1]},
+    },
     # table symbols read from the CSVs that run_all writes
     "build-op/symbol=csv": {
         "task": "build-op", "group": {"kind": "finite_cyclic", "n": 4},
