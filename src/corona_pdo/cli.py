@@ -52,7 +52,6 @@ from .pdo import (
 from .spectral import (
     SpectralError,
     TruncationSchedule,
-    essential_norm_estimate,
     essential_spectrum_probe,
     fredholm_check,
     gohberg_verify,
@@ -508,8 +507,7 @@ def _spectral_inputs(cfg: ExperimentConfig):
 def _task_gohberg(cfg: ExperimentConfig):
     f, sched, base = _spectral_inputs(cfg)
     asym = cfg.sampling_schedule()
-    est = essential_norm_estimate(f, sched, base)
-    rep = gohberg_verify(f, est, base, asym, **cfg.tols("ratio_band", "zero_tol"))
+    est, rep = gohberg_verify(f, sched, base, asym, **cfg.tols("ratio_band", "zero_tol"))
     results = {
         "symbol_id": _symbol_id(f),
         "schedule": sched,

@@ -70,23 +70,25 @@ class TruncationSchedule:
         return xg, truncated_dual(xg, band)
 
 
-def _gram(band: np.ndarray, lam: complex = 0.0) -> np.ndarray:
-    """Upper band storage of (S - lam)^H (S - lam) for S in band storage."""
+def _gram(band: np.ndarray, lam: complex = 0.0):
+    """Upper band storage of G = T^H T, T = (S - lam) 2^-e for S in band storage,
+    and e <= 0: the exponent that lifts a largest |entry| below 1/2 into [1/2, 1),
+    so no entry of G is a subnormal below the bisection's resolution."""
     rows, n = band.shape
     if rows % 2 == 0:
         raise SpectralError("band storage needs equal lower and upper bandwidths")
     k = rows // 2
-    if lam != 0:
-        band = band.copy()
-        band[k] -= lam
+    band = band - lam * (np.arange(rows) == k)[:, None]
+    e = min(np.frexp(np.abs(band).max())[1], 0)
+    band = band if e == 0 else np.ldexp(band.real, -e) + 1j * np.ldexp(band.imag, -e)
     w = min(2 * k, n - 1)
     gram = np.zeros((w + 1, n), dtype=complex)
-    for d in range(w + 1):  # gram[j - d, j] = sum_i conj(S[i, j - d]) S[i, j]
+    for d in range(w + 1):  # gram[j - d, j] = sum_i conj(T[i, j - d]) T[i, j]
         gram[w - d, d:] = np.einsum("ij,ij->j", band[d:, : n - d].conj(), band[: rows - d, d:])
-    # every stored entry of S reaches the diagonal of the Gram matrix
+    # every stored entry of T reaches the diagonal of the Gram matrix
     if not np.isfinite(gram).all():
         raise SpectralError("section has non-finite entries (nan, inf or overflow)")
-    return gram
+    return gram, e
 
 
 @functools.cache
@@ -113,11 +115,11 @@ def _zpbtrf():
     return flapack.zpbtrf
 
 
-def _bisect(gram: np.ndarray, top: bool) -> float:
-    """lambda_max (top) or lambda_min of G in upper band storage, by bisection.
+def _bisect(gram: np.ndarray, e: int, top: bool) -> float:
+    """2^e sqrt(lambda_max (top) or lambda_min) of G in upper band storage.
 
     G - mu factors by banded Cholesky iff mu < lambda_min, and mu - G iff
-    mu > lambda_max; returns the certified end of a bracket of width 8 eps ||G||.
+    mu > lambda_max; the certified end of a bracket of width 8 eps ||G|| is taken.
     """
     zpbtrf = _zpbtrf()  # the extension loads on the first singular value of a run
     w = gram.shape[0] - 1
@@ -137,18 +139,18 @@ def _bisect(gram: np.ndarray, top: bool) -> float:
             hi = mu
         else:
             lo = mu
-    return hi if top else lo
+    return float(np.ldexp(np.sqrt(hi if top else lo), e))
 
 
 def sigma_top(band: np.ndarray) -> float:
     """Largest singular value of S, a square matrix in LAPACK general band
     storage ``band[K + a - b, b] = S[a, b]`` (see ``pdo.frequency_section``)."""
-    return float(np.sqrt(_bisect(_gram(band), top=True)))
+    return _bisect(*_gram(band), top=True)
 
 
 def sigma_min(band: np.ndarray, lam: complex = 0.0) -> float:
     """Smallest singular value of S - lam, S in band storage, from the Gram matrix."""
-    return float(np.sqrt(_bisect(_gram(band, lam), top=False)))
+    return _bisect(*_gram(band, lam), top=False)
 
 
 def shell_indices(xigrid: GroupGrid, threshold: float) -> np.ndarray:
@@ -356,15 +358,15 @@ class GohbergReport:
 
 def gohberg_verify(
     symbol: Symbol,
-    est_result: EssentialNormResult,
+    schedule: TruncationSchedule,
     base: FilterBase,
     asym_schedule: SamplingSchedule,
     ratio_band: tuple = (0.85, 1.15),
     zero_tol: float = 0.05,
-) -> GohbergReport:
+) -> tuple[EssentialNormResult, GohbergReport]:
     """Distance identity check for the base's ideal: ladder vs sampled limsup.
 
-    Left side: ``est_result``, the essential_norm_estimate ladder of ``symbol`` on ``base``.
+    Left side: the essential_norm_estimate ladder on ``base``, returned ahead of the report.
     Right side: max over x of limsup |f(x, .)| along the base (and the
     min-over-x variant, whose value must stay below the estimate: the
     lower-bound half of the identity).
@@ -375,6 +377,7 @@ def gohberg_verify(
     marks the whole report UNRELIABLE, where the identity is simply not
     claimed and no violation is raised.
     """
+    est_result = essential_norm_estimate(symbol, schedule, base)
     per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
     est, rhs, minform = est_result.estimate, max_fit.value, float(per_fiber.min())
     notes = list(est_result.notes)
@@ -422,7 +425,7 @@ def gohberg_verify(
             notes.append(
                 f"lower bound broken: minform {minform:.4f} > estimate {est:.4f}: VIOLATION"
             )
-    return GohbergReport(
+    return est_result, GohbergReport(
         estimate=float(est),
         rhs=float(rhs),
         minform=float(minform),

@@ -56,11 +56,6 @@ def _multiplier(psi, schedule):
     return multiplier_symbol(psi, xg, xig)
 
 
-def _gohberg(f, schedule, base=StandardBase(1)):
-    """The distance identity with both sides on one base."""
-    return gohberg_verify(f, essential_norm_estimate(f, schedule, base), base, ASYM)
-
-
 def test_schedule_validation_and_grids():
     with pytest.raises(SpectralError):
         TruncationSchedule(bands=(32, 64, 16))
@@ -145,6 +140,12 @@ def test_sigma_min_singular_matrix_reports_zero():
     assert sigma_min(np.array([[2.0, 0.0, -1.0]])) == 0.0
     assert sigma_min(np.zeros((3, 6))) == 0.0
     assert sigma_top(np.zeros((3, 6))) == 0.0
+    # |lam|^2 = 2.1e-314 is subnormal: unscaled, the Gram matrix loses digits and
+    # the bisection's width 8 eps ||G|| underflows to 0, so it never stops
+    tiny = 1.4484547181762245e-157
+    assert sigma_min(np.zeros((3, 6)), lam=-tiny) == pytest.approx(tiny, rel=1e-12)
+    assert sigma_top(np.full((1, 4), 3e-160)) == pytest.approx(3e-160, rel=1e-12)
+    assert sigma_min(np.zeros((3, 6)), lam=5e-324) == 5e-324
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan])
@@ -214,18 +215,18 @@ PSIS = [
 ]
 
 
-def _gram_close(got, dense, i):
+def _gram_close(got, dense, i, oracle_err=False):
     """Banded value against ``dense[i]``, dense svdvals (descending) of the same matrix.
 
     The banded route takes square roots of Gram eigenvalues, which carry an
     absolute error of a few eps ||S||^2: about eps ||S||^2 / sigma in sigma,
-    and about sqrt(eps) ||S|| as sigma -> 0.  The oracle's own error is a few
-    eps ||S|| in sigma (LAPACK's SVD bound), 2 sigma eps ||S|| in sigma^2: on an
-    11 x 11 one-sided shell minus lambda with sigma_min = 0.9 ||S||, svdvals
-    read sigma_min^2 82 eps ||S||^2 above a 40-digit reference, the banded
-    route 3 eps ||S||^2 below it.
+    and about sqrt(eps) ||S|| as sigma -> 0.  ``oracle_err`` adds the dense
+    oracle's own error, a few eps ||S|| in sigma (LAPACK's SVD bound) and so
+    2 sigma eps ||S|| in sigma^2: on an 11 x 11 one-sided shell minus lambda
+    with sigma_min = 0.9 ||S||, svdvals read sigma_min^2 82 eps ||S||^2 above a
+    40-digit reference, the banded route 3 eps ||S||^2 below it.
     """
-    tol = 64 * np.finfo(float).eps * dense[0] * (dense[0] + 2 * dense[i])
+    tol = 64 * np.finfo(float).eps * dense[0] * (dense[0] + 2 * dense[i] * oracle_err)
     return abs(got**2 - dense[i] ** 2) <= tol
 
 
@@ -245,10 +246,12 @@ def test_banded_route_matches_dense_oracle():
 
     @hypothesis.settings(max_examples=30, deadline=None, database=None)
     @hypothesis.given(
-        terms, st.sampled_from([18, 24, 32]), st.sampled_from([2, 4]), lams, st.sampled_from(bases)
+        terms, st.sampled_from([16, 24, 32]), st.sampled_from([2, 4]), lams, st.sampled_from(bases)
     )
     def check(terms, start, oversampling, lam, base):
         sched = TruncationSchedule(bands=(start, 2 * start, 4 * start), oversampling=oversampling)
+        # [1]'s element at band 16 holds 7 points, fewer than a ladder accepts
+        hypothesis.assume(base.mask(sched.grids(start)[1].coords, start / 2).sum() >= 8)
         f = TensorSymbol(*sched.grids(start), terms)
         est = essential_norm_estimate(f, sched, base)
         probe = essential_spectrum_probe(f, [lam.real, lam], sched, base)
@@ -263,7 +266,7 @@ def test_banded_route_matches_dense_oracle():
             assert _gram_close(sigma_top(frequency_section(fb, shell, banded=True)), s, 0)
             for row, z in zip(probe.sigma_min_table, [lam.real, lam]):
                 shifted = sla.svdvals(sect - z * np.eye(n))
-                assert _gram_close(row[j], shifted, -1)
+                assert _gram_close(row[j], shifted, -1, oracle_err=True)
             full = sla.svdvals(frequency_section(fb))
             assert _gram_close(sigma_min(frequency_section(fb, banded=True)), full, -1)
 
@@ -390,7 +393,7 @@ def test_fredholm_noncompact_x_short_circuits():
 def test_gohberg_compact_symbol_agrees_by_convention():
     sched = TruncationSchedule(bands=(32, 64, 128))
     f = _multiplier(inverse_decay(), sched)
-    rep = _gohberg(f, sched)
+    _, rep = gohberg_verify(f, sched, StandardBase(1), ASYM)
     assert rep.estimate < 0.05
     assert rep.rhs < 0.05
     assert rep.ratio == 1.0
@@ -403,7 +406,7 @@ def test_gohberg_compact_symbol_agrees_by_convention():
 def test_gohberg_flagship_ratio_lands_in_band():
     sched = TruncationSchedule(bands=(64, 128, 256))
     f = _flagship(sched)
-    rep = _gohberg(f, sched)
+    _, rep = gohberg_verify(f, sched, StandardBase(1), ASYM)
     assert abs(rep.rhs - 3.0) < 2e-2
     assert abs(rep.minform - 1.0) < 2e-2
     assert rep.ratio is not None
@@ -425,7 +428,7 @@ def test_ladder_follows_the_base_of_a_one_sided_symbol():
         (DirectionalBase([-1]), 1.0, ["against", "supporting"]),
         (StandardBase(1), 1.0, ["supporting", "supporting"]),
     ]:
-        rep = _gohberg(f, sched, base)
+        _, rep = gohberg_verify(f, sched, base, ASYM)
         assert rep.vo_verdicts == ("PASS",) and not rep.unreliable and not rep.violation
         assert abs(rep.estimate - value) < 1e-9 and abs(rep.rhs - value) < 1e-6
         probe = essential_spectrum_probe(f, [0.0, 1.0, 0.5], sched, base)
@@ -436,7 +439,7 @@ def test_gohberg_non_vanishing_oscillation_flags_unreliable():
     # psi = |xi| drifts without bound: the comparison formula is out of scope
     sched = TruncationSchedule(bands=(16, 32, 64))
     f = _multiplier(power_wave(1.0), sched)
-    rep = _gohberg(f, sched)
+    _, rep = gohberg_verify(f, sched, StandardBase(1), ASYM)
     assert "FAIL" in rep.vo_verdicts
     assert rep.unreliable
     assert not rep.violation
@@ -456,6 +459,6 @@ def test_gohberg_verify_evaluates_each_sampled_pair_about_once():
         return out
 
     f.eval_outer = counted
-    _gohberg(f, sched)
+    gohberg_verify(f, sched, StandardBase(1), ASYM)
     pairs = xg.size * len(ASYM.scales) * ASYM.points_per_scale
     assert pairs <= sum(evaluated) < 1.5 * pairs
