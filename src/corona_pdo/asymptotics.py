@@ -8,12 +8,13 @@ is built.  Scalar functionals (limsup, liminf)
 sample over a geometric ladder of scales and extrapolate the per-scale
 extremes with a + b / sqrt(t); field variants batch the fit over the x fiber.
 
-Beyond 1-d the bases sample the product net of ``sampling``, whose radial
-gaps the ray polish brackets.  Direction fans always contain the signed
-coordinate axes and the distinguished direction of a directional base: sups
-of anisotropic functions are routinely attained on measure-zero rays, and a
-fan that misses those rays under-reports the limsup no matter how many points
-it spends.
+A base is two rules: a ``fan`` of unit rows and a ``mask``.  Every base
+samples the product net of ``sampling`` over its fan, and the ray polish
+brackets a few radial gaps of that same net.  Direction fans always contain
+the signed coordinate axes and the distinguished direction of a directional
+base: sups of anisotropic functions are routinely attained on measure-zero
+rays, and a fan that misses those rays under-reports the limsup no matter how
+many points it spends.
 
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
 A golden-section search along the best rays, all rays at once in numpy,
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import MAX_RADIUS, _norm_ppf, _product_net, _radii_per_ray, _unit_rows
-from .sampling import annulus, kronecker, log_radii
+from .sampling import MAX_RADIUS, _fan_size, _norm_ppf, _product_net, _radii_per_ray
+from .sampling import _unit_rows, annulus, directions, kronecker
 from .symbols import Symbol, ThickenedSet
 
 
@@ -70,8 +71,10 @@ class SamplingSchedule:
 
 
 class FilterBase:
-    """Sampler plus membership test for the base elements of a filter.
+    """The base elements of a filter, as a fan of rays and a membership test.
 
+    ``fan(k, t, seed)`` is about k unit rows, the rays sampled at scale t;
+    ``sample`` is the product net over them with radii in (t, t * span].
     ``mask(pts, t)`` is the element at scale t: every sample lies in it, and
     the ray polish scores no point outside it.
     """
@@ -79,8 +82,11 @@ class FilterBase:
     label = "base"
     dim = 1
 
-    def sample(self, scale: float, n: int, span: float, seed: int) -> np.ndarray:
+    def fan(self, k: int, scale: float, seed: int) -> np.ndarray:
         raise NotImplementedError
+
+    def sample(self, scale: float, n: int, span: float, seed: int) -> np.ndarray:
+        return _product_net(scale, scale * span, n, seed, lambda k: self.fan(k, scale, seed))
 
     def mask(self, pts: np.ndarray, scale: float) -> np.ndarray:
         raise NotImplementedError
@@ -94,10 +100,8 @@ class StandardBase(FilterBase):
         self.extra_directions = extra_directions
         self.label = f"standard({self.dim}d)"
 
-    def sample(self, scale, n, span, seed):
-        return annulus(
-            scale, scale * span, self.dim, n, seed, extra_directions=self.extra_directions
-        )
+    def fan(self, k, scale, seed):
+        return directions(k, self.dim, seed, self.extra_directions)
 
     def mask(self, pts, scale):
         return np.linalg.norm(pts, axis=1) > scale
@@ -120,15 +124,11 @@ class DirectionalBase(FilterBase):
             u, _, _ = np.linalg.svd(proj)
             self._perp = u[:, : self.dim - 1].T  # orthonormal complement rows
 
-    def sample(self, scale, n, span, seed):
+    def fan(self, k, scale, seed):
+        """omega0, then (beyond 1-d) k - 1 unit rows within aperture_scale / scale of it."""
         if self.dim == 1:
-            r = log_radii(scale, scale * span, n, seed)
-            return (self.omega0[0] * r)[:, None]
-        return _product_net(scale, scale * span, n, seed,
-                            lambda k: self._fan(k, self.aperture_scale / scale, seed))
-
-    def _fan(self, k: int, aperture: float, seed: int) -> np.ndarray:
-        """omega0 exactly, then k - 1 unit rows at angles up to ``aperture`` from it."""
+            return self.omega0[None, :]
+        aperture = self.aperture_scale / scale
         u = kronecker(k - 1, 1, seed)[:, 0]
         if self.dim == 2:
             theta = aperture * (2 * u - 1)
@@ -161,10 +161,13 @@ class ThickenedComplementBase(FilterBase):
         self.dim = E.dim
         self.label = f"ethick({E.label})"
 
+    def fan(self, k, scale, seed):
+        return directions(k, self.dim, seed)
+
     def sample(self, scale, n, span, seed):
         kept, total = [], 0
         for round_ in range(8):
-            pts = annulus(scale, scale * span, self.dim, n, seed + 131 * round_)
+            pts = super().sample(scale, n, span, seed + 131 * round_)
             kept.append(pts[self.mask(pts, scale)])
             total += len(pts)
             if sum(len(k) for k in kept) >= n:
@@ -195,6 +198,9 @@ class IntersectionBase(FilterBase):
         self.parts = parts
         self.dim = parts[0].dim
         self.label = "intersection(" + ", ".join(p.label for p in parts) + ")"
+
+    def fan(self, k, scale, seed):
+        return self.parts[0].fan(k, scale, seed)
 
     def sample(self, scale, n, span, seed):
         pts = self.parts[0].sample(scale, n, span, seed)
@@ -247,9 +253,10 @@ class AsymptoticFit:
     rel_residual: float
 
 
-def _polish_span(n: int, dim: int, span: float) -> float:
-    # geometric bracket covering a few gaps of the annulus net's radii along a ray
-    return float(min(max(span ** (4.0 / _radii_per_ray(n, dim)), 1.001), span))
+def _polish_span(base: FilterBase, n: int, t: float, span: float) -> float:
+    # geometric bracket over a few radial gaps of the base's net (its fan's length is seed-free)
+    rays = len(base.fan(_fan_size(n), t, 0))
+    return float(min(max(span ** (4.0 / _radii_per_ray(n, rays)), 1.001), span))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -266,7 +273,7 @@ def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, pts, vals, maxi
     outside scores as the worst value.  The best value at any evaluated point
     of the element wins, so the result never falls behind the sampled one.
     """
-    q = _polish_span(sched.points_per_scale, base.dim, sched.span)
+    q = _polish_span(base, sched.points_per_scale, t, sched.span)
     s = 1.0 if maximize else -1.0
     sv = s * np.asarray(vals, dtype=float)
     best = float(np.max(sv))

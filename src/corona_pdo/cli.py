@@ -549,6 +549,7 @@ def _task_spectrum_probe(cfg: ExperimentConfig):
     results = {
         "symbol_id": _symbol_id(f),
         "schedule": sched,
+        "base": base.label,
         "scale": probe.scale,
         "weyl": weyl,
     }

@@ -385,7 +385,9 @@ def gohberg_verify(
 
     vo_verdicts = []
     for _, psi in symbol.tensor_terms or ():
-        prof = vanishing_oscillation_test(psi, vo_shifts(symbol.xigrid.ndim), VO_RADII)
+        prof = vanishing_oscillation_test(
+            psi, vo_shifts(symbol.xigrid.ndim), VO_RADII, asym_schedule.seed
+        )
         vo_verdicts.append(prof.verdict)
         if prof.verdict == "FAIL":
             unreliable = True

@@ -307,9 +307,7 @@ def vo_shifts(dim: int) -> np.ndarray:
     return np.eye(dim)[:1] * [[0.5], [1.0], [2.0]]
 
 
-def vanishing_oscillation_test(
-    psi: DualClosure, shifts, radii, seed: int = 0
-) -> OscillationProfile:
+def vanishing_oscillation_test(psi: DualClosure, shifts, radii, seed: int) -> OscillationProfile:
     """Estimate osc(shift, R) by dense tail sampling and return a verdict.
 
     The tail |xi| in [radii[0], 10 radii[-1]] gets 20000 samples.  PASS means

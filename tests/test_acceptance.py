@@ -219,7 +219,7 @@ def test_criterion_8_oscillation_diagnostics():
     radii = np.logspace(2, 6, 9)
     checks = []
     for alpha in (0.25, 0.5, 0.75):
-        prof = vanishing_oscillation_test(power_wave(alpha), [1.0], radii)
+        prof = vanishing_oscillation_test(power_wave(alpha), [1.0], radii, seed=0)
         bound = 1.1 * alpha * radii ** (alpha - 1.0)
         checks.append((f"alpha={alpha} verdict {prof.verdict}", prof.verdict == "PASS"))
         checks.append(
@@ -228,7 +228,7 @@ def test_criterion_8_oscillation_diagnostics():
                 bool(np.all(prof.osc[0] <= bound)),
             )
         )
-    full = vanishing_oscillation_test(power_wave(1.0), [1.0], radii)
+    full = vanishing_oscillation_test(power_wave(1.0), [1.0], radii, seed=0)
     checks.append((f"alpha=1 verdict {full.verdict}", full.verdict == "FAIL"))
     _verdict(8, "translation-oscillation certificates", checks)
 
@@ -255,7 +255,7 @@ def test_criterion_9_determinism(tmp_path):
     f = _flagship(xg, xig)
     sched = SamplingSchedule(points_per_scale=2000)
     rhs = [modulus_field(f, StandardBase(1), sched)[1].value for _ in range(2)]
-    osc = [vanishing_oscillation_test(sqrt_wave(), [1.0], np.logspace(2, 6, 5)) for _ in range(2)]
+    osc = [vanishing_oscillation_test(sqrt_wave(), [1.0], np.logspace(2, 6, 5), seed=0) for _ in range(2)]
     same_osc = all(
         np.array_equal(getattr(osc[0], field.name), getattr(osc[1], field.name))
         for field in dataclasses.fields(osc[0])

@@ -20,12 +20,14 @@ from corona_pdo.asymptotics import (
     SamplingSchedule,
     StandardBase,
     ThickenedComplementBase,
+    _polish_span,
     fit_inverse_sqrt,
     liminf_along,
     limsup_along,
     modulus_field,
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
+from corona_pdo.sampling import _fan_size, _radii_per_ray
 from corona_pdo.symbols import (
     TensorSymbol,
     ThickenedSet,
@@ -218,6 +220,33 @@ def test_polished_sup_never_leaves_the_element(base):
     exact = 1.0 / (1.0 + np.array(SCHED.scales))
     assert np.all(fit.per_scale >= raw * (1 - 1e-12))
     assert np.all(fit.per_scale <= exact * (1 + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "base, n",
+    [
+        (StandardBase(1), 40),
+        (StandardBase(2, extra_directions=[[1.0, 1.0]]), 900),
+        (StandardBase(8), 64),  # 16 signed axes against a fan size of 8
+        (DirectionalBase([1.0]), 40),  # one ray: 40 radii, not 20
+        (DirectionalBase([1.0, 2.0]), 900),
+        (DirectionalBase([1.0, 2.0, 2.0]), 900),
+        (ThickenedComplementBase(halfline_set(0.0)), 40),
+        (IntersectionBase(StandardBase(1), DirectionalBase([1.0])), 40),
+    ],
+    ids=["standard-1d", "standard-2d-extra", "standard-8d", "directional-1d",
+         "directional-2d", "directional-3d", "ethick-halfline", "standard-and-directional"],
+)
+def test_net_and_bracket_read_one_fan(base, n):
+    # the polish brackets 4 radial gaps of the net the base samples: both count its fan
+    t, span = 100.0, 10.0
+    rays = len(base.fan(_fan_size(n), t, 3))
+    per_ray = _radii_per_ray(n, rays)
+    pts = base.sample(t, n, span, 3)
+    assert np.all(base.mask(pts, t))
+    if isinstance(base, (StandardBase, DirectionalBase)):  # no rejection: a pure net
+        assert len(pts) == rays * per_ray
+    assert _polish_span(base, n, t, span) == min(max(span ** (4 / per_ray), 1.001), span)
 
 
 def test_intersection_with_thickening_polishes():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from corona_pdo.sampling import (
-    _fan_size,
-    _radii_per_ray,
+    _norm_ppf,
     annulus,
     directions,
     kronecker,
@@ -60,14 +59,14 @@ def test_annulus_radius_window():
     assert np.all((r > 10.0 - 1e-9) & (r <= 1e4 * (1 + 1e-12)))
 
 
-def test_annulus_net_carries_the_radii_per_ray_rule():
-    # the ray polish brackets a few gaps of _radii_per_ray radii: the net must hold that many
-    for dim, n in ((1, 40), (2, 900), (3, 1000)):
-        rays = 2 if dim == 1 else _fan_size(n)
-        assert len(annulus(10.0, 1e4, dim, n, seed=1)) == rays * _radii_per_ray(n, dim)
-
-
 def test_annulus_dim_one_signs():
     pts = annulus(1.0, 100.0, 1, 40)
     assert pts.shape[1] == 1
     assert np.any(pts > 0) and np.any(pts < 0)
+
+
+def test_norm_ppf_matches_known_quantiles():
+    q = _norm_ppf(np.array([0.5, 0.975, 0.0, 1.0]))
+    # 0 and 1 clip to 1e-12 and 1 - 1e-12; in float64 the latter leaves a tail of 0.99998e-12
+    known = [0.0, 1.959963984540054, -7.034483825301131, 7.034486910047836]
+    assert np.allclose(q, known, rtol=1e-12, atol=1e-15)

@@ -417,6 +417,19 @@ def test_gohberg_flagship_ratio_lands_in_band():
     assert all(v == "PASS" for v in rep.vo_verdicts)
 
 
+def test_gohberg_vo_certificate_follows_the_sampling_seed(monkeypatch):
+    seeds, vo = [], spectral.vanishing_oscillation_test
+
+    def recording(psi, shifts, radii, seed=None):
+        seeds.append(seed)
+        return vo(psi, shifts, radii, seed=0 if seed is None else seed)
+
+    monkeypatch.setattr(spectral, "vanishing_oscillation_test", recording)
+    sched = TruncationSchedule(bands=(16, 32, 64))
+    gohberg_verify(_flagship(sched), sched, StandardBase(1), SamplingSchedule(seed=7))
+    assert seeds == [7]
+
+
 def test_ladder_follows_the_base_of_a_one_sided_symbol():
     # 1 (x) (1 - tanh(xi/4))/2 vanishes at +infinity only: with the ladder on
     # |eta| > N/2 whatever the base, [1] read estimate 1 against rhs 0

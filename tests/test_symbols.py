@@ -111,7 +111,7 @@ def test_table_symbol_eval_outer_requires_closure():
 
 def test_slow_wave_oscillation_passes_and_obeys_derivative_bound():
     for alpha in (0.25, 0.5, 0.75):
-        prof = vanishing_oscillation_test(power_wave(alpha), [[1.0]], RADII)
+        prof = vanishing_oscillation_test(power_wave(alpha), [[1.0]], RADII, seed=0)
         assert prof.verdict == "PASS"
         # mean value bound: osc(1, R) <= alpha * (R-1)^(alpha-1)
         bound = alpha * (RADII - 1.0) ** (alpha - 1.0)
@@ -120,13 +120,13 @@ def test_slow_wave_oscillation_passes_and_obeys_derivative_bound():
 
 
 def test_sampled_oscillation_not_degenerate():
-    prof = vanishing_oscillation_test(power_wave(0.5), [[1.0]], RADII)
+    prof = vanishing_oscillation_test(power_wave(0.5), [[1.0]], RADII, seed=0)
     # true sup at R=100 is ~0.05; the sampler must see a solid fraction
     assert prof.osc[0, 0] >= 0.015
 
 
 def test_full_strength_wave_fails():
-    prof = vanishing_oscillation_test(power_wave(1.0), [[1.0]], RADII)
+    prof = vanishing_oscillation_test(power_wave(1.0), [[1.0]], RADII, seed=0)
     assert prof.verdict == "FAIL"
     assert 0.93 <= prof.osc[0, -1] <= 2 * np.sin(0.5) + 1e-12
 
@@ -135,7 +135,7 @@ def test_mean_value_bound_for_all_shifts():
     radii = np.logspace(2, 5, 7)
     shifts = [[0.5], [1.0], [2.0]]
     for alpha in (0.25, 0.5, 0.75):
-        prof = vanishing_oscillation_test(power_wave(alpha), shifts, radii)
+        prof = vanishing_oscillation_test(power_wave(alpha), shifts, radii, seed=0)
         for i, (z,) in enumerate(shifts):
             bound = z * alpha * (radii - z) ** (alpha - 1.0)
             assert np.all(prof.osc[i] <= bound * 1.0001)
@@ -143,7 +143,7 @@ def test_mean_value_bound_for_all_shifts():
 
 def test_oscillation_bad_radii():
     with pytest.raises(SymbolError):
-        vanishing_oscillation_test(sqrt_wave(), [[1.0]], [0.0, 10.0])
+        vanishing_oscillation_test(sqrt_wave(), [[1.0]], [0.0, 10.0], seed=0)
 
 
 # -- directional decay --
