@@ -1,5 +1,9 @@
-"""Fourier analysis/synthesis between a grid and its dual, plus partial
-transforms of two-variable tables.
+"""Fourier analysis/synthesis between a grid and its dual, on plain arrays.
+
+A function on a grid is a NumPy array indexed by the grid's flat point
+index; a two-variable table on X x Xi is an (X.size, Xi.size) array.  The
+grid travels next to the array, and ``axis`` names the variable a transform
+acts on: ``axis=0`` is the x variable of a table, ``axis=1`` its dual one.
 
 Conventions (fixed throughout):
 
@@ -20,11 +24,9 @@ property test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .groups import GridError, GridFunction, GroupGrid, assert_dual_pair
+from .groups import GroupGrid, assert_dual_pair
 
 
 def _scatter(vals, bins, n, axis):
@@ -58,31 +60,28 @@ def _axis(vals, fac, out_fac, axis, forward):
     return out
 
 
-def _run_axes(values, in_grid, out_grid, first_axis, forward):
-    for k, (fac, ofac) in enumerate(zip(in_grid.factors, out_grid.factors)):
-        values = _axis(values, fac, ofac, first_axis + k, forward)
-    return values
+def _transform(values, grid, out_grid, axis, forward):
+    """Transform ``values`` along ``axis``, whose entries are the points of ``grid``."""
+    values = np.asarray(values, dtype=complex)
+    lead, trail = values.shape[:axis], values.shape[axis + 1:]
+    vals = values.reshape(lead + grid.shape + trail)
+    for k, (fac, ofac) in enumerate(zip(grid.factors, out_grid.factors)):
+        vals = _axis(vals, fac, ofac, axis + k, forward)
+    return vals.reshape(lead + (out_grid.size,) + trail)
 
 
-# -- whole-grid transforms ----------------------------------------------------
+def fourier(values, grid: GroupGrid, out_grid=None, axis=0) -> np.ndarray:
+    """Analysis transform of ``values`` on ``grid`` onto ``out_grid`` (default: canonical dual)."""
+    out = out_grid if out_grid is not None else grid.dual()
+    assert_dual_pair(grid, out)
+    return _transform(values, grid, out, axis, forward=True)
 
 
-def fourier(u: GridFunction, out_grid: GroupGrid | None = None) -> GridFunction:
-    """Analysis transform of ``u`` onto ``out_grid`` (default: canonical dual)."""
-    out = out_grid if out_grid is not None else u.grid.dual()
-    assert_dual_pair(u.grid, out)
-    vals = u.values.reshape(u.grid.shape)
-    vals = _run_axes(vals, u.grid, out, 0, forward=True)
-    return GridFunction(out, vals.reshape(-1))
-
-
-def inverse_fourier(v: GridFunction, out_grid: GroupGrid | None = None) -> GridFunction:
-    """Synthesis transform of ``v`` (living on a dual grid) onto ``out_grid``."""
-    out = out_grid if out_grid is not None else v.grid.dual()
-    assert_dual_pair(out, v.grid)
-    vals = v.values.reshape(v.grid.shape)
-    vals = _run_axes(vals, v.grid, out, 0, forward=False)
-    return GridFunction(out, vals.reshape(-1))
+def inverse_fourier(values, grid: GroupGrid, out_grid=None, axis=0) -> np.ndarray:
+    """Synthesis transform of ``values`` on the dual grid ``grid`` onto ``out_grid``."""
+    out = out_grid if out_grid is not None else grid.dual()
+    assert_dual_pair(out, grid)
+    return _transform(values, grid, out, axis, forward=False)
 
 
 def _character_table(rows: GroupGrid, cols: GroupGrid, xgrid: GroupGrid, turn, weight) -> np.ndarray:
@@ -115,58 +114,11 @@ def inverse_transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid) -> np.ndarray:
     return _character_table(xgrid, xigrid, xgrid, 2j * np.pi, xigrid.weight_per_point)
 
 
-def convolve(u: GridFunction, v: GridFunction) -> GridFunction:
-    """Group convolution (u*v)(x) = sum_y w_y u(y) v(x y^-1).
+def convolve(u: np.ndarray, v: np.ndarray, grid: GroupGrid) -> np.ndarray:
+    """Group convolution (u*v)(x) = sum_y w_y u(y) v(x y^-1) on ``grid``.
 
     Definitional quadratic-cost sum via index arithmetic; serves as the
     independent oracle for the FFT product identity.
     """
-    if u.grid.descriptor() != v.grid.descriptor():
-        raise GridError("convolve needs both functions on the same grid")
-    g = u.grid
-    idx = g.sub_indices(np.arange(g.size)[:, None], np.arange(g.size)[None, :])
-    return GridFunction(g, g.weight_per_point * (v.values[idx] @ u.values))
-
-
-# -- two-variable tables -------------------------------------------------------
-
-
-@dataclass
-class PhaseFunction:
-    """Table of a two-variable function on xgrid x xigrid (rows x columns)."""
-
-    xgrid: GroupGrid
-    xigrid: GroupGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(
-            self.xgrid.size, self.xigrid.size
-        )
-        self.values = v
-
-    def hs_norm(self) -> float:
-        w = self.xgrid.weight_per_point * self.xigrid.weight_per_point
-        return float(np.sqrt(w * np.sum(np.abs(self.values) ** 2)))
-
-
-def partial_fourier_1(g: PhaseFunction, out_grid: GroupGrid | None = None) -> PhaseFunction:
-    """Analysis in the first variable: (F1 g)(eta, xi) = sum_x w conj(<x,eta>) g(x, xi)."""
-    out = out_grid if out_grid is not None else g.xgrid.dual()
-    assert_dual_pair(g.xgrid, out)
-    vals = g.values.reshape(*g.xgrid.shape, g.xigrid.size)
-    vals = _run_axes(vals, g.xgrid, out, 0, forward=True)
-    return PhaseFunction(out, g.xigrid, vals.reshape(out.size, g.xigrid.size))
-
-
-def partial_fourier_2_inverse(g: PhaseFunction, out_grid: GroupGrid | None = None) -> PhaseFunction:
-    """Synthesis in the second variable: kern(x, z) = sum_xi w <z,xi> g(x, xi).
-
-    With ``out_grid = g.xgrid`` this produces the integral kernel table of
-    the operator with symbol table ``g``.
-    """
-    out = out_grid if out_grid is not None else g.xigrid.dual()
-    assert_dual_pair(out, g.xigrid)
-    vals = g.values.reshape(g.xgrid.size, *g.xigrid.shape)
-    vals = _run_axes(vals, g.xigrid, out, 1, forward=False)
-    return PhaseFunction(g.xgrid, out, vals.reshape(g.xgrid.size, out.size))
+    idx = grid.sub_indices(np.arange(grid.size)[:, None], np.arange(grid.size)[None, :])
+    return grid.weight_per_point * (v[idx] @ u)

@@ -181,6 +181,12 @@ class GroupGrid:
         """True when the grid is an exact finite group (cyclic factors only)."""
         return all(f.kind == "finite_cyclic" for f in self.factors)
 
+    def norm(self, values) -> float:
+        """Haar-weighted L2 norm of ``values``, one per grid point."""
+        a = np.abs(values)
+        a *= a
+        return float(np.sqrt(self.weight_per_point * np.sum(a)))
+
     def dual(self) -> "GroupGrid":
         return GroupGrid([_dual_factor(f) for f in self.factors])
 
@@ -297,27 +303,3 @@ def truncated_dual(xgrid: GroupGrid, band: int) -> GroupGrid:
     if band > m // 2:
         raise GridError(f"band {band} exceeds Nyquist {m // 2}")
     return GroupGrid.truncated_integers(band)
-
-
-# -- grid functions ----------------------------------------------------------
-
-
-@dataclass
-class GridFunction:
-    """Complex-valued function sampled on a GroupGrid."""
-
-    grid: GroupGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
-        if v.size != self.grid.size:
-            raise GridError(
-                f"value count {v.size} does not match grid size {self.grid.size}"
-            )
-        self.values = v
-
-    def norm(self) -> float:
-        a = np.abs(self.values)
-        a *= a
-        return float(np.sqrt(self.grid.weight_per_point * np.sum(a)))

@@ -1,7 +1,8 @@
 """Operators Op(f) from two-variable symbols, plus their frequency pictures.
 
-Construction is kernel-first: the symbol table is synthesized in its second
-variable to the integral kernel kern(x, z), and
+Construction is kernel-first: the symbol table, a plain (X.size, Xi.size)
+array, is synthesized in its second variable (``inverse_fourier`` along
+axis 1) to the integral kernel kern(x, z), and
 
     matrix[x, y] = w_y * kern(x, x y^{-1}).
 
@@ -9,7 +10,8 @@ On the frequency side the same operator is a twisted convolution
 
     S[xi, eta] = w^_eta * (F1 f)(xi - eta, eta)
 
-acting on Fourier coefficients; ``diagram_check`` verifies that the two
+acting on Fourier coefficients, with F1 the analysis transform in the first
+variable (``fourier`` along axis 0); ``diagram_check`` verifies that the two
 pictures are conjugate by the discrete transform pair to near machine
 precision on finite cyclic grids.  A sampled torus operator with the full
 Nyquist band has exactly the same matrix as the corresponding finite cyclic
@@ -30,14 +32,8 @@ import math
 
 import numpy as np
 
-from .fourier import (
-    fourier,
-    inverse_transform_matrix,
-    partial_fourier_1,
-    partial_fourier_2_inverse,
-    transform_matrix,
-)
-from .groups import GridFunction, GroupGrid
+from .fourier import fourier, inverse_fourier, inverse_transform_matrix, transform_matrix
+from .groups import GroupGrid
 from .symbols import Symbol
 
 DENSE_CAP = 4096
@@ -58,10 +54,10 @@ def op_matrix(symbol: Symbol) -> np.ndarray:
     """Dense matrix of Op(f) on l2 of the x grid (kernel route)."""
     xg = symbol.xgrid
     _check_cap(xg.size, "op_matrix")
-    kern = partial_fourier_2_inverse(symbol.table(), out_grid=xg)
+    kern = inverse_fourier(symbol.table(), symbol.xigrid, xg, axis=1)
     rows = np.arange(xg.size)
     sub = xg.sub_indices(rows[:, None], rows[None, :])  # x y^{-1}
-    return kern.values[rows[:, None], sub] * xg.weight_per_point
+    return kern[rows[:, None], sub] * xg.weight_per_point
 
 
 # -- frequency picture ---------------------------------------------------------------
@@ -115,11 +111,11 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
         S = np.zeros((len(indices), len(indices)), dtype=complex)
         psi_cols = xig.coords[indices]
         for gv, psi in terms:
-            gh = fourier(GridFunction(symbol.xgrid, gv)).values
+            gh = fourier(gv, symbol.xgrid)
             S += gh[sub] * psi(psi_cols)[None, :]
         return S * what
-    psi1 = partial_fourier_1(symbol.table())
-    return psi1.values[sub, indices[None, :]] * what
+    psi1 = fourier(symbol.table(), symbol.xgrid)
+    return psi1[sub, indices[None, :]] * what
 
 
 def _band_section(symbol, cols, embed, omega) -> np.ndarray:
@@ -130,7 +126,7 @@ def _band_section(symbol, cols, embed, omega) -> np.ndarray:
     wrap = np.minimum(wrap, period - wrap)  # mode distance of each rolled bin
     hats, psis, tail = [], [], 0.0
     for gv, psi in symbol.tensor_terms:
-        gh = np.roll(fourier(GridFunction(symbol.xgrid, gv)).values, -origin)
+        gh = np.roll(fourier(gv, symbol.xgrid), -origin)
         pv = psi(cols)
         mass = np.bincount(wrap, weights=np.abs(gh))
         beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past distance k

@@ -1,9 +1,10 @@
 """Symbols f(x, xi) and the function-class diagnostics attached to them.
 
-A :class:`Symbol` is bound to a grid pair (X, Xi) and is materializable as a
-table; closure-backed symbols can in addition be evaluated at dual points far
-beyond the grid band, which is what every at-infinity functional needs (the
-tail behaviour of f is simply not present in a finite table).
+A :class:`Symbol` is bound to a grid pair (X, Xi) and materializes as a
+table, a plain (X.size, Xi.size) array; closure-backed symbols can in
+addition be evaluated at dual points far beyond the grid band, which is what
+every at-infinity functional needs (the tail behaviour of f is simply not
+present in a finite table).
 
 The built-in families cover the behaviours the spectral experiments probe:
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import PhaseFunction
 from .groups import GroupGrid, assert_dual_pair
 from .sampling import MAX_RADIUS, annulus
 
@@ -165,7 +165,6 @@ class Symbol:
         assert_dual_pair(xgrid, xigrid)
         self.xgrid = xgrid
         self.xigrid = xigrid
-        self._table = None
 
     tensor_terms = None
 
@@ -173,7 +172,8 @@ class Symbol:
     def sup_bound(self) -> float:
         raise NotImplementedError
 
-    def table(self) -> PhaseFunction:
+    def table(self) -> np.ndarray:
+        """The (xgrid.size, xigrid.size) array of f on the grid pair."""
         raise NotImplementedError
 
     def eval_outer(self, x_indices, xi_points) -> np.ndarray:
@@ -218,13 +218,11 @@ class TensorSymbol(Symbol):
             sum(np.max(np.abs(gv)) * psi.sup_bound for _, gv, psi in self.terms)
         )
 
-    def table(self) -> PhaseFunction:
-        if self._table is None:
-            vals = np.zeros((self.xgrid.size, self.xigrid.size), dtype=complex)
-            for _, gv, psi in self.terms:
-                vals += np.outer(gv, psi(self.xigrid.coords))
-            self._table = PhaseFunction(self.xgrid, self.xigrid, vals)
-        return self._table
+    def table(self) -> np.ndarray:
+        vals = np.zeros((self.xgrid.size, self.xigrid.size), dtype=complex)
+        for _, gv, psi in self.terms:
+            vals += np.outer(gv, psi(self.xigrid.coords))
+        return vals
 
     def eval_outer(self, x_indices, xi_points) -> np.ndarray:
         x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
@@ -262,10 +260,8 @@ class TableSymbol(Symbol):
     def sup_bound(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def table(self) -> PhaseFunction:
-        if self._table is None:
-            self._table = PhaseFunction(self.xgrid, self.xigrid, self.values)
-        return self._table
+    def table(self) -> np.ndarray:
+        return self.values
 
 
 def tensor_symbol(gamma, psi: DualClosure, xgrid: GroupGrid, xigrid: GroupGrid) -> TensorSymbol:

@@ -24,7 +24,7 @@ from corona_pdo.asymptotics import (
 )
 from corona_pdo.cli import main
 from corona_pdo.fourier import fourier
-from corona_pdo.groups import GridFunction, GroupGrid
+from corona_pdo.groups import GroupGrid, product_group
 from corona_pdo.pdo import (
     convolution_operator,
     diagram_check,
@@ -91,14 +91,14 @@ def test_criterion_1_exact_identities():
         xg = GroupGrid.finite_cyclic(n)
         xig = xg.dual()
         rng = np.random.default_rng(n)
-        u = GridFunction(xg, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        v = fourier(u, xig)
-        planch = abs(u.norm() ** 2 - v.norm() ** 2) / u.norm() ** 2
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = fourier(u, xg, xig)
+        planch = abs(xg.norm(u) ** 2 - xig.norm(v) ** 2) / xg.norm(u) ** 2
         checks.append((f"plancherel N={n}: {planch:.2e}", planch <= 1e-10))
 
         vals = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         table = TableSymbol(xg, xig, vals)
-        hs_gap = abs(hs_norm(op_matrix(table)) - table.table().hs_norm())
+        hs_gap = abs(hs_norm(op_matrix(table)) - product_group(xg, xig).norm(vals))
         checks.append((f"hs isometry N={n}: {hs_gap:.2e}", hs_gap <= 1e-10))
 
         resid = diagram_check(table)

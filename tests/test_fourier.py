@@ -1,43 +1,40 @@
 import numpy as np
 import pytest
 
-from corona_pdo.groups import GridFunction, GroupGrid, pairing_phase, product_group, truncated_dual
+from corona_pdo.groups import GroupGrid, pairing_phase, product_group, truncated_dual
 from corona_pdo.fourier import (
-    PhaseFunction,
     convolve,
     fourier,
     inverse_fourier,
     inverse_transform_matrix,
-    partial_fourier_1,
-    partial_fourier_2_inverse,
     transform_matrix,
 )
 
 
 def _rand(grid, seed):
     rng = np.random.default_rng(seed)
-    return GridFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
+    return rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
 
 
 def test_z2_frozen_values():
     g = GroupGrid.finite_cyclic(2)
-    delta = GridFunction(g, [1.0, 0.0])
-    assert np.allclose(fourier(delta).values, [1.0, 1.0], atol=1e-15)
-    const = GridFunction(g, [1.0, 1.0])
-    assert np.allclose(fourier(const).values, [2.0, 0.0], atol=1e-15)
+    delta = np.array([1.0, 0.0])
+    assert np.allclose(fourier(delta, g), [1.0, 1.0], atol=1e-15)
+    const = np.array([1.0, 1.0])
+    assert np.allclose(fourier(const, g), [2.0, 0.0], atol=1e-15)
     # synthesis back
-    back = inverse_fourier(fourier(const))
-    assert np.allclose(back.values, const.values, atol=1e-14)
+    back = inverse_fourier(fourier(const, g), g.dual())
+    assert np.allclose(back, const, atol=1e-14)
 
 
 def test_round_trip_and_plancherel_finite_cyclic():
     for n in (4, 8, 12, 27, 64):
         g = GroupGrid.finite_cyclic(n)
         u = _rand(g, n)
-        uh = fourier(u)
-        assert abs(uh.norm() - u.norm()) <= 1e-12 * u.norm()
-        back = inverse_fourier(uh)
-        assert np.max(np.abs(back.values - u.values)) < 1e-12
+        uh = fourier(u, g)
+        assert abs(g.dual().norm(uh) - g.norm(u)) <= 1e-12 * g.norm(u)
+        back = inverse_fourier(uh, g.dual())
+        assert np.max(np.abs(back - u)) < 1e-12
 
 
 def _factor_pair(kind, a, b):
@@ -82,13 +79,13 @@ def test_fft_path_matches_dense_matrix():
             assert np.all(g.coords[g.identity_index] == 0)
         F, G = transform_matrix(xg, xi), inverse_transform_matrix(xg, xi)
         u, v = _rand(xg, seed), _rand(xi, seed + 1)
-        assert close(fourier(u, xi).values, F @ u.values)
-        assert close(inverse_fourier(v, xg).values, G @ v.values)
+        assert close(fourier(u, xg, xi), F @ u)
+        assert close(inverse_fourier(v, xi, xg), G @ v)
         shape = (xg.size, xi.size)
         rng = np.random.default_rng(seed)
-        table = PhaseFunction(xg, xi, rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        assert close(partial_fourier_1(table, xi).values, F @ table.values)
-        assert close(partial_fourier_2_inverse(table, xg).values, table.values @ G.T)
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert close(fourier(table, xg, xi), F @ table)
+        assert close(inverse_fourier(table, xi, xg, axis=1), table @ G.T)
 
     check()
 
@@ -96,10 +93,10 @@ def test_fft_path_matches_dense_matrix():
 def test_line_grid_round_trip_and_plancherel():
     g = GroupGrid.line(0.25, 16.0)
     u = _rand(g, 5)
-    uh = fourier(u)
-    assert abs(uh.norm() - u.norm()) <= 1e-12 * u.norm()
-    back = inverse_fourier(uh)
-    assert np.max(np.abs(back.values - u.values)) < 1e-11
+    uh = fourier(u, g)
+    assert abs(g.dual().norm(uh) - g.norm(u)) <= 1e-12 * g.norm(u)
+    back = inverse_fourier(uh, g.dual())
+    assert np.max(np.abs(back - u)) < 1e-11
 
 
 def test_torus_band_limited_round_trip():
@@ -107,20 +104,20 @@ def test_torus_band_limited_round_trip():
     g = GroupGrid.torus(256)
     xi = truncated_dual(g, 64)
     rng = np.random.default_rng(42)
-    spec = GridFunction(xi, rng.normal(size=xi.size) + 1j * rng.normal(size=xi.size))
-    u = inverse_fourier(spec, out_grid=g)
-    spec2 = fourier(u, out_grid=xi)
-    assert np.max(np.abs(spec2.values - spec.values)) < 1e-10
+    spec = rng.normal(size=xi.size) + 1j * rng.normal(size=xi.size)
+    u = inverse_fourier(spec, xi, out_grid=g)
+    spec2 = fourier(u, g, out_grid=xi)
+    assert np.max(np.abs(spec2 - spec)) < 1e-10
     # Plancherel across the pair
-    assert abs(u.norm() - spec.norm()) < 1e-10 * spec.norm()
+    assert abs(g.norm(u) - xi.norm(spec)) < 1e-10 * xi.norm(spec)
 
 
 def test_full_band_torus_transform_is_unitary():
     g = GroupGrid.torus(32)
     u = _rand(g, 7)
-    uh = fourier(u)
-    assert abs(uh.norm() - u.norm()) <= 1e-12 * u.norm()
-    assert np.max(np.abs(inverse_fourier(uh).values - u.values)) < 1e-12
+    uh = fourier(u, g)
+    assert abs(g.dual().norm(uh) - g.norm(u)) <= 1e-12 * g.norm(u)
+    assert np.max(np.abs(inverse_fourier(uh, g.dual()) - u)) < 1e-12
 
 
 def test_convolution_theorem_on_finite_cyclic():
@@ -128,41 +125,40 @@ def test_convolution_theorem_on_finite_cyclic():
         g = GroupGrid.finite_cyclic(n)
         u = _rand(g, n + 1)
         v = _rand(g, n + 2)
-        w = convolve(u, v)  # definitional quadratic sum
-        lhs = fourier(w).values
-        rhs = fourier(u).values * fourier(v).values
+        w = convolve(u, v, g)  # definitional quadratic sum
+        lhs = fourier(w, g)
+        rhs = fourier(u, g) * fourier(v, g)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
 
 def test_convolution_by_delta_is_identity():
     g = GroupGrid.finite_cyclic(10)
     u = _rand(g, 3)
-    delta = GridFunction(g, np.eye(10)[0])
-    w = convolve(u, delta)
-    assert np.allclose(w.values, u.values, atol=1e-13)
+    delta = np.eye(10)[0]
+    w = convolve(u, delta, g)
+    assert np.allclose(w, u, atol=1e-13)
 
 
-def test_partial_fourier_1_tensor_factorization():
-    # F1 acts only on the first variable: tensor tables factor through it
+def test_x_axis_fourier_tensor_factorization():
+    # axis 0 transforms only the first variable: tensor tables factor through it
     X = GroupGrid.finite_cyclic(8)
-    Xi = X.dual()
     rng = np.random.default_rng(17)
-    gamma = GridFunction(X, rng.normal(size=8) + 1j * rng.normal(size=8))
+    gamma = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    table = PhaseFunction(X, Xi, np.outer(gamma.values, psi))
-    out = partial_fourier_1(table)
-    expected = np.outer(fourier(gamma).values, psi)
-    assert np.max(np.abs(out.values - expected)) < 1e-12
+    table = np.outer(gamma, psi)
+    out = fourier(table, X)
+    expected = np.outer(fourier(gamma, X), psi)
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_kernel_of_constant_symbol_is_delta_row():
     # f == 1 on Z_N: kern(x, z) = sum_xi (1/N) <z, xi> = indicator(z == 0)
     N = 8
     X = GroupGrid.finite_cyclic(N)
-    table = PhaseFunction(X, X.dual(), np.ones((N, N)))
-    kern = partial_fourier_2_inverse(table, out_grid=X)
+    table = np.ones((N, N))
+    kern = inverse_fourier(table, X.dual(), out_grid=X, axis=1)
     expected = np.tile(np.eye(N)[0], (N, 1))
-    assert np.max(np.abs(kern.values - expected)) < 1e-13
+    assert np.max(np.abs(kern - expected)) < 1e-13
 
 
 def test_kernel_synthesis_onto_finer_grid():
@@ -171,13 +167,11 @@ def test_kernel_synthesis_onto_finer_grid():
     X = GroupGrid.torus(M)
     Xi = truncated_dual(X, B)
     rng = np.random.default_rng(31)
-    table = PhaseFunction(
-        X, Xi, rng.normal(size=(M, 2 * B)) + 1j * rng.normal(size=(M, 2 * B))
-    )
-    kern = partial_fourier_2_inverse(table, out_grid=X)
+    table = rng.normal(size=(M, 2 * B)) + 1j * rng.normal(size=(M, 2 * B))
+    kern = inverse_fourier(table, Xi, out_grid=X, axis=1)
     G = inverse_transform_matrix(X, Xi)  # (M, 2B) synthesis matrix
-    expected = table.values @ G.T
-    assert np.max(np.abs(kern.values - expected)) < 1e-12
+    expected = table @ G.T
+    assert np.max(np.abs(kern - expected)) < 1e-12
 
 
 def test_dense_matrices_are_mutual_inverses_on_full_pairs():
@@ -217,6 +211,6 @@ def test_dense_matrices_equal_pairing_phase_formula(xg, xi):
 
 def test_phase_function_hs_norm():
     X = GroupGrid.finite_cyclic(4)
-    table = PhaseFunction(X, X.dual(), np.ones((4, 4)))
+    phase_space = product_group(X, X.dual())
     # weights 1 and 1/4: norm^2 = (1/4)*16 = 4
-    assert table.hs_norm() == pytest.approx(2.0)
+    assert phase_space.norm(np.ones((4, 4))) == pytest.approx(2.0)

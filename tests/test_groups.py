@@ -6,7 +6,6 @@ import pytest
 from corona_pdo.cli import ExperimentConfig
 from corona_pdo.groups import (
     GridError,
-    GridFunction,
     GroupGrid,
     assert_dual_pair,
     pairing,
@@ -204,13 +203,9 @@ def test_compactness_classification():
 
 def test_grid_function_norm_uses_haar_weight():
     g = GroupGrid.torus(16)
-    u = GridFunction(g, np.ones(16))
-    assert u.norm() == pytest.approx(1.0)
+    assert g.norm(np.ones(16)) == pytest.approx(1.0)
     z = GroupGrid.finite_cyclic(16)
-    v = GridFunction(z, np.ones(16))
-    assert v.norm() == pytest.approx(4.0)
-    with pytest.raises(GridError):
-        GridFunction(g, np.ones(5))
+    assert z.norm(np.ones(16)) == pytest.approx(4.0)
 
 
 def test_pairing_phase_accepts_raw_coordinates():
