@@ -3,8 +3,9 @@
 Every invocation runs a single task from an ExperimentConfig document and
 writes ``report.json`` plus task-specific CSV tables into the output
 directory.  Exit codes: 0 on success (advisory UNRELIABLE flags print a
-warning but do not fail the run), 1 on usage or config errors and on a
-report that would hold a NaN or an infinity (no file is then written), 2 when a
+warning but do not fail the run), 1 on usage or config errors, on a
+report that would hold a NaN or an infinity (no file is then written) and on
+an array that does not fit in memory, 2 when a
 computed contract violation is present in the report — the distance-identity
 ratio leaving its acceptance band, and nothing else, is what "violation"
 means here.
@@ -892,6 +893,9 @@ def main(argv=None) -> int:
         return _run(cfg)
     except _CONFIG_ERRORS as e:
         print(f"[error] {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"[error] out of memory: {e}", file=sys.stderr)
         return 1
 
 

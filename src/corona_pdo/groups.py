@@ -137,7 +137,12 @@ class GroupGrid:
             raise GridError("empty product group")
         self.factors = factors
         self.shape = tuple(f.n for f in factors)
-        self.size = int(np.prod(self.shape))
+        self.size = math.prod(self.shape)
+        if self.size > np.iinfo(np.intp).max:
+            raise GridError(
+                f"{self!r} has about 10^{int(math.log10(self.size))} points, "
+                "more than an array index can address"
+            )
         self.ndim = len(factors)
         self.weight_per_point = float(np.prod([f.weight for f in factors]))
         self._coords = None

@@ -296,24 +296,16 @@ def fredholm_check(
 ) -> FredholmResult:
     """Invertibility-modulo-compacts verdict.
 
-    Non-compact x group: 0 always sits in the spectrum at infinity (the
-    symbol algebra degenerates along x -> infinity), so the verdict is
-    NOT-FREDHOLM with no computation.  Compact x group: the sufficient
-    criterion is min over x of liminf |f(x, .)| > 0; full-band frequency
-    sections corroborate (their sigma_min should stay above floor/2), but
-    the verdict never rests on sections alone since finite truncation can
-    pollute sigma_min in both directions.  Like every ladder, the sections
-    need a 1-d torus x group.
+    Compact x group: the sufficient criterion is min over x of liminf
+    |f(x, .)| > 0; full-band frequency sections corroborate (their sigma_min
+    should stay above floor/2), but the verdict never rests on sections
+    alone since finite truncation can pollute sigma_min in both directions.
+    Like every ladder, the sections need a 1-d torus x group.  A non-compact
+    x group runs no ladder: see ``_noncompact_fredholm``.
     """
-    notes = []
     if not symbol.xgrid.is_compact_kind:
-        return FredholmResult(
-            verdict="NOT-FREDHOLM",
-            floor=0.0,
-            sigma_min_full=(),
-            corroborated=True,
-            notes=("x group is non-compact: 0 lies in the spectrum at infinity",),
-        )
+        return _noncompact_fredholm(symbol, base, asym_schedule, floor_tol)
+    notes = []
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
     floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min()), 0.0)
     sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, None))
@@ -339,6 +331,39 @@ def fredholm_check(
         corroborated=corroborated,
         notes=tuple(notes),
     )
+
+
+def _noncompact_fredholm(symbol, base, asym_schedule, floor_tol) -> FredholmResult:
+    """Verdict for a symbol on a non-compact x group, where only x-independent
+    symbols get one.
+
+    f = gamma psi with gamma constant makes Op(f) = gamma psi(D), unitarily
+    equivalent to multiplication by gamma psi on L2 of the dual, so it is
+    Fredholm exactly when it is invertible: when inf |gamma psi| > 0.  The
+    floor is that inf, sampled on the dual grid and, on a dual of non-compact
+    kind, as the liminf along the base.  A floor at most 1e-10 sup_bound is 0,
+    the convention ``gohberg_verify`` uses.  Any other symbol may degenerate
+    as x -> infinity, which a finite x window cannot see.
+    """
+    terms = symbol.tensor_terms
+    if terms is None or len(terms) != 1 or np.any(terms[0][0] != terms[0][0][0]):
+        note = "f depends on x on a non-compact x group: a finite window cannot see x -> infinity"
+        return FredholmResult("INCONCLUSIVE", 0.0, (), True, (note,))
+    gamma, psi = terms[0]
+    floor = abs(gamma[0]) * float(np.min(np.abs(psi(symbol.xigrid.coords))))
+    if not symbol.xigrid.is_compact_kind:
+        liminf = float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min())
+        floor = min(floor, max(0.0, liminf))  # 0.0 first: max keeps it over a -0.0 liminf
+    notes = ()
+    if floor <= 1e-10 * symbol.sup_bound:
+        verdict = "NOT-FREDHOLM"
+        notes = (f"f is constant in x and |f| reaches {floor:.3g}: psi(D) is not invertible",)
+    elif floor > floor_tol:
+        verdict = "FREDHOLM-SUFFICIENT"
+    else:
+        verdict = "INCONCLUSIVE"
+        notes = (f"floor {floor:.3g} is below {floor_tol:g} but not 0: no conclusion",)
+    return FredholmResult(verdict, floor, (), True, notes)
 
 
 @dataclass

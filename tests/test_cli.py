@@ -476,6 +476,41 @@ def test_fourier_selftest_band_below_nyquist_is_a_config_error(tmp_path, capsys,
         assert report["results"]["plancherel_defect"] <= 1e-12 and err == []
 
 
+# point counts past the index range are refused when the grid is built, before any allocation
+@pytest.mark.parametrize(
+    "group",
+    [
+        pytest.param(  # 2^64 points: a wrapped int64 product read 0 here
+            {"kind": "product", "factors": [{"kind": "finite_cyclic", "n": 65536}] * 4},
+            id="cyclic-2^64",
+        ),
+        pytest.param(
+            {"kind": "product", "factors": [{"kind": "finite_cyclic", "n": 10**7}] * 3},
+            id="cyclic-10^21",
+        ),
+        pytest.param({"kind": "line", "step": 1e-300, "extent": 1}, id="line-10^300"),
+    ],
+)
+def test_oversized_grid_is_a_config_error(tmp_path, capsys, group):
+    code, report, _ = _run(tmp_path, {"schema": 1, "task": "fourier-selftest", "group": group})
+    assert code == 1 and report is None
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("[error] GroupGrid[")
+    assert err[0].endswith("points, more than an array index can address")
+
+
+def test_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg):  # what numpy raises for an array the machine cannot hold
+        raise MemoryError("Unable to allocate 1.46 TiB for an array")
+
+    monkeypatch.setitem(cli._RUNNERS, "fourier-selftest", exhausted)
+    doc = {"schema": 1, "task": "fourier-selftest", "group": {"kind": "finite_cyclic", "n": 8}}
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err == "[error] out of memory: Unable to allocate 1.46 TiB for an array\n"
+
+
 def test_fourier_selftest_builds_no_cyclic_points(tmp_path, monkeypatch):
     # the FFT route never reads cyclic coordinates, so none are built
     grids = []

@@ -9,6 +9,8 @@ from corona_pdo.fourier import (
     inverse_transform_matrix,
     transform_matrix,
 )
+from corona_pdo.pdo import diagram_check, hs_norm, op_matrix
+from corona_pdo.symbols import TableSymbol
 
 
 def _rand(grid, seed):
@@ -52,7 +54,8 @@ def _factor_pair(kind, a, b):
 
 
 def test_fft_path_matches_dense_matrix():
-    # the dense DFT matrices, built from float coordinates, are the independent oracle
+    # the dense DFT matrices, built from float coordinates, are the independent oracle;
+    # Plancherel, the HS isometry and the diagram identity hold on the same grids
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     factor = st.one_of(
@@ -86,6 +89,13 @@ def test_fft_path_matches_dense_matrix():
         table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         assert close(fourier(table, xg, xi), F @ table)
         assert close(inverse_fourier(table, xi, xg, axis=1), table @ G.T)
+        if xi == xg.dual():
+            assert abs(xi.norm(fourier(u, xg, xi)) - xg.norm(u)) <= 1e-12 * xg.norm(u)
+        f = TableSymbol(xg, xi, table)
+        table_norm = np.sqrt(xg.weight_per_point * xi.weight_per_point) * np.linalg.norm(table)
+        assert abs(hs_norm(op_matrix(f)) - table_norm) <= 1e-12 * table_norm
+        if xg.is_finite_kind:
+            assert diagram_check(f) < 1e-10
 
     check()
 

@@ -381,13 +381,25 @@ def test_fredholm_inconclusive_when_floor_vanishes():
 
 
 def test_fredholm_noncompact_x_short_circuits():
-    xg = GroupGrid.line(0.5, 8.0)
+    # no ladder runs: Op(1) is the identity, on a dual of non-compact and of compact kind
+    for xg in (GroupGrid.line(0.5, 8.0), GroupGrid.truncated_integers(32)):
+        res = fredholm_check(
+            constant_symbol(1.0, xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
+        )
+        assert res.verdict == "FREDHOLM-SUFFICIENT"
+        assert res.floor == 1.0
+        assert res.sigma_min_full == () and res.notes == ()
+    # sin sqrt|xi| vanishes at xi = 0: psi(D) is not invertible
     res = fredholm_check(
-        constant_symbol(1.0, xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
+        multiplier_symbol(sqrt_wave(), xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
     )
-    assert res.verdict == "NOT-FREDHOLM"
+    assert res.verdict == "NOT-FREDHOLM" and res.floor == 0.0
+    # an x-varying symbol may degenerate as x -> infinity, beyond the window
+    f = tensor_symbol(lambda c: 2.0 + np.tanh(c[:, 0]) + 0j, constant_closure(1.0), xg, xg.dual())
+    res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
+    assert res.verdict == "INCONCLUSIVE"
     assert res.sigma_min_full == ()
-    assert any("non-compact" in n for n in res.notes)
+    assert any("cannot see x -> infinity" in n for n in res.notes)
 
 
 def test_gohberg_compact_symbol_agrees_by_convention():

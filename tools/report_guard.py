@@ -195,10 +195,15 @@ CONFIGS.update({
         "task": "gohberg", "symbol": TWO_TERM, **LADDER, "base": {"kind": "ethick"},
     },
     "fredholm/two-term": {"task": "fredholm", "symbol": TWO_TERM, **LADDER},
-    # the no-ladder NOT-FREDHOLM verdict: the 1-d torus check of the ladders must not reach it
+    # no-ladder verdicts: the 1-d torus check of the ladders must not reach them.
+    # sin sqrt|xi| vanishes at 0, so it is NOT-FREDHOLM; Op(1) is the identity
     "fredholm/noncompact-group": {
         "task": "fredholm", "symbol": "vo:sqrt", **LADDER,
         "group": {"kind": "line", "step": 0.5, "extent": 8.0},
+    },
+    "fredholm/noncompact-identity": {
+        "task": "fredholm", "symbol": {"family": "const", "value": 1.0}, **LADDER,
+        "group": {"kind": "truncated_integers", "band": 32},
     },
     # a Gram bandwidth of 10: real, complex and outside-the-spectrum lambdas
     "spectrum-probe/two-term": {
