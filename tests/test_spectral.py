@@ -394,6 +394,11 @@ def test_fredholm_noncompact_x_short_circuits():
         multiplier_symbol(sqrt_wave(), xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
     )
     assert res.verdict == "NOT-FREDHOLM" and res.floor == 0.0
+    # 1.005 + sin sqrt|xi| keeps a floor of 0.005 at infinity: under floor_tol, not 0
+    line = GroupGrid.line(0.5, 8.0)
+    f = multiplier_symbol(shifted_wave(1.005), line, line.dual())
+    res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
+    assert res.verdict == "INCONCLUSIVE" and abs(res.floor - 0.005) < 1e-3
     # an x-varying symbol may degenerate as x -> infinity, beyond the window
     f = tensor_symbol(lambda c: 2.0 + np.tanh(c[:, 0]) + 0j, constant_closure(1.0), xg, xg.dual())
     res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
