@@ -579,7 +579,8 @@ def _task_fredholm(cfg: ExperimentConfig):
         },
     }
     rows = [[band, s] for band, s in zip(sched.bands, res.sigma_min_full)]
-    print(f"[run] fredholm: {res.verdict} (floor {res.floor:.6g})")
+    floor = "none" if res.floor is None else f"{res.floor:.6g}"
+    print(f"[run] fredholm: {res.verdict} (floor {floor})")
     return results, _flags(res.notes), {"sigma_by_band.csv": (["band", "sigma_min"], rows)}
 
 

@@ -2,8 +2,9 @@
 
 A function on a grid is a NumPy array indexed by the grid's flat point
 index; a two-variable table on X x Xi is an (X.size, Xi.size) array.  The
-grid travels next to the array, and ``axis`` names the variable a transform
-acts on: ``axis=0`` is the x variable of a table, ``axis=1`` its dual one.
+grid travels next to the array.  ``fourier`` acts on axis 0, the x variable
+of a table; ``inverse_fourier`` takes an ``axis``, which is 1 for the dual
+variable of a table.
 
 Conventions (fixed throughout):
 
@@ -70,11 +71,12 @@ def _transform(values, grid, out_grid, axis, forward):
     return vals.reshape(lead + (out_grid.size,) + trail)
 
 
-def fourier(values, grid: GroupGrid, out_grid=None, axis=0) -> np.ndarray:
-    """Analysis transform of ``values`` on ``grid`` onto ``out_grid`` (default: canonical dual)."""
+def fourier(values, grid: GroupGrid, out_grid=None) -> np.ndarray:
+    """Analysis transform of ``values`` on ``grid`` onto ``out_grid`` (default:
+    canonical dual), along axis 0: the x variable of a table."""
     out = out_grid if out_grid is not None else grid.dual()
     assert_dual_pair(grid, out)
-    return _transform(values, grid, out, axis, forward=True)
+    return _transform(values, grid, out, 0, forward=True)
 
 
 def inverse_fourier(values, grid: GroupGrid, out_grid=None, axis=0) -> np.ndarray:

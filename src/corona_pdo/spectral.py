@@ -280,7 +280,7 @@ def essential_spectrum_probe(
 @dataclass
 class FredholmResult:
     verdict: str  # FREDHOLM-SUFFICIENT | INCONCLUSIVE | NOT-FREDHOLM
-    floor: float
+    floor: float | None  # None when no floor was computed
     sigma_min_full: tuple
     corroborated: bool
     notes: tuple
@@ -304,7 +304,7 @@ def fredholm_check(
     x group runs no ladder: see ``_noncompact_fredholm``.
     """
     if not symbol.xgrid.is_compact_kind:
-        return _noncompact_fredholm(symbol, base, asym_schedule, floor_tol)
+        return _noncompact_fredholm(symbol, asym_schedule, floor_tol)
     notes = []
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
     floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min()), 0.0)
@@ -333,7 +333,7 @@ def fredholm_check(
     )
 
 
-def _noncompact_fredholm(symbol, base, asym_schedule, floor_tol) -> FredholmResult:
+def _noncompact_fredholm(symbol, asym_schedule, floor_tol) -> FredholmResult:
     """Verdict for a symbol on a non-compact x group, where only x-independent
     symbols get one.
 
@@ -341,18 +341,21 @@ def _noncompact_fredholm(symbol, base, asym_schedule, floor_tol) -> FredholmResu
     equivalent to multiplication by gamma psi on L2 of the dual, so it is
     Fredholm exactly when it is invertible: when inf |gamma psi| > 0.  The
     floor is that inf, sampled on the dual grid and, on a dual of non-compact
-    kind, as the liminf along the base.  A floor at most 1e-10 sup_bound is 0,
-    the convention ``gohberg_verify`` uses.  Any other symbol may degenerate
-    as x -> infinity, which a finite x window cannot see.
+    kind, as the liminf along the standard base whatever base is configured:
+    the inf runs over the whole dual, so a cone that misses where psi
+    vanishes cannot lift it.  A floor at most 1e-10 sup_bound is 0, the
+    convention ``gohberg_verify`` uses.  Any other symbol may degenerate as
+    x -> infinity, which a finite x window cannot see; it gets no floor.
     """
     terms = symbol.tensor_terms
     if terms is None or len(terms) != 1 or np.any(terms[0][0] != terms[0][0][0]):
         note = "f depends on x on a non-compact x group: a finite window cannot see x -> infinity"
-        return FredholmResult("INCONCLUSIVE", 0.0, (), True, (note,))
+        return FredholmResult("INCONCLUSIVE", None, (), True, (note,))
     gamma, psi = terms[0]
     floor = abs(gamma[0]) * float(np.min(np.abs(psi(symbol.xigrid.coords))))
     if not symbol.xigrid.is_compact_kind:
-        liminf = float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min())
+        whole = StandardBase(symbol.xigrid.ndim)
+        liminf = float(modulus_field(symbol, whole, asym_schedule, "liminf")[0].min())
         floor = min(floor, max(0.0, liminf))  # 0.0 first: max keeps it over a -0.0 liminf
     notes = ()
     if floor <= 1e-10 * symbol.sup_bound:

@@ -399,10 +399,17 @@ def test_fredholm_noncompact_x_short_circuits():
     f = multiplier_symbol(shifted_wave(1.005), line, line.dual())
     res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
     assert res.verdict == "INCONCLUSIVE" and abs(res.floor - 0.005) < 1e-3
+    # (1 - tanh(xi/4))/2 vanishes at +infinity only: a base whose cone misses
+    # +infinity must not lift the floor, since invertibility needs the whole dual
+    step = DualClosure(lambda p: (1 - np.tanh(p[:, 0] / 4)) / 2, 1.0, "step")
+    f = multiplier_symbol(step, line, line.dual())
+    for base in (StandardBase(1), DirectionalBase([1]), DirectionalBase([-1])):
+        res = fredholm_check(f, base, TruncationSchedule(), ASYM)
+        assert res.verdict == "NOT-FREDHOLM" and res.floor == 0.0
     # an x-varying symbol may degenerate as x -> infinity, beyond the window
     f = tensor_symbol(lambda c: 2.0 + np.tanh(c[:, 0]) + 0j, constant_closure(1.0), xg, xg.dual())
     res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
-    assert res.verdict == "INCONCLUSIVE"
+    assert res.verdict == "INCONCLUSIVE" and res.floor is None
     assert res.sigma_min_full == ()
     assert any("cannot see x -> infinity" in n for n in res.notes)
 
