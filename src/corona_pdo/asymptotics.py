@@ -33,7 +33,7 @@ import numpy as np
 
 from .sampling import MAX_RADIUS, _fan_size, _norm_ppf, _product_net, _radii_per_ray
 from .sampling import _unit_rows, annulus, directions, kronecker
-from .symbols import Symbol, ThickenedSet
+from .symbols import Symbol, SymbolError, ThickenedSet
 
 
 class AsymptoticsError(ValueError):
@@ -182,9 +182,10 @@ class ThickenedComplementBase(FilterBase):
         return out[:n]
 
     def mask(self, pts, scale):
-        return (np.linalg.norm(pts, axis=1) > scale) & (
-            self.E.distance(pts) > scale
-        )
+        out = self.E.distance(pts) > scale
+        far = np.flatnonzero(out)  # the radius only where the distance passes
+        out[far] = np.linalg.norm(pts[far], axis=1) > scale
+        return out
 
 
 class IntersectionBase(FilterBase):
@@ -353,15 +354,34 @@ def _x_subsample(n: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, 512).astype(int))
 
 
-def _blocks(symbol: Symbol, x_indices: np.ndarray, pts: np.ndarray):
-    """|f(x, xi)| on x_indices times pts, 64 fibers at a time: (rows, values).
+# complex entries in one block of the fiber kernel (2 MB): about 13 fibers at a
+# 10,000-point sample, so a block is read while it is still in cache, and all 512
+# fibers at a polish step's 6 points
+_BLOCK_ENTRIES = 1 << 17
 
-    The modulus is taken here so that no raw block outlives its turn: callers
-    that held one while the next was built took several times the page faults.
+
+def _blocks(gammas: list, psis: list):
+    """|sum_i gammas[i] (x) psis[i]| in blocks of rows: (rows, moduli) per block.
+
+    gammas[i] holds gamma_i on the fibers and psis[i] the values of psi_i on
+    the points.  A block has _BLOCK_ENTRIES // points rows, and every block
+    fills the same three scratch arrays (term, sum and modulus), so a yielded
+    block is overwritten by the next one.  The first term goes straight into
+    the sum: a zero start would only change the sign of a zero, which |.|
+    removes.
     """
-    for s in range(0, len(x_indices), 64):
-        rows = slice(s, s + 64)
-        yield rows, np.abs(symbol.eval_outer(x_indices[rows], pts))
+    fibers, points = len(gammas[0]), len(psis[0])
+    step = min(max(_BLOCK_ENTRIES // points, 1), fibers)  # a sample over the budget: 1 row
+    total = np.empty((step, points), dtype=complex)
+    term = np.empty_like(total)
+    moduli = np.empty((step, points))
+    for s in range(0, fibers, step):
+        rows = slice(s, min(s + step, fibers))
+        k = rows.stop - s
+        out = np.multiply.outer(gammas[0][rows], psis[0], out=total[:k])
+        for g, p in zip(gammas[1:], psis[1:]):
+            out += np.multiply.outer(g[rows], p, out=term[:k])
+        yield rows, np.abs(out, out=moduli[:k])
 
 
 def modulus_field(
@@ -379,7 +399,9 @@ def modulus_field(
     factor exactly.  The generic path takes both from one pass over shared
     sample points, then polishes the envelope and re-polishes the 3 fibers
     where the min over x is attained (the sampled sup is a lower bound, so
-    the reported min over x may sit slightly low).
+    the reported min over x may sit slightly low).  It evaluates each psi
+    once per point set and sums the terms in ``_blocks``.  A symbol with no
+    tensor terms (a table) has no values off the grid: SymbolError.
     """
     if mode not in ("limsup", "liminf"):
         raise AsymptoticsError(f"unknown field mode {mode!r}")
@@ -403,13 +425,25 @@ def modulus_field(
             )
         return g[x_indices] * f.value, envelope
 
-    def top(p):
-        return np.max([v.max(axis=0) for _, v in _blocks(symbol, x_indices, p)], axis=0)
+    sampled = list(_samples(base, schedule))  # a sampling error comes before a table's
+    if terms is None:
+        raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
+    gammas = [g[x_indices] for g, _ in terms]
 
-    per_scale, sampled, sups = [], list(_samples(base, schedule)), []
+    def psi_values(p):  # each psi once per point set; the blocks share the values
+        return [psi(p) for _, psi in terms]
+
+    def top(p):
+        return np.max([v.max(axis=0) for _, v in _blocks(gammas, psi_values(p))], axis=0)
+
+    def fiber(j, on_points):
+        return next(_blocks([g[j : j + 1] for g in gammas], on_points))[1][0]
+
+    per_scale, sups, on_samples = [], [], []
     for t, pts in sampled:
+        on_samples.append(psi_values(pts))
         ext, env = np.empty(len(x_indices)), np.zeros(len(pts))
-        for rows, vals in _blocks(symbol, x_indices, pts):
+        for rows, vals in _blocks(gammas, on_samples[-1]):
             ext[rows] = vals.max(axis=1) if maximize else vals.min(axis=1)
             if maximize:
                 np.maximum(env, vals.max(axis=0), out=env)
@@ -418,10 +452,10 @@ def modulus_field(
         per_scale.append(ext)
     values = fit_inverse_sqrt(schedule.scales, np.array(per_scale))[0]
     for j in np.argsort(values)[:3]:
-        phi = lambda p, _x=int(x_indices[j]): np.abs(symbol.eval_outer([_x], p))[0]
+        phi = lambda p, _j=j: fiber(_j, psi_values(p))
         exts = [
-            _refine_ray_extremum(phi, base, schedule, t, pts, phi(pts), maximize)
-            for t, pts in sampled
+            _refine_ray_extremum(phi, base, schedule, t, pts, fiber(j, on), maximize)
+            for (t, pts), on in zip(sampled, on_samples)
         ]
         values[j] = fit_inverse_sqrt(schedule.scales, exts)[0]
     envelope = _sup_fit("maxform", schedule.scales, np.array(sups)) if maximize else None

@@ -166,7 +166,7 @@ class Symbol:
         self.xgrid = xgrid
         self.xigrid = xigrid
 
-    tensor_terms = None
+    tensor_terms = None  # (gamma on the x grid, psi closure) pairs; a table has none
 
     @property
     def sup_bound(self) -> float:
@@ -175,11 +175,6 @@ class Symbol:
     def table(self) -> np.ndarray:
         """The (xgrid.size, xigrid.size) array of f on the grid pair."""
         raise NotImplementedError
-
-    def eval_outer(self, x_indices, xi_points) -> np.ndarray:
-        """Values f(x_i, xi) on the outer product of grid indices x_indices and
-        off-grid dual points xi_points; shape (len(x_indices), len(xi_points))."""
-        raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
 
     def rebound(self, xgrid: GroupGrid, xigrid: GroupGrid) -> "Symbol":
         raise SymbolError("symbol is tabulated only; cannot rebind to new grids")
@@ -223,15 +218,6 @@ class TensorSymbol(Symbol):
         for _, gv, psi in self.terms:
             vals += np.outer(gv, psi(self.xigrid.coords))
         return vals
-
-    def eval_outer(self, x_indices, xi_points) -> np.ndarray:
-        x_indices = np.atleast_1d(np.asarray(x_indices, dtype=int))
-        out = np.zeros((len(x_indices), len(_pts2d(xi_points))), dtype=complex)
-        term = np.empty_like(out)  # one scratch block for every term
-        for _, gv, psi in self.terms:
-            np.multiply.outer(gv[x_indices], psi(xi_points), out=term)
-            out += term
-        return out
 
     def rebound(self, xgrid, xigrid) -> "TensorSymbol":
         rebuilt = []

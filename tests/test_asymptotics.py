@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from corona_pdo import asymptotics
 from corona_pdo.asymptotics import (
     AsymptoticsError,
     DirectionalBase,
@@ -20,15 +21,20 @@ from corona_pdo.asymptotics import (
     SamplingSchedule,
     StandardBase,
     ThickenedComplementBase,
+    _blocks,
     _polish_span,
+    _samples,
     fit_inverse_sqrt,
     liminf_along,
     limsup_along,
     modulus_field,
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
-from corona_pdo.sampling import _fan_size, _radii_per_ray
+from corona_pdo.sampling import _fan_size, _radii_per_ray, annulus
 from corona_pdo.symbols import (
+    DualClosure,
+    SymbolError,
+    TableSymbol,
     TensorSymbol,
     ThickenedSet,
     const_profile,
@@ -161,6 +167,14 @@ def test_ethick_empty_raises():
     base = ThickenedComplementBase(wide)
     with pytest.raises(AsymptoticsError, match="empty"):
         base.sample(100.0, 1000, 10.0, 0)
+
+
+def test_ethick_mask_is_both_tests():
+    # the radius is tested only where the distance passes: E = (-inf, -50] passes (50, 100]
+    for E in (halfline_set(3.0), halfline_set(-50.0), parabola_graph()):
+        pts = annulus(30.0, 1e3, E.dim, 4000, seed=2)
+        want = (np.linalg.norm(pts, axis=1) > 100.0) & (E.distance(pts) > 100.0)
+        assert np.array_equal(ThickenedComplementBase(E).mask(pts, 100.0), want)
 
 
 def test_ethick_parabola_kills_distance_decay():
@@ -355,3 +369,74 @@ def test_compact_dual_rejected():
     f = multiplier_symbol(constant_closure(1.0), xg, xg.dual())
     with pytest.raises(AsymptoticsError):
         modulus_field(f, StandardBase(1), SCHED)
+
+
+# -- the fiber kernel --
+
+
+def _grid_blocks(f, idx):
+    """The kernel's moduli of f on the fibers idx times the dual grid, copied block by block."""
+    gammas = [g[idx] for g, _ in f.tensor_terms]
+    psis = [psi(f.xigrid.coords) for _, psi in f.tensor_terms]
+    out, seen = np.full((len(idx), f.xigrid.size), np.nan), []
+    for rows, vals in _blocks(gammas, psis):  # each block is overwritten by the next
+        out[rows] = vals
+        seen.append((rows.start, rows.stop))
+    return out, seen
+
+
+def test_blocks_match_table_on_grid():
+    xg = GroupGrid.torus(8)
+    xig = xg.dual()
+    idx = np.array([0, 3, 5])
+    two = [(cos_profile(), sqrt_wave()), (cos_profile(0.0, 0.5, 3), shifted_wave(1.5))]
+    for f in (tensor_symbol(cos_profile(), sqrt_wave(), xg, xig), TensorSymbol(xg, xig, two)):
+        vals, seen = _grid_blocks(f, idx)
+        assert seen == [(0, 3)]
+        np.testing.assert_array_equal(vals, np.abs(f.table()[idx]))  # the same sums
+
+
+def test_blocks_cover_a_partial_last_block(monkeypatch):
+    # 3 rows a block over 8 fibers: blocks of 3, 3 and 2 rows
+    xg = GroupGrid.torus(8)
+    xig = xg.dual()
+    terms = [(cos_profile(), sqrt_wave()), (cos_profile(0.0, 0.5, 3), inverse_decay())]
+    f = TensorSymbol(xg, xig, terms)
+    monkeypatch.setattr(asymptotics, "_BLOCK_ENTRIES", 3 * xig.size)
+    vals, seen = _grid_blocks(f, np.arange(8))
+    assert seen == [(0, 3), (3, 6), (6, 8)]
+    np.testing.assert_array_equal(vals, np.abs(f.table()))
+
+
+def test_table_symbol_field_requires_closure():
+    xg = GroupGrid.torus(4)
+    t = TableSymbol(xg, xg.dual(), np.arange(16.0).reshape(4, 4))
+    assert t.sup_bound == 15.0
+    for mode in ("limsup", "liminf"):
+        with pytest.raises(SymbolError, match="tabulated only; off-grid evaluation undefined"):
+            modulus_field(t, StandardBase(1), SCHED, mode)
+
+
+def _counted(psi: DualClosure, sizes: list) -> DualClosure:
+    def fun(p):
+        sizes.append(len(p))
+        return psi.fun(p)
+
+    return DualClosure(fun, psi.sup_bound, psi.name)
+
+
+@pytest.mark.parametrize("mode", ["limsup", "liminf"])
+def test_field_evaluates_each_psi_once_per_sample(mode):
+    # 128 fibers, more than one block at a scale's sample; the polish asks for at most 6 points
+    xg = GroupGrid.torus(128)
+    sched = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=2000)
+    first, second = [], []
+    terms = [
+        (cos_profile(2.0, 1.0), _counted(sqrt_wave(), first)),
+        (cos_profile(0.0, 0.5, 5), _counted(shifted_wave(1.5), second)),
+    ]
+    f = TensorSymbol(xg, truncated_dual(xg, 16), terms)
+    modulus_field(f, StandardBase(1), sched, mode)
+    samples = [len(pts) for _, pts in _samples(StandardBase(1), sched)]
+    for sizes in (first, second):
+        assert [n for n in sizes if n > 6] == samples

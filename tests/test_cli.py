@@ -1053,6 +1053,20 @@ def test_non_finite_refusal_names_the_first_numpy_warning(tmp_path, doc, cause):
     ]
 
 
+def test_table_symbol_fredholm_ends_in_one_error_line(tmp_path, capsys):
+    # the report guard's fredholm/symbol=csv config: a table has no values off the grid
+    rows = [f"{i},{k},{(i * 8 + k) % 5 - 1.5},{0.25 * i}\n" for i in range(8) for k in range(8)]
+    (tmp_path / "symbol8.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
+    doc = {
+        "schema": 1, "task": "fredholm", "seed": 5, "group": {"kind": "torus", "samples": 8},
+        "symbol": {"family": "csv", "path": str(tmp_path / "symbol8.csv")},
+    }
+    code, report, out = _run(tmp_path, doc)
+    assert code == 1 and report is None and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["[error] symbol is tabulated only; off-grid evaluation undefined"]
+
+
 def test_finished_run_lists_numpy_warnings(tmp_path, capsys, monkeypatch):
     from corona_pdo import cli
 

@@ -123,3 +123,16 @@ def test_atol_still_flags_exit_codes_and_missing_files(one_config):
     new = _outputs()
     del new["task"]["sups_by_scale.csv"]
     assert guard.diff(_outputs(), new, atol=1.0) == ["task: sups_by_scale.csv differs"]
+
+
+def test_failed_run_compares_its_error_line(one_config):
+    # same exit code 1, but the one [error] line became a traceback
+    line = b"[error] symbol is tabulated only; off-grid evaluation undefined\n"
+    trace = b"Traceback (most recent call last):\nTypeError: 'NoneType' object is not iterable\n"
+    old = {"task": {"exit code": b"1", "stderr": line}}
+    new = {"task": {"exit code": b"1", "stderr": trace}}
+    assert guard.diff(old, dict(old)) == []
+    found = guard.diff(old, new)
+    assert found[0] == "task: stderr differs"
+    assert "    -[error] symbol is tabulated only; off-grid evaluation undefined" in found
+    assert guard.diff(old, new, atol=1.0)[0] == "task: stderr differs"

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from corona_pdo.sampling import (
+    _ALPHAS,
     _norm_ppf,
+    _product_net,
+    _radii_per_ray,
     annulus,
     directions,
     kronecker,
@@ -70,3 +73,15 @@ def test_norm_ppf_matches_known_quantiles():
     # 0 and 1 clip to 1e-12 and 1 - 1e-12; in float64 the latter leaves a tail of 0.99998e-12
     known = [0.0, 1.959963984540054, -7.034483825301131, 7.034486910047836]
     assert np.allclose(q, known, rtol=1e-12, atol=1e-15)
+
+
+def test_kernels_are_bit_equal_to_their_reference_forms():
+    # x - floor(x) for x % 1.0, and one product net buffer filled column by column
+    for n, dim, seed in ((10**5, 1, 0), (5000, 2, 977 * 3), (1000, 8, (1 << 20) + 5)):
+        k = np.arange(1, n + 1, dtype=float)[:, None] + float(seed % (1 << 20))
+        assert np.array_equal(kronecker(n, dim, seed), (k * _ALPHAS[None, :dim]) % 1.0)
+    for dim in (1, 3):
+        dirs = directions(40, dim, seed=1)
+        r = log_radii(10.0, 1e4, _radii_per_ray(1600, len(dirs)), 2 + (7 if dim > 1 else 0))
+        want = (r[None, :, None] * dirs[:, None, :]).reshape(-1, dim)
+        assert np.array_equal(_product_net(10.0, 1e4, 1600, 2, lambda k: dirs), want)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.sparse.linalg import svds
 
-from corona_pdo import spectral
+from corona_pdo import asymptotics, spectral
 from corona_pdo.asymptotics import (
     DirectionalBase,
     SamplingSchedule,
@@ -482,20 +482,20 @@ def test_gohberg_non_vanishing_oscillation_flags_unreliable():
     assert not rep.violation
 
 
-def test_gohberg_verify_evaluates_each_sampled_pair_about_once():
+def test_gohberg_verify_evaluates_each_sampled_pair_about_once(monkeypatch):
     # the rhs and the min-form lower bound share one sampling pass over |f|
     sched = TruncationSchedule(bands=(16, 32, 64))
     xg, xig = sched.grids(sched.bands[0])
     terms = [(cos_profile(2.0, 1.0), sqrt_wave()), (cos_profile(0.0, 0.5, 5), sqrt_wave())]
     f = TensorSymbol(xg, xig, terms)
-    evaluated, eval_outer = [], f.eval_outer
+    evaluated, kernel = [], asymptotics._blocks
 
-    def counted(x_indices, xi_points):
-        out = eval_outer(x_indices, xi_points)
-        evaluated.append(out.size)
-        return out
+    def counted(gammas, psis):  # the (fiber, point) pairs of every block the kernel yields
+        for rows, vals in kernel(gammas, psis):
+            evaluated.append(vals.size)
+            yield rows, vals
 
-    f.eval_outer = counted
+    monkeypatch.setattr(asymptotics, "_blocks", counted)
     gohberg_verify(f, sched, StandardBase(1), ASYM)
     pairs = xg.size * len(ASYM.scales) * ASYM.points_per_scale
     assert pairs <= sum(evaluated) < 1.5 * pairs

@@ -14,7 +14,6 @@ from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.sampling import annulus
 from corona_pdo.symbols import (
     SymbolError,
-    TableSymbol,
     TensorSymbol,
     cesaro_mean,
     const_profile,
@@ -49,14 +48,6 @@ def test_tensor_table_is_outer_product():
     p = np.sin(np.sqrt(np.abs(xig.coords[:, 0])))
     assert np.allclose(f.table(), np.outer(g, p), atol=1e-14)
     assert f.sup_bound == pytest.approx(3.0)
-
-
-def test_tensor_eval_outer_matches_table_on_grid():
-    xg = GroupGrid.torus(8)
-    xig = xg.dual()
-    f = tensor_symbol(cos_profile(), sqrt_wave(), xg, xig)
-    idx = np.array([0, 3, 5])
-    assert np.allclose(f.eval_outer(idx, xig.coords), f.table()[idx], atol=1e-14)
 
 
 def test_tensor_rebound_to_finer_grids():
@@ -94,16 +85,6 @@ def test_psi_must_be_dual_closure():
     xg = GroupGrid.finite_cyclic(4)
     with pytest.raises(SymbolError):
         TensorSymbol(xg, xg.dual(), [(const_profile(1.0), np.sin)])
-
-
-def test_table_symbol_eval_outer_requires_closure():
-    xg = GroupGrid.finite_cyclic(4)
-    xig = xg.dual()
-    vals = np.arange(16.0).reshape(4, 4)
-    t = TableSymbol(xg, xig, vals)
-    assert t.sup_bound == 15.0
-    with pytest.raises(SymbolError, match="tabulated only; off-grid evaluation undefined"):
-        t.eval_outer([0], np.array([[99.0]]))
 
 
 # -- oscillation at infinity --

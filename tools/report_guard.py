@@ -9,11 +9,14 @@ spell every config table entry (psi families, gamma profiles, CSV-backed
 symbols, filter bases, groups, ``vo`` and per-task tolerances), each in its own
 ``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1``.  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
-other report line and every side file must match byte for byte.  With
+other report line and every side file must match byte for byte, and so must
+the stderr of a run that exits non-zero (the error line, and no traceback in
+place of it), once the paths of the work directory and the source root are
+replaced by ``<work>`` and ``<root>``.  With
 ``--atol X``, report.json and CSV files compare by value instead: numbers
 within X of each other match (a CSV cell is a number when it parses as one,
 also inside a ``np.float64(...)`` repr), while strings, booleans, nulls, keys,
-list lengths, CSV shapes and exit codes must still match exactly.  With
+list lengths, CSV shapes, exit codes and stderr must still match exactly.  With
 ``--work DIR``, a directory that must not exist yet, the run outputs stay in
 DIR.  Prints each difference and exits 1 if there is any, 0 otherwise.
 Standard library only.
@@ -280,7 +283,8 @@ def _write_symbol_csvs(work: Path) -> None:
 
 def run_all(root: Path, work: Path) -> dict:
     """Run every config against ``root``; name -> {file name: bytes}."""
-    env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"), CORONA_PDO_THREADS="1")
+    root, work = root.resolve(), work.resolve()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), CORONA_PDO_THREADS="1")
     _write_symbol_csvs(work)
     outputs = {}
     for name, extra in CONFIGS.items():
@@ -290,6 +294,9 @@ def run_all(root: Path, work: Path) -> dict:
         argv = [sys.executable, "-m", "corona_pdo.cli", "run", "--config", str(cfg), "--out", str(out)]
         proc = subprocess.run(argv, env=env, cwd=work, capture_output=True)
         files = {"exit code": str(proc.returncode).encode()}
+        if proc.returncode != 0:  # its error line, with this run's paths named alike
+            err = proc.stderr.replace(str(work).encode(), b"<work>")
+            files["stderr"] = err.replace(str(root).encode(), b"<root>")
         for path in sorted(out.glob("*")) if out.is_dir() else ():
             data = path.read_bytes()
             if path.name == "report.json":
@@ -313,7 +320,7 @@ def diff(old: dict, new: dict, atol: float | None = None) -> list:
                 problems.extend(f"{name}: {line}" for line in found)
                 continue
             problems.append(f"{name}: {fname} differs")
-            if fname.endswith((".json", ".csv")) and fname in a and fname in b:
+            if fname.endswith((".json", ".csv", "stderr")) and fname in a and fname in b:
                 text = lambda data: data.decode("utf-8", "replace").splitlines()
                 lines = difflib.unified_diff(text(a[fname]), text(b[fname]), "old", "new", lineterm="")
                 problems.extend("    " + line for line in list(lines)[:40])
