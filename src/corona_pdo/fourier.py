@@ -21,6 +21,14 @@ matrices ``transform_matrix`` and ``inverse_transform_matrix`` are built
 from float coordinates instead of labels: they are the independent oracle
 for that route and serve small exact work.  The two agree to 1e-12 by
 property test.
+
+Buffers: a transform writes its FFTs into the arrays it made itself (the
+complex copy of a real input, a scatter's array, an earlier factor's
+output), and into the caller's array only when called with
+``overwrite=True`` (named after scipy.fft's ``overwrite_x``).  The caller's
+array then holds unspecified values, and the result may share its memory.
+The default leaves it untouched.  In-place and out-of-place FFTs give
+bit-identical values (property test).
 """
 
 from __future__ import annotations
@@ -39,51 +47,58 @@ def _scatter(vals, bins, n, axis):
     return out
 
 
-def _axis(vals, fac, out_fac, axis, forward):
+def _axis(vals, fac, out_fac, axis, forward, own):
     """Analysis (``forward``) or synthesis along one factor, ``fac`` -> ``out_fac``.
 
     Both factors are Z_L with L = max(fac.n, out_fac.n) on the labels of
     :mod:`corona_pdo.groups`; ``out_fac`` may be a finer torus than the
     canonical dual (synthesis of a band-limited function on more sample
     points), which stays exact.  Labels scatter into an FFT of length L and
-    the output labels are gathered from it.
+    the output labels are gathered from it.  The FFT writes over ``vals`` when
+    ``own`` allows it, and over the scatter's array always.
     """
     L = max(fac.n, out_fac.n)
     if fac.offset or fac.n != L:
         vals = _scatter(vals, (np.arange(fac.n) + fac.offset) % L, L, axis)
+        own = True
+    out = vals if own else None
     if forward:
-        out = np.fft.fft(vals, axis=axis)
+        out = np.fft.fft(vals, axis=axis, out=out)
     else:
-        out = np.fft.ifft(vals, axis=axis, norm="forward")
+        out = np.fft.ifft(vals, axis=axis, norm="forward", out=out)
     out *= fac.weight
     if out_fac.offset or out_fac.n != L:
         out = np.take(out, (np.arange(out_fac.n) + out_fac.offset) % L, axis=axis)
     return out
 
 
-def _transform(values, grid, out_grid, axis, forward):
+def _transform(values, grid, out_grid, axis, forward, overwrite):
     """Transform ``values`` along ``axis``, whose entries are the points of ``grid``."""
-    values = np.asarray(values, dtype=complex)
-    lead, trail = values.shape[:axis], values.shape[axis + 1:]
-    vals = values.reshape(lead + grid.shape + trail)
+    vals = np.asarray(values, dtype=complex)
+    own = overwrite or vals is not values  # a converted copy is ours to overwrite
+    lead, trail = vals.shape[:axis], vals.shape[axis + 1:]
+    vals = vals.reshape(lead + grid.shape + trail)
     for k, (fac, ofac) in enumerate(zip(grid.factors, out_grid.factors)):
-        vals = _axis(vals, fac, ofac, axis + k, forward)
+        vals = _axis(vals, fac, ofac, axis + k, forward, own)
+        own = True  # every later factor reads the array the previous one made
     return vals.reshape(lead + (out_grid.size,) + trail)
 
 
-def fourier(values, grid: GroupGrid, out_grid=None) -> np.ndarray:
+def fourier(values, grid: GroupGrid, out_grid=None, overwrite=False) -> np.ndarray:
     """Analysis transform of ``values`` on ``grid`` onto ``out_grid`` (default:
-    canonical dual), along axis 0: the x variable of a table."""
+    canonical dual), along axis 0: the x variable of a table.  With
+    ``overwrite=True`` the FFT may reuse ``values``' memory."""
     out = out_grid if out_grid is not None else grid.dual()
     assert_dual_pair(grid, out)
-    return _transform(values, grid, out, 0, forward=True)
+    return _transform(values, grid, out, 0, forward=True, overwrite=overwrite)
 
 
-def inverse_fourier(values, grid: GroupGrid, out_grid=None, axis=0) -> np.ndarray:
-    """Synthesis transform of ``values`` on the dual grid ``grid`` onto ``out_grid``."""
+def inverse_fourier(values, grid: GroupGrid, out_grid=None, axis=0, overwrite=False) -> np.ndarray:
+    """Synthesis transform of ``values`` on the dual grid ``grid`` onto ``out_grid``.
+    With ``overwrite=True`` the FFT may reuse ``values``' memory."""
     out = out_grid if out_grid is not None else grid.dual()
     assert_dual_pair(out, grid)
-    return _transform(values, grid, out, axis, forward=False)
+    return _transform(values, grid, out, axis, forward=False, overwrite=overwrite)
 
 
 def _character_table(rows: GroupGrid, cols: GroupGrid, xgrid: GroupGrid, turn, weight) -> np.ndarray:

@@ -54,7 +54,7 @@ def op_matrix(symbol: Symbol) -> np.ndarray:
     """Dense matrix of Op(f) on l2 of the x grid (kernel route)."""
     xg = symbol.xgrid
     _check_cap(xg.size, "op_matrix")
-    kern = inverse_fourier(symbol.table(), symbol.xigrid, xg, axis=1)
+    kern = inverse_fourier(symbol.table(), symbol.xigrid, xg, axis=1, overwrite=True)
     rows = np.arange(xg.size)
     sub = xg.sub_indices(rows[:, None], rows[None, :])  # x y^{-1}
     return kern[rows[:, None], sub] * xg.weight_per_point
@@ -114,7 +114,7 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
             gh = fourier(gv, symbol.xgrid)
             S += gh[sub] * psi(psi_cols)[None, :]
         return S * what
-    psi1 = fourier(symbol.table(), symbol.xgrid)
+    psi1 = fourier(symbol.table(), symbol.xgrid, overwrite=True)
     return psi1[sub, indices[None, :]] * what
 
 
@@ -157,10 +157,12 @@ def diagram_check(symbol: Symbol) -> float:
     if not xg.is_finite_kind:
         raise PdoError("diagram check compares full transforms: finite cyclic only")
     M = op_matrix(symbol)
-    S = frequency_section(symbol)
-    F = transform_matrix(xg, symbol.xigrid)
-    Fi = inverse_transform_matrix(xg, symbol.xigrid)
-    num = _spectral_norm(Fi @ S @ F - M)
+    # each factor is freed once used, and the difference before M's norm
+    D = inverse_transform_matrix(xg, symbol.xigrid) @ frequency_section(symbol)
+    D = D @ transform_matrix(xg, symbol.xigrid)
+    D -= M
+    num = _spectral_norm(D)
+    del D
     den = max(_spectral_norm(M), 1e-300)
     return num / den
 
@@ -203,28 +205,22 @@ _BIN_MAGIC = b"PDOM\x00\x01"
 
 def save_matrix_bin(matrix: np.ndarray, path) -> None:
     """Little-endian flat binary: magic, rows/cols as u64, row-major re/im f64 pairs."""
-    m = np.ascontiguousarray(matrix, dtype=np.complex128)
-    inter = np.empty((m.shape[0], m.shape[1], 2), dtype="<f8")
-    inter[..., 0] = m.real
-    inter[..., 1] = m.imag
+    m = np.ascontiguousarray(matrix, dtype="<c16")  # a complex entry is its re/im pair
     with open(path, "wb") as fh:
         fh.write(_BIN_MAGIC)
         fh.write(np.array(m.shape, dtype="<u8").tobytes())
-        fh.write(inter.tobytes())
+        fh.write(m.data)
 
 
 def load_matrix_bin(path) -> np.ndarray:
     with open(path, "rb") as fh:
         if fh.read(len(_BIN_MAGIC)) != _BIN_MAGIC:
             raise PdoError("not an operator matrix file (bad magic)")
-        rows, cols = np.frombuffer(fh.read(16), dtype="<u8")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != 2 * rows * cols:
+        rows, cols = (int(k) for k in np.frombuffer(fh.read(16), dtype="<u8"))
+        data = np.fromfile(fh, dtype=np.uint8)  # the rest of the file, writable
+    if data.size != 16 * rows * cols:
         raise PdoError("operator matrix file is truncated")
-    data = data.reshape(int(rows), int(cols), 2)
-    out = np.empty((int(rows), int(cols)), dtype=np.complex128)
-    out.real, out.imag = data[..., 0], data[..., 1]  # re + 1j * im turns inf * 0 into nan
-    return out
+    return data.view("<c16").reshape(rows, cols)
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

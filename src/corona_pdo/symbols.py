@@ -173,7 +173,8 @@ class Symbol:
         raise NotImplementedError
 
     def table(self) -> np.ndarray:
-        """The (xgrid.size, xigrid.size) array of f on the grid pair."""
+        """The (xgrid.size, xigrid.size) array of f on the grid pair, fresh: the
+        caller may overwrite it."""
         raise NotImplementedError
 
     def rebound(self, xgrid: GroupGrid, xigrid: GroupGrid) -> "Symbol":
@@ -247,7 +248,7 @@ class TableSymbol(Symbol):
         return float(np.max(np.abs(self.values)))
 
     def table(self) -> np.ndarray:
-        return self.values
+        return self.values.copy()
 
 
 def tensor_symbol(gamma, psi: DualClosure, xgrid: GroupGrid, xigrid: GroupGrid) -> TensorSymbol:

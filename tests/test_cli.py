@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,24 @@ def test_fourier_selftest_band_below_nyquist_is_a_config_error(tmp_path, capsys,
         assert len(err) == 1 and err[0].startswith("[error] fourier-selftest needs the full dual")
     else:
         assert report["results"]["plancherel_defect"] <= 1e-12 and err == []
+
+
+def test_fourier_selftest_holds_one_vector(capsys):
+    # tracemalloc sees numpy's arrays but not pocketfft's C++ scratch, so the bound is
+    # platform-free: one 16 MB complex vector at n = 2^20 plus one float draw, where
+    # input, spectrum and round trip side by side would trace 3.5 vectors
+    n = 2**20
+    group = {"kind": "finite_cyclic", "n": n}
+    cfg = ExperimentConfig.from_mapping({"schema": 1, "task": "fourier-selftest", "group": group})
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        results, _, _ = cli._task_fourier_selftest(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert results["plancherel_defect"] <= 1e-12 and results["roundtrip_defect"] <= 1e-12
+    assert peak < 2 * 16 * n
 
 
 # point counts past the index range are refused when the grid is built, before any allocation

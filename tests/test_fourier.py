@@ -53,17 +53,22 @@ def _factor_pair(kind, a, b):
     return x, x.dual()
 
 
-def test_fft_path_matches_dense_matrix():
-    # the dense DFT matrices, built from float coordinates, are the independent oracle;
-    # Plancherel, the HS isometry and the diagram identity hold on the same grids
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    factor = st.one_of(
+def _factor_specs(st):
+    """Strategy for the ``_factor_pair`` arguments of one factor of every kind."""
+    return st.one_of(
         st.tuples(st.just("finite_cyclic"), st.integers(1, 7), st.sampled_from([1.0, 0.3, 2.5])),
         st.tuples(st.just("torus"), st.integers(1, 4), st.integers(1, 4)),
         st.tuples(st.just("truncated_integers"), st.integers(1, 3), st.just(0)),
         st.tuples(st.just("line"), st.sampled_from([0.25, 0.5, 2.0]), st.integers(1, 7)),
     )
+
+
+def test_fft_path_matches_dense_matrix():
+    # the dense DFT matrices, built from float coordinates, are the independent oracle;
+    # Plancherel, the HS isometry and the diagram identity hold on the same grids
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    factor = _factor_specs(st)
 
     def close(fast, dense):
         return np.max(np.abs(fast - dense)) <= 1e-12 * max(np.max(np.abs(dense)), 1e-300)
@@ -96,6 +101,46 @@ def test_fft_path_matches_dense_matrix():
         assert abs(hs_norm(op_matrix(f)) - table_norm) <= 1e-12 * table_norm
         if xg.is_finite_kind:
             assert diagram_check(f) < 1e-10
+
+    check()
+
+
+def test_in_place_transforms_are_bit_equal():
+    # overwrite=True may reuse the input's memory and must not change one bit of the
+    # result; the default must leave the caller's array as it was
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def bits(a):
+        return a.view(np.uint64)
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None)
+    @hypothesis.given(st.lists(_factor_specs(st), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+    @hypothesis.example([("finite_cyclic", 12, 0.3)], 1)  # the transform runs in place
+    @hypothesis.example([("torus", 8, 3)], 2)  # truncated dual: gather, then a finer torus
+    @hypothesis.example([("line", 0.5, 15)], 3)  # offset labels: scatter first
+    @hypothesis.example([("finite_cyclic", 3, 0.3), ("torus", 3, 1), ("line", 0.5, 5)], 4)
+    def check(specs, seed):
+        pairs = [_factor_pair(*spec) for spec in specs]
+        xg = product_group(*[x for x, _ in pairs])
+        xi = product_group(*[x for _, x in pairs])
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(xg.size, xi.size)) + 1j * rng.normal(size=(xg.size, xi.size))
+        runs = [
+            (fourier, _rand(xg, seed), (xg, xi), {}),
+            (inverse_fourier, _rand(xi, seed + 1), (xi, xg), {}),
+            (fourier, table, (xg, xi), {}),
+            (inverse_fourier, table, (xi, xg), {"axis": 1}),
+        ]
+        for transform, a, grids, kw in runs:
+            kept = a.copy()
+            ref = transform(a, *grids, **kw)
+            assert np.array_equal(bits(a), bits(kept))
+            scratch = a.copy()
+            got = transform(scratch, *grids, overwrite=True, **kw)
+            assert np.array_equal(bits(got), bits(ref))
+            if all(spec[0] == "finite_cyclic" for spec in specs):  # no scatter, no gather
+                assert np.shares_memory(got, scratch)
 
     check()
 

@@ -241,6 +241,35 @@ def test_matrix_binary_round_trip(tmp_path):
         load_matrix_bin(trunc)
 
 
+def test_matrix_binary_bytes_match_interleaved_writer(tmp_path):
+    # the file is the complex buffer itself: the same bytes as re/im pairs written
+    # from an (n, n, 2) float array, signed zeros, nans, infinities and subnormals too
+    specials = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 5e-324, 1e16, 0.5]
+    full = np.empty((len(specials), len(specials)), dtype=complex)
+    full.real, full.imag = np.meshgrid(specials, specials)  # every (re, im) pairing
+    for m in (full, full[:, 1:].T, full.real):  # contiguous, strided, real
+        inter = np.empty(m.shape + (2,), dtype="<f8")
+        inter[..., 0], inter[..., 1] = m.real, np.imag(m)
+        p = tmp_path / "op.bin"
+        save_matrix_bin(m, p)
+        shape = np.array(m.shape, dtype="<u8").tobytes()
+        assert p.read_bytes() == b"PDOM\x00\x01" + shape + inter.tobytes()
+        back = load_matrix_bin(p)
+        assert back.flags.writeable and back.tobytes() == inter.tobytes()
+
+
+def test_operator_routes_leave_a_table_symbol_untouched():
+    # op_matrix and frequency_section transform symbol.table() in place
+    xg, xig = _cyclic_pair(8)
+    rng = np.random.default_rng(53)
+    f = TableSymbol(xg, xig, rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    kept = f.values.copy()
+    op_matrix(f)
+    frequency_section(f)
+    assert diagram_check(f) < 1e-12
+    assert np.array_equal(f.values, kept)
+
+
 def test_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(43)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
