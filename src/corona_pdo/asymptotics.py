@@ -27,7 +27,7 @@ from these numbers are evidence, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class SamplingSchedule:
             raise AsymptoticsError("scales must be positive and strictly increasing")
         if self.points_per_scale < 16:
             raise AsymptoticsError("need at least 16 points per scale")
+        if not self.span > 1:
+            raise AsymptoticsError(f"span must exceed 1, got {self.span:g}")
         top = s[-1] * self.span
         if top > MAX_RADIUS:
             raise AsymptoticsError(
@@ -244,6 +246,8 @@ def fit_inverse_sqrt(scales, values):
 
 @dataclass
 class AsymptoticFit:
+    """Per-scale values and their a + b/sqrt(t) fit (``fit_inverse_sqrt``)."""
+
     label: str
     kind: str  # "sup" | "inf"
     scales: tuple
@@ -252,6 +256,12 @@ class AsymptoticFit:
     slope: float
     residual: float
     rel_residual: float
+
+    @classmethod
+    def of(cls, label: str, kind: str, scales, per_scale) -> AsymptoticFit:
+        """The record of the values per_scale taken at scales, with their fit."""
+        per_scale = np.asarray(per_scale, dtype=float)
+        return cls(label, kind, scales, per_scale, *fit_inverse_sqrt(scales, per_scale))
 
 
 def _polish_span(base: FilterBase, n: int, t: float, span: float) -> float:
@@ -315,34 +325,24 @@ def _samples(base: FilterBase, sched: SamplingSchedule):
         yield t, base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
 
 
-def _sup_fit(label: str, scales, sups: np.ndarray) -> AsymptoticFit:
-    a, b, resid, rel = fit_inverse_sqrt(scales, sups)
-    return AsymptoticFit(label, "sup", scales, sups, a, b, resid, rel)
-
-
-def limsup_along(
-    phi,
-    base: FilterBase,
-    schedule: SamplingSchedule,
-) -> AsymptoticFit:
-    """Extrapolated limsup of the real functional phi along the filter base.
-
-    Per scale the sampled sup is polished along its best rays, inside the
-    base element.
-    """
-    sups = [
-        _refine_ray_extremum(phi, base, schedule, t, pts, np.real(np.asarray(phi(pts))), True)
+def _along(phi, base: FilterBase, schedule: SamplingSchedule, maximize: bool) -> AsymptoticFit:
+    """Extrapolated limsup (maximize) or liminf of the real functional phi
+    along the filter base: per scale the sampled extremum is polished along
+    its best rays, inside the base element, and the signed values are fitted."""
+    exts = [
+        _refine_ray_extremum(phi, base, schedule, t, pts, np.real(np.asarray(phi(pts))), maximize)
         for t, pts in _samples(base, schedule)
     ]
-    return _sup_fit("limsup", schedule.scales, np.array(sups))
+    label, kind = ("limsup", "sup") if maximize else ("liminf", "inf")
+    return AsymptoticFit.of(label, kind, schedule.scales, exts)
+
+
+def limsup_along(phi, base: FilterBase, schedule: SamplingSchedule) -> AsymptoticFit:
+    return _along(phi, base, schedule, True)
 
 
 def liminf_along(phi, base: FilterBase, schedule: SamplingSchedule) -> AsymptoticFit:
-    neg = limsup_along(lambda p: -np.real(np.asarray(phi(p))), base, schedule)
-    return AsymptoticFit(
-        "liminf", "inf", neg.scales, -neg.per_scale, -neg.value, -neg.slope,
-        neg.residual, neg.rel_residual,
-    )
+    return _along(phi, base, schedule, False)
 
 
 # -- per-fiber fields ----------------------------------------------------------------
@@ -388,14 +388,14 @@ def modulus_field(
     symbol: Symbol,
     base: FilterBase,
     schedule: SamplingSchedule,
-    mode: str = "limsup",
+    maximize: bool = True,
 ):
-    """Per-fiber limsup (or liminf) of |f(x, .)| along the base.
+    """Per-fiber limsup (maximize) or liminf of |f(x, .)| along the base.
 
     Returns (values, envelope) over a subsample of at most 512 fibers.  For
-    mode "limsup", envelope is the fit of the limsup of max over x of
+    the limsup, envelope is the fit of the limsup of max over x of
     |f(x, .)| (the Gohberg right-hand side; min of values is the lower
-    bound); for "liminf" it is None.  Single-term tensor symbols
+    bound); for the liminf it is None.  Single-term tensor symbols
     factor exactly.  The generic path takes both from one pass over shared
     sample points, then polishes the envelope and re-polishes the 3 fibers
     where the min over x is attained (the sampled sup is a lower bound, so
@@ -403,25 +403,21 @@ def modulus_field(
     once per point set and sums the terms in ``_blocks``.  A symbol with no
     tensor terms (a table) has no values off the grid: SymbolError.
     """
-    if mode not in ("limsup", "liminf"):
-        raise AsymptoticsError(f"unknown field mode {mode!r}")
     if symbol.xigrid.is_compact_kind:
         raise AsymptoticsError(
             "dual group grid is of compact kind: no neighborhood of infinity to sample"
         )
     x_indices = _x_subsample(symbol.xgrid.size)
-    maximize = mode == "limsup"
     terms = symbol.tensor_terms
     if terms is not None and len(terms) == 1:
         g, psi = np.abs(terms[0][0]), terms[0][1]
-        along = limsup_along if maximize else liminf_along
-        f = along(lambda p: np.abs(psi(p)), base, schedule)
+        f = _along(lambda p: np.abs(psi(p)), base, schedule, maximize)
         envelope = None
-        if maximize:
+        if maximize:  # scaled, not refitted: a refit of the scaled values rounds differently
             gmax = float(np.max(g))
-            envelope = AsymptoticFit(
-                "maxform", "sup", f.scales, gmax * f.per_scale, gmax * f.value,
-                gmax * f.slope, gmax * f.residual, f.rel_residual,
+            envelope = replace(
+                f, label="maxform", per_scale=gmax * f.per_scale, value=gmax * f.value,
+                slope=gmax * f.slope, residual=gmax * f.residual,
             )
         return g[x_indices] * f.value, envelope
 
@@ -458,6 +454,6 @@ def modulus_field(
             for (t, pts), on in zip(sampled, on_samples)
         ]
         values[j] = fit_inverse_sqrt(schedule.scales, exts)[0]
-    envelope = _sup_fit("maxform", schedule.scales, np.array(sups)) if maximize else None
+    envelope = AsymptoticFit.of("maxform", "sup", schedule.scales, sups) if maximize else None
     return values, envelope
 

@@ -519,13 +519,13 @@ def _task_gohberg(cfg: ExperimentConfig):
         "symbol_id": _symbol_id(f),
         "schedule": sched,
         "base": base.label,
-        "sigma_tables": {"top": list(est.sigma_top)},
+        "sigma_tables": {"top": list(est.fit.per_scale)},
         "ess_norm": {
             "value": est.estimate,
             "fit": {
-                "slope": est.slope,
-                "residual": est.residual,
-                "rel_residual": est.rel_residual,
+                "slope": est.fit.slope,
+                "residual": est.fit.residual,
+                "rel_residual": est.fit.rel_residual,
             },
             "flag": "ok" if est.reliable else "unreliable",
         },
@@ -539,7 +539,7 @@ def _task_gohberg(cfg: ExperimentConfig):
     print(
         f"[run] gohberg: estimate {rep.estimate:.6g}, rhs {rep.rhs:.6g}, ratio {ratio_txt}"
     )
-    rows = list(zip(sched.bands, est.shell_dims, est.sigma_top))
+    rows = list(zip(sched.bands, est.shell_dims, est.fit.per_scale))
     return results, flags, {"sigma_by_band.csv": (["band", "shell_dim", "sigma_top"], rows)}
 
 

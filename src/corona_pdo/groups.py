@@ -291,15 +291,6 @@ def pairing_phase(xgrid: GroupGrid, xigrid: GroupGrid, x_coords, xi_coords):
     return np.squeeze((x * xi * scales).sum(axis=-1))
 
 
-def pairing(xgrid: GroupGrid, xigrid: GroupGrid, x_indices, xi_indices):
-    """Value of the character <x_i, xi_k> = exp(2*pi*i*x.xi), by index."""
-    assert_dual_pair(xgrid, xigrid)
-    x = xgrid.coords[np.asarray(x_indices)]
-    xi = xigrid.coords[np.asarray(xi_indices)]
-    ph = pairing_phase(xgrid, xigrid, x, xi)
-    return np.exp(2j * np.pi * ph)
-
-
 def truncated_dual(xgrid: GroupGrid, band: int) -> GroupGrid:
     """Dual grid of a 1-d torus, truncated to |xi| < band (band <= Nyquist)."""
     if xgrid.ndim != 1 or xgrid.factors[0].kind != "torus":

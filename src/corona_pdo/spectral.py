@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import FilterBase, SamplingSchedule, StandardBase, fit_inverse_sqrt, modulus_field
+from .asymptotics import AsymptoticFit, FilterBase, SamplingSchedule, StandardBase, modulus_field
 from .groups import GroupGrid, truncated_dual
 from .pdo import frequency_section
 from .symbols import VO_RADII, Symbol, vanishing_oscillation_test, vo_shifts
@@ -181,11 +181,8 @@ def _rungs(symbol: Symbol, schedule: TruncationSchedule, base: FilterBase | None
 @dataclass
 class EssentialNormResult:
     shell_dims: tuple
-    sigma_top: tuple
+    fit: AsymptoticFit  # sigma_top per band, the bands as its scales
     estimate: float
-    slope: float
-    residual: float
-    rel_residual: float
     reliable: bool
     notes: tuple
 
@@ -198,18 +195,28 @@ def essential_norm_estimate(
     Per band N: sigma_max of that shell section, then an a + b*N^{-1/2} fit;
     the extrapolated a (clamped at 0) is the estimate.  A fit residual above
     20% or an estimate above 1.05 * sup_bound marks the ladder unreliable.
+    The residual is measured against the largest rung, but against no less
+    than 64 sqrt(eps) sup_bound: rungs near 0 are good only to about
+    sqrt(eps) ||S||, so a ladder at round-off is not read as unstable.
     """
     tops, dims, notes = [], [], []
     for sect in _rungs(symbol, schedule, base):
         dims.append(sect.shape[1])
         tops.append(sigma_top(sect))
-    a, b, resid, rel = fit_inverse_sqrt(np.array(schedule.bands, dtype=float), np.array(tops))
-    est = max(a, 0.0)
-    if a < 0:
+    fit = AsymptoticFit.of("sigma_top", "sup", schedule.bands, tops)
+    est = max(fit.value, 0.0)
+    if fit.value < 0:
         notes.append("extrapolation clamped at 0")
+    resolution = 64 * np.sqrt(np.finfo(float).eps) * symbol.sup_bound
+    rel = fit.residual / max(np.max(np.abs(fit.per_scale)), resolution, 1e-12)
     reliable = rel <= 0.2
     if not reliable:
         notes.append(f"fit residual {rel:.1%} exceeds 20%: ladder has not stabilized")
+    elif fit.rel_residual > 0.2:
+        notes.append(
+            f"fit residual {fit.rel_residual:.1%} of the largest rung is {rel:.1%} of "
+            f"the resolution 64 sqrt(eps) sup_bound = {resolution:.3g}: rungs at round-off"
+        )
     # sup_bound bounds ||Op(f)|| for a tensor symbol, hence the distance to the compacts
     if est > 1.05 * symbol.sup_bound:
         reliable = False
@@ -217,16 +224,7 @@ def essential_norm_estimate(
             f"estimate {est:.4g} exceeds 1.05 x sup_bound {symbol.sup_bound:.4g}, "
             "a bound on the operator norm: ladder has not converged"
         )
-    return EssentialNormResult(
-        shell_dims=tuple(dims),
-        sigma_top=tuple(tops),
-        estimate=float(est),
-        slope=float(b),
-        residual=float(resid),
-        rel_residual=float(rel),
-        reliable=reliable,
-        notes=tuple(notes),
-    )
+    return EssentialNormResult(tuple(dims), fit, float(est), reliable, tuple(notes))
 
 
 @dataclass
@@ -307,7 +305,7 @@ def fredholm_check(
         return _noncompact_fredholm(symbol, asym_schedule, floor_tol)
     notes = []
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
-    floor = max(float(modulus_field(symbol, base, asym_schedule, "liminf")[0].min()), 0.0)
+    floor = max(float(modulus_field(symbol, base, asym_schedule, maximize=False)[0].min()), 0.0)
     sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, None))
     verdict = "FREDHOLM-SUFFICIENT" if floor > floor_tol else "INCONCLUSIVE"
     corroborated = True
@@ -355,7 +353,7 @@ def _noncompact_fredholm(symbol, asym_schedule, floor_tol) -> FredholmResult:
     floor = abs(gamma[0]) * float(np.min(np.abs(psi(symbol.xigrid.coords))))
     if not symbol.xigrid.is_compact_kind:
         whole = StandardBase(symbol.xigrid.ndim)
-        liminf = float(modulus_field(symbol, whole, asym_schedule, "liminf")[0].min())
+        liminf = float(modulus_field(symbol, whole, asym_schedule, maximize=False)[0].min())
         floor = min(floor, max(0.0, liminf))  # 0.0 first: max keeps it over a -0.0 liminf
     notes = ()
     if floor <= 1e-10 * symbol.sup_bound:

@@ -7,6 +7,7 @@ Oracles:
   * a two-point a + b/sqrt(t) fit is solvable by hand.
 """
 
+import math
 import subprocess
 import sys
 
@@ -51,6 +52,7 @@ from corona_pdo.symbols import (
 )
 
 SCHED = SamplingSchedule()
+SMALL = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=256)
 
 
 def _flagship():
@@ -88,6 +90,10 @@ def test_schedule_validation():
     SamplingSchedule(scales=(1e11,))  # largest sampled radius 1e12: the bound itself
     with pytest.raises(AsymptoticsError):
         SamplingSchedule(scales=(1e11,), span=10.5)
+    # radii (t, t * span] are empty unless span > 1: rejected here, not in the first sample
+    for span in (0.5, 1.0, float("nan")):
+        with pytest.raises(AsymptoticsError, match="span must exceed 1"):
+            SamplingSchedule(span=span)
 
 
 # -- scalar limsup / liminf --
@@ -130,6 +136,40 @@ def test_liminf_shifted_wave():
     assert fit.kind == "inf"
     assert fit.value == pytest.approx(1.0, abs=1e-2)
     assert np.all(fit.per_scale >= 1.0 - 1e-9)
+
+
+def test_liminf_of_zero_is_positive_zero():
+    fit = liminf_along(lambda p: np.zeros(len(p)), StandardBase(1), SMALL)
+    assert np.all(fit.per_scale == 0.0)
+    for x in (fit.value, fit.slope):
+        assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+def test_liminf_is_the_negated_limsup_of_the_negation():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coef = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+    rate = st.floats(0.05, 2.0)
+
+    @hypothesis.settings(max_examples=10, deadline=None, database=None)
+    @hypothesis.given(
+        coef, coef, rate, rate, coef,
+        st.sampled_from([StandardBase(1), DirectionalBase([-1]), StandardBase(2)]),
+    )
+    def check(a, b, w, decay, c, base):
+        def phi(p):
+            r = np.linalg.norm(p, axis=1)
+            return a * np.sin(w * np.sqrt(r)) + b * np.exp(-decay * np.abs(p[:, 0])) + c
+
+        lo = liminf_along(phi, base, SMALL)
+        hi = limsup_along(lambda p: -phi(p), base, SMALL)
+        assert (lo.label, lo.kind, lo.scales) == ("liminf", "inf", hi.scales)
+        # == leaves only the sign of a zero free
+        assert np.array_equal(lo.per_scale, -hi.per_scale)
+        assert (lo.value, lo.slope) == (-hi.value, -hi.slope)
+        assert (lo.residual, lo.rel_residual) == (hi.residual, hi.rel_residual)
+
+    check()
 
 
 def test_limsup_deterministic():
@@ -286,7 +326,7 @@ def test_standard_base_polishes_sampled_maxima():
 
 def test_liminf_floor_flagship_reaches_the_zeros():
     # liminf |sin sqrt|xi|| = 0: the polish lands on the zeros of the kink
-    floor = max(modulus_field(_flagship(), StandardBase(1), SCHED, "liminf")[0].min(), 0.0)
+    floor = max(modulus_field(_flagship(), StandardBase(1), SCHED, maximize=False)[0].min(), 0.0)
     assert 0.0 <= floor <= 1e-9
 
 
@@ -328,7 +368,7 @@ def test_liminf_floor_values():
     xg = GroupGrid.torus(64)
     xig = truncated_dual(xg, 16)
     floor = lambda psi: max(
-        modulus_field(multiplier_symbol(psi, xg, xig), StandardBase(1), SCHED, "liminf")[0].min(),
+        modulus_field(multiplier_symbol(psi, xg, xig), StandardBase(1), SCHED, False)[0].min(),
         0.0,
     )
     away, near = floor(shifted_wave(2.0)), floor(shifted_wave(1.0))
@@ -338,12 +378,10 @@ def test_liminf_floor_values():
 
 def test_modulus_field_generic_matches_tensor():
     f = _flagship()
-    tensor_vals, _ = modulus_field(f, StandardBase(1), SCHED, mode="limsup")
-    generic_vals, _ = modulus_field(_two_term(), StandardBase(1), SCHED, mode="limsup")
+    tensor_vals, _ = modulus_field(f, StandardBase(1), SCHED)
+    generic_vals, _ = modulus_field(_two_term(), StandardBase(1), SCHED)
     assert tensor_vals.shape == generic_vals.shape
     assert np.allclose(tensor_vals, generic_vals, atol=2e-2)
-    with pytest.raises(AsymptoticsError):
-        modulus_field(f, StandardBase(1), SCHED, mode="median")
 
 
 def test_one_scale_field_keeps_each_fiber_value():
@@ -356,10 +394,10 @@ def test_one_scale_field_keeps_each_fiber_value():
         xg, xig, [(cos_profile(2.0), constant_closure(1.0)), (const_profile(0.0), sqrt_wave())]
     )
     for base in (StandardBase(1), ThickenedComplementBase(halfline_set(0.0))):
-        for mode in ("limsup", "liminf"):
+        for maximize in (True, False):
             np.testing.assert_allclose(
-                modulus_field(two, base, sched, mode)[0],
-                modulus_field(one, base, sched, mode)[0],
+                modulus_field(two, base, sched, maximize)[0],
+                modulus_field(one, base, sched, maximize)[0],
                 rtol=1e-12,
             )
 
@@ -412,9 +450,9 @@ def test_table_symbol_field_requires_closure():
     xg = GroupGrid.torus(4)
     t = TableSymbol(xg, xg.dual(), np.arange(16.0).reshape(4, 4))
     assert t.sup_bound == 15.0
-    for mode in ("limsup", "liminf"):
+    for maximize in (True, False):
         with pytest.raises(SymbolError, match="tabulated only; off-grid evaluation undefined"):
-            modulus_field(t, StandardBase(1), SCHED, mode)
+            modulus_field(t, StandardBase(1), SCHED, maximize)
 
 
 def _counted(psi: DualClosure, sizes: list) -> DualClosure:
@@ -425,8 +463,8 @@ def _counted(psi: DualClosure, sizes: list) -> DualClosure:
     return DualClosure(fun, psi.sup_bound, psi.name)
 
 
-@pytest.mark.parametrize("mode", ["limsup", "liminf"])
-def test_field_evaluates_each_psi_once_per_sample(mode):
+@pytest.mark.parametrize("maximize", [True, False], ids=["limsup", "liminf"])
+def test_field_evaluates_each_psi_once_per_sample(maximize):
     # 128 fibers, more than one block at a scale's sample; the polish asks for at most 6 points
     xg = GroupGrid.torus(128)
     sched = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=2000)
@@ -436,7 +474,7 @@ def test_field_evaluates_each_psi_once_per_sample(mode):
         (cos_profile(0.0, 0.5, 5), _counted(shifted_wave(1.5), second)),
     ]
     f = TensorSymbol(xg, truncated_dual(xg, 16), terms)
-    modulus_field(f, StandardBase(1), sched, mode)
+    modulus_field(f, StandardBase(1), sched, maximize)
     samples = [len(pts) for _, pts in _samples(StandardBase(1), sched)]
     for sizes in (first, second):
         assert [n for n in sizes if n > 6] == samples

@@ -8,11 +8,18 @@ from corona_pdo.groups import (
     GridError,
     GroupGrid,
     assert_dual_pair,
-    pairing,
     pairing_phase,
     product_group,
     truncated_dual,
 )
+
+
+def pairing(xgrid, xigrid, x_indices, xi_indices):
+    """The character <x_i, xi_k> = exp(2*pi*i*x.xi) by index, from ``pairing_phase``."""
+    assert_dual_pair(xgrid, xigrid)
+    x = xgrid.coords[np.asarray(x_indices)]
+    xi = xigrid.coords[np.asarray(xi_indices)]
+    return np.exp(2j * np.pi * pairing_phase(xgrid, xigrid, x, xi))
 
 
 def test_cyclic_pairing_frozen_values():

@@ -262,7 +262,7 @@ def test_banded_route_matches_dense_oracle():
             sect = frequency_section(fb, shell)
             n = sect.shape[0]
             s = sla.svdvals(sect)
-            assert abs(est.sigma_top[j] - s[0]) <= 1e-9 * f.sup_bound
+            assert abs(est.fit.per_scale[j] - s[0]) <= 1e-9 * f.sup_bound
             assert _gram_close(sigma_top(frequency_section(fb, shell, banded=True)), s, 0)
             for row, z in zip(probe.sigma_min_table, [lam.real, lam]):
                 shifted = sla.svdvals(sect - z * np.eye(n))
@@ -298,7 +298,7 @@ def test_constant_multiplier_estimates_its_modulus_exactly():
     f = _multiplier(DualClosure(lambda p: np.full(len(p), 2.0 + 0j), 2.0, "const2"), sched)
     res = essential_norm_estimate(f, sched, StandardBase(1))
     assert isinstance(res, EssentialNormResult)
-    assert np.allclose(res.sigma_top, 2.0, atol=1e-9)
+    assert np.allclose(res.fit.per_scale, 2.0, atol=1e-9)
     assert abs(res.estimate - 2.0) < 1e-9
     assert res.reliable
 
@@ -310,7 +310,7 @@ def test_fast_decaying_perturbation_is_invisible():
         lambda p: 1.0 + 5.0 * np.exp(-np.linalg.norm(p, axis=1)), 6.0, "one-plus-spike"
     )
     res = essential_norm_estimate(_multiplier(psi, sched), sched, StandardBase(1))
-    assert np.allclose(res.sigma_top, 1.0, atol=1e-3)
+    assert np.allclose(res.fit.per_scale, 1.0, atol=1e-3)
     assert abs(res.estimate - 1.0) < 1e-2
 
 
@@ -318,16 +318,16 @@ def test_flagship_estimate_small_ladder():
     sched = TruncationSchedule(bands=(64, 128, 256))
     res = essential_norm_estimate(_flagship(sched), sched, StandardBase(1))
     # compressions sit under sup|f| = 3 and should already be close
-    assert all(t <= 3.0 + 1e-9 for t in res.sigma_top)
-    assert all(t >= 2.5 for t in res.sigma_top)
+    assert all(t <= 3.0 + 1e-9 for t in res.fit.per_scale)
+    assert all(t >= 2.5 for t in res.fit.per_scale)
     assert 2.4 <= res.estimate <= 3.6
 
 
 def test_compact_symbol_estimate_collapses():
     sched = TruncationSchedule(bands=(32, 64, 128))
     res = essential_norm_estimate(_multiplier(inverse_decay(), sched), sched, StandardBase(1))
-    assert res.sigma_top[0] < 0.07
-    assert res.sigma_top[-1] < res.sigma_top[0]
+    assert res.fit.per_scale[0] < 0.07
+    assert res.fit.per_scale[-1] < res.fit.per_scale[0]
     assert res.estimate <= 0.01
     assert "extrapolation clamped at 0" in res.notes
 
@@ -470,6 +470,19 @@ def test_ladder_follows_the_base_of_a_one_sided_symbol():
         assert abs(rep.estimate - value) < 1e-9 and abs(rep.rhs - value) < 1e-6
         probe = essential_spectrum_probe(f, [0.0, 1.0, 0.5], sched, base)
         assert list(probe.verdicts) == [*supported, "against"]
+
+
+def test_ladder_at_round_off_reads_reliable():
+    # along [1] the rungs of the step read 6.8e-8, 7.7e-15 and 0: a residual of
+    # 27% of the largest rung, but all of them below the sqrt(eps) resolution
+    step = DualClosure(lambda p: (1 - np.tanh(p[:, 0] / 4)) / 2, 1.0, "step")
+    sched = TruncationSchedule(bands=(64, 128, 256))
+    f = multiplier_symbol(step, *sched.grids(sched.bands[0]))
+    est, rep = gohberg_verify(f, sched, DirectionalBase([1]), ASYM)
+    assert est.reliable and not rep.unreliable and not rep.violation and rep.ratio == 1.0
+    assert "both sides below 1e-10: ratio 1 by convention" in rep.notes
+    assert max(est.fit.per_scale) < 1e-7 and est.fit.rel_residual > 0.2
+    assert any("rungs at round-off" in n for n in est.notes)  # explains the printed residual
 
 
 def test_gohberg_non_vanishing_oscillation_flags_unreliable():
