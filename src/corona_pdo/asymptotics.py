@@ -16,6 +16,15 @@ base: sups of anisotropic functions are routinely attained on measure-zero
 rays, and a fan that misses those rays under-reports the limsup no matter how
 many points it spends.
 
+A scale's sample streams: the net comes in consecutive blocks of at most
+2^15 points (``sampling._net_blocks``), in the order of the whole net, and a
+thickened or intersection base filters each block through its masks (a
+thickened one stops at the budget).  A functional sees one block at a time,
+and a scale keeps only its running extremum and its 6 best samples, the
+polish's candidate rays.  Ties go to the lower sample index: a later sample
+enters only if it is strictly better.  So a scale holds a block's worth of
+memory, whatever its budget.
+
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
 A golden-section search along the best rays, all rays at once in numpy,
 closes most of the gap for smooth integrands.  It scores a point only where
@@ -26,12 +35,13 @@ from these numbers are evidence, not proofs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sampling import MAX_RADIUS, _fan_size, _norm_ppf, _product_net, _radii_per_ray
+from .sampling import MAX_RADIUS, _fan_size, _gather, _net_blocks, _norm_ppf, _radii_per_ray
 from .sampling import _unit_rows, annulus, directions, kronecker
 from .symbols import Symbol, SymbolError, ThickenedSet
 
@@ -76,9 +86,10 @@ class FilterBase:
     """The base elements of a filter, as a fan of rays and a membership test.
 
     ``fan(k, t, seed)`` is about k unit rows, the rays sampled at scale t;
-    ``sample`` is the product net over them with radii in (t, t * span].
-    ``mask(pts, t)`` is the element at scale t: every sample lies in it, and
-    the ray polish scores no point outside it.
+    ``blocks`` streams the product net over them with radii in (t, t * span],
+    in consecutive blocks of points (``sampling._net_blocks``), and ``sample``
+    is all of it in one array.  ``mask(pts, t)`` is the element at scale t:
+    every sample lies in it, and the ray polish scores no point outside it.
     """
 
     label = "base"
@@ -87,8 +98,11 @@ class FilterBase:
     def fan(self, k: int, scale: float, seed: int) -> np.ndarray:
         raise NotImplementedError
 
+    def blocks(self, scale: float, n: int, span: float, seed: int):
+        return _net_blocks(scale, scale * span, n, seed, lambda k: self.fan(k, scale, seed))
+
     def sample(self, scale: float, n: int, span: float, seed: int) -> np.ndarray:
-        return _product_net(scale, scale * span, n, seed, lambda k: self.fan(k, scale, seed))
+        return _gather(self.blocks(scale, n, span, seed))
 
     def mask(self, pts: np.ndarray, scale: float) -> np.ndarray:
         raise NotImplementedError
@@ -166,22 +180,24 @@ class ThickenedComplementBase(FilterBase):
     def fan(self, k, scale, seed):
         return directions(k, self.dim, seed)
 
-    def sample(self, scale, n, span, seed):
-        kept, total = [], 0
-        for round_ in range(8):
-            pts = super().sample(scale, n, span, seed + 131 * round_)
-            kept.append(pts[self.mask(pts, scale)])
+    def blocks(self, scale, n, span, seed):
+        """The first n points that the mask keeps from up to 8 nets, one seed each."""
+        nets = (FilterBase.blocks(self, scale, n, span, seed + 131 * r) for r in range(8))
+        kept = total = 0
+        for pts in itertools.chain.from_iterable(nets):
             total += len(pts)
-            if sum(len(k) for k in kept) >= n:
+            inside = pts[self.mask(pts, scale)][: n - kept]
+            kept += len(inside)
+            if len(inside):
+                yield inside
+            if kept == n:
                 break
-        out = np.concatenate(kept) if kept else np.empty((0, self.dim))
-        if len(out) < max(16, n // 100):
+        if kept < max(16, n // 100):
             raise AsymptoticsError(
                 f"filter base {self.label} is (nearly) empty at scale {scale:g}: "
-                f"{len(out)} of {total} samples survive the thickening -- the "
+                f"{kept} of {total} samples survive the thickening -- the "
                 "thickened set appears to swallow every neighborhood of infinity"
             )
-        return out[:n]
 
     def mask(self, pts, scale):
         out = self.E.distance(pts) > scale
@@ -205,14 +221,18 @@ class IntersectionBase(FilterBase):
     def fan(self, k, scale, seed):
         return self.parts[0].fan(k, scale, seed)
 
-    def sample(self, scale, n, span, seed):
-        pts = self.parts[0].sample(scale, n, span, seed)
-        keep = np.ones(len(pts), dtype=bool)
-        for p in self.parts[1:]:
-            keep &= p.mask(pts, scale)
-        if keep.sum() < max(8, n // 200):
+    def blocks(self, scale, n, span, seed):
+        kept = 0
+        for pts in self.parts[0].blocks(scale, n, span, seed):
+            keep = np.ones(len(pts), dtype=bool)
+            for p in self.parts[1:]:
+                keep &= p.mask(pts, scale)
+            inside = pts[keep]
+            kept += len(inside)
+            if len(inside):
+                yield inside
+        if kept < max(8, n // 200):
             raise AsymptoticsError(f"intersection base empty at scale {scale:g}")
-        return pts[keep]
 
     def mask(self, pts, scale):
         out = np.ones(len(pts), dtype=bool)
@@ -272,24 +292,60 @@ def _polish_span(base: FilterBase, n: int, t: float, span: float) -> float:
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# candidate rays of the polish: the best samples of a scale
+_RAYS = 6
 
-def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, pts, vals, maximize) -> float:
-    """One scale's extremum of phi, which takes the values vals at the samples
-    pts, polished by golden-section search along candidate rays.
 
-    The 6 best samples each define a ray searched over [r0/q, r0*q] around
-    its radius r0 (q from ``_polish_span``) to a width of
-    max(r0 * 1e-12, 1e-12); all rays step together, one call of phi per step.
-    phi is called only at points that ``base.mask(., t)`` accepts; a point
-    outside scores as the worst value.  The best value at any evaluated point
-    of the element wins, so the result never falls behind the sampled one.
+class _Best:
+    """The running max of a stream of value blocks, and the points of its
+    _RAYS best samples.
+
+    Ties go to the lower sample index: a later sample enters only if it is
+    strictly better than the one it displaces, so a block is checked against
+    the running sixth value with one comparison.  A NaN never enters, but it
+    makes the max NaN, as ``np.max`` over the whole stream would.
     """
-    q = _polish_span(base, sched.points_per_scale, t, sched.span)
+
+    def __init__(self, dim: int):
+        self.max = -np.inf
+        self.vals = np.empty(0)  # best first, ties in sample order
+        self.rays = np.empty((0, dim))
+
+    def add(self, vals: np.ndarray, pts: np.ndarray) -> None:
+        if not len(vals):
+            return
+        self.max = float(np.maximum(self.max, np.max(vals)))
+        full = len(self.vals) == _RAYS
+        new = np.flatnonzero(vals > self.vals[-1] if full else ~np.isnan(vals))
+        if len(new) > _RAYS:  # above the _RAYS-th best value, then its first ties
+            v = vals[new]
+            kth = np.partition(v, len(v) - _RAYS)[len(v) - _RAYS]
+            above = new[v > kth]
+            new = np.concatenate([above, new[v == kth][: _RAYS - len(above)]])
+        if len(new):
+            merged = np.concatenate([self.vals, vals[new]])
+            order = np.argsort(-merged, kind="stable")[:_RAYS]
+            self.vals = merged[order]
+            self.rays = np.concatenate([self.rays, pts[new]])[order]
+
+
+def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, best, rays, maximize) -> float:
+    """One scale's extremum of phi, polished by golden-section search along
+    candidate rays.
+
+    best is the sampled extremum and rays are the points of the best samples
+    (``_Best``), both with the sign of ``maximize`` applied to phi.  Each
+    ray is searched over [r0/q, r0*q] around its radius r0 (q from
+    ``_polish_span``) to a width of max(r0 * 1e-12, 1e-12); all rays step
+    together, one call of phi per step.  phi is called only at points that
+    ``base.mask(., t)`` accepts; a point outside scores as the worst value.
+    The best value at any evaluated point of the element wins, so the result
+    never falls behind the sampled one.
+    """
     s = 1.0 if maximize else -1.0
-    sv = s * np.asarray(vals, dtype=float)
-    best = float(np.max(sv))
-    keep = sv.size - min(6, sv.size)
-    rays = pts[np.argpartition(sv, keep)[keep:]]
+    if not len(rays):  # every sample read NaN
+        return s * best
+    q = _polish_span(base, sched.points_per_scale, t, sched.span)
     radii = np.sqrt(np.add.reduce(rays * rays, axis=1))  # bit-equal to the row norm
     units = rays / radii[:, None]  # samples lie in the element, so radii > t > 0
 
@@ -319,20 +375,24 @@ def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, pts, vals, maxi
 
 
 def _samples(base: FilterBase, sched: SamplingSchedule):
-    """(scale, the base's sample points there) for each scale of the schedule,
-    one seed per scale."""
+    """(scale, the base's blocks of sample points there) for each scale of the
+    schedule, one seed per scale."""
     for k, t in enumerate(sched.scales):
-        yield t, base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
+        yield t, base.blocks(t, sched.points_per_scale, sched.span, sched.seed + 977 * k)
 
 
 def _along(phi, base: FilterBase, schedule: SamplingSchedule, maximize: bool) -> AsymptoticFit:
     """Extrapolated limsup (maximize) or liminf of the real functional phi
-    along the filter base: per scale the sampled extremum is polished along
-    its best rays, inside the base element, and the signed values are fitted."""
-    exts = [
-        _refine_ray_extremum(phi, base, schedule, t, pts, np.real(np.asarray(phi(pts))), maximize)
-        for t, pts in _samples(base, schedule)
-    ]
+    along the filter base: per scale phi runs block by block over the sample,
+    the extremum of its best samples is polished along their rays, inside the
+    base element, and the signed values are fitted."""
+    exts = []
+    for t, blocks in _samples(base, schedule):
+        best = _Best(base.dim)
+        for pts in blocks:
+            vals = np.real(np.asarray(phi(pts)))
+            best.add(vals if maximize else -vals, pts)
+        exts.append(_refine_ray_extremum(phi, base, schedule, t, best.max, best.rays, maximize))
     label, kind = ("limsup", "sup") if maximize else ("liminf", "inf")
     return AsymptoticFit.of(label, kind, schedule.scales, exts)
 
@@ -396,12 +456,13 @@ def modulus_field(
     the limsup, envelope is the fit of the limsup of max over x of
     |f(x, .)| (the Gohberg right-hand side; min of values is the lower
     bound); for the liminf it is None.  Single-term tensor symbols
-    factor exactly.  The generic path takes both from one pass over shared
-    sample points, then polishes the envelope and re-polishes the 3 fibers
-    where the min over x is attained (the sampled sup is a lower bound, so
-    the reported min over x may sit slightly low).  It evaluates each psi
-    once per point set and sums the terms in ``_blocks``.  A symbol with no
-    tensor terms (a table) has no values off the grid: SymbolError.
+    factor exactly.  The generic path takes both from one pass over each
+    scale's sample blocks, evaluating each psi once per block and summing the
+    terms in ``_blocks``.  It then polishes the envelope, and re-runs the
+    3 fibers where the min over x is attained through ``_along`` (the sampled
+    sup is a lower bound, so the reported min over x may sit slightly low).
+    A symbol with no tensor terms (a table) has no values off the grid:
+    SymbolError.
     """
     if symbol.xigrid.is_compact_kind:
         raise AsymptoticsError(
@@ -421,7 +482,6 @@ def modulus_field(
             )
         return g[x_indices] * f.value, envelope
 
-    sampled = list(_samples(base, schedule))  # a sampling error comes before a table's
     if terms is None:
         raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
     gammas = [g[x_indices] for g, _ in terms]
@@ -432,28 +492,26 @@ def modulus_field(
     def top(p):
         return np.max([v.max(axis=0) for _, v in _blocks(gammas, psi_values(p))], axis=0)
 
-    def fiber(j, on_points):
-        return next(_blocks([g[j : j + 1] for g in gammas], on_points))[1][0]
-
-    per_scale, sups, on_samples = [], [], []
-    for t, pts in sampled:
-        on_samples.append(psi_values(pts))
-        ext, env = np.empty(len(x_indices)), np.zeros(len(pts))
-        for rows, vals in _blocks(gammas, on_samples[-1]):
-            ext[rows] = vals.max(axis=1) if maximize else vals.min(axis=1)
+    per_scale, sups = [], []
+    for t, blocks in _samples(base, schedule):
+        ext = np.full(len(x_indices), -np.inf if maximize else np.inf)
+        best = _Best(base.dim)
+        for pts in blocks:
+            env = np.zeros(len(pts))
+            for rows, vals in _blocks(gammas, psi_values(pts)):
+                if maximize:
+                    np.maximum(ext[rows], vals.max(axis=1), out=ext[rows])
+                    np.maximum(env, vals.max(axis=0), out=env)
+                else:
+                    np.minimum(ext[rows], vals.min(axis=1), out=ext[rows])
             if maximize:
-                np.maximum(env, vals.max(axis=0), out=env)
+                best.add(env, pts)
         if maximize:
-            sups.append(_refine_ray_extremum(top, base, schedule, t, pts, env, True))
+            sups.append(_refine_ray_extremum(top, base, schedule, t, best.max, best.rays, True))
         per_scale.append(ext)
     values = fit_inverse_sqrt(schedule.scales, np.array(per_scale))[0]
     for j in np.argsort(values)[:3]:
-        phi = lambda p, _j=j: fiber(_j, psi_values(p))
-        exts = [
-            _refine_ray_extremum(phi, base, schedule, t, pts, fiber(j, on), maximize)
-            for (t, pts), on in zip(sampled, on_samples)
-        ]
-        values[j] = fit_inverse_sqrt(schedule.scales, exts)[0]
+        phi = lambda p, _j=j: next(_blocks([g[_j : _j + 1] for g in gammas], psi_values(p)))[1][0]
+        values[j] = _along(phi, base, schedule, maximize).value
     envelope = AsymptoticFit.of("maxform", "sup", schedule.scales, sups) if maximize else None
     return values, envelope
-

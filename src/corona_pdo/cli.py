@@ -273,7 +273,8 @@ _FIELDS = {
     "symbol": _SYMBOL,
     "base": (_BASE, "standard"),
     "schedule": (_map({"bands": _list(_num(int, 4)), "oversampling": _num(int, 2)}), {}),
-    "asym": (_map({"scales": _list(_POS, 1), "points_per_scale": _num(int, 16),
+    # 10^8 points a scale stream in seconds a scale; far past it a run would take hours
+    "asym": (_map({"scales": _list(_POS, 1), "points_per_scale": _num(int, 16, 10**8),
                    "span": _num(lo=1, strict=True)}), {}),
     "lambdas": _list(_complex),
     "tolerances": (_map({  # the spectral ones default in the spectral signatures
@@ -436,9 +437,12 @@ def _task_fourier_selftest(cfg: ExperimentConfig):
     dense = xg.is_finite_kind and n <= 2048  # the DFT-matrix check reads values after F
     v = fourier(values, xg, xig, overwrite=not dense)
     plancherel = abs(nu**2 - xig.norm(v) ** 2) / nu**2
-    if dense:
-        F = transform_matrix(xg, xig)
-        gap = np.linalg.norm(F @ values - v) / np.linalg.norm(v)
+    if dense:  # F @ values in blocks of 2 MB of rows of F, never the whole matrix
+        step = max((1 << 17) // n, 1)
+        Fv = np.empty(n, dtype=complex)
+        for s in range(0, n, step):
+            Fv[s : s + step] = transform_matrix(xg, xig, slice(s, s + step)) @ values
+        gap = np.linalg.norm(Fv - v) / np.linalg.norm(v)
     del values  # overwritten by the transform unless dense
     w = inverse_fourier(v, xig, xg, overwrite=True)
     # subtract the same draw again, one part at a time: no second complex vector

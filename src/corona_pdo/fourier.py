@@ -101,28 +101,33 @@ def inverse_fourier(values, grid: GroupGrid, out_grid=None, axis=0, overwrite=Fa
     return _transform(values, grid, out, axis, forward=False, overwrite=overwrite)
 
 
-def _character_table(rows: GroupGrid, cols: GroupGrid, xgrid: GroupGrid, turn, weight) -> np.ndarray:
-    """weight * exp(turn * pairing phase) on rows x cols.  The phase is summed
-    factor by factor in place, rounding as ``pairing_phase`` does up to 7
-    factors, without its (rows, cols, ndim) temporary."""
-    d = xgrid.ndim
-    z = np.zeros(rows.shape + cols.shape, dtype=complex)
+def _character_table(
+    rows: GroupGrid, cols: GroupGrid, xgrid: GroupGrid, turn, weight, block=slice(None)
+) -> np.ndarray:
+    """weight * exp(turn * pairing phase) on the rows ``block`` (a slice of the
+    flat indices of ``rows``) x cols.  The phase is summed factor by factor in
+    place, rounding as ``pairing_phase`` does up to 7 factors, without its
+    (rows, cols, ndim) temporary."""
+    labels = np.unravel_index(np.arange(rows.size)[block], rows.shape)
+    m, d = len(labels[0]), xgrid.ndim
+    z = np.zeros((m,) + cols.shape, dtype=complex)
     for k, (fr, fc, fx) in enumerate(zip(rows.factors, cols.factors, xgrid.factors)):
-        part = np.multiply.outer(fr.points, fc.points)
+        part = np.multiply.outer(fr.points[labels[k]], fc.points)
         part *= fx.phase_scale
-        shape = [1] * (2 * d)
-        shape[k], shape[d + k] = fr.n, fc.n
+        shape = [1] * (1 + d)
+        shape[0], shape[1 + k] = m, fc.n
         z.real += part.reshape(shape)
     z *= turn
     np.exp(z, out=z)
     z *= weight
-    return z.reshape(rows.size, cols.size)
+    return z.reshape(m, cols.size)
 
 
-def transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid) -> np.ndarray:
-    """Dense analysis matrix F with F[k, j] = w_j * conj(<x_j, xi_k>)."""
+def transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid, rows=slice(None)) -> np.ndarray:
+    """Dense analysis matrix F with F[k, j] = w_j * conj(<x_j, xi_k>), or its
+    rows ``rows`` (a slice)."""
     assert_dual_pair(xgrid, xigrid)
-    return _character_table(xigrid, xgrid, xgrid, -2j * np.pi, xgrid.weight_per_point)
+    return _character_table(xigrid, xgrid, xgrid, -2j * np.pi, xgrid.weight_per_point, rows)
 
 
 def inverse_transform_matrix(xgrid: GroupGrid, xigrid: GroupGrid) -> np.ndarray:

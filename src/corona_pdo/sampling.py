@@ -4,7 +4,8 @@ Everything here is a pure function of (seed, sizes): additive Kronecker
 sequences rather than pseudo-random draws, so repeated runs are bit-stable
 and sups estimated on these nets are reproducible.  Every tail sample is a
 product net: a fan of unit rows times log radii along each ray (``annulus``
-over ``directions``, or a filter base's own fan).  Direction sets always
+over ``directions``, or a filter base's own fan), streamed in blocks of whole
+rays or of runs of radii on one ray (``_net_blocks``).  Direction sets always
 include the coordinate axes; sups of anisotropic functions (decay along a
 hyperplane, say) are attained on measure-zero direction sets that uniform
 sampling would miss.
@@ -24,11 +25,12 @@ MAX_RADIUS = 1e12
 _ALPHAS = np.sqrt(np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0]))
 
 
-def kronecker(n: int, dim: int, seed: int = 0) -> np.ndarray:
-    """(n, dim) points of an additive-recurrence sequence in [0,1)^dim."""
+def kronecker(n: int, dim: int, seed: int = 0, start: int = 0) -> np.ndarray:
+    """(n, dim) points of an additive-recurrence sequence in [0,1)^dim: its
+    points start + 1 .. start + n, each a function of its own index alone."""
     if dim > len(_ALPHAS):
         raise ValueError(f"kronecker supports dim <= {len(_ALPHAS)}")
-    k = np.arange(1, n + 1, dtype=float)[:, None] + float(seed % (1 << 20))
+    k = np.arange(start + 1, start + n + 1, dtype=float)[:, None] + float(seed % (1 << 20))
     x = k * _ALPHAS[None, :dim]
     # x > 0, where x - floor(x) is x % 1.0 bit for bit at a third of the cost; the
     # result takes the third buffer, as x % 1.0 did, so the heap peaks as before
@@ -36,11 +38,12 @@ def kronecker(n: int, dim: int, seed: int = 0) -> np.ndarray:
     return np.subtract(x, frac, out=frac)
 
 
-def log_radii(lo: float, hi: float, n: int, seed: int = 0) -> np.ndarray:
-    """n quasi-uniform radii on a log scale in (lo, hi]."""
+def log_radii(lo: float, hi: float, n: int, seed: int = 0, start: int = 0) -> np.ndarray:
+    """n quasi-uniform radii on a log scale in (lo, hi]: the radii start ..
+    start + n - 1 of the sequence, so that a run of it can be drawn alone."""
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    u = kronecker(n, 1, seed)[:, 0]  # in place: a tail sample's temporaries are its peak
+    u = kronecker(n, 1, seed, start)[:, 0]  # in place: a tail sample's temporaries are its peak
     u *= math.log(hi / lo)
     return np.multiply(np.exp(u, out=u), lo, out=u)
 
@@ -74,7 +77,7 @@ def directions(n: int, dim: int, seed: int = 0, extra=None) -> np.ndarray:
 
 def annulus(lo: float, hi: float, dim: int, n: int, seed: int = 0) -> np.ndarray:
     """About n points with radius in (lo, hi]: radii x directions product net."""
-    return _product_net(lo, hi, n, seed, lambda k: directions(k, dim, seed))
+    return _gather(_net_blocks(lo, hi, n, seed, lambda k: directions(k, dim, seed)))
 
 
 # -- the product-net rule the filter bases share; private, so that a tracer wrapping
@@ -86,17 +89,47 @@ def _fan_size(n: int) -> int:
     return max(int(math.sqrt(n)), 8)
 
 
-def _product_net(lo: float, hi: float, n: int, seed: int, fan) -> np.ndarray:
-    """Radii x directions net of about n points with radius in (lo, hi]: the unit
-    rows fan(_fan_size(n)) times _radii_per_ray log radii.  The radii are drawn at
-    seed + 7 when the rows have two or more columns, away from the fan's fill;
-    a 1-d fan has no fill, and its radii are drawn at seed."""
+# points in one block of a streamed net (256 KB a coordinate): a block and the
+# temporaries of a functional on it stay in cache
+_BLOCK = 1 << 15
+
+
+def _net_blocks(lo: float, hi: float, n: int, seed: int, fan):
+    """Radii x directions net of about n points with radius in (lo, hi], as
+    consecutive blocks of at most _BLOCK points: the unit rows fan(_fan_size(n))
+    times _radii_per_ray log radii, ray by ray.  The radii are drawn at seed + 7
+    when the rows have two or more columns, away from the fan's fill; a 1-d fan
+    has no fill, and its radii are drawn at seed.  A block holds whole rays, or
+    a run of radii on one ray, whose radii are drawn for that run alone.  Every
+    block is written into the same buffer, so a yielded block is overwritten by
+    the next one."""
     dirs = fan(_fan_size(n))
-    r = log_radii(lo, hi, _radii_per_ray(n, len(dirs)), seed + (7 if dirs.shape[1] > 1 else 0))
-    net = np.empty((len(dirs), len(r), dirs.shape[1]))  # (ray, radius, coordinate)
-    for j in range(dirs.shape[1]):
-        np.multiply.outer(dirs[:, j], r, out=net[:, :, j])
-    return net.reshape(-1, dirs.shape[1])
+    rays, dim = dirs.shape
+    per_ray = _radii_per_ray(n, rays)
+    seed += 7 if dim > 1 else 0
+    if per_ray >= _BLOCK:
+        buf = np.empty((_BLOCK, dim))
+        for d in dirs:
+            for s in range(0, per_ray, _BLOCK):
+                r = log_radii(lo, hi, min(_BLOCK, per_ray - s), seed, s)
+                block = buf[: len(r)]
+                for j in range(dim):
+                    np.multiply(d[j], r, out=block[:, j])
+                yield block
+        return
+    r = log_radii(lo, hi, per_ray, seed)
+    step = _BLOCK // per_ray
+    buf = np.empty((step, per_ray, dim))  # (ray, radius, coordinate)
+    for s in range(0, rays, step):
+        block = buf[: min(step, rays - s)]
+        for j in range(dim):
+            np.multiply.outer(dirs[s : s + len(block), j], r, out=block[:, :, j])
+        yield block.reshape(-1, dim)
+
+
+def _gather(blocks) -> np.ndarray:
+    """The points of a stream of blocks in one array."""
+    return np.concatenate([b.copy() for b in blocks])
 
 
 def _radii_per_ray(n: int, rays: int) -> int:

@@ -10,11 +10,12 @@ Oracles:
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from corona_pdo import asymptotics
+from corona_pdo import asymptotics, sampling
 from corona_pdo.asymptotics import (
     AsymptoticsError,
     DirectionalBase,
@@ -31,7 +32,7 @@ from corona_pdo.asymptotics import (
     modulus_field,
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
-from corona_pdo.sampling import _fan_size, _radii_per_ray, annulus
+from corona_pdo.sampling import _fan_size, _radii_per_ray, annulus, log_radii
 from corona_pdo.symbols import (
     DualClosure,
     SymbolError,
@@ -303,6 +304,101 @@ def test_net_and_bracket_read_one_fan(base, n):
     assert _polish_span(base, n, t, span) == min(max(span ** (4 / per_ray), 1.001), span)
 
 
+# -- the block stream --
+
+
+def _whole_net(t, span, n, seed, base):
+    """The product net in one array, as the bases drew it before they streamed."""
+    dirs = base.fan(_fan_size(n), t, seed)
+    r = log_radii(t, t * span, _radii_per_ray(n, len(dirs)), seed + (7 if base.dim > 1 else 0))
+    return (r[None, :, None] * dirs[:, None, :]).reshape(-1, base.dim)
+
+
+def _whole_sample(base, t, n, span, seed):
+    """The sample in one array: rejection over whole nets, as before the stream."""
+    if isinstance(base, ThickenedComplementBase):
+        kept = []
+        for round_ in range(8):
+            pts = _whole_net(t, span, n, seed + 131 * round_, base)
+            kept.append(pts[base.mask(pts, t)])
+            if sum(len(k) for k in kept) >= n:
+                break
+        return np.concatenate(kept)[:n]
+    if isinstance(base, IntersectionBase):
+        pts = _whole_sample(base.parts[0], t, n, span, seed)
+        return pts[np.all([p.mask(pts, t) for p in base.parts[1:]], axis=0)]
+    return _whole_net(t, span, n, seed, base)
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        StandardBase(1),  # two rays of 50,000 radii: each ray in runs
+        StandardBase(2),  # 316 rays of 316 radii: 103 whole rays a block
+        StandardBase(3, extra_directions=[[1.0, 1.0, 0.0]]),
+        DirectionalBase([1.0]),
+        DirectionalBase([1.0, 2.0]),
+        # (-inf, 50] rejects the radii up to 150: the third net's first block crosses n
+        ThickenedComplementBase(halfline_set(50.0)),
+        IntersectionBase(StandardBase(1), DirectionalBase([1.0])),
+    ],
+    ids=["standard-1d", "standard-2d", "standard-3d-extra", "directional-1d", "directional-2d",
+         "ethick-halfline", "standard-and-directional"],
+)
+def test_blocks_are_the_whole_sample(base):
+    t, n, span, seed = 100.0, 100_000, 10.0, 977
+    blocks = [b.copy() for b in base.blocks(t, n, span, seed)]
+    assert len(blocks) > 1 and max(len(b) for b in blocks) <= sampling._BLOCK
+    whole = _whole_sample(base, t, n, span, seed)
+    assert np.array_equal(np.concatenate(blocks), whole)
+    assert np.array_equal(base.sample(t, n, span, seed), whole)
+    if isinstance(base, ThickenedComplementBase):
+        assert len(whole) == n
+        first = next(asymptotics.FilterBase.blocks(base, t, n, span, seed + 131 * 2))
+        assert 0 < len(blocks[-1]) < np.count_nonzero(base.mask(first, t))
+
+
+def _stable_best(vals, k=6):
+    """Indices of the k largest non-NaN values, ties to the lower index: a stable sort."""
+    idx = np.flatnonzero(~np.isnan(vals))
+    return idx[np.argsort(-vals[idx], kind="stable")][:k]
+
+
+@pytest.mark.parametrize("data", ["ties", "floats", "all-equal", "nan"])
+def test_best_samples_match_a_stable_sort(data):
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        m = int(rng.integers(1, 3000))
+        vals = {
+            "ties": lambda: rng.integers(0, 4, m).astype(float),  # every sixth value is tied
+            "floats": lambda: np.round(rng.standard_normal(m), 2),
+            "all-equal": lambda: np.full(m, -0.5),
+            "nan": lambda: np.where(rng.random(m) < 0.5, np.nan, rng.integers(0, 3, m)),
+        }[data]()
+        pts = np.arange(m, dtype=float)[:, None]  # a sample's point is its index
+        best = asymptotics._Best(1)
+        cuts = np.sort(rng.integers(0, m, int(rng.integers(0, 12))))
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m]):
+            best.add(vals[lo:hi], pts[lo:hi])
+        assert np.array_equal(best.rays[:, 0], _stable_best(vals))
+        assert np.array_equal(best.max, np.max(vals), equal_nan=True)
+
+
+def test_limsup_streams_in_a_few_megabytes():
+    # 10^6 points a scale: the whole 1-d net alone would hold 8 MB
+    sched = SamplingSchedule(scales=(1e2, 1e3), points_per_scale=10**6)
+    phi = lambda p: np.abs(np.sin(np.sqrt(np.abs(p[:, 0]))))
+    limsup_along(phi, StandardBase(1), sched)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        fit = limsup_along(phi, StandardBase(1), sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(fit.per_scale > 1 - 1e-9)
+    assert peak < 4 * 2**20
+
+
 def test_intersection_with_thickening_polishes():
     psi = sqrt_wave()
     phi = lambda p: np.abs(psi(p))
@@ -464,8 +560,11 @@ def _counted(psi: DualClosure, sizes: list) -> DualClosure:
 
 
 @pytest.mark.parametrize("maximize", [True, False], ids=["limsup", "liminf"])
-def test_field_evaluates_each_psi_once_per_sample(maximize):
-    # 128 fibers, more than one block at a scale's sample; the polish asks for at most 6 points
+def test_field_evaluates_each_psi_once_per_block(monkeypatch, maximize):
+    # 128 fibers, more than one fiber block at a sample block; 4 sample blocks a scale.
+    # The field pass and the re-polish of each of the 3 lowest fibers read every
+    # sample block once; the polish asks for at most 6 points
+    monkeypatch.setattr(sampling, "_BLOCK", 512)
     xg = GroupGrid.torus(128)
     sched = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=2000)
     first, second = [], []
@@ -475,6 +574,7 @@ def test_field_evaluates_each_psi_once_per_sample(maximize):
     ]
     f = TensorSymbol(xg, truncated_dual(xg, 16), terms)
     modulus_field(f, StandardBase(1), sched, maximize)
-    samples = [len(pts) for _, pts in _samples(StandardBase(1), sched)]
+    blocks = [len(pts) for _, scale in _samples(StandardBase(1), sched) for pts in scale]
+    assert blocks == [512, 488, 512, 488] * 3
     for sizes in (first, second):
-        assert [n for n in sizes if n > 6] == samples
+        assert [n for n in sizes if n > 6] == blocks * 4

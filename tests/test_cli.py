@@ -171,6 +171,16 @@ def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
     assert err.startswith("[error] ") and err.count("\n") == 1
 
 
+def test_points_per_scale_bound_is_named(tmp_path, capsys):
+    # the sampler streams, so nothing would run out of memory: the table refuses the budget
+    doc = {"schema": 1, "task": "asymptotics", "psi": "vo:sqrt"}
+    doc["asym"] = {"points_per_scale": 10**12}
+    assert _run(tmp_path, doc)[:2] == (1, None)
+    err = capsys.readouterr().err
+    assert "expected an integer in [16, 100000000], got 1000000000000" in err
+    assert err.count("\n") == 1
+
+
 # one valid document per task; the fuzz below mutates them
 VALID_DOCS = [
     {

@@ -262,6 +262,8 @@ def test_dense_matrices_equal_pairing_phase_formula(xg, xi):
     F, G = _pairing_phase_matrices(xg, xi)
     assert np.array_equal(transform_matrix(xg, xi), F)
     assert np.array_equal(inverse_transform_matrix(xg, xi), G)
+    for rows in (slice(0, 5), slice(5, xi.size - 1), slice(xi.size - 1, xi.size + 4)):
+        assert np.array_equal(transform_matrix(xg, xi, rows), F[rows])  # rows across factors
 
 
 def test_phase_function_hs_norm():

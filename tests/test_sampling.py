@@ -5,8 +5,9 @@ import pytest
 
 from corona_pdo.sampling import (
     _ALPHAS,
+    _gather,
+    _net_blocks,
     _norm_ppf,
-    _product_net,
     _radii_per_ray,
     annulus,
     directions,
@@ -84,4 +85,4 @@ def test_kernels_are_bit_equal_to_their_reference_forms():
         dirs = directions(40, dim, seed=1)
         r = log_radii(10.0, 1e4, _radii_per_ray(1600, len(dirs)), 2 + (7 if dim > 1 else 0))
         want = (r[None, :, None] * dirs[:, None, :]).reshape(-1, dim)
-        assert np.array_equal(_product_net(10.0, 1e4, 1600, 2, lambda k: dirs), want)
+        assert np.array_equal(_gather(_net_blocks(10.0, 1e4, 1600, 2, lambda k: dirs)), want)

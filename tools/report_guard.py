@@ -192,6 +192,10 @@ CONFIGS.update({
         "asym": {"scales": [100, 200], "points_per_scale": 300, "span": 4},
     },
     "examples:cesaro/default": {"task": "examples:cesaro"},
+    # 10^5 points a scale stream in several blocks: the 1-d standard and thickened
+    # samples in runs of radii, the 2-d standard and directional ones in whole rays
+    "examples:stoskan/blocks": {"task": "examples:stoskan", "asym": {"points_per_scale": 100000}},
+    "examples:rradial/blocks": {"task": "examples:rradial", "asym": {"points_per_scale": 100000}},
     # two terms reach the generic (non-factorized) at-infinity pass
     "gohberg/two-term": {"task": "gohberg", "symbol": TWO_TERM, **LADDER},
     "gohberg/two-term+ethick": {  # the generic pass polished inside a thickened complement
