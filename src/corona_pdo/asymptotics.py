@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sampling import MAX_RADIUS, _fan_size, _gather, _net_blocks, _norm_ppf, _radii_per_ray
-from .sampling import _unit_rows, annulus, directions, kronecker
+from .sampling import MAX_RADIUS, _fan_size, _net_blocks, _norm_ppf, _radii_per_ray
+from .sampling import _unit_rows, directions, kronecker
 from .symbols import Symbol, SymbolError, ThickenedSet
 
 
@@ -87,9 +87,10 @@ class FilterBase:
 
     ``fan(k, t, seed)`` is about k unit rows, the rays sampled at scale t;
     ``blocks`` streams the product net over them with radii in (t, t * span],
-    in consecutive blocks of points (``sampling._net_blocks``), and ``sample``
-    is all of it in one array.  ``mask(pts, t)`` is the element at scale t:
-    every sample lies in it, and the ray polish scores no point outside it.
+    in consecutive blocks of points (``sampling._net_blocks``).  It is the only
+    sampler: a caller reads each block before it asks for the next.
+    ``mask(pts, t)`` is the element at scale t: every sample lies in it, and
+    the ray polish scores no point outside it.
     """
 
     label = "base"
@@ -100,9 +101,6 @@ class FilterBase:
 
     def blocks(self, scale: float, n: int, span: float, seed: int):
         return _net_blocks(scale, scale * span, n, seed, lambda k: self.fan(k, scale, seed))
-
-    def sample(self, scale: float, n: int, span: float, seed: int) -> np.ndarray:
-        return _gather(self.blocks(scale, n, span, seed))
 
     def mask(self, pts: np.ndarray, scale: float) -> np.ndarray:
         raise NotImplementedError
@@ -169,7 +167,8 @@ class ThickenedComplementBase(FilterBase):
     def __init__(self, E: ThickenedSet):
         # a set whose unit thickening covers a probe annulus (say the whole dual)
         # leaves no neighborhood of infinity at any scale
-        if not np.any(E.distance(annulus(10.0, 100.0, E.dim, 512, seed=3)) > 1.0):
+        probe = StandardBase(E.dim).blocks(10.0, 512, 10.0, 3)
+        if not any(np.any(E.distance(pts) > 1.0) for pts in probe):
             raise AsymptoticsError(
                 f"thickened set {E.label!r} is degenerate: unit thickening covers the probe annulus"
             )
@@ -354,7 +353,7 @@ def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, best, rays, max
         inside = base.mask(x, t)
         out = np.full(len(r), -np.inf)
         if inside.any():
-            out[inside] = s * np.real(np.asarray(phi(x[inside])))
+            out[inside] = s * phi(x[inside])
         return out
 
     lo, hi = radii / q, radii * q
@@ -390,7 +389,7 @@ def _along(phi, base: FilterBase, schedule: SamplingSchedule, maximize: bool) ->
     for t, blocks in _samples(base, schedule):
         best = _Best(base.dim)
         for pts in blocks:
-            vals = np.real(np.asarray(phi(pts)))
+            vals = phi(pts)
             best.add(vals if maximize else -vals, pts)
         exts.append(_refine_ray_extremum(phi, base, schedule, t, best.max, best.rays, maximize))
     label, kind = ("limsup", "sup") if maximize else ("liminf", "inf")
@@ -486,8 +485,8 @@ def modulus_field(
         raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
     gammas = [g[x_indices] for g, _ in terms]
 
-    def psi_values(p):  # each psi once per point set; the blocks share the values
-        return [psi(p) for _, psi in terms]
+    def psi_values(p):  # each psi once per point set, cast once: the blocks share the values
+        return [psi(p).astype(complex, copy=False) for _, psi in terms]
 
     def top(p):
         return np.max([v.max(axis=0) for _, v in _blocks(gammas, psi_values(p))], axis=0)

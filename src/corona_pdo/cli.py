@@ -4,11 +4,11 @@ Every invocation runs a single task from an ExperimentConfig document and
 writes ``report.json`` plus task-specific CSV tables into the output
 directory.  Exit codes: 0 on success (advisory UNRELIABLE flags print a
 warning but do not fail the run), 1 on usage or config errors, on a
-report that would hold a NaN or an infinity (no file is then written) and on
-an array that does not fit in memory, 2 when a
-computed contract violation is present in the report — the distance-identity
-ratio leaving its acceptance band, and nothing else, is what "violation"
-means here.
+report that would hold a NaN or an infinity (no file is then written), on
+an array that does not fit in memory and on an output directory or file
+that cannot be written, 2 when a computed contract violation is present in
+the report — the distance-identity ratio leaving its acceptance band, and
+nothing else, is what "violation" means here.
 
 Reports are deterministic for a fixed seed: rerunning the same config
 produces byte-identical JSON except for the ``meta.timestamp`` field.
@@ -59,7 +59,6 @@ from .spectral import (
 )
 from .symbols import (
     VO_RADII,
-    DualClosure,
     SymbolError,
     TensorSymbol,
     cesaro_mean,
@@ -625,19 +624,14 @@ def _task_asymptotics(cfg: ExperimentConfig):
 def _example_stoskan(cfg: ExperimentConfig):
     """one-sided ideal on R: vanishing at +inf only, plus a slow-wave oscillation certificate"""
     asym = cfg.sampling_schedule()
-    phi = DualClosure(
-        lambda p: np.exp(-np.maximum(p[:, 0], 0.0)).astype(complex),
-        1.0,
-        "exp(-max(xi,0))",
-    )
-    mod = lambda p: np.abs(phi(p))
+    mod = lambda p: np.exp(-np.maximum(p[:, 0], 0.0))  # positive: its own modulus
     std = limsup_along(mod, StandardBase(1), asym)
     one_sided = limsup_along(mod, ThickenedComplementBase(halfline_set(0.0)), asym)
     # slow wave sin(sqrt|xi|): the beta' -> 0 membership certificate
     prof = vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII, seed=cfg.seed)
     results = {
         "preset": "stoskan",
-        "function": phi.name,
+        "function": "exp(-max(xi,0))",
         "standard_limsup": std,
         "onesided_limsup": one_sided,
         "slow_wave_oscillation": prof,
@@ -854,15 +848,18 @@ def _run(cfg: ExperimentConfig) -> int:
         cause = f" (first numpy warning: {numpy_warnings[0]})" if numpy_warnings else ""
         raise CliError(f"{cfg.task}: the report would hold a NaN or an infinity{cause}") from None
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, side in side_files.items():
-        if callable(side):
-            side(out / name)
-        else:
-            _write_csv(out / name, *side)
-        print(f"[write] {out / name}")
-    report_path = out / "report.json"
-    report_path.write_text(text + "\n")
+    try:  # an output directory that is a file, or lies under one, is a config error
+        out.mkdir(parents=True, exist_ok=True)
+        for name, side in side_files.items():
+            if callable(side):
+                side(out / name)
+            else:
+                _write_csv(out / name, *side)
+            print(f"[write] {out / name}")
+        report_path = out / "report.json"
+        report_path.write_text(text + "\n")
+    except OSError as e:
+        raise CliError(f"cannot write output: {e}") from None
     print(f"[write] {report_path}")
     for w in flags["warnings"] + [f"numpy: {w}" for w in numpy_warnings]:
         print(f"[warn] {w}", file=sys.stderr)

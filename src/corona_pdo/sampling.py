@@ -3,9 +3,12 @@
 Everything here is a pure function of (seed, sizes): additive Kronecker
 sequences rather than pseudo-random draws, so repeated runs are bit-stable
 and sups estimated on these nets are reproducible.  Every tail sample is a
-product net: a fan of unit rows times log radii along each ray (``annulus``
-over ``directions``, or a filter base's own fan), streamed in blocks of whole
-rays or of runs of radii on one ray (``_net_blocks``).  Direction sets always
+product net: a fan of unit rows times log radii along each ray, streamed in
+blocks of whole rays or of runs of radii on one ray (``_net_blocks``).  That
+stream is the one sampler: a filter base reads it over its own fan
+(``FilterBase.blocks``), the oscillation test over ``directions``, and no
+sample is ever gathered into one array.  A closure evaluated on a block
+returns its formula's dtype (``symbols.DualClosure``).  Direction sets always
 include the coordinate axes; sups of anisotropic functions (decay along a
 hyperplane, say) are attained on measure-zero direction sets that uniform
 sampling would miss.
@@ -75,11 +78,6 @@ def directions(n: int, dim: int, seed: int = 0, extra=None) -> np.ndarray:
     return np.concatenate([fixed, fill], axis=0)
 
 
-def annulus(lo: float, hi: float, dim: int, n: int, seed: int = 0) -> np.ndarray:
-    """About n points with radius in (lo, hi]: radii x directions product net."""
-    return _gather(_net_blocks(lo, hi, n, seed, lambda k: directions(k, dim, seed)))
-
-
 # -- the product-net rule the filter bases share; private, so that a tracer wrapping
 # the public names here counts only the points that leave this module
 
@@ -125,11 +123,6 @@ def _net_blocks(lo: float, hi: float, n: int, seed: int, fan):
         for j in range(dim):
             np.multiply.outer(dirs[s : s + len(block), j], r, out=block[:, :, j])
         yield block.reshape(-1, dim)
-
-
-def _gather(blocks) -> np.ndarray:
-    """The points of a stream of blocks in one array."""
-    return np.concatenate([b.copy() for b in blocks])
 
 
 def _radii_per_ray(n: int, rays: int) -> int:

@@ -32,7 +32,7 @@ from corona_pdo.asymptotics import (
     modulus_field,
 )
 from corona_pdo.groups import GroupGrid, truncated_dual
-from corona_pdo.sampling import _fan_size, _radii_per_ray, annulus, log_radii
+from corona_pdo.sampling import _fan_size, _radii_per_ray, log_radii
 from corona_pdo.symbols import (
     DualClosure,
     SymbolError,
@@ -67,6 +67,11 @@ def _two_term():
     f = _flagship()
     half = (cos_profile(1.0, 0.5), sqrt_wave())
     return TensorSymbol(f.xgrid, f.xigrid, [half, half])
+
+
+def _gather(blocks):
+    """A stream of sample blocks in one array (each block is a reused buffer)."""
+    return np.concatenate([b.copy() for b in blocks])
 
 
 # -- fits and schedules --
@@ -207,13 +212,13 @@ def test_ethick_empty_raises():
     wide = ThickenedSet(lambda p: np.linalg.norm(p, axis=1) / 20, 1, "wide")
     base = ThickenedComplementBase(wide)
     with pytest.raises(AsymptoticsError, match="empty"):
-        base.sample(100.0, 1000, 10.0, 0)
+        list(base.blocks(100.0, 1000, 10.0, 0))
 
 
 def test_ethick_mask_is_both_tests():
     # the radius is tested only where the distance passes: E = (-inf, -50] passes (50, 100]
     for E in (halfline_set(3.0), halfline_set(-50.0), parabola_graph()):
-        pts = annulus(30.0, 1e3, E.dim, 4000, seed=2)
+        pts = _gather(StandardBase(E.dim).blocks(30.0, 4000, 1e3 / 30.0, 2))
         want = (np.linalg.norm(pts, axis=1) > 100.0) & (E.distance(pts) > 100.0)
         assert np.array_equal(ThickenedComplementBase(E).mask(pts, 100.0), want)
 
@@ -229,7 +234,7 @@ def test_ethick_parabola_kills_distance_decay():
 
 def test_intersection_base_masks_and_guards():
     base = IntersectionBase(StandardBase(1), DirectionalBase([1.0]))
-    pts = base.sample(100.0, 2000, 10.0, 0)
+    pts = _gather(base.blocks(100.0, 2000, 10.0, 0))
     assert np.all(pts[:, 0] > 0)
     with pytest.raises(AsymptoticsError):
         IntersectionBase()
@@ -240,17 +245,14 @@ def test_intersection_base_masks_and_guards():
 def test_intersection_of_disjoint_cones_is_empty():
     b = IntersectionBase(DirectionalBase([1.0, 0.0]), DirectionalBase([-1.0, 0.0]))
     with pytest.raises(AsymptoticsError):
-        b.sample(100.0, 2000, 10.0, 0)
+        list(b.blocks(100.0, 2000, 10.0, 0))
 
 
 # -- ray polish --
 
 
 def _sampled_maxima(phi, base, sched):
-    return [
-        float(np.max(phi(base.sample(t, sched.points_per_scale, sched.span, sched.seed + 977 * k))))
-        for k, t in enumerate(sched.scales)
-    ]
+    return [float(np.max(phi(_gather(blocks)))) for _, blocks in _samples(base, sched)]
 
 
 @pytest.mark.parametrize(
@@ -297,7 +299,7 @@ def test_net_and_bracket_read_one_fan(base, n):
     t, span = 100.0, 10.0
     rays = len(base.fan(_fan_size(n), t, 3))
     per_ray = _radii_per_ray(n, rays)
-    pts = base.sample(t, n, span, 3)
+    pts = _gather(base.blocks(t, n, span, 3))
     assert np.all(base.mask(pts, t))
     if isinstance(base, (StandardBase, DirectionalBase)):  # no rejection: a pure net
         assert len(pts) == rays * per_ray
@@ -351,7 +353,6 @@ def test_blocks_are_the_whole_sample(base):
     assert len(blocks) > 1 and max(len(b) for b in blocks) <= sampling._BLOCK
     whole = _whole_sample(base, t, n, span, seed)
     assert np.array_equal(np.concatenate(blocks), whole)
-    assert np.array_equal(base.sample(t, n, span, seed), whole)
     if isinstance(base, ThickenedComplementBase):
         assert len(whole) == n
         first = next(asymptotics.FilterBase.blocks(base, t, n, span, seed + 131 * 2))

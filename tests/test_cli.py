@@ -487,6 +487,30 @@ def test_fourier_selftest_band_below_nyquist_is_a_config_error(tmp_path, capsys,
         assert report["results"]["plancherel_defect"] <= 1e-12 and err == []
 
 
+@pytest.mark.parametrize(
+    "where, cause",
+    [
+        ("taken", "File exists"),  # out_dir is an existing file
+        ("taken/out", "Not a directory"),  # --out lies under a file
+        ("out", "Is a directory"),  # out/report.json is a directory
+    ],
+)
+def test_unwritable_output_is_one_error_line(tmp_path, capsys, where, cause):
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    target = str(tmp_path / where)
+    doc = {"schema": 1, "task": "fourier-selftest", "group": {"kind": "finite_cyclic", "n": 8}}
+    if where == "taken":  # the config key, not the flag
+        doc["out_dir"] = target
+        argv = ["run", "--config", _write(tmp_path, doc)]
+    else:
+        argv = ["run", "--config", _write(tmp_path, doc), "--out", target]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("[error] cannot write output: ")
+    assert cause in err[0]
+
+
 def test_fourier_selftest_holds_one_vector(capsys):
     # tracemalloc sees numpy's arrays but not pocketfft's C++ scratch, so the bound is
     # platform-free: one 16 MB complex vector at n = 2^20 plus one float draw, where

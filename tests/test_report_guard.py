@@ -136,3 +136,15 @@ def test_failed_run_compares_its_error_line(one_config):
     assert found[0] == "task: stderr differs"
     assert "    -[error] symbol is tabulated only; off-grid evaluation undefined" in found
     assert guard.diff(old, new, atol=1.0)[0] == "task: stderr differs"
+
+
+def test_a_traceback_is_reported_even_when_both_trees_agree(one_config):
+    trace = b"Traceback (most recent call last):\nFileExistsError: [Errno 17] File exists\n"
+    run = {"task": {"exit code": b"1", "stderr": trace}}
+    assert guard.diff(run, run) == [
+        "task: the old tree printed a traceback",
+        "task: the new tree printed a traceback",
+    ]
+    fixed = {"task": {"exit code": b"1", "stderr": b"[error] cannot write output: ...\n"}}
+    assert guard.diff(fixed, run, atol=1.0)[-1] == "task: the new tree printed a traceback"
+    assert guard.diff(fixed, dict(fixed)) == []

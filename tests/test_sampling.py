@@ -5,15 +5,18 @@ import pytest
 
 from corona_pdo.sampling import (
     _ALPHAS,
-    _gather,
     _net_blocks,
     _norm_ppf,
     _radii_per_ray,
-    annulus,
     directions,
     kronecker,
     log_radii,
 )
+
+
+def _gather(blocks):
+    """A stream of net blocks in one array (each block is a reused buffer)."""
+    return np.concatenate([b.copy() for b in blocks])
 
 
 def test_kronecker_deterministic_and_in_unit_box():
@@ -58,13 +61,13 @@ def test_directions_include_extra_rows_normalized():
 
 
 def test_annulus_radius_window():
-    pts = annulus(10.0, 1e4, 2, 900, seed=1)
+    pts = _gather(_net_blocks(10.0, 1e4, 900, 1, lambda k: directions(k, 2, 1)))
     r = np.linalg.norm(pts, axis=1)
     assert np.all((r > 10.0 - 1e-9) & (r <= 1e4 * (1 + 1e-12)))
 
 
 def test_annulus_dim_one_signs():
-    pts = annulus(1.0, 100.0, 1, 40)
+    pts = _gather(_net_blocks(1.0, 100.0, 40, 0, lambda k: directions(k, 1)))
     assert pts.shape[1] == 1
     assert np.any(pts > 0) and np.any(pts < 0)
 

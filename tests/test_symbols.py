@@ -9,10 +9,13 @@ Frozen quantities used as fixed points below:
 import numpy as np
 import pytest
 
+from corona_pdo.asymptotics import SamplingSchedule, StandardBase, modulus_field
 from corona_pdo.cli import symbol_from_config
-from corona_pdo.groups import GroupGrid, truncated_dual
-from corona_pdo.sampling import annulus
+from corona_pdo.groups import GroupGrid, product_group, truncated_dual
+from corona_pdo.pdo import frequency_section
+from corona_pdo.sampling import _net_blocks, directions
 from corona_pdo.symbols import (
+    DualClosure,
     SymbolError,
     TensorSymbol,
     cesaro_mean,
@@ -35,6 +38,12 @@ from corona_pdo.symbols import (
 )
 
 RADII = np.logspace(2, 6, 9)
+
+
+def _tail(lo, hi, dim, n, seed):
+    """The radii x directions net of about n points in (lo, hi], in one array."""
+    blocks = _net_blocks(lo, hi, n, seed, lambda k: directions(k, dim, seed))
+    return np.concatenate([b.copy() for b in blocks])
 
 
 # -- tensor / table symbols --
@@ -97,7 +106,7 @@ def test_slow_wave_oscillation_passes_and_obeys_derivative_bound():
         # mean value bound: osc(1, R) <= alpha * (R-1)^(alpha-1)
         bound = alpha * (RADII - 1.0) ** (alpha - 1.0)
         assert np.all(prof.osc[0] <= bound * 1.0001)
-        assert np.all(np.diff(prof.osc[0]) <= 1e-15)  # suffix maxima
+        assert np.all(np.diff(prof.osc[0]) <= 1e-15)  # sups over shrinking tails
 
 
 def test_sampled_oscillation_not_degenerate():
@@ -127,6 +136,110 @@ def test_oscillation_bad_radii():
         vanishing_oscillation_test(sqrt_wave(), [[1.0]], [0.0, 10.0], seed=0)
 
 
+def _sorted_suffix_osc(psi, shifts, radii, seed):
+    """osc from the whole tail in one array: sorted by radius, then suffix maxima."""
+    shifts = np.asarray(shifts, dtype=float)
+    radii = np.sort(np.asarray(radii, dtype=float))
+    pts = _tail(radii[0], radii[-1] * 10.0, shifts.shape[1], 20000, seed)
+    r = np.linalg.norm(pts, axis=1)
+    order = np.argsort(r)
+    pts, r = pts[order], r[order]
+    osc = np.zeros((len(shifts), len(radii)))
+    for i, z in enumerate(shifts):
+        diff = np.abs(psi(pts + z[None, :]) - psi(pts))
+        suffix = np.maximum.accumulate(diff[::-1])[::-1]
+        idx = np.searchsorted(r, radii, side="left")
+        osc[i] = [suffix[k] if k < len(suffix) else 0.0 for k in idx]
+    return osc
+
+
+def _nan_band(p):
+    """sin |xi|^0.75, undefined (NaN) for 1e3 < |xi| < 3e3."""
+    r = np.linalg.norm(p, axis=1)
+    return np.where((r > 1e3) & (r < 3e3), np.nan, np.sin(r**0.75))
+
+
+@pytest.mark.parametrize(
+    "psi, shifts, seed",
+    [
+        (power_wave(0.75), [[0.5], [1.0], [2.0], [-3.0]], 0),
+        (sqrt_wave(), [[1.0]], 9),
+        (directional_decay_symbol([1.0, 2.0], 0.01), [[0.5, 0.0], [0.0, 1.0], [1.0, -1.0]], 4),
+        (power_wave(0.9), [[1.0, 0.0, 0.0], [0.5, 0.5, 0.5]], 2),
+        (DualClosure(_nan_band, 1.0, "nan band"), [[0.5], [2.0]], 1),
+    ],
+    ids=["pow-1d", "sqrt-1d", "dirdecay-2d", "pow-3d", "nan-band-1d"],
+)
+def test_streamed_oscillation_is_the_sorted_suffix_formula(psi, shifts, seed):
+    prof = vanishing_oscillation_test(psi, shifts, RADII[::-1], seed)  # radii in any order
+    want = _sorted_suffix_osc(psi, shifts, RADII, seed)
+    assert prof.osc.tobytes() == want.tobytes()
+    if psi.name == "nan band":  # NaN up to radius 3e3, a number beyond
+        assert np.isnan(prof.osc[:, RADII < 3e3]).all()
+        assert np.isfinite(prof.osc[:, RADII > 3e3]).all()
+
+
+def _complex_cast(psi):
+    return DualClosure(lambda p: psi.fun(p).astype(complex), psi.sup_bound, psi.name)
+
+
+_REAL_FAMILIES = {
+    "sqrt": sqrt_wave(),
+    "pow": power_wave(0.75),
+    "shifted": shifted_wave(2.0, 0.25),
+    "inv": inverse_decay(2.0),
+    "indicator": dyadic_indicator(),
+    "dirdecay": directional_decay_symbol([1.0, 1.0], 0.5),
+}
+
+
+def _same(a, b):
+    """Bit-identical arrays: dtype, shape and every byte (signed zeros and NaNs too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_fit(a, b):
+    if a is None or b is None:
+        return a is b
+    return all(_same(getattr(a, k), getattr(b, k)) for k in ("per_scale", "value", "slope", "residual"))
+
+
+@pytest.mark.parametrize("name", list(_REAL_FAMILIES))
+def test_a_complex_cast_of_a_real_family_changes_no_bit(name):
+    psi = _REAL_FAMILIES[name]
+    dim = 2 if name == "dirdecay" else 1
+    pts = _tail(1.0, 1e4, dim, 400, seed=3)
+    assert psi(pts).dtype == np.float64
+    assert cos_profile()(pts).dtype == np.float64
+    assert constant_closure(1 + 2j)(pts).dtype == np.complex128
+    wide = _complex_cast(psi)
+    assert wide(pts).dtype == np.complex128
+    xg = GroupGrid.torus(32) if dim == 1 else product_group(GroupGrid.torus(8), GroupGrid.torus(8))
+    xig = truncated_dual(xg, 8) if dim == 1 else xg.dual()
+    gammas = (cos_profile(2.0), cos_profile(0.0, 0.5, 3))
+    cast_gamma = lambda g: lambda c: g(c).astype(complex)
+    for terms in ([(gammas[0], psi)], [(gammas[0], psi), (gammas[1], psi)]):
+        f = TensorSymbol(xg, xig, terms)
+        g = TensorSymbol(xg, xig, [(cast_gamma(gam), _complex_cast(q)) for gam, q in terms])
+        assert _same(f.table(), g.table())
+        assert _same(frequency_section(f), frequency_section(g))
+        if dim == 1:
+            assert _same(frequency_section(f, banded=True), frequency_section(g, banded=True))
+        sched = SamplingSchedule(scales=(1e2, 1e3), points_per_scale=300, seed=2)
+        for maximize in (True, False):
+            (fv, fenv), (gv, genv) = (
+                modulus_field(h, StandardBase(dim), sched, maximize) for h in (f, g)
+            )
+            assert _same(fv, gv) and _same_fit(fenv, genv)
+    radii = [4, 16, 64]
+    grid = GroupGrid.truncated_integers(64) if dim == 1 else xg.dual()
+    assert _same(cesaro_mean(psi, grid, radii).means, cesaro_mean(wide, grid, radii).means)
+    shifts = np.eye(dim)[:1] * [[0.5], [1.0], [2.0]]
+    ours, theirs = (vanishing_oscillation_test(q, shifts, RADII, seed=1) for q in (psi, wide))
+    assert _same(ours.osc, theirs.osc) and ours.verdict == theirs.verdict
+
+
 # -- directional decay --
 
 
@@ -134,8 +247,8 @@ def test_directional_decay_values_and_axis_sup():
     psi = directional_decay_symbol([0.0, 1.0])
     assert psi(np.array([[50.0, 0.0]]))[0] == 1.0  # orthogonal axis: exact 1
     assert psi(np.array([[3.0, 4.0]]))[0] == pytest.approx(np.exp(-4.0), rel=1e-14)
-    pts = annulus(100.0, 1000.0, 2, 400, seed=0)
-    # +-e1 lies in every direction fan, so the annulus sup is exactly 1
+    pts = _tail(100.0, 1000.0, 2, 400, seed=0)
+    # +-e1 lies in every direction fan, so the sup over the net is exactly 1
     assert np.abs(psi(pts)).max() == 1.0
     along = psi(np.array([[0.0, 200.0], [0.0, -200.0]]))
     assert np.allclose(np.abs(along), np.exp(-200.0))
@@ -247,8 +360,8 @@ def test_parabola_distance_matches_root_oracle():
             ),
             np.stack([s, s * s], axis=1),  # on the graph
             *[curve + k * normal for k in (-8, -4, -2, -1, 1, 2, 4, 8)],  # pescado offsets
-            annulus(1e2, 1e4, 2, 2000, seed=5),
-            annulus(0.9e4, 1e4, 2, 500, seed=6),
+            _tail(1e2, 1e4, 2, 2000, seed=5),
+            _tail(0.9e4, 1e4, 2, 500, seed=6),
         ]
     )
     d = E.distance(pts)

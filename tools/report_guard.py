@@ -12,7 +12,9 @@ symbols, filter bases, groups, ``vo`` and per-task tolerances), each in its own
 other report line and every side file must match byte for byte, and so must
 the stderr of a run that exits non-zero (the error line, and no traceback in
 place of it), once the paths of the work directory and the source root are
-replaced by ``<work>`` and ``<root>``.  With
+replaced by ``<work>`` and ``<root>``.  A run whose stderr holds a Python
+traceback is reported even when both trees print the same one: a bad config
+must end in one ``[error]`` line.  With
 ``--atol X``, report.json and CSV files compare by value instead: numbers
 within X of each other match (a CSV cell is a number when it parses as one,
 also inside a ``np.float64(...)`` repr), while strings, booleans, nulls, keys,
@@ -285,6 +287,9 @@ def _write_symbol_csvs(work: Path) -> None:
         (work / f"symbol{n}.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
 
 
+TRACEBACK = b"Traceback (most recent call last)"
+
+
 def run_all(root: Path, work: Path) -> dict:
     """Run every config against ``root``; name -> {file name: bytes}."""
     root, work = root.resolve(), work.resolve()
@@ -298,7 +303,8 @@ def run_all(root: Path, work: Path) -> dict:
         argv = [sys.executable, "-m", "corona_pdo.cli", "run", "--config", str(cfg), "--out", str(out)]
         proc = subprocess.run(argv, env=env, cwd=work, capture_output=True)
         files = {"exit code": str(proc.returncode).encode()}
-        if proc.returncode != 0:  # its error line, with this run's paths named alike
+        # a failed run's error line, and any traceback, with this run's paths named alike
+        if proc.returncode != 0 or TRACEBACK in proc.stderr:
             err = proc.stderr.replace(str(work).encode(), b"<work>")
             files["stderr"] = err.replace(str(root).encode(), b"<root>")
         for path in sorted(out.glob("*")) if out.is_dir() else ():
@@ -328,6 +334,9 @@ def diff(old: dict, new: dict, atol: float | None = None) -> list:
                 text = lambda data: data.decode("utf-8", "replace").splitlines()
                 lines = difflib.unified_diff(text(a[fname]), text(b[fname]), "old", "new", lineterm="")
                 problems.extend("    " + line for line in list(lines)[:40])
+        for tree, files in (("old", a), ("new", b)):
+            if TRACEBACK in files.get("stderr", b""):
+                problems.append(f"{name}: the {tree} tree printed a traceback")
     return problems
 
 
