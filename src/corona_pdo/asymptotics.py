@@ -302,7 +302,7 @@ class _Best:
     Ties go to the lower sample index: a later sample enters only if it is
     strictly better than the one it displaces, so a block is checked against
     the running sixth value with one comparison.  A NaN never enters, but it
-    makes the max NaN, as ``np.max`` over the whole stream would.
+    makes the max NaN, as ``np.max`` over the whole stream would.  No block is empty.
     """
 
     def __init__(self, dim: int):
@@ -311,8 +311,6 @@ class _Best:
         self.rays = np.empty((0, dim))
 
     def add(self, vals: np.ndarray, pts: np.ndarray) -> None:
-        if not len(vals):
-            return
         self.max = float(np.maximum(self.max, np.max(vals)))
         full = len(self.vals) == _RAYS
         new = np.flatnonzero(vals > self.vals[-1] if full else ~np.isnan(vals))

@@ -76,6 +76,7 @@ from .symbols import (
     power_wave,
     shifted_wave,
     sqrt_wave,
+    values_profile,
     vanishing_oscillation_test,
     vo_shifts,
 )
@@ -215,7 +216,7 @@ _PSIS = {
 _GAMMAS = {
     "const": ({"value": _complex}, const_profile),
     "cos-offset": ({"offset": _REAL, "amplitude": _REAL, "frequency": _num(int)}, cos_profile),
-    "values": ({"data": (_list(_complex, 1), ...)}, lambda data: np.asarray(data, dtype=complex)),
+    "values": ({"data": (_list(_complex, 1), ...)}, values_profile),
 }
 _PSI = _tagged("family", _PSIS, spell=_spell_psi)
 _GAMMA = _tagged("profile", _GAMMAS, "const")
@@ -298,7 +299,7 @@ _REQUIRED = {
 }
 _NARROWER = {"spectrum-probe": {"lambdas": _list(_complex, 1)},
              "examples:sepavar": {"lambdas": _list(_complex, 1)},
-             "examples:cesaro": {"band": (_num(int, 16), 4096)}}
+             "examples:cesaro": {"band": (_num(int, 32), 4096)}}  # two balls: 16 and 32
 
 
 def _psi(spec: dict, dim: int | None = None):
@@ -325,10 +326,21 @@ def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid):
 def base_from_config(spec, dim: int):
     """Filter base from a base spec, raw or as coerced (AsymptoticsError if malformed)."""
     spec = _checked(AsymptoticsError, _BASE, spec, "base")
+    for where, row in _extra_rows(spec, "base"):
+        if len(row) != dim:
+            raise AsymptoticsError(f"{where} has {len(row)} coordinates; the dual is {dim}-d")
     base = _build(_BASES, "kind", spec, dim)
-    if {base.dim, *map(len, spec.get("extra_directions", ()))} != {dim}:
+    if base.dim != dim:
         raise AsymptoticsError(f"filter base {base.label} does not fit a {dim}-d dual")
     return base
+
+
+def _extra_rows(spec, where):
+    """(path, row) for each extra direction of a base spec and of its parts."""
+    for i, row in enumerate(spec.get("extra_directions", ())):
+        yield f"{where}.extra_directions[{i}]", row
+    for i, part in enumerate(spec.get("parts", ())):
+        yield from _extra_rows(part, f"{where}.parts[{i}]")
 
 
 class ExperimentConfig(SimpleNamespace):
@@ -374,10 +386,7 @@ def _symbol_id(symbol) -> str:
     terms = symbol.tensor_terms
     if terms is None:
         return "table"
-    names = []
-    for gv, psi in terms:
-        gmax = float(np.max(np.abs(gv)))
-        names.append(f"gamma(sup={gmax:g}) x {psi.name or 'psi'}")
+    names = (f"gamma(sup={np.max(np.abs(gv)):g}) x {psi.name or 'psi'}" for gv, psi in terms)
     return " + ".join(names)
 
 
@@ -728,7 +737,7 @@ def _example_cesaro(cfg: ExperimentConfig):
     """density ideal on Z: dyadic block indicator with Cesaro means -> 0"""
     band = cfg.band
     grid = GroupGrid.truncated_integers(band)
-    radii = [2**k for k in range(4, band.bit_length()) if 2**k <= band]
+    radii = [2**k for k in range(4, band.bit_length())]  # every 2^k <= band from 16
     res = cesaro_mean(dyadic_indicator(), grid, radii)
     # upper gaps give means ~ (log2 n)^2 / (4n); 2(log2 n)^2/n is a safe roof
     bound_rows, bound_ok = [], True
@@ -752,9 +761,7 @@ def _example_cesaro(cfg: ExperimentConfig):
         f"[run] cesaro: final mean {res.means[-1]:.6g} over {len(radii)} balls, "
         f"tail slope {res.tail_slope:.3f}, verdict {res.verdict}"
     )
-    return results, flags, {
-        "cesaro_means.csv": (["radius", "mean", "roof"], bound_rows)
-    }
+    return results, flags, {"cesaro_means.csv": (["radius", "mean", "roof"], bound_rows)}
 
 
 def _example_sepavar(cfg: ExperimentConfig):
@@ -767,28 +774,19 @@ def _example_sepavar(cfg: ExperimentConfig):
         "symbol": {"family": "tensor", "gamma": gamma, "psi": "vo:sqrt"},
         "lambdas": cfg.lambdas or [-3.0, -1.5, 0.0, 1.5, 3.0, 4.0],
     })
-    goh, goh_flags, goh_files = _task_gohberg(flagship)
-    probe, probe_flags, probe_files = _task_spectrum_probe(flagship)
-    fred, fred_flags, _ = _task_fredholm(flagship)
-    results = {
-        "preset": "sepavar",
-        "symbol_id": goh["symbol_id"],
-        "schedule": goh["schedule"],
-        "sigma_tables": goh["sigma_tables"],
-        "ess_norm": goh["ess_norm"],
-        "gohberg": goh["gohberg"],
-        "weyl": probe["weyl"],
-        "fredholm": fred["fredholm"],
-    }
-    parts = (goh_flags, probe_flags, fred_flags)
-    flags = _flags(
-        [w for part in parts for w in part["warnings"]],
-        violation=any(part["violation"] for part in parts),
-        unreliable=any(part["unreliable"] for part in parts),
-    )
+    tasks = (_task_gohberg, _task_spectrum_probe, _task_fredholm)
+    blocks, parts, files = zip(*(task(flagship) for task in tasks))
+    # the union of the runners' blocks, less the base and scale they report; every
+    # runner's flags come from _flags: a list concatenates, a flag is set if any is
+    results = {"preset": "sepavar"}
+    for block in blocks:
+        results.update(block)
+    del results["base"], results["scale"]
+    flags = {k: sum((p[k] for p in parts), []) if isinstance(v, list) else any(p[k] for p in parts)
+             for k, v in parts[0].items()}
     return results, flags, {
-        "sigma_by_band.csv": goh_files["sigma_by_band.csv"],
-        "weyl_by_band.csv": probe_files["sigma_by_band.csv"],
+        "sigma_by_band.csv": files[0]["sigma_by_band.csv"],
+        "weyl_by_band.csv": files[1]["sigma_by_band.csv"],
     }
 
 

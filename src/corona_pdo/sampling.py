@@ -3,8 +3,8 @@
 Everything here is a pure function of (seed, sizes): additive Kronecker
 sequences rather than pseudo-random draws, so repeated runs are bit-stable
 and sups estimated on these nets are reproducible.  Every tail sample is a
-product net: a fan of unit rows times log radii along each ray, streamed in
-blocks of whole rays or of runs of radii on one ray (``_net_blocks``).  That
+product net: a fan of unit rows times log radii along each ray, streamed ray
+by ray in blocks of whole rays times a run of radii (``_net_blocks``).  That
 stream is the one sampler: a filter base reads it over its own fan
 (``FilterBase.blocks``), the oscillation test over ``directions``, and no
 sample is ever gathered into one array.  A closure evaluated on a block
@@ -16,6 +16,7 @@ sampling would miss.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -97,32 +98,25 @@ def _net_blocks(lo: float, hi: float, n: int, seed: int, fan):
     consecutive blocks of at most _BLOCK points: the unit rows fan(_fan_size(n))
     times _radii_per_ray log radii, ray by ray.  The radii are drawn at seed + 7
     when the rows have two or more columns, away from the fan's fill; a 1-d fan
-    has no fill, and its radii are drawn at seed.  A block holds whole rays, or
-    a run of radii on one ray, whose radii are drawn for that run alone.  Every
-    block is written into the same buffer, so a yielded block is overwritten by
-    the next one."""
+    has no fill, and its radii are drawn at seed.  A ray's radii come in runs
+    of at most _BLOCK, each drawn alone (once, if a ray has one run), and a
+    block is up to _BLOCK // run whole rays times one run, written into one
+    reused buffer: the next block overwrites it."""
     dirs = fan(_fan_size(n))
     rays, dim = dirs.shape
     per_ray = _radii_per_ray(n, rays)
     seed += 7 if dim > 1 else 0
-    if per_ray >= _BLOCK:
-        buf = np.empty((_BLOCK, dim))
-        for d in dirs:
-            for s in range(0, per_ray, _BLOCK):
-                r = log_radii(lo, hi, min(_BLOCK, per_ray - s), seed, s)
-                block = buf[: len(r)]
-                for j in range(dim):
-                    np.multiply(d[j], r, out=block[:, j])
-                yield block
-        return
-    r = log_radii(lo, hi, per_ray, seed)
-    step = _BLOCK // per_ray
-    buf = np.empty((step, per_ray, dim))  # (ray, radius, coordinate)
-    for s in range(0, rays, step):
-        block = buf[: min(step, rays - s)]
-        for j in range(dim):
-            np.multiply.outer(dirs[s : s + len(block), j], r, out=block[:, :, j])
-        yield block.reshape(-1, dim)
+    run = min(per_ray, _BLOCK)
+    step = _BLOCK // run
+    radii = functools.lru_cache(1)(lambda s: log_radii(lo, hi, min(run, per_ray - s), seed, s))
+    buf = np.empty(step * run * dim)
+    for chunk in np.split(dirs, range(step, rays, step)):
+        for s in range(0, per_ray, run):
+            r = radii(s)
+            block = buf[: len(chunk) * len(r) * dim].reshape(len(chunk), len(r), dim)
+            for j in range(dim):  # (ray, radius, coordinate)
+                np.multiply.outer(chunk[:, j], r, out=block[:, :, j])
+            yield block.reshape(-1, dim)
 
 
 def _radii_per_ray(n: int, rays: int) -> int:

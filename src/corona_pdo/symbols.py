@@ -147,6 +147,12 @@ def const_profile(value: complex = 1.0):
     return fun
 
 
+def values_profile(data):
+    """gamma given by its values at the points of one x grid, in grid order."""
+    vals = np.asarray(data, dtype=complex).reshape(-1)
+    return lambda coords: vals
+
+
 # -- symbols ---------------------------------------------------------------------
 
 
@@ -176,54 +182,36 @@ class Symbol:
 class TensorSymbol(Symbol):
     """Finite sum of tensor terms gamma_i(x) * psi_i(xi).
 
-    gamma factors are given as closures over x coordinates (preferred; keeps
-    the symbol rebindable to finer grids) or as plain per-point values.
+    Each gamma is a function of the x coordinates (``cos_profile``,
+    ``const_profile``, ``values_profile``), called on the grid's coordinates;
+    it must give one value per grid point.  So the symbol rebinds to any grid
+    pair by calling its gammas there.
     """
 
     def __init__(self, xgrid, xigrid, terms):
         super().__init__(xgrid, xigrid)
-        self.terms = []
-        for gamma, psi in terms:
+        self.terms = list(terms)  # (gamma, psi) pairs: rebound calls each gamma again
+        self.tensor_terms = []
+        for gamma, psi in self.terms:
             if not isinstance(psi, DualClosure):
                 raise SymbolError("psi factor must be a DualClosure")
-            if callable(gamma):
-                gvals = np.asarray(gamma(xgrid.coords), dtype=complex)
-                gfun = gamma
-            else:
-                gvals = np.asarray(gamma, dtype=complex).reshape(-1)
-                if gvals.size != xgrid.size:
-                    raise SymbolError("gamma values do not match the x grid")
-                gfun = None
-            self.terms.append((gfun, gvals, psi))
-
-    @property
-    def tensor_terms(self):
-        return [(gvals, psi) for _, gvals, psi in self.terms]
+            gvals = np.asarray(gamma(xgrid.coords), dtype=complex).reshape(-1)
+            if gvals.size != xgrid.size:
+                raise SymbolError(f"gamma gives {gvals.size} values on {xgrid.size} x points")
+            self.tensor_terms.append((gvals, psi))
 
     @property
     def sup_bound(self) -> float:
-        return float(
-            sum(np.max(np.abs(gv)) * psi.sup_bound for _, gv, psi in self.terms)
-        )
+        return float(sum(np.max(np.abs(gv)) * psi.sup_bound for gv, psi in self.tensor_terms))
 
     def table(self) -> np.ndarray:
         vals = np.zeros((self.xgrid.size, self.xigrid.size), dtype=complex)
-        for _, gv, psi in self.terms:
+        for gv, psi in self.tensor_terms:
             vals += np.outer(gv, psi(self.xigrid.coords))
         return vals
 
     def rebound(self, xgrid, xigrid) -> "TensorSymbol":
-        rebuilt = []
-        for gfun, gv, psi in self.terms:
-            if gfun is None:
-                if xgrid.descriptor() != self.xgrid.descriptor():
-                    raise SymbolError(
-                        "gamma given by values only; cannot rebind to a new x grid"
-                    )
-                rebuilt.append((gv, psi))
-            else:
-                rebuilt.append((gfun, psi))
-        return TensorSymbol(xgrid, xigrid, rebuilt)
+        return TensorSymbol(xgrid, xigrid, self.terms)
 
 
 class TableSymbol(Symbol):
@@ -328,9 +316,11 @@ class CesaroResult:
 
 def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
     """Means m_n = integral over the ball B_n of |psi| / measure(B_n), for the
-    balls |xi| <= radii[n] of the grid, plus a verdict (tail slope of log m_n
-    against log measure) on whether m_n -> 0."""
+    balls |xi| <= radii[n] of the grid (two at least), plus a verdict (tail
+    slope of log m_n against log measure) on whether m_n -> 0."""
     radii = list(radii)
+    if len(radii) < 2:
+        raise SymbolError(f"need at least two ball radii for a tail slope, got {radii}")
     if sorted(radii) != radii:
         raise SymbolError("ball radii must be increasing")
     r = np.linalg.norm(grid.coords, axis=1)
@@ -349,7 +339,7 @@ def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
     with np.errstate(divide="ignore"):
         y = np.log(np.maximum(means[tail], 1e-300))
         x = np.log(measures[tail])
-    slope = float(np.polyfit(x, y, 1)[0]) if len(means) >= 2 else 0.0
+    slope = float(np.polyfit(x, y, 1)[0])
     verdict = bool(slope < -0.1 or means[-1] < 1e-12)
     return CesaroResult([float(x) for x in radii], means, measures, verdict, slope)
 

@@ -350,7 +350,9 @@ def _whole_sample(base, t, n, span, seed):
 def test_blocks_are_the_whole_sample(base):
     t, n, span, seed = 100.0, 100_000, 10.0, 977
     blocks = [b.copy() for b in base.blocks(t, n, span, seed)]
-    assert len(blocks) > 1 and max(len(b) for b in blocks) <= sampling._BLOCK
+    # no block is empty (``_Best.add`` takes one for granted) and none exceeds 2^15 points
+    assert len(blocks) > 1 and sampling._BLOCK == 1 << 15
+    assert all(0 < len(b) <= sampling._BLOCK for b in blocks)
     whole = _whole_sample(base, t, n, span, seed)
     assert np.array_equal(np.concatenate(blocks), whole)
     if isinstance(base, ThickenedComplementBase):
@@ -378,7 +380,8 @@ def test_best_samples_match_a_stable_sort(data):
         }[data]()
         pts = np.arange(m, dtype=float)[:, None]  # a sample's point is its index
         best = asymptotics._Best(1)
-        cuts = np.sort(rng.integers(0, m, int(rng.integers(0, 12))))
+        cuts = np.unique(rng.integers(0, m, int(rng.integers(0, 12))))
+        cuts = cuts[cuts > 0]  # blocks are never empty: no base yields an empty one
         for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, m]):
             best.add(vals[lo:hi], pts[lo:hi])
         assert np.array_equal(best.rays[:, 0], _stable_best(vals))

@@ -86,6 +86,30 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 NAN = float("nan")
 LINE = {"kind": "line", "step": 0.3, "extent": 6.0}
 TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
+# bad configs whose error line names the entry at fault: band 16..31 holds one
+# dyadic ball, which has no tail slope
+CESARO_ONE_BALL = {"task": "examples:cesaro", "band": 16}
+EXTRA_3D = {
+    "task": "asymptotics", "dim": 2,
+    "base": {"kind": "standard", "extra_directions": [[1, 0, 0]]},
+}
+NESTED_3D = {**EXTRA_3D, "base": {"kind": "intersection", "parts": ["standard", EXTRA_3D["base"]]}}
+# 64 values fit the first rung's x grid (4 x 16 points) and no later one
+VALUES_LADDER = {"symbol": {"family": "tensor", "gamma": {"profile": "values", "data": [1.0] * 64},
+                            "psi": "vo:sqrt"}}
+
+
+def _bad_doc(patch):
+    """A gohberg config on small ladders, with psi for the tasks a patch switches to."""
+    return {
+        "schema": 1,
+        "task": "gohberg",
+        "symbol": "vo:sqrt",
+        "psi": "vo:sqrt",
+        "schedule": {"bands": [16, 32, 64]},
+        "asym": {"points_per_scale": 500},
+        **patch,
+    }
 
 
 @pytest.mark.parametrize(
@@ -154,21 +178,27 @@ TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
     ],
 )
 def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
-    # a gohberg config on small ladders, with psi for the tasks a patch switches to
-    doc = {
-        "schema": 1,
-        "task": "gohberg",
-        "symbol": "vo:sqrt",
-        "psi": "vo:sqrt",
-        "schedule": {"bands": [16, 32, 64]},
-        "asym": {"points_per_scale": 500},
-        **patch,
-    }
-    code, report, _ = _run(tmp_path, doc)
+    code, report, _ = _run(tmp_path, _bad_doc(patch))
     assert code == 1
     assert report is None
     err = capsys.readouterr().err
     assert err.startswith("[error] ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "patch, line",
+    [
+        (CESARO_ONE_BALL, "band: expected an integer in [32, inf], got 16"),
+        (EXTRA_3D, "base.extra_directions[0] has 3 coordinates; the dual is 2-d"),
+        (NESTED_3D, "base.parts[1].extra_directions[0] has 3 coordinates; the dual is 2-d"),
+        (VALUES_LADDER, "gamma gives 64 values on 128 x points"),
+    ],
+    ids=["cesaro-band-one-ball", "extra-direction", "extra-direction-nested", "gamma-values-ladder"],
+)
+def test_bad_config_error_names_its_entry(tmp_path, capsys, patch, line):
+    code, report, _ = _run(tmp_path, _bad_doc(patch))
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"[error] {line}\n"
 
 
 def test_points_per_scale_bound_is_named(tmp_path, capsys):

@@ -28,6 +28,7 @@ from corona_pdo.symbols import (
     power_wave,
     sqrt_wave,
     tensor_symbol,
+    values_profile,
 )
 
 
@@ -60,7 +61,7 @@ def test_pure_multiplication_is_diagonal():
     xg, xig = _cyclic_pair(8)
     rng = np.random.default_rng(5)
     gamma = rng.standard_normal(8)
-    f = tensor_symbol(gamma, constant_closure(1.0), xg, xig)
+    f = tensor_symbol(values_profile(gamma), constant_closure(1.0), xg, xig)
     assert np.allclose(op_matrix(f), np.diag(gamma), atol=1e-12)
 
 
@@ -110,7 +111,7 @@ def test_hilbert_schmidt_isometry_random_table():
 def test_hilbert_schmidt_isometry_sampled_torus():
     xg = GroupGrid.torus(16)
     f = tensor_symbol(
-        2.0 + np.cos(2 * np.pi * xg.coords[:, 0]), sqrt_wave(), xg, xg.dual()
+        values_profile(2.0 + np.cos(2 * np.pi * xg.coords[:, 0])), sqrt_wave(), xg, xg.dual()
     )
     assert abs(hs_norm(op_matrix(f)) - _table_norm(f)) < 1e-10
 
@@ -132,7 +133,7 @@ def test_diagram_commutes_random_table():
 def test_diagram_commutes_tensor():
     xg, xig = _cyclic_pair(64)
     gamma = 2.0 + np.cos(2 * np.pi * np.arange(64) / 64)
-    f = tensor_symbol(gamma, sqrt_wave(), xg, xig)
+    f = tensor_symbol(values_profile(gamma), sqrt_wave(), xg, xig)
     assert diagram_check(f) < 1e-10
 
 
@@ -165,7 +166,7 @@ def test_frequency_section_routes_and_subsets_agree():
     xg = GroupGrid.torus(32)
     xig = truncated_dual(xg, 8)
     f = tensor_symbol(
-        1.0 + 0.5 * np.sin(2 * np.pi * xg.coords[:, 0]), sqrt_wave(), xg, xig
+        values_profile(1.0 + 0.5 * np.sin(2 * np.pi * xg.coords[:, 0])), sqrt_wave(), xg, xig
     )
     full_t = frequency_section(f)
     full_g = frequency_section(TableSymbol(xg, xig, f.table()))

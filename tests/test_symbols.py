@@ -34,6 +34,7 @@ from corona_pdo.symbols import (
     shifted_wave,
     sqrt_wave,
     tensor_symbol,
+    values_profile,
     vanishing_oscillation_test,
 )
 
@@ -73,11 +74,19 @@ def test_tensor_rebound_to_finer_grids():
 def test_values_gamma_cannot_rebind_to_new_grid():
     xg = GroupGrid.finite_cyclic(4)
     xig = xg.dual()
-    f = tensor_symbol(np.array([1.0, 2.0, 3.0, 4.0]), constant_closure(1.0), xg, xig)
+    f = tensor_symbol(values_profile([1.0, 2.0, 3.0, 4.0]), constant_closure(1.0), xg, xig)
     same = f.rebound(xg, xig)
-    assert np.allclose(same.table(), f.table())
-    with pytest.raises(SymbolError):
+    assert np.array_equal(same.table(), f.table())
+    assert np.array_equal(f.table()[:, 0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(SymbolError, match="gamma gives 4 values on 8 x points"):
         f.rebound(GroupGrid.finite_cyclic(8), GroupGrid.finite_cyclic(8).dual())
+
+
+def test_every_gamma_must_fit_its_grid():
+    # a function of x is checked like a values profile: one value per grid point
+    xg = GroupGrid.finite_cyclic(4)
+    with pytest.raises(SymbolError, match="gamma gives 3 values on 4 x points"):
+        tensor_symbol(lambda coords: np.ones(3), sqrt_wave(), xg, xg.dual())
 
 
 def test_multiplier_and_constant_tables():
@@ -308,7 +317,15 @@ def test_exhaustion_must_nest_and_have_mass():
     with pytest.raises(SymbolError, match="increasing"):
         cesaro_mean(constant_closure(1.0), grid, [8, 4])
     with pytest.raises(SymbolError, match="no grid point"):
-        cesaro_mean(constant_closure(1.0), grid, [-1])
+        cesaro_mean(constant_closure(1.0), grid, [-1, 4])
+
+
+@pytest.mark.parametrize("radii", [[], [16]])
+def test_cesaro_slope_needs_two_balls(radii):
+    # one ball has no tail slope: it must not read as a flat one (slope 0, verdict False)
+    grid = GroupGrid.truncated_integers(31)
+    with pytest.raises(SymbolError, match="at least two ball radii"):
+        cesaro_mean(dyadic_indicator(), grid, radii)
 
 
 # -- thickened sets --

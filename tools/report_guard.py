@@ -14,13 +14,13 @@ the stderr of a run that exits non-zero (the error line, and no traceback in
 place of it), once the paths of the work directory and the source root are
 replaced by ``<work>`` and ``<root>``.  A run whose stderr holds a Python
 traceback is reported even when both trees print the same one: a bad config
-must end in one ``[error]`` line.  With
-``--atol X``, report.json and CSV files compare by value instead: numbers
-within X of each other match (a CSV cell is a number when it parses as one,
-also inside a ``np.float64(...)`` repr), while strings, booleans, nulls, keys,
-list lengths, CSV shapes, exit codes and stderr must still match exactly.  With
-``--work DIR``, a directory that must not exist yet, the run outputs stay in
-DIR.  Prints each difference and exits 1 if there is any, 0 otherwise.
+must end in one ``[error]`` line.  With ``--atol X``, report.json and CSV
+files compare by value instead: numbers within X of each other match (a CSV
+cell is a number when it parses as one), while strings, booleans, nulls,
+keys, list lengths, CSV shapes, exit codes and stderr must still match
+exactly.  With ``--work DIR``, a directory that must not exist yet, the run
+outputs stay in DIR.  Prints each difference and exits 1 if there is any, 0
+otherwise.
 Standard library only.
 """
 
@@ -32,7 +32,6 @@ import csv
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -278,6 +277,20 @@ ASYM_CASES = {
 }
 for label, extra in ASYM_CASES.items():
     CONFIGS[f"asymptotics/{label}"] = {"task": "asymptotics", "asym": SMALL, **extra}
+# error lines: a base row of the wrong length, a values gamma that fits the first
+# rung's x grid (4 x 64 points) and no later one, and a band with one dyadic ball
+CONFIGS.update({
+    "asymptotics/base=standard-extra-3d": {
+        "task": "asymptotics", "dim": 2, "asym": SMALL,
+        "psi": {"family": "c0:inv"}, "base": {"kind": "standard", "extra_directions": [[1, 0, 0]]},
+    },
+    "gohberg/gamma=values": {
+        "task": "gohberg", **LADDER, "symbol": {"family": "tensor", "psi": "vo:sqrt", "gamma": {
+            "profile": "values", "data": [2.0 + (i % 3) for i in range(256)],
+        }},
+    },
+    "examples:cesaro/band=16": {"task": "examples:cesaro", "band": 16},
+})
 
 
 def _write_symbol_csvs(work: Path) -> None:
@@ -340,9 +353,6 @@ def diff(old: dict, new: dict, atol: float | None = None) -> list:
     return problems
 
 
-_NUMPY_REPR = re.compile(r"np\.float64\((.*)\)")
-
-
 def _parse(fname: str, data: bytes):
     text = data.decode("utf-8")
     if fname.endswith(".json"):
@@ -351,9 +361,8 @@ def _parse(fname: str, data: bytes):
 
 
 def _csv_cell(cell: str):
-    match = _NUMPY_REPR.fullmatch(cell)
     try:
-        return float(match.group(1) if match else cell)
+        return float(cell)
     except ValueError:
         return cell
 
