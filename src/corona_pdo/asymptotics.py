@@ -9,7 +9,7 @@ sample over a geometric ladder of scales and extrapolate the per-scale
 extremes with a + b / sqrt(t); field variants batch the fit over the x fiber.
 
 A base is two rules: a ``fan`` of unit rows and a ``mask``.  Every base
-samples the product net of ``sampling`` over its fan, and the ray polish
+samples product nets of ``sampling`` over its fan, and the ray polish
 brackets a few radial gaps of that same net.  Direction fans always contain
 the signed coordinate axes and the distinguished direction of a directional
 base: sups of anisotropic functions are routinely attained on measure-zero
@@ -17,13 +17,13 @@ rays, and a fan that misses those rays under-reports the limsup no matter how
 many points it spends.
 
 A scale's sample streams: the net comes in consecutive blocks of at most
-2^15 points (``sampling._net_blocks``), in the order of the whole net, and a
-thickened or intersection base filters each block through its masks (a
-thickened one stops at the budget).  A functional sees one block at a time,
-and a scale keeps only its running extremum and its 6 best samples, the
-polish's candidate rays.  Ties go to the lower sample index: a later sample
-enters only if it is strictly better.  So a scale holds a block's worth of
-memory, whatever its budget.
+2^15 points (``sampling._net_blocks``), in the order of the whole net.  A
+thickened complement or an intersection cuts its net, so it keeps the first n
+points that its ``mask`` accepts, from up to 8 nets (``_MaskedBase``).  A
+functional sees one block at a time, and a scale keeps only its running
+extremum and its 6 best samples, the polish's candidate rays.  Ties go to the
+lower sample index: a later sample enters only if it is strictly better.  So
+a scale holds a block's worth of memory, whatever its budget.
 
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
 A golden-section search along the best rays, all rays at once in numpy,
@@ -157,10 +157,35 @@ class DirectionalBase(FilterBase):
         rr = np.linalg.norm(pts, axis=1)
         safe = np.where(rr == 0, 1.0, rr)
         cosang = (pts @ self.omega0) / safe
-        return (rr > scale) & (cosang >= math.cos(self.aperture_scale / scale) - 1e-12)
+        aperture = min(self.aperture_scale / scale, math.pi)  # past pi the cone is everything
+        return (rr > scale) & (cosang >= math.cos(aperture) - 1e-12)
 
 
-class ThickenedComplementBase(FilterBase):
+class _MaskedBase(FilterBase):
+    """A base whose element cuts the net over its fan; the standard and
+    directional fans lie inside their elements and keep the plain net."""
+
+    def blocks(self, scale, n, span, seed):
+        """The first n points that the mask keeps from up to 8 nets, one seed each;
+        fewer than max(16, n // 100) mean the base is (nearly) empty."""
+        nets = (FilterBase.blocks(self, scale, n, span, seed + 131 * r) for r in range(8))
+        kept = total = 0
+        for pts in itertools.chain.from_iterable(nets):
+            total += len(pts)
+            inside = pts[self.mask(pts, scale)][: n - kept]
+            kept += len(inside)
+            if len(inside):
+                yield inside
+            if kept == n:
+                break
+        if kept < max(16, n // 100):
+            raise AsymptoticsError(
+                f"filter base {self.label} is (nearly) empty at scale {scale:g}: "
+                f"{kept} of {total} samples fall in its element"
+            )
+
+
+class ThickenedComplementBase(_MaskedBase):
     """Complements of thickenings of a closed set E that grow with the scale:
     dist(xi, E) > t."""
 
@@ -179,25 +204,6 @@ class ThickenedComplementBase(FilterBase):
     def fan(self, k, scale, seed):
         return directions(k, self.dim, seed)
 
-    def blocks(self, scale, n, span, seed):
-        """The first n points that the mask keeps from up to 8 nets, one seed each."""
-        nets = (FilterBase.blocks(self, scale, n, span, seed + 131 * r) for r in range(8))
-        kept = total = 0
-        for pts in itertools.chain.from_iterable(nets):
-            total += len(pts)
-            inside = pts[self.mask(pts, scale)][: n - kept]
-            kept += len(inside)
-            if len(inside):
-                yield inside
-            if kept == n:
-                break
-        if kept < max(16, n // 100):
-            raise AsymptoticsError(
-                f"filter base {self.label} is (nearly) empty at scale {scale:g}: "
-                f"{kept} of {total} samples survive the thickening -- the "
-                "thickened set appears to swallow every neighborhood of infinity"
-            )
-
     def mask(self, pts, scale):
         out = self.E.distance(pts) > scale
         far = np.flatnonzero(out)  # the radius only where the distance passes
@@ -205,8 +211,8 @@ class ThickenedComplementBase(FilterBase):
         return out
 
 
-class IntersectionBase(FilterBase):
-    """Pointwise intersection: sample the first base, keep what all accept."""
+class IntersectionBase(_MaskedBase):
+    """Pointwise intersection: the first part's fan, masked by every part."""
 
     def __init__(self, *parts):
         if not parts:
@@ -220,24 +226,8 @@ class IntersectionBase(FilterBase):
     def fan(self, k, scale, seed):
         return self.parts[0].fan(k, scale, seed)
 
-    def blocks(self, scale, n, span, seed):
-        kept = 0
-        for pts in self.parts[0].blocks(scale, n, span, seed):
-            keep = np.ones(len(pts), dtype=bool)
-            for p in self.parts[1:]:
-                keep &= p.mask(pts, scale)
-            inside = pts[keep]
-            kept += len(inside)
-            if len(inside):
-                yield inside
-        if kept < max(8, n // 200):
-            raise AsymptoticsError(f"intersection base empty at scale {scale:g}")
-
     def mask(self, pts, scale):
-        out = np.ones(len(pts), dtype=bool)
-        for p in self.parts:
-            out &= p.mask(pts, scale)
-        return out
+        return np.all([p.mask(pts, scale) for p in self.parts], axis=0)
 
 
 # -- extrapolation ------------------------------------------------------------------

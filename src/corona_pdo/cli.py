@@ -382,6 +382,16 @@ class ExperimentConfig(SimpleNamespace):
 # -- report plumbing -------------------------------------------------------------
 
 
+def _grid_spec(grid: GroupGrid) -> dict:
+    """A grid as a config spells it: each factor's params under its ``_GROUPS``
+    field names, a weight of 1 left out."""
+    specs = [{"kind": f.kind, **dict(zip(_GROUPS[f.kind][0], f.params))} for f in grid.factors]
+    for spec in specs:
+        if spec.get("weight") == 1.0:
+            del spec["weight"]
+    return specs[0] if len(specs) == 1 else {"kind": "product", "factors": specs}
+
+
 def _symbol_id(symbol) -> str:
     terms = symbol.tensor_terms
     if terms is None:
@@ -459,8 +469,8 @@ def _task_fourier_selftest(cfg: ExperimentConfig):
     w.imag -= rng.standard_normal(n)
     roundtrip = xg.norm(w) / nu
     results = {
-        "group": xg.descriptor(),
-        "dual": xig.descriptor(),
+        "group": _grid_spec(xg),
+        "dual": _grid_spec(xig),
         "size": n,
         "plancherel_defect": float(plancherel),
         "roundtrip_defect": float(roundtrip),
@@ -486,8 +496,8 @@ def _task_build_op(cfg: ExperimentConfig):
         files["operator.csv"] = lambda path: save_matrix_csv(m, path)
     results = {
         "symbol_id": _symbol_id(f),
-        "group": xg.descriptor(),
-        "dual": xig.descriptor(),
+        "group": _grid_spec(xg),
+        "dual": _grid_spec(xig),
         "shape": list(m.shape),
         "hs_norm": hs_norm(m),
         "files": list(files),
@@ -503,7 +513,7 @@ def _task_diagram_check(cfg: ExperimentConfig):
     tol = cfg.tolerances["diagram"]
     results = {
         "symbol_id": _symbol_id(f),
-        "group": xg.descriptor(),
+        "group": _grid_spec(xg),
         "residual": float(residual),
         "tolerance": tol,
         "pass": bool(residual <= tol),

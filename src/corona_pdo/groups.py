@@ -70,20 +70,6 @@ class Factor:
         pts.flags.writeable = False
         return pts
 
-    def descriptor(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "finite_cyclic":
-            d["n"] = self.params[0]
-            if self.params[1] != 1.0:
-                d["weight"] = self.params[1]
-        elif self.kind == "torus":
-            d["samples"] = self.params[0]
-        elif self.kind == "truncated_integers":
-            d["band"] = self.params[0]
-        else:
-            d["step"], d["extent"] = self.params
-        return d
-
 
 def _cyclic_factor(n: int, weight: float = 1.0) -> Factor:
     if n < 1:
@@ -196,7 +182,7 @@ class GroupGrid:
         return GroupGrid([_dual_factor(f) for f in self.factors])
 
     def __eq__(self, other):
-        return isinstance(other, GroupGrid) and self.descriptor() == other.descriptor()
+        return isinstance(other, GroupGrid) and self.factors == other.factors
 
     def __repr__(self):
         inner = ",".join(f.kind + str(f.params) for f in self.factors)
@@ -228,13 +214,6 @@ class GroupGrid:
     @property
     def identity_index(self) -> int:
         return int(np.ravel_multi_index(self._origins(), self.shape))
-
-    # -- serialization -------------------------------------------------------
-
-    def descriptor(self) -> dict:
-        if self.ndim == 1:
-            return self.factors[0].descriptor()
-        return {"kind": "product", "factors": [f.descriptor() for f in self.factors]}
 
 
 def product_group(*grids: GroupGrid) -> GroupGrid:

@@ -167,7 +167,7 @@ def _rungs(symbol: Symbol, schedule: TruncationSchedule, base: FilterBase | None
     """
     if symbol.xgrid.ndim != 1 or symbol.xgrid.factors[0].kind != "torus":
         raise SpectralError(
-            f"truncation ladders need a 1-d torus x group, got {symbol.xgrid.descriptor()}"
+            f"truncation ladders need a 1-d torus x group, got {symbol.xgrid!r}"
         )
     for band in schedule.bands:
         xg, xig = schedule.grids(band)

@@ -8,6 +8,7 @@ Oracles:
 """
 
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -207,11 +208,16 @@ def test_degenerate_thickening_rejected():
         ThickenedComplementBase(whole)
 
 
+def _empty(label):
+    """The one emptiness error of the bases that cut their net, at scale 100."""
+    return re.escape(f"filter base {label} is (nearly) empty at scale 100: 0 of ") + r"\d+ samples"
+
+
 def test_ethick_empty_raises():
     # distance |xi|/20 clears the unit probe beyond radius 20, but never reaches the scale
     wide = ThickenedSet(lambda p: np.linalg.norm(p, axis=1) / 20, 1, "wide")
     base = ThickenedComplementBase(wide)
-    with pytest.raises(AsymptoticsError, match="empty"):
+    with pytest.raises(AsymptoticsError, match=_empty("ethick(wide)")):
         list(base.blocks(100.0, 1000, 10.0, 0))
 
 
@@ -236,6 +242,7 @@ def test_intersection_base_masks_and_guards():
     base = IntersectionBase(StandardBase(1), DirectionalBase([1.0]))
     pts = _gather(base.blocks(100.0, 2000, 10.0, 0))
     assert np.all(pts[:, 0] > 0)
+    assert len(pts) == 2000  # the whole budget, from a second net: one net gives 1000
     with pytest.raises(AsymptoticsError):
         IntersectionBase()
     with pytest.raises(AsymptoticsError):
@@ -244,7 +251,7 @@ def test_intersection_base_masks_and_guards():
 
 def test_intersection_of_disjoint_cones_is_empty():
     b = IntersectionBase(DirectionalBase([1.0, 0.0]), DirectionalBase([-1.0, 0.0]))
-    with pytest.raises(AsymptoticsError):
+    with pytest.raises(AsymptoticsError, match=_empty(b.label)):
         list(b.blocks(100.0, 2000, 10.0, 0))
 
 
@@ -288,11 +295,15 @@ def test_polished_sup_never_leaves_the_element(base):
         (DirectionalBase([1.0]), 40),  # one ray: 40 radii, not 20
         (DirectionalBase([1.0, 2.0]), 900),
         (DirectionalBase([1.0, 2.0, 2.0]), 900),
+        # an aperture past pi at t = 100: the fan wraps, and the cone is everything
+        (DirectionalBase([1.0, 2.0], aperture_scale=400.0), 4000),
+        (DirectionalBase([1.0, 2.0, 2.0], aperture_scale=400.0), 4000),
         (ThickenedComplementBase(halfline_set(0.0)), 40),
         (IntersectionBase(StandardBase(1), DirectionalBase([1.0])), 40),
     ],
     ids=["standard-1d", "standard-2d-extra", "standard-8d", "directional-1d",
-         "directional-2d", "directional-3d", "ethick-halfline", "standard-and-directional"],
+         "directional-2d", "directional-3d", "directional-2d-wide", "directional-3d-wide",
+         "ethick-halfline", "standard-and-directional"],
 )
 def test_net_and_bracket_read_one_fan(base, n):
     # the polish brackets 4 radial gaps of the net the base samples: both count its fan
@@ -317,19 +328,17 @@ def _whole_net(t, span, n, seed, base):
 
 
 def _whole_sample(base, t, n, span, seed):
-    """The sample in one array: rejection over whole nets, as before the stream."""
-    if isinstance(base, ThickenedComplementBase):
-        kept = []
-        for round_ in range(8):
-            pts = _whole_net(t, span, n, seed + 131 * round_, base)
-            kept.append(pts[base.mask(pts, t)])
-            if sum(len(k) for k in kept) >= n:
-                break
-        return np.concatenate(kept)[:n]
-    if isinstance(base, IntersectionBase):
-        pts = _whole_sample(base.parts[0], t, n, span, seed)
-        return pts[np.all([p.mask(pts, t) for p in base.parts[1:]], axis=0)]
-    return _whole_net(t, span, n, seed, base)
+    """The sample in one array: whole nets, and for a base that cuts its net the
+    first n points its mask keeps from up to 8 of them, as before the stream."""
+    if not isinstance(base, (ThickenedComplementBase, IntersectionBase)):
+        return _whole_net(t, span, n, seed, base)
+    kept = []
+    for round_ in range(8):
+        pts = _whole_net(t, span, n, seed + 131 * round_, base)
+        kept.append(pts[base.mask(pts, t)])
+        if sum(len(k) for k in kept) >= n:
+            break
+    return np.concatenate(kept)[:n]
 
 
 @pytest.mark.parametrize(
@@ -355,8 +364,9 @@ def test_blocks_are_the_whole_sample(base):
     assert all(0 < len(b) <= sampling._BLOCK for b in blocks)
     whole = _whole_sample(base, t, n, span, seed)
     assert np.array_equal(np.concatenate(blocks), whole)
-    if isinstance(base, ThickenedComplementBase):
+    if isinstance(base, (ThickenedComplementBase, IntersectionBase)):  # both fill the budget
         assert len(whole) == n
+    if isinstance(base, ThickenedComplementBase):
         first = next(asymptotics.FilterBase.blocks(base, t, n, span, seed + 131 * 2))
         assert 0 < len(blocks[-1]) < np.count_nonzero(base.mask(first, t))
 

@@ -479,8 +479,8 @@ def test_config_resolved_pieces():
     assert sched.oversampling == 2
     assert cfg.sampling_schedule().seed == 11  # seed flows into sampling
     xg, xig = cfg.grids()
-    assert xg.descriptor() == GroupGrid.torus(32).descriptor()
-    assert xig.descriptor() == GroupGrid.truncated_integers(8).descriptor()
+    assert xg == GroupGrid.torus(32)
+    assert xig == GroupGrid.truncated_integers(8)
 
 
 def test_fourier_selftest_report(tmp_path):

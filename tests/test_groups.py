@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from corona_pdo.cli import ExperimentConfig
+from corona_pdo.cli import ExperimentConfig, _grid_spec
 from corona_pdo.groups import (
     GridError,
     GroupGrid,
@@ -82,7 +82,7 @@ def test_dual_is_involutive_on_descriptors():
     ]
     for g in grids:
         dd = g.dual().dual()
-        assert dd.descriptor() == g.descriptor()
+        assert dd == g
 
 
 def test_dual_weight_conventions():
@@ -181,19 +181,25 @@ def test_mismatched_pair_rejected():
 
 
 def test_descriptor_json_round_trip():
+    # the report spells a grid as its config does: the spelling parses back to the grid
     grids = [
         GroupGrid.finite_cyclic(8),
+        GroupGrid.finite_cyclic(6, weight=0.3),
         GroupGrid.torus(32),
         GroupGrid.truncated_integers(16),
         GroupGrid.line(0.125, 4.0),
         product_group(GroupGrid.torus(8), GroupGrid.torus(8)),
     ]
     for g in grids:
-        doc = {"schema": 1, "task": "fourier-selftest", "group": g.descriptor()}
+        doc = {"schema": 1, "task": "fourier-selftest", "group": _grid_spec(g)}
         g2 = ExperimentConfig.from_mapping(json.loads(json.dumps(doc))).grids()[0]
-        assert g2.descriptor() == g.descriptor()
+        assert g2 == g
         assert g2.size == g.size
         assert np.allclose(g2.coords, g.coords)
+    # a weight of 1 is left out, any other is spelled, and it tells the grids apart
+    assert _grid_spec(grids[0]) == {"kind": "finite_cyclic", "n": 8}
+    assert _grid_spec(grids[1]) == {"kind": "finite_cyclic", "n": 6, "weight": 0.3}
+    assert grids[1] != GroupGrid.finite_cyclic(6)
 
 
 def test_compactness_classification():

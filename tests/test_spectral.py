@@ -66,8 +66,8 @@ def test_schedule_validation_and_grids():
     with pytest.raises(SpectralError):
         TruncationSchedule(bands=(16, 32, 64), oversampling=1)
     xg, xig = TruncationSchedule(bands=(8, 16, 32)).grids(8)
-    assert xg.descriptor() == GroupGrid.torus(32).descriptor()
-    assert xig.descriptor() == GroupGrid.truncated_integers(8).descriptor()
+    assert xg == GroupGrid.torus(32)
+    assert xig == GroupGrid.truncated_integers(8)
 
 
 def test_shell_indices_cover_outer_band():

@@ -237,6 +237,17 @@ CONFIGS.update({
         "symbol": {"family": "csv", "path": "symbol8.csv"},
     },
 })
+
+
+def parabola_cone(omega0):
+    """A cone along omega0 (aperture 50 / t) intersected with the complement of the
+    thickened parabola."""
+    return {"kind": "intersection", "parts": [
+        {"kind": "directional", "omega0": omega0, "aperture_scale": 50},
+        {"kind": "ethick", "set": "parabola"},
+    ]}
+
+
 ASYM_CASES = {
     "base=standard": {"psi": "vo:sqrt", "base": {"kind": "standard"}},
     "base=standard-extra": {
@@ -267,6 +278,13 @@ ASYM_CASES = {
         "dim": 2, "psi": {"family": "dirdecay", "omega0": [0, 2], "rate": 2},
         "base": {"kind": "directional", "omega0": [0, 1], "aperture_scale": 0.5},
     },
+    "base=directional-wide": {  # an aperture past pi at t = 100: the cone is everything
+        "dim": 2, "psi": {"family": "dirdecay", "omega0": [1, 1]},
+        "base": {"kind": "directional", "omega0": [0, 1], "aperture_scale": 400},
+    },
+    "base=intersection-2d": {  # a cone's fan, cut by the complement of a thickened parabola
+        "dim": 2, "psi": {"family": "c0:inv"}, "base": parabola_cone([0, -1]),
+    },
     "vo=mapping": {
         "psi": {"family": "vo:pow", "alpha": 0.75},
         "vo": {"shifts": [[0.5], [1]], "radii": [100, 1000, 10000]},
@@ -278,7 +296,8 @@ ASYM_CASES = {
 for label, extra in ASYM_CASES.items():
     CONFIGS[f"asymptotics/{label}"] = {"task": "asymptotics", "asym": SMALL, **extra}
 # error lines: a base row of the wrong length, a values gamma that fits the first
-# rung's x grid (4 x 64 points) and no later one, and a band with one dyadic ball
+# rung's x grid (4 x 64 points) and no later one, a band with one dyadic ball, a
+# cone that the thickened parabola swallows, and a ladder on a group that is no torus
 CONFIGS.update({
     "asymptotics/base=standard-extra-3d": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
@@ -290,6 +309,11 @@ CONFIGS.update({
         }},
     },
     "examples:cesaro/band=16": {"task": "examples:cesaro", "band": 16},
+    "asymptotics/base=intersection-empty": {
+        "task": "asymptotics", "dim": 2, "asym": SMALL,
+        "psi": {"family": "c0:inv"}, "base": parabola_cone([0, 1]),
+    },
+    "gohberg/group=cyclic": {"task": "gohberg", **LADDER, "symbol": FLAGSHIP, "group": CYCLIC},
 })
 
 
