@@ -62,13 +62,18 @@ class Factor:
     @cached_property
     def points(self) -> np.ndarray:
         """Read-only sample coordinates, built on first use (FFT routes need none)."""
-        pts = np.arange(self.offset, self.offset + self.n, dtype=float)
-        if self.kind == "torus":
-            pts /= self.n
-        elif self.kind == "line":
-            pts *= self.params[0]
+        pts = self._coords(np.arange(self.offset, self.offset + self.n, dtype=float))
         pts.flags.writeable = False
         return pts
+
+    def _coords(self, labels) -> np.ndarray:
+        """Float coordinates of integer labels: the label (cyclic, truncated
+        integers), the label / n (torus) or the label * step (line)."""
+        if self.kind == "torus":
+            return np.true_divide(labels, self.n)
+        if self.kind == "line":
+            return np.multiply(labels, self.params[0])
+        return np.asarray(labels, dtype=float)
 
 
 def _cyclic_factor(n: int, weight: float = 1.0) -> Factor:
@@ -162,6 +167,12 @@ class GroupGrid:
             axes = np.meshgrid(*[f.points for f in self.factors], indexing="ij")
             self._coords = np.stack([a.reshape(-1) for a in axes], axis=1)
         return self._coords
+
+    def _coords_at(self, idx) -> np.ndarray:
+        """(len(idx), ndim) coordinates of the flat indices ``idx``, built by the
+        factors' label rule: equal to ``coords[idx]``, without building ``coords``."""
+        axes = self.unravel(idx)
+        return np.stack([f._coords(f.offset + i) for f, i in zip(self.factors, axes)], axis=1)
 
     @property
     def is_compact_kind(self) -> bool:

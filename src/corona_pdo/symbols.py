@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupGrid, assert_dual_pair
-from .sampling import MAX_RADIUS, _net_blocks, directions
+from .sampling import _BLOCK, MAX_RADIUS, _net_blocks, directions
 
 
 class SymbolError(ValueError):
@@ -317,22 +317,33 @@ class CesaroResult:
 def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
     """Means m_n = integral over the ball B_n of |psi| / measure(B_n), for the
     balls |xi| <= radii[n] of the grid (two at least), plus a verdict (tail
-    slope of log m_n against log measure) on whether m_n -> 0."""
+    slope of log m_n against log measure) on whether m_n -> 0.
+
+    The grid is streamed in blocks of ``sampling._BLOCK`` points; memory does
+    not grow with the grid.  Each point's |psi| and count go into the bin of
+    its smallest ball, and a cumulative sum over the bins gives every ball's
+    sum and count.
+    """
     radii = list(radii)
     if len(radii) < 2:
         raise SymbolError(f"need at least two ball radii for a tail slope, got {radii}")
     if sorted(radii) != radii:
         raise SymbolError("ball radii must be increasing")
-    r = np.linalg.norm(grid.coords, axis=1)
-    vals = np.abs(psi(grid.coords))
+    edges, bins = np.asarray(radii, dtype=float), len(radii) + 1  # the last bin: outside
+    sums, counts = np.zeros(bins), np.zeros(bins, dtype=np.int64)
+    for start in range(0, grid.size, _BLOCK):
+        pts = grid._coords_at(np.arange(start, min(start + _BLOCK, grid.size)))
+        ball = np.searchsorted(edges, np.linalg.norm(pts, axis=1))  # first radius >= |xi|
+        sums += np.bincount(ball, np.abs(psi(pts)), bins)
+        counts += np.bincount(ball, minlength=bins)
+    sums, counts = np.cumsum(sums[:-1]), np.cumsum(counts[:-1])
     w = grid.weight_per_point
     means, measures = [], []
     for k, rad in enumerate(radii):
-        m = r <= rad
-        if not m.any():
+        if counts[k] == 0:
             raise SymbolError(f"ball {k} (radius {rad}) holds no grid point")
-        measures.append(w * int(m.sum()))
-        means.append(w * float(vals[m].sum()) / measures[-1])
+        measures.append(w * int(counts[k]))
+        means.append(w * float(sums[k]) / measures[-1])
     means = np.array(means)
     measures = np.array(measures)
     tail = slice(max(len(means) - 4, 0), len(means))

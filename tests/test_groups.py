@@ -244,3 +244,19 @@ def test_factor_points_match_arange_expressions_and_are_read_only():
         # a 1-d grid's coords are a read-only view of its points
         assert g.coords.shape == (g.size, 1)
         assert np.shares_memory(g.coords, pts) and not g.coords.flags.writeable
+
+
+def test_coords_at_flat_indices_follow_the_label_rule():
+    # every kind, an odd line, a weighted cycle and a product whose rows split
+    grids = [
+        GroupGrid.finite_cyclic(7, 0.3),
+        GroupGrid.torus(8),
+        GroupGrid.truncated_integers(5),
+        GroupGrid.line(0.5, 7.5),
+        product_group(GroupGrid.torus(6), GroupGrid.line(0.25, 1.25)),
+    ]
+    for g in grids:
+        idx = np.arange(g.size)
+        got = np.concatenate([g._coords_at(idx[s : s + 4]) for s in range(0, g.size, 4)])
+        assert got.tobytes() == np.ascontiguousarray(g.coords).tobytes()
+        assert not np.shares_memory(g._coords_at(idx), g.factors[0].points)

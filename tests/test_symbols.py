@@ -6,6 +6,8 @@ Frozen quantities used as fixed points below:
   * parabola distances: dist((0,2)) = sqrt(7)/2, dist((0,-1)) = 1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,45 @@ def test_cesaro_means_match_tabulated_values():
     r = np.linalg.norm(grid.coords, axis=1)
     means = [vals[r <= rad].mean() for rad in (4, 16)]  # unit weights: the plain average
     assert np.allclose(cesaro_mean(dyadic_indicator(), grid, [4, 16]).means, means)
+
+
+def _whole_array_means(psi, grid, radii):
+    """The Cesaro means over the whole grid at once: one mask per ball."""
+    r = np.linalg.norm(grid.coords, axis=1)
+    vals = np.abs(psi(grid.coords))
+    w = grid.weight_per_point
+    return np.array([w * float(vals[r <= rad].sum()) / (w * int((r <= rad).sum())) for rad in radii])
+
+
+@pytest.mark.parametrize(
+    "grid, radii",
+    [
+        # labels -131072..131071 in 8 blocks: 0 and +-32768 start one, so the
+        # balls of radius 32768 and 65536 end on block edges
+        (GroupGrid.truncated_integers(2**17), [16, 1000, 32767, 32768, 65535, 65536, 131071]),
+        # 600 x 300 points in 6 blocks, each ending inside a row
+        (product_group(GroupGrid.torus(600), GroupGrid.torus(300)).dual(), [10, 50, 100, 149]),
+    ],
+    ids=["band-2^17", "2-d-dual"],
+)
+def test_streamed_cesaro_means_equal_the_whole_array_means(grid, radii):
+    for psi in (dyadic_indicator(), constant_closure(1.0)):
+        assert _same(cesaro_mean(psi, grid, radii).means, _whole_array_means(psi, grid, radii))
+    wave = sqrt_wave()
+    got, want = cesaro_mean(wave, grid, radii).means, _whole_array_means(wave, grid, radii)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_cesaro_mean_memory_does_not_grow_with_the_grid():
+    grid, psi = GroupGrid.truncated_integers(2**18), dyadic_indicator()
+    radii = [2**k for k in range(4, 18)]
+    tracemalloc.start()
+    try:
+        cesaro_mean(psi, grid, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # the 524,288 float coordinates alone take 4 MB
 
 
 def test_exhaustion_must_nest_and_have_mass():

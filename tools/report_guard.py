@@ -193,6 +193,8 @@ CONFIGS.update({
         "asym": {"scales": [100, 200], "points_per_scale": 300, "span": 4},
     },
     "examples:cesaro/default": {"task": "examples:cesaro"},
+    # 262,144 points stream in 8 blocks; the balls of radius 32768 and 65536 end on block edges
+    "examples:cesaro/blocks": {"task": "examples:cesaro", "band": 2**17},
     # 10^5 points a scale stream in several blocks: the 1-d standard and thickened
     # samples in runs of radii, the 2-d standard and directional ones in whole rays
     "examples:stoskan/blocks": {"task": "examples:stoskan", "asym": {"points_per_scale": 100000}},
