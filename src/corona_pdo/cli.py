@@ -746,7 +746,7 @@ def _example_pescado(cfg: ExperimentConfig):
 def _example_cesaro(cfg: ExperimentConfig):
     """density ideal on Z: dyadic block indicator with Cesaro means -> 0"""
     band = cfg.band
-    grid = GroupGrid.truncated_integers(band)
+    grid = GroupGrid.truncated_integers(band + 1)  # -band-1..band: holds the ball |xi| <= band
     radii = [2**k for k in range(4, band.bit_length())]  # every 2^k <= band from 16
     res = cesaro_mean(dyadic_indicator(), grid, radii)
     # upper gaps give means ~ (log2 n)^2 / (4n); 2(log2 n)^2/n is a safe roof

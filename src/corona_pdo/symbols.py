@@ -316,8 +316,10 @@ class CesaroResult:
 
 def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
     """Means m_n = integral over the ball B_n of |psi| / measure(B_n), for the
-    balls |xi| <= radii[n] of the grid (two at least), plus a verdict (tail
-    slope of log m_n against log measure) on whether m_n -> 0.
+    balls |xi| <= radii[n] of the grid, plus a verdict (tail slope of log m_n
+    against log measure) on whether m_n -> 0.  The radii are two at least and
+    strictly increasing, and the grid must hold every ball whole: on
+    ``truncated_integers(B)`` a radius is at most B - 1.
 
     The grid is streamed in blocks of ``sampling._BLOCK`` points; memory does
     not grow with the grid.  Each point's |psi| and count go into the bin of
@@ -327,8 +329,17 @@ def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
     radii = list(radii)
     if len(radii) < 2:
         raise SymbolError(f"need at least two ball radii for a tail slope, got {radii}")
-    if sorted(radii) != radii:
-        raise SymbolError("ball radii must be increasing")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise SymbolError(f"ball radii must be strictly increasing, got {radii}")
+    # the ball |xi| <= R is whole when -R and R lie within every axis's coordinates
+    first, last = grid._coords_at([0, grid.size - 1])
+    reach = float(min(-first.max(), last.min()))
+    k = next((k for k, rad in enumerate(radii) if rad > reach), None)
+    if k is not None:
+        raise SymbolError(
+            f"ball {k} (radius {radii[k]}) is clipped by the grid, which holds "
+            f"every ball up to radius {reach:g}"
+        )
     edges, bins = np.asarray(radii, dtype=float), len(radii) + 1  # the last bin: outside
     sums, counts = np.zeros(bins), np.zeros(bins, dtype=np.int64)
     for start in range(0, grid.size, _BLOCK):

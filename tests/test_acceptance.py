@@ -197,7 +197,7 @@ def test_criterion_7_filter_base_functionals():
     ribbon = lambda p: np.exp(-np.abs(p[:, 1]))
     along = limsup_along(ribbon, DirectionalBase([0.0, 1.0]), sched).value
     broad = limsup_along(ribbon, StandardBase(2), sched).value
-    grid = GroupGrid.truncated_integers(4096)
+    grid = GroupGrid.truncated_integers(4097)  # -4097..4096 holds the top ball whole
     radii = [2**k for k in range(4, 13)]
     ces = cesaro_mean(dyadic_indicator(), grid, radii)
     roofed = all(

@@ -990,6 +990,9 @@ def test_cesaro_preset_roof(tmp_path):
     assert code == 0
     assert report["results"]["roof_respected"] is True
     assert report["results"]["means"]["verdict"] is True
+    # the grid -1025..1024 holds the top ball whole: 55 of the dyadic set's points in 2049
+    assert report["results"]["means"]["means"][-1] == 55 / 2049
+    assert report["results"]["means"]["measures"][-1] == 2049
     lines = (out / "cesaro_means.csv").read_text().splitlines()
     assert lines[0] == "radius,mean,roof"
 
@@ -1040,7 +1043,7 @@ def test_report_writes_each_record_type_field_by_field():
     records = [
         limsup_along(lambda p: np.abs(sqrt_wave()(p)), StandardBase(1), asym),
         vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII, seed=0),
-        cesaro_mean(dyadic_indicator(), GroupGrid.truncated_integers(64), [16, 64]),
+        cesaro_mean(dyadic_indicator(), GroupGrid.truncated_integers(65), [16, 64]),
         gohberg_verify(symbol, sched, StandardBase(1), asym)[1],
     ]
     for record in records:

@@ -243,8 +243,9 @@ def test_a_complex_cast_of_a_real_family_changes_no_bit(name):
                 modulus_field(h, StandardBase(dim), sched, maximize) for h in (f, g)
             )
             assert _same(fv, gv) and _same_fit(fenv, genv)
-    radii = [4, 16, 64]
-    grid = GroupGrid.truncated_integers(64) if dim == 1 else xg.dual()
+    # every ball whole: -65..64 holds |xi| <= 64, the 2-d dual (-4..3)^2 holds |xi| <= 3
+    radii = [4, 16, 64] if dim == 1 else [1, 2, 3]
+    grid = GroupGrid.truncated_integers(65) if dim == 1 else xg.dual()
     assert _same(cesaro_mean(psi, grid, radii).means, cesaro_mean(wide, grid, radii).means)
     shifts = np.eye(dim)[:1] * [[0.5], [1.0], [2.0]]
     ours, theirs = (vanishing_oscillation_test(q, shifts, RADII, seed=1) for q in (psi, wide))
@@ -359,6 +360,27 @@ def test_exhaustion_must_nest_and_have_mass():
         cesaro_mean(constant_closure(1.0), grid, [8, 4])
     with pytest.raises(SymbolError, match="no grid point"):
         cesaro_mean(constant_closure(1.0), grid, [-1, 4])
+
+
+@pytest.mark.parametrize(
+    "grid, radii, match",
+    [
+        # equal radii once made polyfit's RankWarning and a "means -> 0" verdict
+        (GroupGrid.truncated_integers(64), [16, 16], "strictly increasing"),
+        # so did two balls past the grid's edge, both the whole grid
+        (GroupGrid.truncated_integers(64), [100, 1000], r"ball 0 \(radius 100\) is clipped"),
+        # -64..63 misses +64
+        (GroupGrid.truncated_integers(64), [16, 64], r"ball 1 \(radius 64\) is clipped.* 63$"),
+        # the 2-d dual (-4..3) x (-2..1) holds balls up to radius 1
+        (product_group(GroupGrid.torus(8), GroupGrid.torus(4)).dual(), [1, 2], r"ball 1 .* 1$"),
+        # the line -4, -3.5, ..., 3.5 holds balls up to radius 3.5
+        (GroupGrid.line(0.5, 8.0), [1.0, 3.5, 3.75], r"ball 2 \(radius 3.75\) .* 3.5$"),
+    ],
+    ids=["equal", "both-past-the-edge", "top-past-the-edge", "2-d", "line"],
+)
+def test_cesaro_rejects_radii_that_do_not_grow_or_leave_the_grid(grid, radii, match):
+    with pytest.raises(SymbolError, match=match):
+        cesaro_mean(dyadic_indicator(), grid, radii)
 
 
 @pytest.mark.parametrize("radii", [[], [16]])
