@@ -164,13 +164,12 @@ class GroupGrid:
         if self.ndim == 1:
             return self.factors[0].points[:, None]
         if self._coords is None:
-            axes = np.meshgrid(*[f.points for f in self.factors], indexing="ij")
-            self._coords = np.stack([a.reshape(-1) for a in axes], axis=1)
+            self._coords = self._coords_at(np.arange(self.size))
         return self._coords
 
     def _coords_at(self, idx) -> np.ndarray:
-        """(len(idx), ndim) coordinates of the flat indices ``idx``, built by the
-        factors' label rule: equal to ``coords[idx]``, without building ``coords``."""
+        """(len(idx), ndim) coordinates of the flat indices ``idx`` by the
+        factors' label rule: ``coords[idx]`` without building ``coords``."""
         axes = self.unravel(idx)
         return np.stack([f._coords(f.offset + i) for f, i in zip(self.factors, axes)], axis=1)
 

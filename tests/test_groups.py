@@ -256,7 +256,10 @@ def test_coords_at_flat_indices_follow_the_label_rule():
         product_group(GroupGrid.torus(6), GroupGrid.line(0.25, 1.25)),
     ]
     for g in grids:
+        axes = np.meshgrid(*[f.points for f in g.factors], indexing="ij")
+        want = np.stack([a.reshape(-1) for a in axes], axis=1)
+        assert np.ascontiguousarray(g.coords).tobytes() == want.tobytes()
         idx = np.arange(g.size)
         got = np.concatenate([g._coords_at(idx[s : s + 4]) for s in range(0, g.size, 4)])
-        assert got.tobytes() == np.ascontiguousarray(g.coords).tobytes()
+        assert got.tobytes() == want.tobytes()
         assert not np.shares_memory(g._coords_at(idx), g.factors[0].points)
