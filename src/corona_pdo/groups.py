@@ -66,14 +66,15 @@ class Factor:
         pts.flags.writeable = False
         return pts
 
-    def _coords(self, labels) -> np.ndarray:
-        """Float coordinates of integer labels: the label (cyclic, truncated
-        integers), the label / n (torus) or the label * step (line)."""
+    def _coords(self, labels: np.ndarray) -> np.ndarray:
+        """Coordinates of a float array of integer labels, written over it: the
+        label (cyclic, truncated integers), the label / n (torus) or the label
+        * step (line)."""
         if self.kind == "torus":
-            return np.true_divide(labels, self.n)
-        if self.kind == "line":
-            return np.multiply(labels, self.params[0])
-        return np.asarray(labels, dtype=float)
+            labels /= self.n
+        elif self.kind == "line":
+            labels *= self.params[0]
+        return labels
 
 
 def _cyclic_factor(n: int, weight: float = 1.0) -> Factor:
@@ -170,8 +171,8 @@ class GroupGrid:
     def _coords_at(self, idx) -> np.ndarray:
         """(len(idx), ndim) coordinates of the flat indices ``idx`` by the
         factors' label rule: ``coords[idx]`` without building ``coords``."""
-        axes = self.unravel(idx)
-        return np.stack([f._coords(f.offset + i) for f, i in zip(self.factors, axes)], axis=1)
+        axes = zip(self.factors, self.unravel(idx))
+        return np.stack([f._coords((f.offset + i).astype(float)) for f, i in axes], axis=1)
 
     @property
     def is_compact_kind(self) -> bool:

@@ -338,7 +338,7 @@ def cesaro_mean(psi: DualClosure, grid: GroupGrid, radii) -> CesaroResult:
     if k is not None:
         raise SymbolError(
             f"ball {k} (radius {radii[k]}) is clipped by the grid, which holds "
-            f"every ball up to radius {reach:g}"
+            f"every ball up to radius {reach:.15g}"
         )
     edges, bins = np.asarray(radii, dtype=float), len(radii) + 1  # the last bin: outside
     sums, counts = np.zeros(bins), np.zeros(bins, dtype=np.int64)
