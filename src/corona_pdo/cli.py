@@ -541,16 +541,7 @@ def _task_gohberg(cfg: ExperimentConfig):
         "symbol_id": _symbol_id(f),
         "schedule": sched,
         "base": base.label,
-        "sigma_tables": {"top": list(est.fit.per_scale)},
-        "ess_norm": {
-            "value": est.estimate,
-            "fit": {
-                "slope": est.fit.slope,
-                "residual": est.fit.residual,
-                "rel_residual": est.fit.rel_residual,
-            },
-            "flag": "ok" if est.reliable else "unreliable",
-        },
+        "ess_norm": est,
         "gohberg": rep,
     }
     warnings = list(rep.notes)
@@ -599,13 +590,7 @@ def _task_fredholm(cfg: ExperimentConfig):
     results = {
         "symbol_id": _symbol_id(f),
         "schedule": sched,
-        "fredholm": {
-            "verdict": res.verdict,
-            "c": res.floor,
-            "sigma_min_traj": list(res.sigma_min_full),
-            "corroborated": res.corroborated,
-            "notes": list(res.notes),
-        },
+        "fredholm": res,
     }
     rows = [[band, s] for band, s in zip(sched.bands, res.sigma_min_full)]
     floor = "none" if res.floor is None else f"{res.floor:.6g}"

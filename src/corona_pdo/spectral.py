@@ -182,7 +182,7 @@ def _rungs(symbol: Symbol, schedule: TruncationSchedule, base: FilterBase | None
 class EssentialNormResult:
     shell_dims: tuple
     fit: AsymptoticFit  # sigma_top per band, the bands as its scales
-    estimate: float
+    value: float  # the fit's value, clamped at 0
     reliable: bool
     notes: tuple
 
@@ -298,15 +298,16 @@ def fredholm_check(
     |f(x, .)| > 0; full-band frequency sections corroborate (their sigma_min
     should stay above floor/2), but the verdict never rests on sections
     alone since finite truncation can pollute sigma_min in both directions.
-    Like every ladder, the sections need a 1-d torus x group.  A non-compact
-    x group runs no ladder: see ``_noncompact_fredholm``.
+    Like every ladder, the sections need a 1-d torus x group; they are built
+    before the floor is sampled, so any other compact group ends on that rule.
+    A non-compact x group runs no ladder: see ``_noncompact_fredholm``.
     """
     if not symbol.xgrid.is_compact_kind:
         return _noncompact_fredholm(symbol, asym_schedule, floor_tol)
     notes = []
+    sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, None))
     # min over x of liminf |f(x, .)|, clamped at zero since it estimates a modulus
     floor = max(float(modulus_field(symbol, base, asym_schedule, maximize=False)[0].min()), 0.0)
-    sigmas = tuple(sigma_min(sect) for sect in _rungs(symbol, schedule, None))
     verdict = "FREDHOLM-SUFFICIENT" if floor > floor_tol else "INCONCLUSIVE"
     corroborated = True
     if verdict == "FREDHOLM-SUFFICIENT":
@@ -405,7 +406,7 @@ def gohberg_verify(
     """
     est_result = essential_norm_estimate(symbol, schedule, base)
     per_fiber, max_fit = modulus_field(symbol, base, asym_schedule)
-    est, rhs, minform = est_result.estimate, max_fit.value, float(per_fiber.min())
+    est, rhs, minform = est_result.value, max_fit.value, float(per_fiber.min())
     notes = list(est_result.notes)
     unreliable = not est_result.reliable
 

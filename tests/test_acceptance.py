@@ -115,7 +115,7 @@ def test_criterion_1_exact_identities():
 
 
 def test_criterion_2_distance_identity(flagship, flagship_estimate):
-    est = flagship_estimate.estimate
+    est = flagship_estimate.value
     rhs = modulus_field(flagship, StandardBase(1), SamplingSchedule())[1].value
     _verdict(
         2,
@@ -128,7 +128,7 @@ def test_criterion_2_distance_identity(flagship, flagship_estimate):
 
 
 def test_criterion_3_lower_bound(flagship, flagship_estimate):
-    est = flagship_estimate.estimate
+    est = flagship_estimate.value
     mn = modulus_field(flagship, StandardBase(1), SamplingSchedule())[0].min()
     _verdict(
         3,
@@ -147,7 +147,7 @@ def test_criterion_4_compact_degeneration():
     _verdict(
         4,
         "decaying frequency factor collapses the distance",
-        [(f"estimate {res.estimate:.2e} <= 0.05 at band 2048", res.estimate <= 0.05)],
+        [(f"estimate {res.value:.2e} <= 0.05 at band 2048", res.value <= 0.05)],
     )
 
 

@@ -25,6 +25,8 @@ from corona_pdo.cli import (
 from corona_pdo.groups import GroupGrid, truncated_dual
 from corona_pdo.pdo import load_matrix_bin, op_matrix
 from corona_pdo.spectral import (
+    EssentialNormResult,
+    FredholmResult,
     GohbergReport,
     TruncationSchedule,
     gohberg_verify,
@@ -659,10 +661,14 @@ def test_gohberg_task_report_and_csv(tmp_path):
     goh = report["results"]["gohberg"]
     assert 0.85 <= goh["ratio"] <= 1.15
     assert goh["violation"] is False
-    assert report["results"]["ess_norm"]["flag"] == "ok"
+    # the essential-norm block is its library record, field by field
+    ess = report["results"]["ess_norm"]
+    assert set(ess) == {field.name for field in dataclasses.fields(EssentialNormResult)}
+    assert ess["reliable"] is True
     lines = (out / "sigma_by_band.csv").read_text().splitlines()
     assert lines[0].startswith("band,shell_dim,sigma_top")
     assert len(lines) == 4  # header + one row per band
+    assert ess["fit"]["per_scale"] == [float(line.split(",")[2]) for line in lines[1:]]
 
 
 def test_gohberg_unreliable_exits_zero_with_warning(tmp_path, capsys):
@@ -840,8 +846,10 @@ def test_fredholm_task_noncompact_group(tmp_path):
     }
     code, report, _ = _run(tmp_path, doc)
     assert code == 0
-    assert report["results"]["fredholm"]["verdict"] == "NOT-FREDHOLM"
-    assert report["results"]["fredholm"]["sigma_min_traj"] == []
+    fred = report["results"]["fredholm"]
+    assert set(fred) == {field.name for field in dataclasses.fields(FredholmResult)}
+    assert fred["verdict"] == "NOT-FREDHOLM"
+    assert fred["sigma_min_full"] == []
 
 
 def test_asymptotics_task_directional(tmp_path):
@@ -1028,7 +1036,7 @@ def test_sepavar_preset_small_ladder(tmp_path):
     goh, goh_out = run_task("gohberg")
     probe, probe_out = run_task("spectrum-probe")
     fred, _ = run_task("fredholm")
-    for key in ("symbol_id", "schedule", "sigma_tables", "ess_norm", "gohberg"):
+    for key in ("symbol_id", "schedule", "ess_norm", "gohberg"):
         assert res[key] == goh[key], key
     assert res["weyl"] == probe["weyl"]
     assert res["fredholm"] == fred["fredholm"]
@@ -1140,7 +1148,8 @@ def test_non_finite_refusal_names_the_first_numpy_warning(tmp_path, doc, cause):
 
 
 def test_table_symbol_fredholm_ends_in_one_error_line(tmp_path, capsys):
-    # the report guard's fredholm/symbol=csv config: a table has no values off the grid
+    # the report guard's fredholm/symbol=csv config: the ladder comes first, and a
+    # table has no values off its grid to rebind to the rungs
     rows = [f"{i},{k},{(i * 8 + k) % 5 - 1.5},{0.25 * i}\n" for i in range(8) for k in range(8)]
     (tmp_path / "symbol8.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
     doc = {
@@ -1150,7 +1159,7 @@ def test_table_symbol_fredholm_ends_in_one_error_line(tmp_path, capsys):
     code, report, out = _run(tmp_path, doc)
     assert code == 1 and report is None and not out.exists()
     err = capsys.readouterr().err.splitlines()
-    assert err == ["[error] symbol is tabulated only; off-grid evaluation undefined"]
+    assert err == ["[error] symbol is tabulated only; cannot rebind to new grids"]
 
 
 def test_finished_run_lists_numpy_warnings(tmp_path, capsys, monkeypatch):

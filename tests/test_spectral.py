@@ -299,7 +299,7 @@ def test_constant_multiplier_estimates_its_modulus_exactly():
     res = essential_norm_estimate(f, sched, StandardBase(1))
     assert isinstance(res, EssentialNormResult)
     assert np.allclose(res.fit.per_scale, 2.0, atol=1e-9)
-    assert abs(res.estimate - 2.0) < 1e-9
+    assert abs(res.value - 2.0) < 1e-9
     assert res.reliable
 
 
@@ -311,7 +311,7 @@ def test_fast_decaying_perturbation_is_invisible():
     )
     res = essential_norm_estimate(_multiplier(psi, sched), sched, StandardBase(1))
     assert np.allclose(res.fit.per_scale, 1.0, atol=1e-3)
-    assert abs(res.estimate - 1.0) < 1e-2
+    assert abs(res.value - 1.0) < 1e-2
 
 
 def test_flagship_estimate_small_ladder():
@@ -320,7 +320,7 @@ def test_flagship_estimate_small_ladder():
     # compressions sit under sup|f| = 3 and should already be close
     assert all(t <= 3.0 + 1e-9 for t in res.fit.per_scale)
     assert all(t >= 2.5 for t in res.fit.per_scale)
-    assert 2.4 <= res.estimate <= 3.6
+    assert 2.4 <= res.value <= 3.6
 
 
 def test_compact_symbol_estimate_collapses():
@@ -328,7 +328,7 @@ def test_compact_symbol_estimate_collapses():
     res = essential_norm_estimate(_multiplier(inverse_decay(), sched), sched, StandardBase(1))
     assert res.fit.per_scale[0] < 0.07
     assert res.fit.per_scale[-1] < res.fit.per_scale[0]
-    assert res.estimate <= 0.01
+    assert res.value <= 0.01
     assert "extrapolation clamped at 0" in res.notes
 
 

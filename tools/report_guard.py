@@ -233,7 +233,7 @@ CONFIGS.update({
         "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
         "symbol": {"family": "csv", "path": "symbol4.csv"},
     },
-    # a table has no values off the grid: the at-infinity floor ends the run with exit 1
+    # a table has no values off the grid: rebinding it to the first rung ends the run with exit 1
     "fredholm/symbol=csv": {
         "task": "fredholm", "group": {"kind": "torus", "samples": 8},
         "symbol": {"family": "csv", "path": "symbol8.csv"},
@@ -299,7 +299,8 @@ for label, extra in ASYM_CASES.items():
     CONFIGS[f"asymptotics/{label}"] = {"task": "asymptotics", "asym": SMALL, **extra}
 # error lines: a base row of the wrong length, a values gamma that fits the first
 # rung's x grid (4 x 64 points) and no later one, a band with one dyadic ball, a
-# cone that the thickened parabola swallows, and a ladder on a group that is no torus
+# cone that the thickened parabola swallows, and gohberg and fredholm ladders on a
+# group that is no torus
 CONFIGS.update({
     "asymptotics/base=standard-extra-3d": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
@@ -316,6 +317,7 @@ CONFIGS.update({
         "psi": {"family": "c0:inv"}, "base": parabola_cone([0, 1]),
     },
     "gohberg/group=cyclic": {"task": "gohberg", **LADDER, "symbol": FLAGSHIP, "group": CYCLIC},
+    "fredholm/group=cyclic": {"task": "fredholm", **LADDER, "symbol": FLAGSHIP, "group": CYCLIC},
 })
 
 
