@@ -299,7 +299,8 @@ _REQUIRED = {
 }
 _NARROWER = {"spectrum-probe": {"lambdas": _list(_complex, 1)},
              "examples:sepavar": {"lambdas": _list(_complex, 1)},
-             "examples:cesaro": {"band": (_num(int, 32), 4096)}}  # two balls: 16 and 32
+             # >= 32: two balls (16, 32); <= 2^30: a minute of streaming, where 10^15 takes years
+             "examples:cesaro": {"band": (_num(int, 32, 2**30), 4096)}}
 
 
 def _psi(spec: dict, dim: int | None = None):
@@ -625,63 +626,50 @@ def _task_asymptotics(cfg: ExperimentConfig):
 # -- example presets ---------------------------------------------------------------
 
 
+def _limsups(rows: dict, asym: SamplingSchedule):
+    """A preset's limsups: each ``name: (phi, base)`` row, in order, through
+    ``limsup_along``, as the report blocks ``<name>_limsup``, the side file
+    ``sups_by_scale.csv`` with columns ``sup_<name>``, and a summary."""
+    fits = {name: limsup_along(phi, base, asym) for name, (phi, base) in rows.items()}
+    summary = ", ".join(f"{name} limsup {fit.value:.3g}" for name, fit in fits.items())
+    blocks = {f"{name}_limsup": fit for name, fit in fits.items()}
+    return blocks, {"sups_by_scale.csv": _fit_csv_rows(fits)}, summary
+
+
 def _example_stoskan(cfg: ExperimentConfig):
     """one-sided ideal on R: vanishing at +inf only, plus a slow-wave oscillation certificate"""
-    asym = cfg.sampling_schedule()
     mod = lambda p: np.exp(-np.maximum(p[:, 0], 0.0))  # positive: its own modulus
-    std = limsup_along(mod, StandardBase(1), asym)
-    one_sided = limsup_along(mod, ThickenedComplementBase(halfline_set(0.0)), asym)
+    blocks, files, summary = _limsups({
+        "standard": (mod, StandardBase(1)),
+        "onesided": (mod, ThickenedComplementBase(halfline_set(0.0))),
+    }, cfg.sampling_schedule())
     # slow wave sin(sqrt|xi|): the beta' -> 0 membership certificate
     prof = vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII, seed=cfg.seed)
-    results = {
-        "preset": "stoskan",
-        "function": "exp(-max(xi,0))",
-        "standard_limsup": std,
-        "onesided_limsup": one_sided,
-        "slow_wave_oscillation": prof,
-    }
-    header, rows = _fit_csv_rows({"standard": std, "onesided": one_sided})
-    print(
-        f"[run] stoskan: standard limsup {std.value:.4f}, "
-        f"one-sided limsup {one_sided.value:.2e}, slow wave {prof.verdict}"
-    )
-    return results, _flags(), {"sups_by_scale.csv": (header, rows)}
+    results = {"preset": "stoskan", "function": "exp(-max(xi,0))", **blocks,
+               "slow_wave_oscillation": prof}
+    print(f"[run] stoskan: {summary}, slow wave {prof.verdict}")
+    return results, _flags(), files
 
 
 def _example_rradial(cfg: ExperimentConfig):
     """directional-at-infinity ideal on R^2/R^3: decay inside a cone that the standard base misses"""
-    asym = cfg.sampling_schedule()
     psi = directional_decay_symbol([0.0, 1.0])
     mod = lambda p: np.abs(psi(p))
-    along = limsup_along(mod, DirectionalBase([0.0, 1.0]), asym)
-    std = limsup_along(mod, StandardBase(2), asym)
-    ortho = limsup_along(mod, DirectionalBase([1.0, 0.0]), asym)
 
     # 3-d cone-flattening: psi3 -> 1 along omega0 = (1,0,0), so |1 - psi3|
     # vanishes directionally even though psi3 has no limit at infinity
-    def psi3(p):
+    def flat(p):
         x1 = np.maximum(p[:, 0], 1.0)
-        return np.cos(x1**-2.0 * np.cos(p[:, 1] + p[:, 2]))
+        return np.abs(1.0 - np.cos(x1**-2.0 * np.cos(p[:, 1] + p[:, 2])))
 
-    flat = limsup_along(
-        lambda p: np.abs(1.0 - psi3(p)), DirectionalBase([1.0, 0.0, 0.0]), asym
-    )
-    results = {
-        "preset": "rradial",
-        "function": psi.name,
-        "directional_limsup": along,
-        "standard_limsup": std,
-        "orthogonal_limsup": ortho,
-        "cone_flattening_limsup": flat,
-    }
-    header, rows = _fit_csv_rows(
-        {"directional": along, "standard": std, "orthogonal": ortho, "flattening": flat}
-    )
-    print(
-        f"[run] rradial: directional {along.value:.2e} vs standard {std.value:.4f}; "
-        f"cone flattening {flat.value:.2e}"
-    )
-    return results, _flags(), {"sups_by_scale.csv": (header, rows)}
+    blocks, files, summary = _limsups({
+        "directional": (mod, DirectionalBase([0.0, 1.0])),
+        "standard": (mod, StandardBase(2)),
+        "orthogonal": (mod, DirectionalBase([1.0, 0.0])),
+        "cone_flattening": (flat, DirectionalBase([1.0, 0.0, 0.0])),
+    }, cfg.sampling_schedule())
+    print(f"[run] rradial: {summary}")
+    return {"preset": "rradial", "function": psi.name, **blocks}, _flags(), files
 
 
 def _example_pescado(cfg: ExperimentConfig):
@@ -690,7 +678,7 @@ def _example_pescado(cfg: ExperimentConfig):
     phi = lambda p: np.exp(-E.distance(p))
     desk = {"scales": (1e2, 1e3), "points_per_scale": 2000, "seed": cfg.seed}
     asym = SamplingSchedule(**{**desk, **cfg.asym})
-    off_set = limsup_along(phi, ThickenedComplementBase(E), asym)
+    blocks, files, summary = _limsups({"complement": (phi, ThickenedComplementBase(E))}, asym)
     t = np.linspace(-40.0, 40.0, 2001)
     on_set_sup = float(np.max(phi(E.parametrize(t))))
     # unit normals (-2t, 1)/sqrt(1+4t^2); +s points into the epigraph, -s
@@ -706,7 +694,7 @@ def _example_pescado(cfg: ExperimentConfig):
         "preset": "pescado",
         "set": E.label,
         "function": "exp(-dist(xi, E))",
-        "complement_limsup": off_set,
+        **blocks,
         "on_set_sup": on_set_sup,
         "normal_offset_sups": offsets,
         "note": (
@@ -718,14 +706,11 @@ def _example_pescado(cfg: ExperimentConfig):
     }
     rows = [[o["s"], o["sup_convex_side"], o["sup_concave_side"]] for o in offsets]
     print(
-        f"[run] pescado: on-set sup {on_set_sup:.4f}, off-thickening limsup "
-        f"{off_set.value:.2e}, convex-side sup at s=8: "
-        f"{offsets[-1]['sup_convex_side']:.2e}"
+        f"[run] pescado: {summary}, on-set sup {on_set_sup:.4f}, "
+        f"convex-side sup at s=8: {offsets[-1]['sup_convex_side']:.2e}"
     )
-    return results, _flags(), {
-        "sups_by_scale.csv": _fit_csv_rows({"complement": off_set}),
-        "normal_offsets.csv": (["s", "sup_convex_side", "sup_concave_side"], rows),
-    }
+    files["normal_offsets.csv"] = (["s", "sup_convex_side", "sup_concave_side"], rows)
+    return results, _flags(), files
 
 
 def _example_cesaro(cfg: ExperimentConfig):

@@ -222,10 +222,6 @@ class GroupGrid:
         )
         return np.ravel_multi_index(diff, self.shape)
 
-    @property
-    def identity_index(self) -> int:
-        return int(np.ravel_multi_index(self._origins(), self.shape))
-
 
 def product_group(*grids: GroupGrid) -> GroupGrid:
     """Concatenate grids into one product grid (lexicographic indexing)."""

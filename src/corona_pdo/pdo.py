@@ -20,10 +20,13 @@ is what makes frequency-side truncation analysis legitimate for sampled
 symbols.
 
 Operator matrices and unbanded sections are dense, at most DENSE_CAP a side:
-this is a desk-scale verification tool, not a solver.  Frequency sections of
-tensor symbols on a 1-d grid also come in LAPACK band storage: S = T(gamma^)
-diag(psi) is a Toeplitz-times-diagonal matrix whose bandwidth is the largest
-Fourier mode of gamma, so the truncation ladders never form the n x n array.
+this is a desk-scale verification tool, not a solver.  A dense section comes
+from the FFT of the symbol's table, whatever the symbol.  Frequency sections
+of tensor symbols on a 1-d grid also come in LAPACK band storage, built from
+the tensor terms: S = T(gamma^) diag(psi) is a Toeplitz-times-diagonal matrix
+whose bandwidth is the largest Fourier mode of gamma, so the truncation
+ladders never form the n x n array.  Both routes take xi_a - eta_b by the
+dual's group law, ``sub_indices``.
 """
 
 from __future__ import annotations
@@ -82,16 +85,17 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
 
     ``indices`` picks the rows/columns (defaults to the whole dual grid); the
     difference xi_a - eta_b wraps inside the full dual of the x grid, which is
-    exact because dual frequencies are multiples of the wrap period.  Tensor
-    symbols sum their terms; other symbols transform their table.
+    exact because dual frequencies are multiples of the wrap period.  The
+    dense section transforms the symbol's table.
 
     ``banded=True`` (tensor symbols on a 1-d grid) returns the section in
     LAPACK general band storage ``ab[K + a - b, b] = S[a, b]``, shape
-    (2K + 1, n), without the dense cap.  K is the smallest bandwidth with
-    w^ * sum_i sup|psi_i| * (gamma_i^ mass beyond mode K) <= BAND_TOL *
-    sup_bound.  That sum bounds every row and column sum of the dropped
-    entries, hence their norm, so by Weyl's inequality no singular value
-    moves further.  Indices that do not increase keep every entry.
+    (2K + 1, n), from the tensor terms and without the dense cap.  K is the
+    smallest bandwidth with w^ * sum_i sup|psi_i| * (gamma_i^ mass beyond
+    mode K) <= BAND_TOL * sup_bound.  That sum bounds every row and column
+    sum of the dropped entries, hence their norm, so by Weyl's inequality no
+    singular value moves further.  Indices that do not increase keep every
+    entry.
     """
     xig = symbol.xigrid
     if indices is None:
@@ -100,20 +104,12 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
     omega = symbol.xgrid.dual()
     embed = _embed_dual_indices(xig, omega)[indices]
     what = xig.weight_per_point
-    terms = symbol.tensor_terms
     if banded:
-        if terms is None or omega.ndim != 1:
+        if symbol.tensor_terms is None or omega.ndim != 1:
             raise PdoError("band storage needs a tensor symbol on a 1-d grid")
         return _band_section(symbol, xig.coords[indices], embed, omega) * what
     _check_cap(len(indices), "frequency_section")
     sub = omega.sub_indices(embed[:, None], embed[None, :])
-    if terms is not None:
-        S = np.zeros((len(indices), len(indices)), dtype=complex)
-        psi_cols = xig.coords[indices]
-        for gv, psi in terms:
-            gh = fourier(gv, symbol.xgrid)
-            S += gh[sub] * psi(psi_cols)[None, :]
-        return S * what
     psi1 = fourier(symbol.table(), symbol.xgrid, overwrite=True)
     return psi1[sub, indices[None, :]] * what
 
@@ -121,12 +117,11 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
 def _band_section(symbol, cols, embed, omega) -> np.ndarray:
     """Band storage of sum_i gamma_i^(xi_a - eta_b) psi_i(eta_b), before w^."""
     n, period = len(embed), omega.size
-    origin = -omega.factors[0].offset
-    wrap = np.arange(period)
-    wrap = np.minimum(wrap, period - wrap)  # mode distance of each rolled bin
+    wrap = (np.arange(period) + omega.factors[0].offset) % period
+    wrap = np.minimum(wrap, period - wrap)  # mode distance of each bin's label
     hats, psis, tail = [], [], 0.0
     for gv, psi in symbol.tensor_terms:
-        gh = np.roll(fourier(gv, symbol.xgrid), -origin)
+        gh = fourier(gv, symbol.xgrid)
         pv = psi(cols)
         mass = np.bincount(wrap, weights=np.abs(gh))
         beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past distance k
@@ -140,7 +135,7 @@ def _band_section(symbol, cols, embed, omega) -> np.ndarray:
     b = np.arange(n)
     a = b[None, :] + np.arange(-k, k + 1)[:, None]
     inside = (a >= 0) & (a < n)
-    diff = (embed[np.clip(a, 0, n - 1)] - embed[None, :]) % period
+    diff = omega.sub_indices(embed[np.clip(a, 0, n - 1)], embed[None, :])
     ab = np.zeros((2 * k + 1, n), dtype=complex)
     for gh, pv in zip(hats, psis):
         ab += gh[diff] * pv[None, :]

@@ -91,6 +91,8 @@ TORUS_2D = {"kind": "product", "factors": [{"kind": "torus", "samples": 8}] * 2}
 # bad configs whose error line names the entry at fault: band 16..31 holds one
 # dyadic ball, which has no tail slope
 CESARO_ONE_BALL = {"task": "examples:cesaro", "band": 16}
+# the preset streams the whole band: 10^15 would run for years
+CESARO_HUGE = {"task": "examples:cesaro", "band": 1e15}
 EXTRA_3D = {
     "task": "asymptotics", "dim": 2,
     "base": {"kind": "standard", "extra_directions": [[1, 0, 0]]},
@@ -190,12 +192,14 @@ def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
 @pytest.mark.parametrize(
     "patch, line",
     [
-        (CESARO_ONE_BALL, "band: expected an integer in [32, inf], got 16"),
+        (CESARO_ONE_BALL, "band: expected an integer in [32, 1073741824], got 16"),
+        (CESARO_HUGE, "band: expected an integer in [32, 1073741824], got 1000000000000000.0"),
         (EXTRA_3D, "base.extra_directions[0] has 3 coordinates; the dual is 2-d"),
         (NESTED_3D, "base.parts[1].extra_directions[0] has 3 coordinates; the dual is 2-d"),
         (VALUES_LADDER, "gamma gives 64 values on 128 x points"),
     ],
-    ids=["cesaro-band-one-ball", "extra-direction", "extra-direction-nested", "gamma-values-ladder"],
+    ids=["cesaro-band-one-ball", "cesaro-band-huge", "extra-direction", "extra-direction-nested",
+         "gamma-values-ladder"],
 )
 def test_bad_config_error_names_its_entry(tmp_path, capsys, patch, line):
     code, report, _ = _run(tmp_path, _bad_doc(patch))
@@ -943,6 +947,23 @@ def test_rradial_preset_cone_vs_sphere(tmp_path):
     assert abs(res["directional_limsup"]["value"]) <= 1e-3
     assert res["standard_limsup"]["value"] == pytest.approx(1.0, abs=1e-3)
     assert abs(res["cone_flattening_limsup"]["value"]) <= 1e-6
+
+
+@pytest.mark.parametrize("preset, names", [
+    ("stoskan", ["standard", "onesided"]),
+    ("rradial", ["directional", "standard", "orthogonal", "cone_flattening"]),
+    ("pescado", ["complement"]),
+])
+def test_preset_limsup_keys_name_their_csv_columns(tmp_path, preset, names):
+    asym = {"scales": [100.0, 1000.0], "points_per_scale": 400}
+    code, report, out = _run(tmp_path, {"schema": 1, "task": f"examples:{preset}", "asym": asym})
+    assert code == 0
+    res = report["results"]
+    assert sorted(k for k in res if k.endswith("_limsup")) == sorted(f"{n}_limsup" for n in names)
+    header, *rows = (out / "sups_by_scale.csv").read_text().splitlines()
+    assert header.split(",") == ["scale"] + [f"sup_{n}" for n in names]
+    columns = list(zip(*(map(float, row.split(",")) for row in rows)))
+    assert [list(c) for c in columns[1:]] == [res[f"{n}_limsup"]["per_scale"] for n in names]
 
 
 def test_pescado_preset_envelope(tmp_path):

@@ -40,7 +40,7 @@ def test_pairing_at_identity_is_one():
         GroupGrid.line(0.5, 8.0),
     ]:
         d = g.dual()
-        e = g.identity_index
+        e = g.sub_indices(0, 0)
         vals = pairing(g, d, np.full(d.size, e), np.arange(d.size))
         assert np.allclose(vals, 1.0, atol=1e-14)
 
@@ -124,21 +124,22 @@ def test_product_structure_and_lexicographic_indexing():
 def test_index_arithmetic_wraps():
     g = GroupGrid.finite_cyclic(10)
     assert g.sub_indices(2, 7) == 5
-    e = g.identity_index
+    e = g.sub_indices(0, 0)
     assert g.sub_indices(e, 3) == 7  # inverse of 3
     assert g.sub_indices(8, g.sub_indices(e, 5)) == 3  # 8 + 5 wraps to 3
     t = GroupGrid.torus(8)
     assert t.sub_indices(1, 6) == 3
-    assert t.identity_index == 0
+    assert t.sub_indices(0, 0) == 0
     li = GroupGrid.line(1.0, 8.0)
-    # identity of the line grid is the point at coordinate 0
-    assert li.coords[li.identity_index, 0] == 0.0
+    # x x^{-1} is the identity: on the line grid, the point at coordinate 0
+    assert li.coords[li.sub_indices(0, 0), 0] == 0.0
 
 
 def test_index_arithmetic_respects_midwindow_origin():
     # kinds whose coordinate 0 sits mid-window: index math must shift by it
     for g in [GroupGrid.truncated_integers(4), GroupGrid.line(0.5, 4.0)]:
-        e = g.identity_index
+        e = g.sub_indices(0, 0)  # x x^{-1}: the identity, coordinate 0 mid-window
+        assert g.coords[e, 0] == 0.0
         i = np.arange(g.size)
         assert np.all(g.sub_indices(i, i) == e)
         assert np.all(g.sub_indices(i, e) == i)
@@ -146,7 +147,7 @@ def test_index_arithmetic_respects_midwindow_origin():
         assert np.all(add(i, e) == i)
         assert np.all(add(i, g.sub_indices(e, i)) == e)
     d = GroupGrid.truncated_integers(4)
-    e = d.identity_index
+    e = d.sub_indices(0, 0)
     # coordinate-level wrap: points -4..3, so 3 - (-2) = 5 wraps to -3
     assert d.coords[d.sub_indices(7, 2), 0] == -3.0
     assert d.coords[d.sub_indices(6, d.sub_indices(e, 7)), 0] == -3.0  # 2 + 3

@@ -298,9 +298,9 @@ ASYM_CASES = {
 for label, extra in ASYM_CASES.items():
     CONFIGS[f"asymptotics/{label}"] = {"task": "asymptotics", "asym": SMALL, **extra}
 # error lines: a base row of the wrong length, a values gamma that fits the first
-# rung's x grid (4 x 64 points) and no later one, a band with one dyadic ball, a
-# cone that the thickened parabola swallows, and gohberg and fredholm ladders on a
-# group that is no torus
+# rung's x grid (4 x 64 points) and no later one, a band with one dyadic ball and
+# one that would stream for years, a cone that the thickened parabola swallows, and
+# gohberg and fredholm ladders on a group that is no torus
 CONFIGS.update({
     "asymptotics/base=standard-extra-3d": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
@@ -312,6 +312,7 @@ CONFIGS.update({
         }},
     },
     "examples:cesaro/band=16": {"task": "examples:cesaro", "band": 16},
+    "examples:cesaro/band=1e15": {"task": "examples:cesaro", "band": 1e15},
     "asymptotics/base=intersection-empty": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
         "psi": {"family": "c0:inv"}, "base": parabola_cone([0, 1]),
