@@ -41,7 +41,7 @@ from .asymptotics import (
     limsup_along,
 )
 from .fourier import fourier, inverse_fourier, transform_matrix
-from .groups import GridError, GroupGrid, product_group, truncated_dual
+from .groups import GridError, GroupGrid, assert_dual_pair, product_group
 from .pdo import (
     PdoError,
     diagram_check,
@@ -64,7 +64,6 @@ from .symbols import (
     cesaro_mean,
     const_profile,
     constant_closure,
-    constant_symbol,
     cos_profile,
     directional_decay_symbol,
     dyadic_indicator,
@@ -180,7 +179,7 @@ def _build(table, tag, spec, *context):
 
 
 _REAL, _NONNEG, _POS = _num(), _num(lo=0), _num(lo=0, strict=True)
-_SEED, _VECTOR = _num(int, 0), _list(_REAL, 1, 8)
+_SEED = _num(int, 0)
 
 
 def _task(v, where):
@@ -193,7 +192,7 @@ def _ratio_band(v, where):
 
 
 def _direction(v, where):
-    v = _VECTOR(v, where)
+    v = _list(_REAL, 1, 8)(v, where)
     return v if any(v) else _bad(where, "must be a nonzero vector")
 
 
@@ -235,7 +234,6 @@ _SYMBOLS = {
         (_build(_GAMMAS, "profile", t["gamma"]), _psi(t["psi"], xig.ndim)) for t in terms
     ])),
     "csv": ({"path": (_str(), ...)}, lambda xg, xig, path: load_symbol_csv(path, xg, xig)),
-    "const": ({"value": (_complex, 1.0)}, lambda xg, xig, value: constant_symbol(value, xg, xig)),
 }
 _SETS = {"halfline": ({"a": _REAL}, halfline_set), "parabola": ({}, parabola_graph)}
 _BASES = {
@@ -288,7 +286,7 @@ _FIELDS = {
     "psi": _PSI,  # asymptotics
     "dim": (_num(int, 1, 8), 1),  # asymptotics
     "vo": (lambda v, where: ({} if v else None) if isinstance(v, bool) else _map(  # asymptotics
-        {"shifts": _list(_VECTOR, 1), "radii": _list(_POS, 1)}  # true: default shifts and radii
+        {"shifts": _list(_direction, 1), "radii": _list(_POS, 1)}  # true: default shifts and radii
     )(v, where) or None, False),  # false or {}: no oscillation profile
 }
 # per task: the keys it requires, and the keys it checks more narrowly than _FIELDS
@@ -303,8 +301,8 @@ _NARROWER = {"spectrum-probe": {"lambdas": _list(_complex, 1)},
              "examples:cesaro": {"band": (_num(int, 32, 2**30), 4096)}}
 
 
-def _psi(spec: dict, dim: int | None = None):
-    if "omega0" in spec and dim not in (None, len(spec["omega0"])):
+def _psi(spec: dict, dim: int):
+    if "omega0" in spec and len(spec["omega0"]) != dim:
         raise SymbolError(f"psi omega0 {spec['omega0']} does not fit a {dim}-d dual")
     return _build(_PSIS, "family", spec)
 
@@ -371,7 +369,12 @@ class ExperimentConfig(SimpleNamespace):
         """(x grid, dual grid): the configured group, else the schedule's base rung."""
         if self.group is not None:
             xg = _build(_GROUPS, "kind", self.group)
-            return xg, (truncated_dual(xg, self.band) if self.band else xg.dual())
+            xig = xg.dual() if self.band is None else GroupGrid.truncated_integers(self.band)
+            try:  # a band truncates the dual, under the group's Nyquist limit
+                assert_dual_pair(xg, xig)
+            except GridError as e:
+                raise CliError(f"band: {e}") from None
+            return xg, xig
         sched = self.truncation_schedule()
         return sched.grids(sched.bands[0])
 
@@ -756,12 +759,11 @@ def _example_sepavar(cfg: ExperimentConfig):
     })
     tasks = (_task_gohberg, _task_spectrum_probe, _task_fredholm)
     blocks, parts, files = zip(*(task(flagship) for task in tasks))
-    # the union of the runners' blocks, less the base and scale they report; every
-    # runner's flags come from _flags: a list concatenates, a flag is set if any is
+    # the union of the runners' blocks; every runner's flags come from _flags:
+    # a list concatenates, a flag is set if any is
     results = {"preset": "sepavar"}
     for block in blocks:
         results.update(block)
-    del results["base"], results["scale"]
     flags = {k: sum((p[k] for p in parts), []) if isinstance(v, list) else any(p[k] for p in parts)
              for k, v in parts[0].items()}
     return results, flags, {

@@ -276,12 +276,3 @@ def pairing_phase(xgrid: GroupGrid, xigrid: GroupGrid, x_coords, xi_coords):
     scales = np.array([f.phase_scale for f in xgrid.factors])
     return np.squeeze((x * xi * scales).sum(axis=-1))
 
-
-def truncated_dual(xgrid: GroupGrid, band: int) -> GroupGrid:
-    """Dual grid of a 1-d torus, truncated to |xi| < band (band <= Nyquist)."""
-    if xgrid.ndim != 1 or xgrid.factors[0].kind != "torus":
-        raise GridError("truncated_dual expects a 1-d torus grid")
-    m = xgrid.factors[0].params[0]
-    if band > m // 2:
-        raise GridError(f"band {band} exceeds Nyquist {m // 2}")
-    return GroupGrid.truncated_integers(band)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticFit, FilterBase, SamplingSchedule, StandardBase, modulus_field
-from .groups import GroupGrid, truncated_dual
+from .groups import GroupGrid
 from .pdo import frequency_section
 from .symbols import VO_RADII, Symbol, vanishing_oscillation_test, vo_shifts
 
@@ -66,8 +66,8 @@ class TruncationSchedule:
         object.__setattr__(self, "oversampling", int(self.oversampling))
 
     def grids(self, band: int):
-        xg = GroupGrid.torus(self.oversampling * band)
-        return xg, truncated_dual(xg, band)
+        # oversampling >= 2 keeps the band under the torus's Nyquist limit
+        return GroupGrid.torus(self.oversampling * band), GroupGrid.truncated_integers(band)
 
 
 def _gram(band: np.ndarray, lam: complex = 0.0):

@@ -240,10 +240,6 @@ def multiplier_symbol(psi: DualClosure, xgrid: GroupGrid, xigrid: GroupGrid) -> 
     return TensorSymbol(xgrid, xigrid, [(const_profile(1.0), psi)])
 
 
-def constant_symbol(c: complex, xgrid: GroupGrid, xigrid: GroupGrid) -> TensorSymbol:
-    return TensorSymbol(xgrid, xigrid, [(const_profile(c), constant_closure(1.0))])
-
-
 # -- oscillation diagnostics -----------------------------------------------------
 
 

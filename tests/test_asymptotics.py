@@ -32,7 +32,7 @@ from corona_pdo.asymptotics import (
     limsup_along,
     modulus_field,
 )
-from corona_pdo.groups import GroupGrid, truncated_dual
+from corona_pdo.groups import GroupGrid
 from corona_pdo.sampling import _fan_size, _radii_per_ray, log_radii
 from corona_pdo.symbols import (
     DualClosure,
@@ -59,7 +59,7 @@ SMALL = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=256)
 
 def _flagship():
     xg = GroupGrid.torus(64)
-    return tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, truncated_dual(xg, 16))
+    return tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, GroupGrid.truncated_integers(16))
 
 
 def _two_term():
@@ -476,7 +476,7 @@ def test_gohberg_forms_flagship():
 
 def test_liminf_floor_values():
     xg = GroupGrid.torus(64)
-    xig = truncated_dual(xg, 16)
+    xig = GroupGrid.truncated_integers(16)
     floor = lambda psi: max(
         modulus_field(multiplier_symbol(psi, xg, xig), StandardBase(1), SCHED, False)[0].min(),
         0.0,
@@ -498,7 +498,7 @@ def test_one_scale_field_keeps_each_fiber_value():
     # one scale: the fit is the sampled value itself, on the factored and the generic path
     sched = SamplingSchedule(scales=(100.0,), points_per_scale=500)
     xg = GroupGrid.torus(64)
-    xig = truncated_dual(xg, 16)
+    xig = GroupGrid.truncated_integers(16)
     one = TensorSymbol(xg, xig, [(cos_profile(2.0), constant_closure(1.0))])
     two = TensorSymbol(
         xg, xig, [(cos_profile(2.0), constant_closure(1.0)), (const_profile(0.0), sqrt_wave())]
@@ -586,7 +586,7 @@ def test_field_evaluates_each_psi_once_per_block(monkeypatch, maximize):
         (cos_profile(2.0, 1.0), _counted(sqrt_wave(), first)),
         (cos_profile(0.0, 0.5, 5), _counted(shifted_wave(1.5), second)),
     ]
-    f = TensorSymbol(xg, truncated_dual(xg, 16), terms)
+    f = TensorSymbol(xg, GroupGrid.truncated_integers(16), terms)
     modulus_field(f, StandardBase(1), sched, maximize)
     blocks = [len(pts) for _, scale in _samples(StandardBase(1), sched) for pts in scale]
     assert blocks == [512, 488, 512, 488] * 3

@@ -22,7 +22,7 @@ from corona_pdo.cli import (
     main,
     symbol_from_config,
 )
-from corona_pdo.groups import GroupGrid, truncated_dual
+from corona_pdo.groups import GroupGrid
 from corona_pdo.pdo import load_matrix_bin, op_matrix
 from corona_pdo.spectral import (
     EssentialNormResult,
@@ -101,6 +101,12 @@ NESTED_3D = {**EXTRA_3D, "base": {"kind": "intersection", "parts": ["standard", 
 # 64 values fit the first rung's x grid (4 x 16 points) and no later one
 VALUES_LADDER = {"symbol": {"family": "tensor", "gamma": {"profile": "values", "data": [1.0] * 64},
                             "psi": "vo:sqrt"}}
+# a band truncates the dual of a torus, under its Nyquist limit: Z_16 is its own dual,
+# and band 9 is past torus(16)'s limit 8
+BAND_CYCLIC = {"task": "build-op", "group": {"kind": "finite_cyclic", "n": 16}, "band": 4}
+BAND_NYQUIST = {"task": "build-op", "group": {"kind": "torus", "samples": 16}, "band": 9}
+# a zero shift has no oscillation to measure: every profile entry would read 0, a vacuous PASS
+VO_ZERO = {"task": "asymptotics", "psi": "vo:pow:2", "vo": {"shifts": [[0]]}}
 
 
 def _bad_doc(patch):
@@ -197,9 +203,12 @@ def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
         (EXTRA_3D, "base.extra_directions[0] has 3 coordinates; the dual is 2-d"),
         (NESTED_3D, "base.parts[1].extra_directions[0] has 3 coordinates; the dual is 2-d"),
         (VALUES_LADDER, "gamma gives 64 values on 128 x points"),
+        (BAND_CYCLIC, "band: factor 0: dual of finite_cyclic is finite_cyclic, got truncated_integers"),
+        (BAND_NYQUIST, "band: factor 0: band 9 exceeds Nyquist 8"),
+        (VO_ZERO, "vo.shifts[0]: must be a nonzero vector"),
     ],
     ids=["cesaro-band-one-ball", "cesaro-band-huge", "extra-direction", "extra-direction-nested",
-         "gamma-values-ladder"],
+         "gamma-values-ladder", "band-cyclic", "band-past-nyquist", "vo-zero-shift"],
 )
 def test_bad_config_error_names_its_entry(tmp_path, capsys, patch, line):
     code, report, _ = _run(tmp_path, _bad_doc(patch))
@@ -308,7 +317,7 @@ def test_config_fuzz_raises_only_config_errors():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     xg = GroupGrid.torus(8)
-    xig = truncated_dual(xg, 4)
+    xig = GroupGrid.truncated_integers(4)
     for doc in VALID_DOCS:
         ExperimentConfig.from_mapping({"schema": 1, **doc})
 
@@ -421,7 +430,7 @@ def test_base_from_config():
 
 def test_symbol_from_config_families():
     xg = GroupGrid.torus(8)
-    xig = truncated_dual(xg, 4)
+    xig = GroupGrid.truncated_integers(4)
     f = symbol_from_config(
         {"family": "tensor", "gamma": {"profile": "cos-offset", "offset": 2.0}, "psi": "vo:sqrt"},
         xg,
@@ -1057,10 +1066,8 @@ def test_sepavar_preset_small_ladder(tmp_path):
     goh, goh_out = run_task("gohberg")
     probe, probe_out = run_task("spectrum-probe")
     fred, _ = run_task("fredholm")
-    for key in ("symbol_id", "schedule", "ess_norm", "gohberg"):
-        assert res[key] == goh[key], key
-    assert res["weyl"] == probe["weyl"]
-    assert res["fredholm"] == fred["fredholm"]
+    # its block is exactly the union of the runners' blocks
+    assert res == {"preset": "sepavar", **goh, **probe, **fred}
     assert (out / "sigma_by_band.csv").read_bytes() == (goh_out / "sigma_by_band.csv").read_bytes()
     assert (out / "weyl_by_band.csv").read_bytes() == (probe_out / "sigma_by_band.csv").read_bytes()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from corona_pdo.groups import GroupGrid, pairing_phase, product_group, truncated_dual
+from corona_pdo.groups import GroupGrid, pairing_phase, product_group
 from corona_pdo.fourier import (
     convolve,
     fourier,
@@ -45,7 +45,7 @@ def _factor_pair(kind, a, b):
         x = GroupGrid.finite_cyclic(a, b)
     elif kind == "torus":  # a band below Nyquist truncates the dual
         x = GroupGrid.torus(2 * a)
-        return x, truncated_dual(x, min(a, b))
+        return x, GroupGrid.truncated_integers(min(a, b))
     elif kind == "truncated_integers":
         x = GroupGrid.truncated_integers(a)
     else:
@@ -157,7 +157,7 @@ def test_line_grid_round_trip_and_plancherel():
 def test_torus_band_limited_round_trip():
     # exactness on band-limited data for a truncated dual (band < Nyquist)
     g = GroupGrid.torus(256)
-    xi = truncated_dual(g, 64)
+    xi = GroupGrid.truncated_integers(64)
     rng = np.random.default_rng(42)
     spec = rng.normal(size=xi.size) + 1j * rng.normal(size=xi.size)
     u = inverse_fourier(spec, xi, out_grid=g)
@@ -220,7 +220,7 @@ def test_kernel_synthesis_onto_finer_grid():
     # band-N symbol synthesized on M=4N torus samples, against the dense route
     M, B = 32, 8
     X = GroupGrid.torus(M)
-    Xi = truncated_dual(X, B)
+    Xi = GroupGrid.truncated_integers(B)
     rng = np.random.default_rng(31)
     table = rng.normal(size=(M, 2 * B)) + 1j * rng.normal(size=(M, 2 * B))
     kern = inverse_fourier(table, Xi, out_grid=X, axis=1)

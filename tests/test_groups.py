@@ -10,7 +10,6 @@ from corona_pdo.groups import (
     assert_dual_pair,
     pairing_phase,
     product_group,
-    truncated_dual,
 )
 
 
@@ -48,7 +47,7 @@ def test_pairing_at_identity_is_one():
 def test_torus_truncated_pairing_frozen_value():
     # x = 0.25 is sample index 2 of Torus(8); xi = 2 sits at index band+2
     g = GroupGrid.torus(8)
-    d = truncated_dual(g, 4)
+    d = GroupGrid.truncated_integers(4)
     xi_idx = 4 + 2
     assert d.coords[xi_idx, 0] == 2.0
     assert g.coords[2, 0] == 0.25
@@ -224,7 +223,7 @@ def test_grid_function_norm_uses_haar_weight():
 
 def test_pairing_phase_accepts_raw_coordinates():
     g = GroupGrid.torus(8)
-    d = truncated_dual(g, 4)
+    d = GroupGrid.truncated_integers(4)
     ph = pairing_phase(g, d, np.array([[0.25]]), np.array([[2.0]]))
     assert ph == pytest.approx(0.5)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corona_pdo import pdo
-from corona_pdo.groups import GroupGrid, product_group, truncated_dual
+from corona_pdo.groups import GroupGrid, product_group
 from corona_pdo.pdo import (
     PdoError,
     _spectral_norm,
@@ -23,7 +23,6 @@ from corona_pdo.pdo import (
 from corona_pdo.symbols import (
     TableSymbol,
     constant_closure,
-    constant_symbol,
     multiplier_symbol,
     power_wave,
     sqrt_wave,
@@ -53,7 +52,7 @@ def test_two_point_group_matrix_frozen():
 def test_constant_symbol_gives_scaled_identity():
     c = 2.5 - 1.0j
     for xg in (GroupGrid.finite_cyclic(8), GroupGrid.torus(8)):
-        f = constant_symbol(c, xg, xg.dual())
+        f = multiplier_symbol(constant_closure(c), xg, xg.dual())
         assert np.allclose(op_matrix(f), c * np.eye(xg.size), atol=1e-12)
 
 
@@ -140,7 +139,7 @@ def test_diagram_commutes_tensor():
 def test_diagram_check_rejects_sampled_grids():
     xg = GroupGrid.torus(8)
     with pytest.raises(PdoError):
-        diagram_check(constant_symbol(1.0, xg, xg.dual()))
+        diagram_check(multiplier_symbol(constant_closure(1.0), xg, xg.dual()))
 
 
 # -- sampled torus vs exact cyclic group ------------------------------------------------
@@ -164,7 +163,7 @@ def test_full_band_torus_matrix_equals_cyclic_matrix():
 
 def test_frequency_section_subsets_agree():
     xg = GroupGrid.torus(32)
-    xig = truncated_dual(xg, 8)
+    xig = GroupGrid.truncated_integers(8)
     f = tensor_symbol(
         values_profile(1.0 + 0.5 * np.sin(2 * np.pi * xg.coords[:, 0])), sqrt_wave(), xg, xig
     )
@@ -185,7 +184,7 @@ def _unband(band):
 
 def test_banded_section_matches_dense():
     xg = GroupGrid.torus(64)
-    xig = truncated_dual(xg, 16)
+    xig = GroupGrid.truncated_integers(16)
     f = tensor_symbol(lambda c: 2.0 + np.cos(2 * np.pi * c[:, 0]) + 0j, sqrt_wave(), xg, xig)
     shell = np.where(np.abs(xig.coords[:, 0]) > 8)[0]
     for idx in (None, shell):
@@ -211,7 +210,7 @@ def test_banded_section_matches_dense():
 
 def test_dense_caps_raise(monkeypatch):
     xg, xig = _cyclic_pair(8)
-    f = constant_symbol(1.0, xg, xig)
+    f = multiplier_symbol(constant_closure(1.0), xg, xig)
     monkeypatch.setattr(pdo, "DENSE_CAP", 4)
     with pytest.raises(PdoError):
         op_matrix(f)

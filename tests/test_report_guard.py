@@ -152,3 +152,12 @@ def test_a_traceback_is_reported_even_when_both_trees_agree(one_config):
     fixed = {"task": {"exit code": b"1", "stderr": b"[error] cannot write output: ...\n"}}
     assert guard.diff(fixed, run, atol=1.0)[-1] == "task: the new tree printed a traceback"
     assert guard.diff(fixed, dict(fixed)) == []
+
+
+def test_a_timed_out_run_is_reported_even_when_both_trees_agree(one_config):
+    stopped = {"task": {"exit code": guard.TIMED_OUT}}
+    assert guard.diff(stopped, dict(stopped)) == [
+        "task: the old tree timed out",
+        "task: the new tree timed out",
+    ]
+    assert guard.diff(_outputs(), stopped, atol=1.0)[-1] == "task: the new tree timed out"

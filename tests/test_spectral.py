@@ -32,7 +32,6 @@ from corona_pdo.symbols import (
     const_profile,
     constant_closure,
     cos_profile,
-    constant_symbol,
     dyadic_indicator,
     halfline_set,
     inverse_decay,
@@ -346,7 +345,7 @@ def test_probe_constant_symbol_both_directions():
     # normal-operator calibration: (Op - c) = 0 while dist(c+1, spectrum) = 1
     sched = TruncationSchedule(bands=(16, 32, 64))
     xg, xig = sched.grids(16)
-    f = constant_symbol(2.0, xg, xig)
+    f = multiplier_symbol(constant_closure(2.0), xg, xig)
     res = essential_spectrum_probe(f, [2.0, 3.0], sched, StandardBase(1))
     on, off = res.sigma_min_table
     assert max(on) < 1e-12
@@ -384,7 +383,10 @@ def test_fredholm_noncompact_x_short_circuits():
     # no ladder runs: Op(1) is the identity, on a dual of non-compact and of compact kind
     for xg in (GroupGrid.line(0.5, 8.0), GroupGrid.truncated_integers(32)):
         res = fredholm_check(
-            constant_symbol(1.0, xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
+            multiplier_symbol(constant_closure(1.0), xg, xg.dual()),
+            StandardBase(1),
+            TruncationSchedule(),
+            ASYM,
         )
         assert res.verdict == "FREDHOLM-SUFFICIENT"
         assert res.floor == 1.0

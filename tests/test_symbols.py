@@ -13,7 +13,7 @@ import pytest
 
 from corona_pdo.asymptotics import SamplingSchedule, StandardBase, modulus_field
 from corona_pdo.cli import symbol_from_config
-from corona_pdo.groups import GroupGrid, product_group, truncated_dual
+from corona_pdo.groups import GroupGrid, product_group
 from corona_pdo.pdo import frequency_section
 from corona_pdo.sampling import _net_blocks, directions
 from corona_pdo.symbols import (
@@ -23,7 +23,6 @@ from corona_pdo.symbols import (
     cesaro_mean,
     const_profile,
     constant_closure,
-    constant_symbol,
     cos_profile,
     directional_decay_symbol,
     dyadic_indicator,
@@ -64,10 +63,10 @@ def test_tensor_table_is_outer_product():
 
 def test_tensor_rebound_to_finer_grids():
     f = tensor_symbol(
-        cos_profile(), sqrt_wave(), GroupGrid.torus(8), truncated_dual(GroupGrid.torus(8), 2)
+        cos_profile(), sqrt_wave(), GroupGrid.torus(8), GroupGrid.truncated_integers(2)
     )
     fine_x = GroupGrid.torus(32)
-    fine_xi = truncated_dual(fine_x, 8)
+    fine_xi = GroupGrid.truncated_integers(8)
     g = f.rebound(fine_x, fine_xi)
     direct = tensor_symbol(cos_profile(), sqrt_wave(), fine_x, fine_xi)
     assert np.allclose(g.table(), direct.table(), atol=1e-14)
@@ -97,7 +96,7 @@ def test_multiplier_and_constant_tables():
     m = multiplier_symbol(inverse_decay(1.0), xg, xig)
     expect = 1.0 / (1.0 + np.abs(xig.coords[:, 0]))
     assert np.allclose(m.table(), np.tile(expect, (4, 1)))
-    c = constant_symbol(2 + 1j, xg, xig)
+    c = multiplier_symbol(constant_closure(2 + 1j), xg, xig)
     assert np.allclose(c.table(), (2 + 1j) * np.ones((4, 4)))
 
 
@@ -227,7 +226,7 @@ def test_a_complex_cast_of_a_real_family_changes_no_bit(name):
     wide = _complex_cast(psi)
     assert wide(pts).dtype == np.complex128
     xg = GroupGrid.torus(32) if dim == 1 else product_group(GroupGrid.torus(8), GroupGrid.torus(8))
-    xig = truncated_dual(xg, 8) if dim == 1 else xg.dual()
+    xig = GroupGrid.truncated_integers(8) if dim == 1 else xg.dual()
     gammas = (cos_profile(2.0), cos_profile(0.0, 0.5, 3))
     cast_gamma = lambda g: lambda c: g(c).astype(complex)
     for terms in ([(gammas[0], psi)], [(gammas[0], psi), (gammas[1], psi)]):

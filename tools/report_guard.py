@@ -14,7 +14,9 @@ the stderr of a run that exits non-zero (the error line, and no traceback in
 place of it), once the paths of the work directory and the source root are
 replaced by ``<work>`` and ``<root>``.  A run whose stderr holds a Python
 traceback is reported even when both trees print the same one: a bad config
-must end in one ``[error]`` line.  With ``--atol X``, report.json and CSV
+must end in one ``[error]`` line.  A run that takes longer than ``TIMEOUT_S``
+seconds is stopped, records the exit code ``timeout`` and is reported even
+when both trees time out.  With ``--atol X``, report.json and CSV
 files compare by value instead: numbers within X of each other match (a CSV
 cell is a number when it parses as one), while strings, booleans, nulls,
 keys, list lengths, CSV shapes, exit codes and stderr must still match
@@ -299,8 +301,9 @@ for label, extra in ASYM_CASES.items():
     CONFIGS[f"asymptotics/{label}"] = {"task": "asymptotics", "asym": SMALL, **extra}
 # error lines: a base row of the wrong length, a values gamma that fits the first
 # rung's x grid (4 x 64 points) and no later one, a band with one dyadic ball and
-# one that would stream for years, a cone that the thickened parabola swallows, and
-# gohberg and fredholm ladders on a group that is no torus
+# one that would stream for years, a cone that the thickened parabola swallows,
+# gohberg and fredholm ladders on a group that is no torus, a band on a group whose
+# dual is no truncated Z and one past the torus's Nyquist limit, and a zero vo shift
 CONFIGS.update({
     "asymptotics/base=standard-extra-3d": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
@@ -319,6 +322,13 @@ CONFIGS.update({
     },
     "gohberg/group=cyclic": {"task": "gohberg", **LADDER, "symbol": FLAGSHIP, "group": CYCLIC},
     "fredholm/group=cyclic": {"task": "fredholm", **LADDER, "symbol": FLAGSHIP, "group": CYCLIC},
+    "build-op/band=cyclic": {"task": "build-op", "group": CYCLIC, "symbol": FLAGSHIP, "band": 4},
+    "build-op/band=9": {
+        "task": "build-op", "group": {"kind": "torus", "samples": 16}, "symbol": FLAGSHIP, "band": 9,
+    },
+    "asymptotics/vo=zero-shift": {
+        "task": "asymptotics", "psi": "vo:pow:2", "asym": SMALL, "vo": {"shifts": [[0]]},
+    },
 })
 
 
@@ -330,6 +340,10 @@ def _write_symbol_csvs(work: Path) -> None:
 
 
 TRACEBACK = b"Traceback (most recent call last)"
+# seconds one config may run: about 150 times the slowest config (0.4 s on 2 cores),
+# so one that never ends stops there instead of hanging the comparison
+TIMEOUT_S = 60
+TIMED_OUT = b"timeout"
 
 
 def run_all(root: Path, work: Path) -> dict:
@@ -343,7 +357,11 @@ def run_all(root: Path, work: Path) -> dict:
         cfg = work / f"{out.name}.json"
         cfg.write_text(json.dumps({"schema": 1, "task": name, "seed": 5, **extra}))
         argv = [sys.executable, "-m", "corona_pdo.cli", "run", "--config", str(cfg), "--out", str(out)]
-        proc = subprocess.run(argv, env=env, cwd=work, capture_output=True)
+        try:
+            proc = subprocess.run(argv, env=env, cwd=work, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            outputs[name] = {"exit code": TIMED_OUT}
+            continue
         files = {"exit code": str(proc.returncode).encode()}
         # a failed run's error line, and any traceback, with this run's paths named alike
         if proc.returncode != 0 or TRACEBACK in proc.stderr:
@@ -379,6 +397,8 @@ def diff(old: dict, new: dict, atol: float | None = None) -> list:
         for tree, files in (("old", a), ("new", b)):
             if TRACEBACK in files.get("stderr", b""):
                 problems.append(f"{name}: the {tree} tree printed a traceback")
+            if files["exit code"] == TIMED_OUT:
+                problems.append(f"{name}: the {tree} tree timed out")
     return problems
 
 
