@@ -192,7 +192,8 @@ def _ratio_band(v, where):
 
 
 def _direction(v, where):
-    v = _list(_REAL, 1, 8)(v, where)
+    # a point of the dual: the one tuple a coerced spec holds, so _fit_dual finds it
+    v = tuple(_list(_REAL, 1, 8)(v, where))
     return v if any(v) else _bad(where, "must be a nonzero vector")
 
 
@@ -231,7 +232,7 @@ def _tensor_fields(v, where):
 _SYMBOLS = {
     **{name: (fields, None) for name, (fields, _) in _PSIS.items()},
     "tensor": (_tensor_fields, lambda xg, xig, terms: TensorSymbol(xg, xig, [
-        (_build(_GAMMAS, "profile", t["gamma"]), _psi(t["psi"], xig.ndim)) for t in terms
+        (_build(_GAMMAS, "profile", t["gamma"]), _build(_PSIS, "family", t["psi"])) for t in terms
     ])),
     "csv": ({"path": (_str(), ...)}, lambda xg, xig, path: load_symbol_csv(path, xg, xig)),
 }
@@ -260,6 +261,9 @@ _BASE = _tagged("kind", _BASES, "standard", spell=lambda s: {"kind": s} if s == 
 _GROUP = _tagged("kind", _GROUPS)
 
 
+# 10^8 points a scale stream in seconds a scale; far past it a run would take hours
+_ASYM = {"scales": _list(_POS, 1), "points_per_scale": _num(int, 16, 10**8),
+         "span": _num(lo=1, strict=True)}
 # every top-level key: a key no task reads is an error, one another task reads is ignored
 _FIELDS = {
     "schema": (_num(int, 1, 1), ...),
@@ -271,9 +275,7 @@ _FIELDS = {
     "symbol": _SYMBOL,
     "base": (_BASE, "standard"),
     "schedule": (_map({"bands": _list(_num(int, 4)), "oversampling": _num(int, 2)}), {}),
-    # 10^8 points a scale stream in seconds a scale; far past it a run would take hours
-    "asym": (_map({"scales": _list(_POS, 1), "points_per_scale": _num(int, 16, 10**8),
-                   "span": _num(lo=1, strict=True)}), {}),
+    "asym": (_map(_ASYM), {}),
     "lambdas": _list(_complex),
     "tolerances": (_map({  # the spectral ones default in the spectral signatures
         "plancherel": (_NONNEG, 1e-10),  # fourier-selftest
@@ -295,51 +297,44 @@ _REQUIRED = {
     "gohberg": "symbol", "spectrum-probe": "symbol lambdas", "fredholm": "symbol",
     "asymptotics": "psi",
 }
-_NARROWER = {"spectrum-probe": {"lambdas": _list(_complex, 1)},
-             "examples:sepavar": {"lambdas": _list(_complex, 1)},
-             # >= 32: two balls (16, 32); <= 2^30: a minute of streaming, where 10^15 takes years
-             "examples:cesaro": {"band": (_num(int, 32, 2**30), 4096)}}
+_NARROWER = {
+    "spectrum-probe": {"lambdas": _list(_complex, 1)},
+    "examples:sepavar": {"lambdas": (_list(_complex, 1), [-3.0, -1.5, 0.0, 1.5, 3.0, 4.0])},
+    # >= 32: two balls (16, 32); <= 2^30: a minute of streaming, where 10^15 takes years
+    "examples:cesaro": {"band": (_num(int, 32, 2**30), 4096)},
+    # two scales of 2000 points unless set, key by key
+    "examples:pescado": {"asym": (_map({
+        **_ASYM, "scales": (_ASYM["scales"], [1e2, 1e3]),
+        "points_per_scale": (_ASYM["points_per_scale"], 2000),
+    }), {})},
+}
 
 
-def _psi(spec: dict, dim: int):
-    if "omega0" in spec and len(spec["omega0"]) != dim:
-        raise SymbolError(f"psi omega0 {spec['omega0']} does not fit a {dim}-d dual")
-    return _build(_PSIS, "family", spec)
-
-
-def _checked(error, check, spec, where):
-    try:
-        return check(spec, where)
-    except CliError as e:
-        raise error(str(e)) from None
+def _fit_dual(spec, dim: int, where: str):
+    """``spec`` as coerced, once every direction in it (any depth) is a point of a
+    ``dim``-d dual; CliError names the first one that is not."""
+    if isinstance(spec, tuple) and len(spec) != dim:
+        raise CliError(f"{where} has {len(spec)} coordinates; the dual is {dim}-d")
+    if isinstance(spec, (dict, list)):
+        for key, child in spec.items() if isinstance(spec, dict) else enumerate(spec):
+            _fit_dual(child, dim, f"{where}.{key}" if isinstance(key, str) else f"{where}[{key}]")
+    return spec
 
 
 def symbol_from_config(spec, xgrid: GroupGrid, xigrid: GroupGrid):
-    """Symbol from a symbol spec, raw or as coerced (SymbolError if malformed)."""
-    spec = _checked(SymbolError, _SYMBOL, spec, "symbol")
+    """Symbol from a symbol spec as ``_SYMBOL`` coerced it."""
+    _fit_dual(spec, xigrid.ndim, "symbol")
     if _SYMBOLS[spec["family"]][1] is None:  # a psi family: the multiplier psi(xi)
-        return multiplier_symbol(_psi(spec, xigrid.ndim), xgrid, xigrid)
+        return multiplier_symbol(_build(_PSIS, "family", spec), xgrid, xigrid)
     return _build(_SYMBOLS, "family", spec, xgrid, xigrid)
 
 
 def base_from_config(spec, dim: int):
-    """Filter base from a base spec, raw or as coerced (AsymptoticsError if malformed)."""
-    spec = _checked(AsymptoticsError, _BASE, spec, "base")
-    for where, row in _extra_rows(spec, "base"):
-        if len(row) != dim:
-            raise AsymptoticsError(f"{where} has {len(row)} coordinates; the dual is {dim}-d")
-    base = _build(_BASES, "kind", spec, dim)
-    if base.dim != dim:
+    """Filter base on a ``dim``-d dual from a base spec as ``_BASE`` coerced it."""
+    base = _build(_BASES, "kind", _fit_dual(spec, dim, "base"), dim)
+    if base.dim != dim:  # a parabola, say, whose plane is no 1-d dual
         raise AsymptoticsError(f"filter base {base.label} does not fit a {dim}-d dual")
     return base
-
-
-def _extra_rows(spec, where):
-    """(path, row) for each extra direction of a base spec and of its parts."""
-    for i, row in enumerate(spec.get("extra_directions", ())):
-        yield f"{where}.extra_directions[{i}]", row
-    for i, part in enumerate(spec.get("parts", ())):
-        yield from _extra_rows(part, f"{where}.parts[{i}]")
 
 
 class ExperimentConfig(SimpleNamespace):
@@ -603,8 +598,9 @@ def _task_fredholm(cfg: ExperimentConfig):
 
 
 def _task_asymptotics(cfg: ExperimentConfig):
-    psi = _psi(cfg.psi, cfg.dim)
+    psi = _build(_PSIS, "family", _fit_dual(cfg.psi, cfg.dim, "psi"))
     base = base_from_config(cfg.base, cfg.dim)
+    _fit_dual(cfg.vo, cfg.dim, "vo")
     asym = cfg.sampling_schedule()
     phi = lambda p: np.abs(psi(p))
     hi = limsup_along(phi, base, asym)
@@ -617,8 +613,6 @@ def _task_asymptotics(cfg: ExperimentConfig):
     }
     if cfg.vo is not None:
         shifts = cfg.vo.get("shifts", vo_shifts(cfg.dim))
-        if any(len(z) != cfg.dim for z in shifts):
-            raise CliError(f"vo.shifts must be {cfg.dim}-d points, like the dual")
         radii = cfg.vo.get("radii", VO_RADII)
         results["vo"] = vanishing_oscillation_test(psi, shifts, radii, seed=cfg.seed)
     header, rows = _fit_csv_rows({"limsup": hi, "liminf": lo})
@@ -679,9 +673,9 @@ def _example_pescado(cfg: ExperimentConfig):
     """non-syndetic parabola graph in R^2: vanishing off the thickened set, sup 1 on the set"""
     E = parabola_graph()
     phi = lambda p: np.exp(-E.distance(p))
-    desk = {"scales": (1e2, 1e3), "points_per_scale": 2000, "seed": cfg.seed}
-    asym = SamplingSchedule(**{**desk, **cfg.asym})
-    blocks, files, summary = _limsups({"complement": (phi, ThickenedComplementBase(E))}, asym)
+    blocks, files, summary = _limsups(
+        {"complement": (phi, ThickenedComplementBase(E))}, cfg.sampling_schedule()
+    )
     t = np.linspace(-40.0, 40.0, 2001)
     on_set_sup = float(np.max(phi(E.parametrize(t))))
     # unit normals (-2t, 1)/sqrt(1+4t^2); +s points into the epigraph, -s
@@ -751,12 +745,8 @@ def _example_sepavar(cfg: ExperimentConfig):
     """separated-variables flagship: full ladder, distance identity, spectrum probe, Fredholm"""
     # the three tasks on a copy of cfg: the flagship symbol on the schedule's grids
     gamma = {"profile": "cos-offset", "offset": 2.0, "amplitude": 1.0}
-    flagship = ExperimentConfig(**{
-        **vars(cfg),
-        "group": None,
-        "symbol": {"family": "tensor", "gamma": gamma, "psi": "vo:sqrt"},
-        "lambdas": cfg.lambdas or [-3.0, -1.5, 0.0, 1.5, 3.0, 4.0],
-    })
+    symbol = _SYMBOL({"family": "tensor", "gamma": gamma, "psi": "vo:sqrt"}, "symbol")
+    flagship = ExperimentConfig(**{**vars(cfg), "group": None, "symbol": symbol})
     tasks = (_task_gohberg, _task_spectrum_probe, _task_fredholm)
     blocks, parts, files = zip(*(task(flagship) for task in tasks))
     # the union of the runners' blocks; every runner's flags come from _flags:

@@ -342,8 +342,9 @@ def _noncompact_fredholm(symbol, asym_schedule, floor_tol) -> FredholmResult:
     floor is that inf, sampled on the dual grid and, on a dual of non-compact
     kind, as the liminf along the standard base whatever base is configured:
     the inf runs over the whole dual, so a cone that misses where psi
-    vanishes cannot lift it.  A floor at most 1e-10 sup_bound is 0, the
-    convention ``gohberg_verify`` uses.  Any other symbol may degenerate as
+    vanishes cannot lift it.  A floor at most 1e-10 sup_bound is 0: relative
+    to the symbol's size, where ``gohberg_verify`` calls sides below an
+    absolute 1e-10 zero.  Any other symbol may degenerate as
     x -> infinity, which a finite x window cannot see; it gets no floor.
     """
     terms = symbol.tensor_terms

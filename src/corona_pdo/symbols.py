@@ -439,18 +439,16 @@ def load_symbol_csv(path, xgrid: GroupGrid, xigrid: GroupGrid) -> TableSymbol:
         for row in rd:
             if not row:
                 continue
+            where = f"symbol CSV {path!r} line {rd.line_num}"
             try:
-                i, k, real, imag = int(row[0]), int(row[1]), float(row[2]), float(row[3])
+                i, k, re, im = int(row[0]), int(row[1]), float(row[2]), float(row[3])
             except (ValueError, IndexError):
-                raise SymbolError(
-                    f"symbol CSV {path!r} line {rd.line_num}: expected x_index,xi_index,re,im, "
-                    f"got {row}"
-                ) from None
+                raise SymbolError(f"{where}: expected x_index,xi_index,re,im, got {row}") from None
+            if not np.isfinite((re, im)).all():  # a NaN would reach the eigensolvers
+                raise SymbolError(f"{where}: re and im must be finite, got {row}")
             if not (0 <= i < xgrid.size and 0 <= k < xigrid.size):
-                raise SymbolError(
-                    f"symbol CSV {path!r} line {rd.line_num}: index ({i},{k}) outside the grid pair"
-                )
-            vals[i, k] = real + 1j * imag
+                raise SymbolError(f"{where}: index ({i},{k}) outside the grid pair")
+            vals.real[i, k], vals.imag[i, k] = re, im  # each part as written, -0.0 included
             seen[i, k] = True
     if not seen.all():
         raise SymbolError("symbol CSV does not cover the full grid pair")

@@ -14,7 +14,9 @@ import pytest
 from corona_pdo import cli
 from corona_pdo.asymptotics import AsymptoticsError, SamplingSchedule, StandardBase, limsup_along
 from corona_pdo.cli import (
+    _BASE,
     _CONFIG_ERRORS,
+    _SYMBOL,
     CliError,
     ExperimentConfig,
     _report_value,
@@ -34,7 +36,6 @@ from corona_pdo.spectral import (
 from corona_pdo.symbols import (
     VO_RADII,
     DualClosure,
-    SymbolError,
     cesaro_mean,
     cos_profile,
     dyadic_indicator,
@@ -107,6 +108,12 @@ BAND_CYCLIC = {"task": "build-op", "group": {"kind": "finite_cyclic", "n": 16}, 
 BAND_NYQUIST = {"task": "build-op", "group": {"kind": "torus", "samples": 16}, "band": 9}
 # a zero shift has no oscillation to measure: every profile entry would read 0, a vacuous PASS
 VO_ZERO = {"task": "asymptotics", "psi": "vo:pow:2", "vo": {"shifts": [[0]]}}
+# directions of the plane on a 1-d dual: a psi's default omega0, a second term's psi,
+# a vo shift and a cone axis, each named by its path
+PSI_2D = {"task": "asymptotics", "psi": "dirdecay"}
+TERM_2D = {"symbol": {"family": "tensor", "terms": [{"psi": "vo:sqrt"}, {"psi": "dirdecay"}]}}
+VO_2D = {"task": "asymptotics", "vo": {"shifts": [[1, 0]]}}
+CONE_2D = {"task": "asymptotics", "base": {"kind": "directional", "omega0": [0, 1]}}
 
 
 def _bad_doc(patch):
@@ -206,14 +213,29 @@ def test_bad_symbol_spec_exits_one(tmp_path, capsys, patch):
         (BAND_CYCLIC, "band: factor 0: dual of finite_cyclic is finite_cyclic, got truncated_integers"),
         (BAND_NYQUIST, "band: factor 0: band 9 exceeds Nyquist 8"),
         (VO_ZERO, "vo.shifts[0]: must be a nonzero vector"),
+        (PSI_2D, "psi.omega0 has 2 coordinates; the dual is 1-d"),
+        (TERM_2D, "symbol.terms[1].psi.omega0 has 2 coordinates; the dual is 1-d"),
+        (VO_2D, "vo.shifts[0] has 2 coordinates; the dual is 1-d"),
+        (CONE_2D, "base.omega0 has 2 coordinates; the dual is 1-d"),
     ],
     ids=["cesaro-band-one-ball", "cesaro-band-huge", "extra-direction", "extra-direction-nested",
-         "gamma-values-ladder", "band-cyclic", "band-past-nyquist", "vo-zero-shift"],
+         "gamma-values-ladder", "band-cyclic", "band-past-nyquist", "vo-zero-shift",
+         "psi-omega0-2d", "term-omega0-2d", "vo-shift-2d", "cone-axis-2d"],
 )
 def test_bad_config_error_names_its_entry(tmp_path, capsys, patch, line):
     code, report, _ = _run(tmp_path, _bad_doc(patch))
     assert (code, report) == (1, None)
     assert capsys.readouterr().err == f"[error] {line}\n"
+
+
+def test_vo_shift_dimension_is_checked_before_sampling(tmp_path, capsys, monkeypatch):
+    def sampled(*args):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(cli, "limsup_along", sampled)
+    monkeypatch.setattr(cli, "liminf_along", sampled)
+    assert _run(tmp_path, _bad_doc(VO_2D))[:2] == (1, None)
+    assert capsys.readouterr().err == "[error] vo.shifts[0] has 2 coordinates; the dual is 1-d\n"
 
 
 def test_points_per_scale_bound_is_named(tmp_path, capsys):
@@ -413,41 +435,52 @@ def test_cli_fuzz_exit_codes_and_strict_reports(tmp_path, capsys):
     check()
 
 
+def _base(spec, dim):
+    """The builder takes a spec as the config table coerced it."""
+    return base_from_config(_BASE(spec, "base"), dim)
+
+
+def _symbol(spec, xg, xig):
+    return symbol_from_config(_SYMBOL(spec, "symbol"), xg, xig)
+
+
 def test_base_from_config():
-    assert base_from_config({"kind": "directional", "omega0": [0, 1]}, 2).dim == 2
-    assert base_from_config({"kind": "ethick", "set": "parabola"}, 2).dim == 2
-    left = base_from_config({"kind": "directional", "omega0": [-1]}, 1)
+    assert _base({"kind": "directional", "omega0": [0, 1]}, 2).dim == 2
+    assert _base({"kind": "ethick", "set": "parabola"}, 2).dim == 2
+    left = _base({"kind": "directional", "omega0": [-1]}, 1)
     assert left.label == "directional([-1.0])"
-    inter = base_from_config(
+    inter = _base(
         {"kind": "intersection", "parts": ["standard", {"kind": "directional", "omega0": [1]}]}, 1
     )
     assert inter.label.startswith("intersection")
-    with pytest.raises(AsymptoticsError):
-        base_from_config("weird", 1)
-    with pytest.raises(AsymptoticsError):
-        base_from_config({"kind": "ethick", "set": "moon"}, 1)
+    with pytest.raises(CliError):
+        _base("weird", 1)
+    with pytest.raises(CliError):
+        _base({"kind": "ethick", "set": "moon"}, 1)
+    with pytest.raises(AsymptoticsError, match="does not fit a 1-d dual"):
+        _base({"kind": "ethick", "set": "parabola"}, 1)  # the plane holds no 1-d direction
 
 
 def test_symbol_from_config_families():
     xg = GroupGrid.torus(8)
     xig = GroupGrid.truncated_integers(4)
-    f = symbol_from_config(
+    f = _symbol(
         {"family": "tensor", "gamma": {"profile": "cos-offset", "offset": 2.0}, "psi": "vo:sqrt"},
         xg,
         xig,
     )
     direct = tensor_symbol(cos_profile(2.0), sqrt_wave(), xg, xig)
     assert np.allclose(f.table(), direct.table())
-    m = symbol_from_config("vo:pow:0.75", xg, xig)
+    m = _symbol("vo:pow:0.75", xg, xig)
     assert m.tensor_terms is not None
-    c = symbol_from_config({"family": "const", "value": 3.0}, xg, xig)
+    c = _symbol({"family": "const", "value": 3.0}, xg, xig)
     assert np.allclose(c.table(), 3.0)
-    with pytest.raises(SymbolError):
-        symbol_from_config("tensor", xg, xig)
-    with pytest.raises(SymbolError):
-        symbol_from_config("no-such-family", xg, xig)
-    with pytest.raises(SymbolError):
-        symbol_from_config({"family": "nope"}, xg, xig)
+    with pytest.raises(CliError):
+        _symbol("tensor", xg, xig)
+    with pytest.raises(CliError):
+        _symbol("no-such-family", xg, xig)
+    with pytest.raises(CliError):
+        _symbol({"family": "nope"}, xg, xig)
 
 
 def test_config_validation():
@@ -640,7 +673,7 @@ def test_build_op_writes_loadable_matrix(tmp_path):
     assert sorted(report["results"]["files"]) == ["operator.bin", "operator.csv"]
     stored = load_matrix_bin(out / "operator.bin")
     xg = GroupGrid.finite_cyclic(8)
-    direct = op_matrix(symbol_from_config(FLAGSHIP, xg, xg.dual()))
+    direct = op_matrix(_symbol(FLAGSHIP, xg, xg.dual()))
     assert np.allclose(stored, direct, atol=1e-14)
     assert report["results"]["hs_norm"] == pytest.approx(np.linalg.norm(direct))
 
@@ -828,6 +861,9 @@ def test_non_finite_section_exits_one(tmp_path, capsys):
         pytest.param("x_index,xi_index,re,im\n0,0,abc,0\n", "line 2", id="not-a-number"),
         pytest.param("x_index,xi_index,re,im\n0,0,,0\n", "line 2", id="empty-cell"),
         pytest.param("x_index,xi_index,re,im\n0,0,1.0\n", "line 2", id="short-row"),
+        # a non-finite cell would reach the eigensolvers of diagram-check
+        pytest.param("x_index,xi_index,re,im\n0,0,0.5,0\n0,1,nan,0\n", "line 3", id="nan-cell"),
+        pytest.param("x_index,xi_index,re,im\n0,0,0.5,-inf\n", "line 2", id="inf-cell"),
         pytest.param("x_index,xi_index,re,im\n0,0,1.\udcff,0\n", "line 2", id="not-utf8"),
         pytest.param("", "must have header", id="empty-file"),
     ],
@@ -835,19 +871,20 @@ def test_non_finite_section_exits_one(tmp_path, capsys):
 def test_malformed_symbol_csv_exits_one(tmp_path, capsys, text, where):
     path = tmp_path / "symbol.csv"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
-    doc = {
-        "schema": 1,
-        "task": "build-op",
-        "group": {"kind": "finite_cyclic", "n": 2},
-        "symbol": {"family": "csv", "path": str(path)},
-    }
-    code, report, _ = _run(tmp_path, doc)
-    assert code == 1
-    assert report is None
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert len(err.splitlines()) == 1
-    assert err.startswith(f"[error] symbol CSV {str(path)!r}") and where in err
+    for task in ("build-op", "diagram-check"):
+        doc = {
+            "schema": 1,
+            "task": task,
+            "group": {"kind": "finite_cyclic", "n": 2},
+            "symbol": {"family": "csv", "path": str(path)},
+        }
+        code, report, _ = _run(tmp_path, doc)
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"[error] symbol CSV {str(path)!r}") and where in err
 
 
 def test_fredholm_task_noncompact_group(tmp_path):
@@ -1075,7 +1112,7 @@ def test_sepavar_preset_small_ladder(tmp_path):
 def test_report_writes_each_record_type_field_by_field():
     # the four result records a report holds, through the one report.json encoder
     sched, asym = TruncationSchedule(bands=(16, 32, 64)), SamplingSchedule(points_per_scale=500)
-    symbol = symbol_from_config("vo:sqrt", *sched.grids(16))
+    symbol = _symbol("vo:sqrt", *sched.grids(16))
     records = [
         limsup_along(lambda p: np.abs(sqrt_wave()(p)), StandardBase(1), asym),
         vanishing_oscillation_test(sqrt_wave(), vo_shifts(1), VO_RADII, seed=0),

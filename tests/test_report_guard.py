@@ -63,6 +63,22 @@ def test_guard_configs_spell_every_table_entry():
     tables = ("_PSIS", "_GAMMAS", "_SYMBOLS", "_SETS", "_BASES", "_GROUPS")
     missing = [(t, entry) for t in tables for entry in getattr(cli, t) if (t, entry) not in reached]
     assert missing == []
+    # every per-task default runs: some config of the task leaves the key out, and a
+    # mapping whose keys default one by one is also spelled with one of them left out
+    unpinned = []
+    for task, fields in cli._NARROWER.items():
+        docs = [extra for name, extra in guard.CONFIGS.items() if extra.get("task", name) == task]
+        for key, entry in fields.items():
+            if not isinstance(entry, tuple):  # no default
+                continue
+            if all(key in doc for doc in docs):
+                unpinned.append((task, key))
+            inner = entry[0](entry[1], key)  # the default as coerced
+            if isinstance(inner, dict) and inner and not any(
+                key in doc and inner.keys() - doc[key].keys() for doc in docs
+            ):
+                unpinned.append((task, f"{key}, key by key"))
+    assert unpinned == []
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corona_pdo.asymptotics import SamplingSchedule, StandardBase, modulus_field
-from corona_pdo.cli import symbol_from_config
+from corona_pdo.cli import _SYMBOL, symbol_from_config
 from corona_pdo.groups import GroupGrid, product_group
 from corona_pdo.pdo import frequency_section
 from corona_pdo.sampling import _net_blocks, directions
@@ -474,6 +474,18 @@ def test_symbol_csv_round_trip(tmp_path):
     assert np.array_equal(g.values, vals)  # repr round-trips floats exactly
 
 
+def test_symbol_csv_keeps_signed_zeros(tmp_path):
+    # each part is stored as written: re + 1j * im would turn a -0.0 real part into 0.0
+    xg = GroupGrid.finite_cyclic(2)
+    path = tmp_path / "zeros.csv"
+    cells = ["-0.0,0.0", "0.0,-0.0", "-0.0,-0.0", "0.0,0.0"]
+    rows = [f"{i},{k},{cell}\n" for (i, k), cell in zip(np.ndindex(2, 2), cells)]
+    path.write_text("x_index,xi_index,re,im\n" + "".join(rows))
+    g = load_symbol_csv(path, xg, xg.dual())
+    assert np.signbit(g.values.real).ravel().tolist() == [True, False, True, False]
+    assert np.signbit(g.values.imag).ravel().tolist() == [False, True, True, False]
+
+
 def test_symbol_csv_rejects_bad_header_gaps_and_oob(tmp_path):
     xg = GroupGrid.finite_cyclic(2)
     xig = xg.dual()
@@ -493,12 +505,13 @@ def test_symbol_csv_rejects_bad_header_gaps_and_oob(tmp_path):
 
 def test_gamma_values_profile():
     xg = GroupGrid.finite_cyclic(4)
+    spec = {
+        "family": "tensor",
+        "gamma": {"profile": "values", "data": [1, 2, 3, 4]},
+        "psi": {"family": "const", "value": 1.0},
+    }
     f = symbol_from_config(
-        {
-            "family": "tensor",
-            "gamma": {"profile": "values", "data": [1, 2, 3, 4]},
-            "psi": {"family": "const", "value": 1.0},
-        },
+        _SYMBOL(spec, "symbol"),
         xg,
         xg.dual(),
     )

@@ -6,7 +6,8 @@ diff what they write.
 Each root is a source checkout holding ``src/corona_pdo``.  All 7 tasks and
 5 presets run once per root on a small fixed config, plus variants that
 spell every config table entry (psi families, gamma profiles, CSV-backed
-symbols, filter bases, groups, ``vo`` and per-task tolerances), each in its own
+symbols, filter bases, groups, ``vo`` and per-task tolerances) and leave out
+every per-task default, each in its own
 ``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1``.  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
 other report line and every side file must match byte for byte, and so must
@@ -194,6 +195,9 @@ CONFIGS.update({
         "task": "examples:pescado",
         "asym": {"scales": [100, 200], "points_per_scale": 300, "span": 4},
     },
+    # the preset's own sampling defaults, whole and key by key
+    "examples:pescado/default": {"task": "examples:pescado"},
+    "examples:pescado/points": {"task": "examples:pescado", "asym": {"points_per_scale": 300}},
     "examples:cesaro/default": {"task": "examples:cesaro"},
     # 262,144 points stream in 8 blocks; the balls of radius 32768 and 65536 end on block edges
     "examples:cesaro/blocks": {"task": "examples:cesaro", "band": 2**17},
@@ -303,7 +307,9 @@ for label, extra in ASYM_CASES.items():
 # rung's x grid (4 x 64 points) and no later one, a band with one dyadic ball and
 # one that would stream for years, a cone that the thickened parabola swallows,
 # gohberg and fredholm ladders on a group that is no torus, a band on a group whose
-# dual is no truncated Z and one past the torus's Nyquist limit, and a zero vo shift
+# dual is no truncated Z and one past the torus's Nyquist limit, a zero vo shift,
+# directions of the plane on a 1-d dual (a psi's default omega0, a second term's psi,
+# a vo shift, a cone axis) and a symbol CSV with a NaN cell
 CONFIGS.update({
     "asymptotics/base=standard-extra-3d": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
@@ -329,14 +335,34 @@ CONFIGS.update({
     "asymptotics/vo=zero-shift": {
         "task": "asymptotics", "psi": "vo:pow:2", "asym": SMALL, "vo": {"shifts": [[0]]},
     },
+    "asymptotics/psi=dirdecay-1d": {"task": "asymptotics", "psi": "dirdecay", "asym": SMALL},
+    "gohberg/term=dirdecay-1d": {
+        "task": "gohberg", **LADDER,
+        "symbol": {"family": "tensor", "terms": [{"psi": "vo:sqrt"}, {"psi": "dirdecay"}]},
+    },
+    "asymptotics/vo=shift-2d-1d": {
+        "task": "asymptotics", "psi": "vo:sqrt", "asym": SMALL, "vo": {"shifts": [[1, 0]]},
+    },
+    "asymptotics/base=directional-2d-1d": {
+        "task": "asymptotics", "psi": "vo:sqrt", "asym": SMALL,
+        "base": {"kind": "directional", "omega0": [0, 1]},
+    },
+    "diagram-check/symbol=csv-nan": {
+        "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "csv", "path": "symbol4-nan.csv"},
+    },
 })
 
 
 def _write_symbol_csvs(work: Path) -> None:
-    """The n x n symbol tables symbol4.csv and symbol8.csv that the csv configs read."""
+    """The n x n symbol tables symbol4.csv and symbol8.csv that the csv configs read,
+    and symbol4-nan.csv, symbol4.csv with a NaN real part at (1, 2)."""
     for n in (4, 8):
         rows = [f"{i},{k},{(i * n + k) % 5 - 1.5},{0.25 * i}\n" for i in range(n) for k in range(n)]
         (work / f"symbol{n}.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
+        if n == 4:
+            rows[6] = "1,2,nan,0.25\n"
+            (work / "symbol4-nan.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
 
 
 TRACEBACK = b"Traceback (most recent call last)"
