@@ -26,11 +26,12 @@ lower sample index: a later sample enters only if it is strictly better.  So
 a scale holds a block's worth of memory, whatever its budget.
 
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
-A golden-section search along the best rays, all rays at once in numpy,
-closes most of the gap for smooth integrands.  It scores a point only where
-the base's ``mask`` accepts it, so a polished extremum is still a value at a
-point of the base element and the bound keeps its side.  Verdicts derived
-from these numbers are evidence, not proofs.
+A golden-section search along the best rays, all rays of all scales at
+once in numpy, closes most of the gap for smooth integrands.  It scores a
+point only where the base's ``mask`` at the point's own scale accepts it, so
+a polished extremum is still a value at a point of the base element and the
+bound keeps its side.  Verdicts derived from these numbers are evidence, not
+proofs.
 """
 
 from __future__ import annotations
@@ -316,49 +317,56 @@ class _Best:
             self.rays = np.concatenate([self.rays, pts[new]])[order]
 
 
-def _refine_ray_extremum(phi, base: FilterBase, sched, t: float, best, rays, maximize) -> float:
-    """One scale's extremum of phi, polished by golden-section search along
-    candidate rays.
+def _polish(phi, base: FilterBase, sched: SamplingSchedule, bests: list, maximize: bool) -> list:
+    """Each scale's extremum of phi, polished by golden-section search along
+    its candidate rays.
 
-    best is the sampled extremum and rays are the points of the best samples
-    (``_Best``), both with the sign of ``maximize`` applied to phi.  Each
-    ray is searched over [r0/q, r0*q] around its radius r0 (q from
-    ``_polish_span``) to a width of max(r0 * 1e-12, 1e-12); all rays step
-    together, one call of phi per step.  phi is called only at points that
-    ``base.mask(., t)`` accepts; a point outside scores as the worst value.
-    The best value at any evaluated point of the element wins, so the result
-    never falls behind the sampled one.
+    bests[k] is scale k's ``_Best``, with the sign of ``maximize`` applied to
+    phi.  Each ray is searched over [r0/q, r0*q] around its radius r0 (q from
+    ``_polish_span``) to a width of max(r0 * 1e-12, 1e-12).  A scale steps all
+    its rays until each is that narrow, and every scale still stepping shares
+    one call of phi per step, so phi must map each point on its own.  A point
+    is masked at its own scale t: phi is called only at points that
+    ``base.mask(., t)`` accepts, and a point outside scores as the worst value.
+    A scale's best value at any of its own evaluated points wins, so its
+    result never falls behind the sampled one.
     """
     s = 1.0 if maximize else -1.0
-    if not len(rays):  # every sample read NaN
-        return s * best
-    q = _polish_span(base, sched.points_per_scale, t, sched.span)
+    ext = [b.max for b in bests]
+    counts = [len(b.rays) for b in bests]  # no rays: every sample of the scale read NaN
+    segs = [slice(a - n, a) for a, n in zip(itertools.accumulate(counts), counts)]
+    live = [k for k, n in enumerate(counts) if n]
+    rays = np.concatenate([b.rays for b in bests])
     radii = np.sqrt(np.add.reduce(rays * rays, axis=1))  # bit-equal to the row norm
     units = rays / radii[:, None]  # samples lie in the element, so radii > t > 0
+    spans = [_polish_span(base, sched.points_per_scale, t, sched.span) for t in sched.scales]
+    q = np.repeat(spans, counts)
 
     def f(r):
         x = r[:, None] * units
-        inside = base.mask(x, t)
+        inside = np.zeros(len(r), dtype=bool)
+        for k in live:
+            inside[segs[k]] = base.mask(x[segs[k]], sched.scales[k])
         out = np.full(len(r), -np.inf)
         if inside.any():
             out[inside] = s * phi(x[inside])
+        for k in live:
+            ext[k] = max(ext[k], float(out[segs[k]].max()))
         return out
 
     lo, hi = radii / q, radii * q
     tol = np.maximum(radii * 1e-12, 1e-12)
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    best = max(best, float(np.max(fc)), float(np.max(fd)))
-    while np.any(hi - lo > tol):
+    while live := [k for k in live if (hi[segs[k]] - lo[segs[k]] > tol[segs[k]]).any()]:
         left = fc > fd  # the extremum sits in [lo, d]: c becomes the new d
         lo, hi = np.where(left, lo, c), np.where(left, d, hi)
         x_old, f_old = np.where(left, c, d), np.where(left, fc, fd)
         x_new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
         f_new = f(x_new)
-        best = max(best, float(np.max(f_new)))
         c, fc = np.where(left, x_new, x_old), np.where(left, f_new, f_old)
         d, fd = np.where(left, x_old, x_new), np.where(left, f_old, f_new)
-    return s * best
+    return [s * e for e in ext]
 
 
 def _samples(base: FilterBase, sched: SamplingSchedule):
@@ -371,15 +379,16 @@ def _samples(base: FilterBase, sched: SamplingSchedule):
 def _along(phi, base: FilterBase, schedule: SamplingSchedule, maximize: bool) -> AsymptoticFit:
     """Extrapolated limsup (maximize) or liminf of the real functional phi
     along the filter base: per scale phi runs block by block over the sample,
-    the extremum of its best samples is polished along their rays, inside the
-    base element, and the signed values are fitted."""
-    exts = []
-    for t, blocks in _samples(base, schedule):
+    the extremum of each scale's best samples is polished along their rays,
+    inside the base element, and the signed values are fitted."""
+    bests = []
+    for _, blocks in _samples(base, schedule):
         best = _Best(base.dim)
         for pts in blocks:
             vals = phi(pts)
             best.add(vals if maximize else -vals, pts)
-        exts.append(_refine_ray_extremum(phi, base, schedule, t, best.max, best.rays, maximize))
+        bests.append(best)
+    exts = _polish(phi, base, schedule, bests, maximize)
     label, kind = ("limsup", "sup") if maximize else ("liminf", "inf")
     return AsymptoticFit.of(label, kind, schedule.scales, exts)
 
@@ -398,12 +407,13 @@ def liminf_along(phi, base: FilterBase, schedule: SamplingSchedule) -> Asymptoti
 def _x_subsample(n: int) -> np.ndarray:
     if n <= 512:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, 512).astype(int))
+    return np.linspace(0, n - 1, 512).astype(int)  # strictly increasing: the step exceeds 1
 
 
-# complex entries in one block of the fiber kernel (2 MB): about 13 fibers at a
-# 10,000-point sample, so a block is read while it is still in cache, and all 512
-# fibers at a polish step's 6 points
+# entries in one block of the fiber kernel (1 MB real, 2 MB complex): about 13
+# fibers at a 10,000-point sample, so a block is read while it is still in cache
+# (a real sum's two scratch blocks fit a 2 MB L2 together), and all 512 fibers at
+# a polish step's at most 30 points
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -411,17 +421,19 @@ def _blocks(gammas: list, psis: list):
     """|sum_i gammas[i] (x) psis[i]| in blocks of rows: (rows, moduli) per block.
 
     gammas[i] holds gamma_i on the fibers and psis[i] the values of psi_i on
-    the points.  A block has _BLOCK_ENTRIES // points rows, and every block
-    fills the same three scratch arrays (term, sum and modulus), so a yielded
-    block is overwritten by the next one.  The first term goes straight into
-    the sum: a zero start would only change the sign of a zero, which |.|
-    removes.
+    the points.  The sum runs in the terms' own dtype: real when every gamma
+    and psi is real, complex otherwise.  A block has _BLOCK_ENTRIES // points
+    rows, and every block fills the same scratch arrays (term and sum, plus
+    the modulus of a complex sum; a real sum takes its modulus in place), so a
+    yielded block is overwritten by the next one.  The first term goes
+    straight into the sum: a zero start would only change the sign of a zero,
+    which |.| removes.
     """
     fibers, points = len(gammas[0]), len(psis[0])
     step = min(max(_BLOCK_ENTRIES // points, 1), fibers)  # a sample over the budget: 1 row
-    total = np.empty((step, points), dtype=complex)
+    total = np.empty((step, points), dtype=np.result_type(*gammas, *psis))
     term = np.empty_like(total)
-    moduli = np.empty((step, points))
+    moduli = total if total.dtype == float else np.empty((step, points))
     for s in range(0, fibers, step):
         rows = slice(s, min(s + step, fibers))
         k = rows.stop - s
@@ -473,14 +485,14 @@ def modulus_field(
         raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
     gammas = [g[x_indices] for g, _ in terms]
 
-    def psi_values(p):  # each psi once per point set, cast once: the blocks share the values
-        return [psi(p).astype(complex, copy=False) for _, psi in terms]
+    def psi_values(p):  # each psi once per point set: the blocks share the values
+        return [psi(p) for _, psi in terms]
 
     def top(p):
         return np.max([v.max(axis=0) for _, v in _blocks(gammas, psi_values(p))], axis=0)
 
-    per_scale, sups = [], []
-    for t, blocks in _samples(base, schedule):
+    per_scale, bests = [], []
+    for _, blocks in _samples(base, schedule):
         ext = np.full(len(x_indices), -np.inf if maximize else np.inf)
         best = _Best(base.dim)
         for pts in blocks:
@@ -493,12 +505,14 @@ def modulus_field(
                     np.minimum(ext[rows], vals.min(axis=1), out=ext[rows])
             if maximize:
                 best.add(env, pts)
-        if maximize:
-            sups.append(_refine_ray_extremum(top, base, schedule, t, best.max, best.rays, True))
+        bests.append(best)
         per_scale.append(ext)
     values = fit_inverse_sqrt(schedule.scales, np.array(per_scale))[0]
     for j in np.argsort(values)[:3]:
         phi = lambda p, _j=j: next(_blocks([g[_j : _j + 1] for g in gammas], psi_values(p)))[1][0]
         values[j] = _along(phi, base, schedule, maximize).value
-    envelope = AsymptoticFit.of("maxform", "sup", schedule.scales, sups) if maximize else None
+    envelope = None
+    if maximize:
+        sups = _polish(top, base, schedule, bests, True)
+        envelope = AsymptoticFit.of("maxform", "sup", schedule.scales, sups)
     return values, envelope

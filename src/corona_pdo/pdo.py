@@ -156,17 +156,30 @@ def diagram_check(symbol: Symbol) -> float:
     D = inverse_transform_matrix(xg, symbol.xigrid) @ frequency_section(symbol)
     D = D @ transform_matrix(xg, symbol.xigrid)
     D -= M
-    num = _spectral_norm(D)
+    num = _spectral_norm(D, overwrite=True)
     del D
-    den = max(_spectral_norm(M), 1e-300)
+    den = max(_spectral_norm(M, overwrite=True), 1e-300)
     return num / den
 
 
-def _spectral_norm(a: np.ndarray) -> float:
+def _spectral_norm(a: np.ndarray, overwrite: bool = False) -> float:
     """Largest singular value of ``a`` from the top eigenvalue of a^H a: no SVD,
-    and squaring costs accuracy only in the smallest singular values."""
+    and squaring costs accuracy only in the smallest singular values.
+
+    The Gram is taken of 2^-e a, e the exponent that brings the largest
+    |entry| into [1/2, 1), so it cannot overflow; the scaling is exact, and
+    the norm is scaled back by 2^e.  A complex ``a`` is scaled in place when
+    called with ``overwrite=True``, and a copy otherwise.
+    """
+    a = a if overwrite else np.array(a, dtype=complex)
+    peak = float(np.abs(a).max())
+    if not math.isfinite(peak):
+        raise PdoError("matrix has non-finite entries (nan, inf or overflow)")
+    e = math.frexp(peak)[1]
+    for part in (a.real, a.imag):
+        np.ldexp(part, -e, out=part)
     top = float(np.linalg.eigvalsh(a.conj().T @ a)[-1])
-    return math.sqrt(top) if top > 0.0 else 0.0
+    return math.ldexp(math.sqrt(top), e) if top > 0.0 else 0.0
 
 
 # -- simple named operators ------------------------------------------------------------

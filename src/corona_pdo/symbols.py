@@ -184,8 +184,10 @@ class TensorSymbol(Symbol):
 
     Each gamma is a function of the x coordinates (``cos_profile``,
     ``const_profile``, ``values_profile``), called on the grid's coordinates;
-    it must give one value per grid point.  So the symbol rebinds to any grid
-    pair by calling its gammas there.
+    it must give one value per grid point, and its values keep the dtype it
+    returns (``cos_profile`` real, ``const_profile`` and ``values_profile``
+    complex), so an all-real symbol stays real where its terms are summed.
+    So the symbol rebinds to any grid pair by calling its gammas there.
     """
 
     def __init__(self, xgrid, xigrid, terms):
@@ -195,7 +197,7 @@ class TensorSymbol(Symbol):
         for gamma, psi in self.terms:
             if not isinstance(psi, DualClosure):
                 raise SymbolError("psi factor must be a DualClosure")
-            gvals = np.asarray(gamma(xgrid.coords), dtype=complex).reshape(-1)
+            gvals = np.asarray(gamma(xgrid.coords)).reshape(-1)
             if gvals.size != xgrid.size:
                 raise SymbolError(f"gamma gives {gvals.size} values on {xgrid.size} x points")
             self.tensor_terms.append((gvals, psi))

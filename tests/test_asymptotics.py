@@ -7,17 +7,20 @@ Oracles:
   * a two-point a + b/sqrt(t) fit is solvable by hand.
 """
 
+import json
 import math
 import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from corona_pdo import asymptotics, sampling
 from corona_pdo.asymptotics import (
+    DEFAULT_SCALES,
     AsymptoticsError,
     DirectionalBase,
     IntersectionBase,
@@ -51,6 +54,7 @@ from corona_pdo.symbols import (
     shifted_wave,
     sqrt_wave,
     tensor_symbol,
+    values_profile,
 )
 
 SCHED = SamplingSchedule()
@@ -440,6 +444,27 @@ def test_liminf_floor_flagship_reaches_the_zeros():
     assert 0.0 <= floor <= 1e-9
 
 
+def test_field_on_a_large_x_grid_loads_no_masked_arrays(tmp_path):
+    # the 512-fiber subsample of a 1024-point x grid needs no np.unique (numpy.ma)
+    cfg = tmp_path / "gohberg.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "task": "gohberg", "group": {"kind": "torus", "samples": 1024},
+        "symbol": {"family": "tensor", "terms": [
+            {"gamma": {"profile": "cos-offset"}, "psi": "vo:sqrt"},
+            {"gamma": {"profile": "cos-offset", "offset": 0.0, "frequency": 5}, "psi": "vo:sqrt"},
+        ]},
+        "schedule": {"bands": [32, 64, 128]}, "asym": {"scales": [100, 1000], "points_per_scale": 500},
+    }))
+    code = (
+        "import sys; from corona_pdo import cli; "
+        f"code = cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_polish_loads_no_scipy():
     proc = subprocess.run(
         [
@@ -456,6 +481,42 @@ def test_polish_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()  # bit for bit: a zero's sign counts
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        StandardBase(1),
+        DirectionalBase([1.0, 2.0]),
+        ThickenedComplementBase(halfline_set(0.0)),
+        ThickenedComplementBase(parabola_graph()),
+    ],
+    ids=["standard", "directional", "ethick-halfline", "ethick-parabola"],
+)
+def test_each_scale_polishes_as_if_alone(base):
+    # every scale steps in one shared polish loop, yet stops and scores as it would
+    # alone: the same values, from the same number of evaluated points.  Below radius
+    # 1 the search's width floor is absolute, so the small scales take fewer steps
+    sizes = []
+
+    def phi(p):
+        sizes.append(len(p))
+        return np.sin(np.sqrt(np.linalg.norm(p, axis=1))) + 0.3 * np.cos(p[:, -1] / 5)
+
+    for scales in (DEFAULT_SCALES, (1e-3, 1e-2, 1e-1, 1e1)):
+        sched = SamplingSchedule(scales, points_per_scale=500, seed=7)
+        for along in (limsup_along, liminf_along):
+            sizes.clear()
+            full = along(phi, base, sched)
+            points = sum(sizes)
+            for k, t in enumerate(sched.scales):
+                alone = replace(sched, scales=(t,), seed=sched.seed + 977 * k)
+                assert _bits(along(phi, base, alone).per_scale) == _bits(full.per_scale[k])
+            assert sum(sizes) == 2 * points
 
 
 # -- per-fiber fields and Gohberg right-hand sides --
@@ -510,6 +571,38 @@ def test_one_scale_field_keeps_each_fiber_value():
                 modulus_field(one, base, sched, maximize)[0],
                 rtol=1e-12,
             )
+
+
+def test_real_terms_sum_as_their_complex_twins():
+    # a real symbol's kernel sums in float64; the same numbers as complex gammas give
+    # the same moduli, so the field and the envelope match bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scale = st.sampled_from([1.0, 1e150, 1e-150])
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0]), st.builds(lambda v, s: v * s, st.floats(-2.0, 2.0), scale)
+    )
+    xg = GroupGrid.torus(16)
+    xig = xg.dual()
+    psis = [sqrt_wave(), shifted_wave(1.5), inverse_decay()]
+
+    @hypothesis.settings(max_examples=10, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.lists(entry, min_size=16, max_size=16), min_size=2, max_size=3))
+    def check(rows):
+        data = [np.array(row) for row in rows]
+        real = TensorSymbol(xg, xig, [(lambda c, d=d: d, p) for d, p in zip(data, psis)])
+        twin = TensorSymbol(xg, xig, [(values_profile(d), p) for d, p in zip(data, psis)])
+        for maximize in (True, False):
+            vals, env = modulus_field(real, StandardBase(1), SMALL, maximize)
+            twin_vals, twin_env = modulus_field(twin, StandardBase(1), SMALL, maximize)
+            np.testing.assert_array_equal(vals, twin_vals)
+            if maximize:
+                for field in ("per_scale", "value", "slope", "residual", "rel_residual"):
+                    np.testing.assert_array_equal(getattr(env, field), getattr(twin_env, field))
+            else:
+                assert env is None and twin_env is None
+
+    check()
 
 
 def test_compact_dual_rejected():
@@ -577,7 +670,7 @@ def _counted(psi: DualClosure, sizes: list) -> DualClosure:
 def test_field_evaluates_each_psi_once_per_block(monkeypatch, maximize):
     # 128 fibers, more than one fiber block at a sample block; 4 sample blocks a scale.
     # The field pass and the re-polish of each of the 3 lowest fibers read every
-    # sample block once; the polish asks for at most 6 points
+    # sample block once; the polish asks for at most 6 points per scale in one call
     monkeypatch.setattr(sampling, "_BLOCK", 512)
     xg = GroupGrid.torus(128)
     sched = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=2000)
@@ -591,4 +684,4 @@ def test_field_evaluates_each_psi_once_per_block(monkeypatch, maximize):
     blocks = [len(pts) for _, scale in _samples(StandardBase(1), sched) for pts in scale]
     assert blocks == [512, 488, 512, 488] * 3
     for sizes in (first, second):
-        assert [n for n in sizes if n > 6] == blocks * 4
+        assert [n for n in sizes if n > 6 * len(sched.scales)] == blocks * 4

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -691,6 +692,29 @@ def test_diagram_check_task(tmp_path):
     assert code == 0
     assert report["results"]["residual"] <= 1e-10
     assert report["results"]["pass"] is True
+
+
+def test_diagram_check_of_a_large_constant(tmp_path, capsys):
+    # 1e200 squared passes float64's range in the Gram, so the norms scale first
+    doc = {
+        "schema": 1,
+        "task": "diagram-check",
+        "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "const", "value": 1e200},
+    }
+    code, report, _ = _run(tmp_path, doc)
+    assert code == 0
+    assert math.isfinite(report["results"]["residual"]) and report["results"]["residual"] <= 1e-10
+    assert report["results"]["pass"] is True
+    # 1e308 overflows the transforms: one error line, no traceback
+    capsys.readouterr()
+    (tmp_path / "overflow").mkdir()
+    code, report, _ = _run(tmp_path / "overflow", {**doc, "symbol": {"family": "const", "value": 1e308}})
+    assert code == 1
+    assert report is None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("[error] matrix has non-finite entries")
 
 
 def test_gohberg_task_report_and_csv(tmp_path):

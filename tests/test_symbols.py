@@ -503,6 +503,21 @@ def test_symbol_csv_rejects_bad_header_gaps_and_oob(tmp_path):
         load_symbol_csv(oob, xg, xig)
 
 
+def test_tensor_symbol_keeps_each_gamma_dtype():
+    # a real gamma stays real, so an all-real symbol sums in float64 off the grid
+    xg = GroupGrid.finite_cyclic(4)
+    specs = [
+        ({"profile": "cos-offset"}, np.float64),
+        ({"profile": "values", "data": [1, 2, 3, 4]}, np.complex128),
+        ({"profile": "const", "value": 2}, np.complex128),
+    ]
+    for gamma, dtype in specs:
+        spec = _SYMBOL({"family": "tensor", "gamma": gamma, "psi": "vo:sqrt"}, "symbol")
+        f = symbol_from_config(spec, xg, xg.dual())
+        assert f.tensor_terms[0][0].dtype == dtype
+        assert f.rebound(xg, xg.dual()).tensor_terms[0][0].dtype == dtype
+
+
 def test_gamma_values_profile():
     xg = GroupGrid.finite_cyclic(4)
     spec = {

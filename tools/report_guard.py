@@ -108,6 +108,9 @@ TWO_TERM = {"family": "tensor", "terms": [
         "psi": "vo:sqrt",
     },
 ]}
+TWO_TERM_COMPLEX = {"family": "tensor", "terms": [
+    TWO_TERM["terms"][0], {**TWO_TERM["terms"][1], "gamma": {"profile": "const", "value": "0.5+0.5j"}},
+]}
 CONFIGS.update({
     "build-op/symbol=dirdecay": {"task": "build-op", "group": PRODUCT, "symbol": "dirdecay"},
     "build-op/symbol=dirdecay-map": {
@@ -211,6 +214,9 @@ CONFIGS.update({
         "task": "gohberg", "symbol": TWO_TERM, **LADDER, "base": {"kind": "ethick"},
     },
     "fredholm/two-term": {"task": "fredholm", "symbol": TWO_TERM, **LADDER},
+    # a complex gamma sums the generic pass in complex arithmetic; the others stay real
+    "gohberg/two-term-complex": {"task": "gohberg", "symbol": TWO_TERM_COMPLEX, **LADDER},
+    "fredholm/two-term-complex": {"task": "fredholm", "symbol": TWO_TERM_COMPLEX, **LADDER},
     # no-ladder verdicts: the 1-d torus check of the ladders must not reach them.
     # sin sqrt|xi| vanishes at 0, so it is NOT-FREDHOLM; Op(1) is the identity
     "fredholm/noncompact-group": {
@@ -350,6 +356,15 @@ CONFIGS.update({
     "diagram-check/symbol=csv-nan": {
         "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
         "symbol": {"family": "csv", "path": "symbol4-nan.csv"},
+    },
+    # a Gram of 1e200 squared passes float64's range; 1e308 overflows the FFT: exit 1
+    "diagram-check/const=1e200": {
+        "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "const", "value": 1e200},
+    },
+    "diagram-check/const=1e308": {
+        "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "const", "value": 1e308},
     },
 })
 
