@@ -413,7 +413,7 @@ def _x_subsample(n: int) -> np.ndarray:
 # entries in one block of the fiber kernel (1 MB real, 2 MB complex): about 13
 # fibers at a 10,000-point sample, so a block is read while it is still in cache
 # (a real sum's two scratch blocks fit a 2 MB L2 together), and all 512 fibers at
-# a polish step's at most 30 points
+# a polish step's at most 6 points per scale (30 on the default schedule)
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -485,8 +485,10 @@ def modulus_field(
         raise SymbolError("symbol is tabulated only; off-grid evaluation undefined")
     gammas = [g[x_indices] for g, _ in terms]
 
-    def psi_values(p):  # each psi once per point set: the blocks share the values
-        return [psi(p) for _, psi in terms]
+    def psi_values(p):  # each psi once per point set, in the kernel's dtype: the blocks share them
+        vals = [psi(p) for _, psi in terms]
+        dt = np.result_type(*gammas, *vals)
+        return [v.astype(dt, copy=False) for v in vals]
 
     def top(p):
         return np.max([v.max(axis=0) for _, v in _blocks(gammas, psi_values(p))], axis=0)

@@ -156,22 +156,22 @@ def diagram_check(symbol: Symbol) -> float:
     D = inverse_transform_matrix(xg, symbol.xigrid) @ frequency_section(symbol)
     D = D @ transform_matrix(xg, symbol.xigrid)
     D -= M
-    num = _spectral_norm(D, overwrite=True)
+    num = _spectral_norm(D)
     del D
-    den = max(_spectral_norm(M, overwrite=True), 1e-300)
+    den = max(_spectral_norm(M), 1e-300)
     return num / den
 
 
-def _spectral_norm(a: np.ndarray, overwrite: bool = False) -> float:
-    """Largest singular value of ``a`` from the top eigenvalue of a^H a: no SVD,
-    and squaring costs accuracy only in the smallest singular values.
+def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value of the complex matrix ``a`` from the top
+    eigenvalue of a^H a: no SVD, and squaring costs accuracy only in the
+    smallest singular values.
 
     The Gram is taken of 2^-e a, e the exponent that brings the largest
     |entry| into [1/2, 1), so it cannot overflow; the scaling is exact, and
-    the norm is scaled back by 2^e.  A complex ``a`` is scaled in place when
-    called with ``overwrite=True``, and a copy otherwise.
+    the norm is scaled back by 2^e.  ``a`` is scaled in place, so it is
+    overwritten.
     """
-    a = a if overwrite else np.array(a, dtype=complex)
     peak = float(np.abs(a).max())
     if not math.isfinite(peak):
         raise PdoError("matrix has non-finite entries (nan, inf or overflow)")
