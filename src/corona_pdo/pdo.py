@@ -231,34 +231,119 @@ def load_matrix_bin(path) -> np.ndarray:
     return data.view("<c16").reshape(rows, cols)
 
 
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    m = np.asarray(matrix, dtype=np.complex128)
+def _csv_lines(m: np.ndarray, start: int, stop: int):
+    """The CSV lines of rows start..stop-1 of ``m``, one ASCII block per row."""
     heads = [f",{j}," for j in range(m.shape[1])]
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,re,im\n")
-        for i, row in enumerate(m):  # per row: a whole-matrix tolist costs ~36 MB at n=768
-            cells = zip(heads, row.real.tolist(), row.imag.tolist())
-            fh.write("".join([f"{i}{head}{re!r},{im!r}\n" for head, re, im in cells]))
+    for i in range(start, stop):  # per row: a whole-matrix tolist costs ~36 MB at n=768
+        cells = zip(heads, m[i].real.tolist(), m[i].imag.tolist())
+        yield "".join([f"{i}{head}{re!r},{im!r}\n" for head, re, im in cells]).encode()
+
+
+def save_matrix_csv(matrix: np.ndarray, path) -> None:
+    """Write ``matrix`` as CSV: the header ``row,col,re,im``, then one line
+    ``i,j,re,im`` per entry in row-major order, each float as its ``repr``.
+
+    The rows are cut into one contiguous part per usable core, at most
+    ``CORONA_PDO_THREADS`` parts when it is set and at most one per row.  This
+    process formats the first part and a forked child each other part, which
+    hands its bytes back through a pipe; the parts are written in row order,
+    so no byte depends on the part count.  The fork is safe because a child
+    only formats floats (no import, no BLAS, no output) and always leaves
+    through ``os._exit``.  Every child is reaped, also when this process's own
+    part raises, and a child that fails is an ``OSError``.
+    """
+    import os  # local: importing pdo loads nothing more
+
+    m = np.asarray(matrix, dtype=np.complex128)
+    rows = m.shape[0]
+    # the usable cores; one part where there is no affinity mask (Windows has no fork)
+    parts = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    cap = os.environ.get("CORONA_PDO_THREADS", "")
+    if cap.isdigit():
+        parts = min(parts, int(cap))
+    parts = max(1, min(parts, rows))
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    children, reads = [], []  # (pid, first row) of each child; the read end of its pipe
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(w)
+                raise
+            if pid == 0:  # the child: format every row before a write can block, then leave
+                code = 1
+                try:
+                    blocks = list(_csv_lines(m, lo, hi))
+                    with open(w, "wb") as pipe:
+                        pipe.writelines(blocks)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, lo))
+        with open(path, "wb") as fh:
+            fh.write(b"row,col,re,im\n")
+            fh.writelines(_csv_lines(m, 0, bounds[1]))
+            for r in reads:
+                while chunk := os.read(r, 1 << 20):
+                    fh.write(chunk)
+    finally:
+        for r in reads:
+            os.close(r)  # a child still writing stops on the broken pipe
+        codes = [(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), lo) for pid, lo in children]
+    for code, lo in codes:
+        if code:
+            raise OSError(f"{path}: the process formatting rows from {lo} exited with status {code}")
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """Read a matrix written by ``save_matrix_csv``.
+
+    Every line after the header is ``row,col,re,im``: two non-negative integer
+    indices and two floats.  The largest indices set the shape, and each of
+    its cells must appear exactly once.  Anything else is a ``PdoError`` that
+    names the file and the line (or, for a missing cell, the cell).
+    """
     rows, cols, re, im = [], [], [], []
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "row,col,re,im":
-            raise PdoError("operator CSV must have header row,col,re,im")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b, c, d = line.split(",")
-            rows.append(int(a))
-            cols.append(int(b))
-            re.append(float(c))
-            im.append(float(d))
+        if fh.readline().strip() != "row,col,re,im":
+            raise PdoError(f"{path}: operator CSV must have header row,col,re,im")
+        for k, line in enumerate(fh, start=2):
+            try:
+                a, b, c, d = line.split(",")
+                i, j, x, y = int(a), int(b), float(c), float(d)
+            except ValueError:
+                raise PdoError(f"{path}, line {k}: not row,col,re,im: {line.strip()!r}") from None
+            if i < 0 or j < 0:
+                raise PdoError(f"{path}, line {k}: negative index in {line.strip()!r}")
+            rows.append(i)
+            cols.append(j)
+            re.append(x)
+            im.append(y)
     if not rows:
-        raise PdoError("operator CSV is empty")
-    out = np.zeros((max(rows) + 1, max(cols) + 1), dtype=np.complex128)
+        raise PdoError(f"{path}: operator CSV is empty")
+    shape = (max(rows) + 1, max(cols) + 1)
+    if len(rows) != shape[0] * shape[1] or np.bincount(
+        np.asarray(rows) * shape[1] + cols, minlength=len(rows)
+    ).max() > 1:
+        _cell_error(path, rows, cols, shape)
+    out = np.zeros(shape, dtype=np.complex128)
     out.real[rows, cols] = re
     out.imag[rows, cols] = im
     return out
+
+
+def _cell_error(path, rows, cols, shape):
+    """Raise for the first repeated line, else for the first missing cell."""
+    seen = set()
+    for k, cell in enumerate(zip(rows, cols)):
+        if cell in seen:
+            raise PdoError(f"{path}, line {k + 2}: cell {cell} appears again")
+        seen.add(cell)
+    flat = sorted(i * shape[1] + j for i, j in seen)
+    gap = next((k for k, f in enumerate(flat) if k != f), len(flat))
+    cell = divmod(gap, shape[1])
+    raise PdoError(f"{path}: no line for cell {cell} of the {shape[0]} x {shape[1]} matrix")

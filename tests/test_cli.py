@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corona_pdo import cli
+from corona_pdo import cli, pdo
 from corona_pdo.asymptotics import AsymptoticsError, SamplingSchedule, StandardBase, limsup_along
 from corona_pdo.cli import (
     _BASE,
@@ -677,6 +677,51 @@ def test_build_op_writes_loadable_matrix(tmp_path):
     direct = op_matrix(_symbol(FLAGSHIP, xg, xg.dual()))
     assert np.allclose(stored, direct, atol=1e-14)
     assert report["results"]["hs_norm"] == pytest.approx(np.linalg.norm(direct))
+
+
+def test_build_op_files_do_not_depend_on_the_thread_cap(tmp_path):
+    # fresh processes, so the cap is read as a run reads it; 37 rows split unevenly
+    doc = {
+        "schema": 1,
+        "task": "build-op",
+        "group": {"kind": "finite_cyclic", "n": 37},
+        "symbol": FLAGSHIP,
+        "matrix_format": "both",
+    }
+    outputs = []
+    for cap in ("1", "2"):
+        out = tmp_path / f"out{cap}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "corona_pdo.cli", "run", "--config", _write(tmp_path, doc)]
+            + ["--out", str(out)],
+            env={**os.environ, "CORONA_PDO_THREADS": cap},
+            capture_output=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        report = (out / "report.json").read_bytes().splitlines()
+        files = [(out / name).read_bytes() for name in ("operator.csv", "operator.bin")]
+        outputs.append([line for line in report if b'"timestamp":' not in line] + files)
+    assert outputs[0] == outputs[1]
+
+
+def test_failed_csv_part_is_one_error_line(tmp_path, capsys, monkeypatch):
+    lines = pdo._csv_lines
+
+    def fail(m, start, stop):  # the part of the forked child
+        if start > 0:
+            raise RuntimeError("part failed")
+        return lines(m, start, stop)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setenv("CORONA_PDO_THREADS", "2")
+    monkeypatch.setattr(pdo, "_csv_lines", fail)
+    doc = {"schema": 1, "task": "build-op", "group": {"kind": "finite_cyclic", "n": 4}}
+    code, report, out = _run(tmp_path, {**doc, "symbol": FLAGSHIP, "matrix_format": "csv"})
+    err = capsys.readouterr().err
+    assert code == 1 and report is None
+    assert err.startswith("[error] cannot write output: ") and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_diagram_check_task(tmp_path):

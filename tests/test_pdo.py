@@ -1,6 +1,8 @@
 """Operator construction: frozen kernels, exact identities, route agreement."""
 
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -283,19 +285,117 @@ def test_matrix_csv_round_trip(tmp_path):
         load_matrix_csv(bad)
 
 
-def test_matrix_csv_bytes_match_per_entry_format(tmp_path):
+def _special_matrix():
     m = np.empty((3, 4), dtype=np.complex128)
     m.real = [[-0.0, 1e-300, 1e16, np.nan], [np.inf, 3.0, -7.25e-5, 0.1], [1 / 3, -0.0, 1.5, 2.0]]
     m.imag = [[0.0, -2.5, 0.1, 0.0], [-np.inf, 0.0, 1e300, 0.2], [-0.0, 5e-324, np.nan, -1e16]]
+    return m
+
+
+def _per_entry_csv(m) -> bytes:
     # the per-entry writer this format was defined by, as the oracle
     lines = ["row,col,re,im\n"]
     for i in range(m.shape[0]):
         for j in range(m.shape[1]):
             lines.append(f"{i},{j},{float(m[i, j].real)!r},{float(m[i, j].imag)!r}\n")
+    return "".join(lines).encode()
+
+
+def test_matrix_csv_bytes_match_per_entry_format(tmp_path):
+    m = _special_matrix()
     p = tmp_path / "op.csv"
     save_matrix_csv(m, p)
-    assert p.read_bytes() == "".join(lines).encode()
+    assert p.read_bytes() == _per_entry_csv(m)
     assert load_matrix_csv(p).tobytes() == m.tobytes()
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """Set the writer's part count (8 cores capped by CORONA_PDO_THREADS) and
+    list the forks it makes."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    def cap(k):
+        monkeypatch.setenv("CORONA_PDO_THREADS", str(k))
+        return forks
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(os, "fork", counted)
+    return cap
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_matrix_csv_bytes_do_not_depend_on_the_part_count(tmp_path, parts, count):
+    # 5 parts of a 3-row matrix: one per row
+    forks = parts(count)
+    m = _special_matrix()
+    p = tmp_path / "op.csv"
+    save_matrix_csv(m, p)
+    assert len(forks) == min(count, 3) - 1
+    assert p.read_bytes() == _per_entry_csv(m)
+    assert load_matrix_csv(p).tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3)])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_matrix_csv_parts_of_every_shape(tmp_path, parts, shape, count):
+    parts(count)
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    p = tmp_path / "op.csv"
+    save_matrix_csv(m, p)
+    assert p.read_bytes() == _per_entry_csv(m)
+
+
+def test_failed_csv_part_raises_and_leaves_no_child(tmp_path, parts, monkeypatch):
+    lines = pdo._csv_lines
+
+    def failing(first):
+        def fail(m, start, stop):
+            if (start == 0) == first:  # only a forked child formats a later part
+                raise RuntimeError("part failed")
+            return lines(m, start, stop)
+
+        return fail
+
+    monkeypatch.setattr(pdo, "_csv_lines", failing(first=False))
+    parts(3)
+    m = np.arange(12, dtype=complex).reshape(6, 2)
+    with pytest.raises(OSError, match="exited with status 1"):
+        save_matrix_csv(m, tmp_path / "op.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # this process's own part raising reaps the children as well
+    monkeypatch.setattr(pdo, "_csv_lines", failing(first=True))
+    with pytest.raises(RuntimeError, match="part failed"):
+        save_matrix_csv(m, tmp_path / "op.csv")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("-1,0,5.0,0.0\n", "line 2: negative index"),
+        ("0,0,1.0\n", "line 2: not row,col,re,im"),
+        ("0,0,1.0,x\n", "line 2: not row,col,re,im"),
+        ("0,0,1.0,0.0\n\n", "line 3: not row,col,re,im"),
+        ("0,0,1.0,0.0\n0,1,1.0,0.0\n1,1,1.0,0.0\n", "no line for cell (1, 0) of the 2 x 2"),
+        ("0,0,1.0,0.0\n0,0,2.0,0.0\n", "line 3: cell (0, 0) appears again"),
+        ("0,0,1.0,0.0\n0,1,1.0,0.0\n1,0,1.0,0.0\n0,1,3.0,0.0\n", "line 5: cell (0, 1) appears again"),
+        ("", "operator CSV is empty"),
+    ],
+    ids=["negative", "short", "not-a-number", "blank", "missing", "repeated", "repeated-once", "empty"],
+)
+def test_matrix_csv_loader_names_the_bad_line(tmp_path, body, where):
+    p = tmp_path / "op.csv"
+    p.write_text("row,col,re,im\n" + body)
+    with pytest.raises(PdoError, match=re.escape(str(p)) + ".*" + re.escape(where)):
+        load_matrix_csv(p)
 
 
 def test_spectral_norm_matches_svd():

@@ -8,7 +8,8 @@ Each root is a source checkout holding ``src/corona_pdo``.  All 7 tasks and
 spell every config table entry (psi families, gamma profiles, CSV-backed
 symbols, filter bases, groups, ``vo`` and per-task tolerances) and leave out
 every per-task default, each in its own
-``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1``.  The
+``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1`` (or the
+cap in ``THREADS``, which runs the multi-process ``operator.csv`` writer).  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
 other report line and every side file must match byte for byte, and so must
 the stderr of a run that exits non-zero (the error line, and no traceback in
@@ -366,7 +367,14 @@ CONFIGS.update({
         "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
         "symbol": {"family": "const", "value": 1e308},
     },
+    # 37 rows cut into 2 uneven parts, one formatted by a forked child (with THREADS)
+    "build-op/threads=2": {
+        "task": "build-op", "group": {"kind": "finite_cyclic", "n": 37}, "symbol": FLAGSHIP,
+        "matrix_format": "both",
+    },
 })
+# the CORONA_PDO_THREADS of a config that does not run at 1
+THREADS = {"build-op/threads=2": "2"}
 
 
 def _write_symbol_csvs(work: Path) -> None:
@@ -390,7 +398,7 @@ TIMED_OUT = b"timeout"
 def run_all(root: Path, work: Path) -> dict:
     """Run every config against ``root``; name -> {file name: bytes}."""
     root, work = root.resolve(), work.resolve()
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), CORONA_PDO_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     _write_symbol_csvs(work)
     outputs = {}
     for name, extra in CONFIGS.items():
@@ -398,6 +406,7 @@ def run_all(root: Path, work: Path) -> dict:
         cfg = work / f"{out.name}.json"
         cfg.write_text(json.dumps({"schema": 1, "task": name, "seed": 5, **extra}))
         argv = [sys.executable, "-m", "corona_pdo.cli", "run", "--config", str(cfg), "--out", str(out)]
+        env["CORONA_PDO_THREADS"] = THREADS.get(name, "1")
         try:
             proc = subprocess.run(argv, env=env, cwd=work, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
