@@ -276,6 +276,10 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
             if pid == 0:  # the child: format every row before a write can block, then leave
                 code = 1
                 try:
+                    # hold no read end (its own is the last one), so that when this
+                    # process stops reading, the child's write fails instead of blocking
+                    for fd in reads:
+                        os.close(fd)
                     blocks = list(_csv_lines(m, lo, hi))
                     with open(w, "wb") as pipe:
                         pipe.writelines(blocks)
@@ -292,7 +296,7 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
                     fh.write(chunk)
     finally:
         for r in reads:
-            os.close(r)  # a child still writing stops on the broken pipe
+            os.close(r)  # the only read end: a child still writing stops on the broken pipe
         codes = [(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), lo) for pid, lo in children]
     for code, lo in codes:
         if code:

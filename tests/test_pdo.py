@@ -3,6 +3,9 @@
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -328,27 +331,25 @@ def parts(monkeypatch):
     return cap
 
 
+def _random_matrix(rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [_special_matrix(), _random_matrix(1, 5), _random_matrix(5, 1), _random_matrix(7, 3)],
+    ids=["special-3x4", "1x5", "5x1", "7x3"],
+)
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
-def test_matrix_csv_bytes_do_not_depend_on_the_part_count(tmp_path, parts, count):
-    # 5 parts of a 3-row matrix: one per row
+def test_matrix_csv_bytes_do_not_depend_on_the_part_count(tmp_path, parts, m, count):
+    # more parts than rows: one part per row
     forks = parts(count)
-    m = _special_matrix()
     p = tmp_path / "op.csv"
     save_matrix_csv(m, p)
-    assert len(forks) == min(count, 3) - 1
+    assert len(forks) == min(count, m.shape[0]) - 1
     assert p.read_bytes() == _per_entry_csv(m)
     assert load_matrix_csv(p).tobytes() == m.tobytes()
-
-
-@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (7, 3)])
-@pytest.mark.parametrize("count", [1, 2, 3])
-def test_matrix_csv_parts_of_every_shape(tmp_path, parts, shape, count):
-    parts(count)
-    rng = np.random.default_rng(shape[0] * 10 + shape[1])
-    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    p = tmp_path / "op.csv"
-    save_matrix_csv(m, p)
-    assert p.read_bytes() == _per_entry_csv(m)
 
 
 def test_failed_csv_part_raises_and_leaves_no_child(tmp_path, parts, monkeypatch):
@@ -375,6 +376,57 @@ def test_failed_csv_part_raises_and_leaves_no_child(tmp_path, parts, monkeypatch
         save_matrix_csv(m, tmp_path / "op.csv")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+# a writer that fails (its own part raises, or the path is a directory) while a
+# child's part is far larger than a pipe buffer (64 KiB; each part here is about
+# 300 KB), run in a fresh process
+_FAILED_WRITER = """
+import os, sys
+import numpy as np
+from corona_pdo import pdo
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.environ["CORONA_PDO_THREADS"] = "2"
+lines = pdo._csv_lines
+
+
+def failing(m, start, stop):
+    if start == 0:
+        raise OSError("own part failed")
+    return lines(m, start, stop)
+
+
+if sys.argv[2] == "own-part":
+    pdo._csv_lines = failing
+try:
+    pdo.save_matrix_csv(np.arange(16000.0).reshape(400, 40) / 3, sys.argv[1])
+except OSError as exc:
+    print(type(exc).__name__)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+"""
+
+
+@pytest.mark.parametrize("failure", ["own-part", "path-is-a-directory"])
+def test_failed_writer_does_not_wait_for_a_blocked_child(tmp_path, failure):
+    path = tmp_path / "op.csv"
+    if failure == "path-is-a-directory":
+        path.mkdir()
+    argv = [sys.executable, "-c", _FAILED_WRITER, str(path), failure]
+    # its own session, so a child left blocked can be killed with it
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the writer waited for a child blocked on its pipe")
+    assert proc.returncode == 0 and err == b""
+    error = b"IsADirectoryError" if failure == "path-is-a-directory" else b"OSError"
+    assert out.splitlines() == [error, b"no child"]
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ spell every config table entry (psi families, gamma profiles, CSV-backed
 symbols, filter bases, groups, ``vo`` and per-task tolerances) and leave out
 every per-task default, each in its own
 ``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1`` (or the
-cap in ``THREADS``, which runs the multi-process ``operator.csv`` writer).  The
+cap in ``THREADS``, which runs the multi-process ``operator.csv`` writer on a
+host with that many usable cores; on fewer it runs fewer parts, and the guard
+prints a note saying so).  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
 other report line and every side file must match byte for byte, and so must
 the stderr of a run that exits non-zero (the error line, and no traceback in
@@ -503,6 +505,11 @@ def main(argv=None) -> int:
         problems = diff(old, new, args.atol)
     for line in problems:
         print(line)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for name, cap in THREADS.items():
+        if cores < int(cap):
+            print(f"[guard] note: {name} wrote operator.csv in {cores} part(s), not {cap}: "
+                  f"{cores} usable core(s) here")
     print(f"[guard] {len(CONFIGS)} configs, {'differences found' if problems else 'no differences'}")
     return 1 if problems else 0
 
