@@ -25,6 +25,14 @@ extremum and its 6 best samples, the polish's candidate rays.  Ties go to the
 lower sample index: a later sample enters only if it is strictly better.  So
 a scale holds a block's worth of memory, whatever its budget.
 
+The scales are independent until the polish, so they are scanned in parallel:
+``_fork.fork_map`` cuts them into one contiguous run of scales per usable
+core (at most ``CORONA_PDO_THREADS``), scans the last run in this process and
+each other in a forked child, and hands back every scale's extremum and rays
+in scale order, with its warnings, or the error of the first scale that
+failed.  The polish runs jointly over all scales in this process.  Each scale
+reads only its own seed, so no byte of a result depends on the cap.
+
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
 A golden-section search along the best rays, all rays of all scales at
 once in numpy, closes most of the gap for smooth integrands.  It scores a
@@ -42,6 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._fork import fork_map
 from .sampling import MAX_RADIUS, _fan_size, _net_blocks, _norm_ppf, _radii_per_ray
 from .sampling import _unit_rows, directions, kronecker
 from .symbols import Symbol, SymbolError, ThickenedSet
@@ -381,13 +390,15 @@ def _along(phi, base: FilterBase, schedule: SamplingSchedule, maximize: bool) ->
     along the filter base: per scale phi runs block by block over the sample,
     the extremum of each scale's best samples is polished along their rays,
     inside the base element, and the signed values are fitted."""
-    bests = []
-    for _, blocks in _samples(base, schedule):
+
+    def scan(sample):
         best = _Best(base.dim)
-        for pts in blocks:
+        for pts in sample[1]:
             vals = phi(pts)
             best.add(vals if maximize else -vals, pts)
-        bests.append(best)
+        return best
+
+    bests = fork_map(scan, _samples(base, schedule))
     exts = _polish(phi, base, schedule, bests, maximize)
     label, kind = ("limsup", "sup") if maximize else ("liminf", "inf")
     return AsymptoticFit.of(label, kind, schedule.scales, exts)
@@ -493,11 +504,10 @@ def modulus_field(
     def top(p):
         return np.max([v.max(axis=0) for _, v in _blocks(gammas, psi_values(p))], axis=0)
 
-    per_scale, bests = [], []
-    for _, blocks in _samples(base, schedule):
+    def scan(sample):  # a scale's per-fiber extremum, and the envelope's candidate rays
         ext = np.full(len(x_indices), -np.inf if maximize else np.inf)
         best = _Best(base.dim)
-        for pts in blocks:
+        for pts in sample[1]:
             env = np.zeros(len(pts))
             for rows, vals in _blocks(gammas, psi_values(pts)):
                 if maximize:
@@ -507,8 +517,9 @@ def modulus_field(
                     np.minimum(ext[rows], vals.min(axis=1), out=ext[rows])
             if maximize:
                 best.add(env, pts)
-        bests.append(best)
-        per_scale.append(ext)
+        return ext, best
+
+    per_scale, bests = zip(*fork_map(scan, _samples(base, schedule)))
     values = fit_inverse_sqrt(schedule.scales, np.array(per_scale))[0]
     for j in np.argsort(values)[:3]:
         phi = lambda p, _j=j: next(_blocks([g[_j : _j + 1] for g in gammas], psi_values(p)))[1][0]

@@ -399,6 +399,18 @@ def _symbol_id(symbol) -> str:
     return " + ".join(names)
 
 
+def _write_whole(path: Path, write) -> None:
+    """Call write on a temporary name next to path and rename it to path once
+    write returns: a writer that fails part-way leaves neither file."""
+    part = path.with_name(path.name + ".tmp")
+    try:
+        write(part)
+        part.replace(path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -821,13 +833,10 @@ def _run(cfg: ExperimentConfig) -> int:
     try:  # an output directory that is a file, or lies under one, is a config error
         out.mkdir(parents=True, exist_ok=True)
         for name, side in side_files.items():
-            if callable(side):
-                side(out / name)
-            else:
-                _write_csv(out / name, *side)
+            _write_whole(out / name, side if callable(side) else lambda p, s=side: _write_csv(p, *s))
             print(f"[write] {out / name}")
         report_path = out / "report.json"
-        report_path.write_text(text + "\n")
+        _write_whole(report_path, lambda p: p.write_text(text + "\n"))
     except OSError as e:
         raise CliError(f"cannot write output: {e}") from None
     print(f"[write] {report_path}")

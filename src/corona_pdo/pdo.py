@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from ._fork import fork_map, part_count
 from .fourier import fourier, inverse_fourier, inverse_transform_matrix, transform_matrix
 from .groups import GroupGrid
 from .symbols import Symbol
@@ -243,64 +244,20 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """Write ``matrix`` as CSV: the header ``row,col,re,im``, then one line
     ``i,j,re,im`` per entry in row-major order, each float as its ``repr``.
 
-    The rows are cut into one contiguous part per usable core, at most
-    ``CORONA_PDO_THREADS`` parts when it is set and at most one per row.  This
-    process formats the first part and a forked child each other part, which
-    hands its bytes back through a pipe; the parts are written in row order,
-    so no byte depends on the part count.  The fork is safe because a child
-    only formats floats (no import, no BLAS, no output) and always leaves
-    through ``os._exit``.  Every child is reaped, also when this process's own
-    part raises, and a child that fails is an ``OSError``.
+    The rows are cut into one contiguous part per process of ``fork_map``,
+    which formats the parts side by side; they are written in row order, so
+    no byte depends on the part count.  A part that fails raises here as
+    itself, and nothing is written.
     """
-    import os  # local: importing pdo loads nothing more
-
     m = np.asarray(matrix, dtype=np.complex128)
     rows = m.shape[0]
-    # the usable cores; one part where there is no affinity mask (Windows has no fork)
-    parts = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    cap = os.environ.get("CORONA_PDO_THREADS", "")
-    if cap.isdigit():
-        parts = min(parts, int(cap))
-    parts = max(1, min(parts, rows))
+    parts = part_count(rows)
     bounds = [rows * k // parts for k in range(parts + 1)]
-    children, reads = [], []  # (pid, first row) of each child; the read end of its pipe
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            reads.append(r)
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(w)
-                raise
-            if pid == 0:  # the child: format every row before a write can block, then leave
-                code = 1
-                try:
-                    # hold no read end (its own is the last one), so that when this
-                    # process stops reading, the child's write fails instead of blocking
-                    for fd in reads:
-                        os.close(fd)
-                    blocks = list(_csv_lines(m, lo, hi))
-                    with open(w, "wb") as pipe:
-                        pipe.writelines(blocks)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(w)
-            children.append((pid, lo))
-        with open(path, "wb") as fh:
-            fh.write(b"row,col,re,im\n")
-            fh.writelines(_csv_lines(m, 0, bounds[1]))
-            for r in reads:
-                while chunk := os.read(r, 1 << 20):
-                    fh.write(chunk)
-    finally:
-        for r in reads:
-            os.close(r)  # the only read end: a child still writing stops on the broken pipe
-        codes = [(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), lo) for pid, lo in children]
-    for code, lo in codes:
-        if code:
-            raise OSError(f"{path}: the process formatting rows from {lo} exited with status {code}")
+    blocks = fork_map(lambda part: list(_csv_lines(m, *part)), zip(bounds, bounds[1:]))
+    with open(path, "wb") as fh:
+        fh.write(b"row,col,re,im\n")
+        for part in blocks:
+            fh.writelines(part)
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -9,6 +9,7 @@ Oracles:
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -497,10 +498,12 @@ def _bits(x) -> bytes:
     ],
     ids=["standard", "directional", "ethick-halfline", "ethick-parabola"],
 )
-def test_each_scale_polishes_as_if_alone(base):
+def test_each_scale_polishes_as_if_alone(base, monkeypatch):
     # every scale steps in one shared polish loop, yet stops and scores as it would
     # alone: the same values, from the same number of evaluated points.  Below radius
-    # 1 the search's width floor is absolute, so the small scales take fewer steps
+    # 1 the search's width floor is absolute, so the small scales take fewer steps.
+    # One process, so that phi counts every point here
+    monkeypatch.setenv("CORONA_PDO_THREADS", "1")
     sizes = []
 
     def phi(p):
@@ -517,6 +520,41 @@ def test_each_scale_polishes_as_if_alone(base):
                 alone = replace(sched, scales=(t,), seed=sched.seed + 977 * k)
                 assert _bits(along(phi, base, alone).per_scale) == _bits(full.per_scale[k])
             assert sum(sizes) == 2 * points
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        StandardBase(1),
+        DirectionalBase([1.0]),
+        ThickenedComplementBase(halfline_set(0.0)),
+        IntersectionBase(StandardBase(1), ThickenedComplementBase(halfline_set(0.0))),
+    ],
+    ids=["standard", "directional", "ethick", "intersection"],
+)
+def test_scales_scan_alike_in_one_process_or_two(base, monkeypatch):
+    # the scales split between this process and a forked child: the same bits
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    sched = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=500, seed=3)
+    phi = lambda p: np.sin(np.sqrt(np.abs(p[:, 0]))) + 0.3 * np.cos(p[:, 0] / 5)
+    real = _two_term()
+    half = real.terms[0]
+    complex_ = TensorSymbol(real.xgrid, real.xigrid, [half, (const_profile(0.5 + 0.5j), sqrt_wave())])
+    fits = lambda f: [f.per_scale, f.value, f.slope, f.residual, f.rel_residual]
+    runs = []
+    for cap in ("1", "2"):
+        monkeypatch.setenv("CORONA_PDO_THREADS", cap)
+        forks.clear()
+        got = fits(limsup_along(phi, base, sched)) + fits(liminf_along(phi, base, sched))
+        for f in (real, complex_):
+            vals, env = modulus_field(f, base, sched)
+            got += [vals, *fits(env), modulus_field(f, base, sched, maximize=False)[0]]
+        # a field scans once and re-runs 3 fibers through _along: 4 forks
+        assert len(forks) == (0 if cap == "1" else 2 + 2 * 2 * 4)
+        runs.append([_bits(x) for x in got])
+    assert runs[0] == runs[1]
 
 
 # -- per-fiber fields and Gohberg right-hand sides --
@@ -670,7 +708,9 @@ def _counted(psi: DualClosure, sizes: list) -> DualClosure:
 def test_field_evaluates_each_psi_once_per_block(monkeypatch, maximize):
     # 128 fibers, more than one fiber block at a sample block; 4 sample blocks a scale.
     # The field pass and the re-polish of each of the 3 lowest fibers read every
-    # sample block once; the polish asks for at most 6 points per scale in one call
+    # sample block once; the polish asks for at most 6 points per scale in one call.
+    # One process, so that every evaluation is counted here
+    monkeypatch.setenv("CORONA_PDO_THREADS", "1")
     monkeypatch.setattr(sampling, "_BLOCK", 512)
     xg = GroupGrid.torus(128)
     sched = SamplingSchedule(scales=(1e2, 1e3, 1e4), points_per_scale=2000)

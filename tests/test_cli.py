@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,20 +680,11 @@ def test_build_op_writes_loadable_matrix(tmp_path):
     assert report["results"]["hs_norm"] == pytest.approx(np.linalg.norm(direct))
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="fewer than 2 usable cores: the writer runs one part at either cap",
-)
-def test_build_op_files_do_not_depend_on_the_thread_cap(tmp_path):
-    # fresh processes, so the cap is read as a run reads it; 37 rows split unevenly
-    doc = {
-        "schema": 1,
-        "task": "build-op",
-        "group": {"kind": "finite_cyclic", "n": 37},
-        "symbol": FLAGSHIP,
-        "matrix_format": "both",
-    }
-    outputs = []
+def _at_caps(tmp_path, doc):
+    """(exit code, stderr, {name: bytes} of the output files) of a run in a fresh
+    interpreter at caps 1 and 2, each read as a run reads it; report.json without
+    its timestamp."""
+    runs = []
     for cap in ("1", "2"):
         out = tmp_path / f"out{cap}"
         proc = subprocess.run(
@@ -701,19 +693,69 @@ def test_build_op_files_do_not_depend_on_the_thread_cap(tmp_path):
             env={**os.environ, "CORONA_PDO_THREADS": cap},
             capture_output=True,
         )
-        assert proc.returncode == 0 and proc.stderr == b""
-        report = (out / "report.json").read_bytes().splitlines()
-        files = [(out / name).read_bytes() for name in ("operator.csv", "operator.bin")]
-        outputs.append([line for line in report if b'"timestamp":' not in line] + files)
-    assert outputs[0] == outputs[1]
+        files = {}
+        for path in sorted(out.glob("*")) if out.is_dir() else ():
+            lines = path.read_bytes().splitlines(keepends=True)
+            files[path.name] = b"".join(line for line in lines if b'"timestamp":' not in line)
+        runs.append((proc.returncode, proc.stderr, files))
+    return runs
+
+
+_TWO_CORES = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="fewer than 2 usable cores: one process at either cap",
+)
+
+
+@_TWO_CORES
+def test_build_op_files_do_not_depend_on_the_thread_cap(tmp_path):
+    # 37 rows split unevenly
+    doc = {
+        "schema": 1,
+        "task": "build-op",
+        "group": {"kind": "finite_cyclic", "n": 37},
+        "symbol": FLAGSHIP,
+        "matrix_format": "both",
+    }
+    one, two = _at_caps(tmp_path, doc)
+    assert one == two
+    assert one[:2] == (0, b"") and sorted(one[2]) == ["operator.bin", "operator.csv", "report.json"]
+
+
+@_TWO_CORES
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ({"task": "examples:stoskan", "asym": {"points_per_scale": 2000}}, 0),
+        (  # the cone's first scales are empty: the error names the first of them
+            {
+                "task": "asymptotics", "dim": 2, "asym": {"points_per_scale": 2000},
+                "psi": {"family": "c0:inv"}, "base": {"kind": "intersection", "parts": [
+                    {"kind": "directional", "omega0": [0, 1], "aperture_scale": 50},
+                    {"kind": "ethick", "set": "parabola"},
+                ]},
+            },
+            1,
+        ),
+    ],
+    ids=["stoskan-small", "intersection-empty"],
+)
+def test_sampled_runs_do_not_depend_on_the_thread_cap(tmp_path, doc, code):
+    one, two = _at_caps(tmp_path, {"schema": 1, "seed": 5, **doc})
+    assert one == two and one[0] == code
+    if code:
+        assert one[1].endswith(b"is (nearly) empty at scale 1000: 0 of 15840 samples fall in its element\n")
+    else:
+        assert one[1] == b"" and sorted(one[2]) == ["report.json", "sups_by_scale.csv"]
 
 
 def test_failed_csv_part_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # the child's exception comes back as itself: an OSError is a write error
     lines = pdo._csv_lines
 
     def fail(m, start, stop):  # the part of the forked child
-        if start > 0:
-            raise RuntimeError("part failed")
+        if start == 0:
+            raise OSError("part failed")
         return lines(m, start, stop)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -723,9 +765,24 @@ def test_failed_csv_part_is_one_error_line(tmp_path, capsys, monkeypatch):
     code, report, out = _run(tmp_path, {**doc, "symbol": FLAGSHIP, "matrix_format": "csv"})
     err = capsys.readouterr().err
     assert code == 1 and report is None
-    assert err.startswith("[error] cannot write output: ") and err.count("\n") == 1
+    assert err == "[error] cannot write output: part failed\n"
+    assert list(out.iterdir()) == []  # no operator.csv, and no temporary file
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_side_file_that_fails_part_way_is_not_left(tmp_path, capsys, monkeypatch):
+    # a truncated CSV would reload as a smaller matrix: it is written whole or not at all
+    def partial(m, path):
+        Path(path).write_text("row,col,re,im\n0,0,1.0,0.0\n")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "save_matrix_csv", partial)
+    doc = {"schema": 1, "task": "build-op", "group": {"kind": "finite_cyclic", "n": 4}}
+    code, report, out = _run(tmp_path, {**doc, "symbol": FLAGSHIP, "matrix_format": "both"})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "[error] cannot write output: No space left on device\n"
+    assert sorted(p.name for p in out.iterdir()) == ["operator.bin"]
 
 
 def test_diagram_check_task(tmp_path):

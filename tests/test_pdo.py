@@ -353,29 +353,27 @@ def test_matrix_csv_bytes_do_not_depend_on_the_part_count(tmp_path, parts, m, co
 
 
 def test_failed_csv_part_raises_and_leaves_no_child(tmp_path, parts, monkeypatch):
+    # a part's exception comes back as itself, whichever process formatted it,
+    # and no file is opened
     lines = pdo._csv_lines
+    m = np.arange(12, dtype=complex).reshape(6, 2)
 
-    def failing(first):
+    def failing(own):
         def fail(m, start, stop):
-            if (start == 0) == first:  # only a forked child formats a later part
-                raise RuntimeError("part failed")
+            if (stop == len(m)) == own:  # this process formats the last part
+                raise RuntimeError(f"part from row {start} failed")
             return lines(m, start, stop)
 
         return fail
 
-    monkeypatch.setattr(pdo, "_csv_lines", failing(first=False))
     parts(3)
-    m = np.arange(12, dtype=complex).reshape(6, 2)
-    with pytest.raises(OSError, match="exited with status 1"):
-        save_matrix_csv(m, tmp_path / "op.csv")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    # this process's own part raising reaps the children as well
-    monkeypatch.setattr(pdo, "_csv_lines", failing(first=True))
-    with pytest.raises(RuntimeError, match="part failed"):
-        save_matrix_csv(m, tmp_path / "op.csv")
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for own, first in ((False, 0), (True, 4)):  # the forked children fail at rows 0 and 2
+        monkeypatch.setattr(pdo, "_csv_lines", failing(own))
+        with pytest.raises(RuntimeError, match=f"^part from row {first} failed$"):
+            save_matrix_csv(m, tmp_path / "op.csv")
+        assert not (tmp_path / "op.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 # a writer that fails (its own part raises, or the path is a directory) while a
@@ -392,7 +390,7 @@ lines = pdo._csv_lines
 
 
 def failing(m, start, stop):
-    if start == 0:
+    if stop == len(m):  # the last part, which this process formats
         raise OSError("own part failed")
     return lines(m, start, stop)
 

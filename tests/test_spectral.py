@@ -498,7 +498,9 @@ def test_gohberg_non_vanishing_oscillation_flags_unreliable():
 
 
 def test_gohberg_verify_evaluates_each_sampled_pair_about_once(monkeypatch):
-    # the rhs and the min-form lower bound share one sampling pass over |f|
+    # the rhs and the min-form lower bound share one sampling pass over |f|; one
+    # process, so that every kernel block is counted here
+    monkeypatch.setenv("CORONA_PDO_THREADS", "1")
     sched = TruncationSchedule(bands=(16, 32, 64))
     xg, xig = sched.grids(sched.bands[0])
     terms = [(cos_profile(2.0, 1.0), sqrt_wave()), (cos_profile(0.0, 0.5, 5), sqrt_wave())]

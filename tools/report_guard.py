@@ -9,9 +9,9 @@ spell every config table entry (psi families, gamma profiles, CSV-backed
 symbols, filter bases, groups, ``vo`` and per-task tolerances) and leave out
 every per-task default, each in its own
 ``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1`` (or the
-cap in ``THREADS``, which runs the multi-process ``operator.csv`` writer on a
-host with that many usable cores; on fewer it runs fewer parts, and the guard
-prints a note saying so).  The
+cap in ``THREADS``, which splits the ``operator.csv`` rows or the sampled
+scales between processes on a host with that many usable cores; on fewer it
+runs fewer parts, and the guard prints a note saying so).  The
 ``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
 other report line and every side file must match byte for byte, and so must
 the stderr of a run that exits non-zero (the error line, and no traceback in
@@ -375,8 +375,17 @@ CONFIGS.update({
         "matrix_format": "both",
     },
 })
+# sampled scales split between this process and a forked child (with THREADS):
+# stoskan's standard and one-sided limsups, an ethick limsup and liminf, the generic
+# two-term pass, and the error of the first empty scale in scale order
+CONFIGS.update({
+    "examples:stoskan/threads=2": {"task": "examples:stoskan", "asym": SMALL},
+    "asymptotics/base=ethick-halfline/threads=2": CONFIGS["asymptotics/base=ethick-halfline"],
+    "gohberg/two-term/threads=2": CONFIGS["gohberg/two-term"],
+    "asymptotics/base=intersection-empty/threads=2": CONFIGS["asymptotics/base=intersection-empty"],
+})
 # the CORONA_PDO_THREADS of a config that does not run at 1
-THREADS = {"build-op/threads=2": "2"}
+THREADS = {name: "2" for name in CONFIGS if name.endswith("/threads=2")}
 
 
 def _write_symbol_csvs(work: Path) -> None:
@@ -508,7 +517,7 @@ def main(argv=None) -> int:
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     for name, cap in THREADS.items():
         if cores < int(cap):
-            print(f"[guard] note: {name} wrote operator.csv in {cores} part(s), not {cap}: "
+            print(f"[guard] note: {name} ran in {cores} part(s), not {cap}: "
                   f"{cores} usable core(s) here")
     print(f"[guard] {len(CONFIGS)} configs, {'differences found' if problems else 'no differences'}")
     return 1 if problems else 0
