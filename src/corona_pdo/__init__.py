@@ -9,14 +9,11 @@ The modules are the API: import from ``corona_pdo.groups``,
 
 import os as _os
 
-# BLAS pools read their thread caps at import time, so translate ours before
-# any submodule pulls in numpy.  Explicit per-library settings still win.
-_cap = _os.environ.get("CORONA_PDO_THREADS")
-if _cap:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        _os.environ.setdefault(_var, _cap)
+from ._fork import thread_cap as _thread_cap
+
+# BLAS pools read their thread caps at import time, so hand them ours before any
+# submodule pulls in numpy.  Explicit per-library settings still win.
+_cap = _thread_cap()
+if _cap is not None:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, str(_cap))

@@ -2,22 +2,33 @@
 
 ``fork_map(fn, items)`` is ``[fn(item) for item in items]`` spread over the
 usable cores by ``os.fork``, with the results, the warnings and the first
-exception of the serial loop.  Nothing is imported at module level, so
-importing a module that uses it loads nothing more.
+exception of the serial loop.  No other module forks, reads the affinity mask
+or reads ``CORONA_PDO_THREADS``.  Nothing is imported at module level, so
+importing this module loads nothing more.
 """
+
+
+def thread_cap():
+    """``CORONA_PDO_THREADS`` as an integer >= 1 (the package hands it to the
+    BLAS pools too), or None when it is unset or is anything else: a malformed
+    value such as ``"0"`` or ``"abc"`` caps nothing."""
+    import os
+
+    try:
+        cap = int(os.environ.get("CORONA_PDO_THREADS", ""))
+    except ValueError:
+        return None
+    return cap if cap >= 1 else None
 
 
 def part_count(n: int) -> int:
     """The number of contiguous parts that n items are cut into: the usable
-    cores, at most ``CORONA_PDO_THREADS`` when it is set, at most n, and one
-    where there is no affinity mask (Windows has no fork)."""
+    cores, at most ``thread_cap()``, at most n, and one where there is no
+    affinity mask (Windows has no fork)."""
     import os
 
     parts = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    cap = os.environ.get("CORONA_PDO_THREADS", "")
-    if cap.isdigit():
-        parts = min(parts, int(cap))
-    return max(1, min(parts, n))
+    return max(1, min(parts, thread_cap() or parts, n))
 
 
 def fork_map(fn, items) -> list:
@@ -31,11 +42,11 @@ def fork_map(fn, items) -> list:
     fails instead of waiting.  Every child is reaped, also when this process
     fails.
 
-    Each item runs with every warning recorded.  The results come back in item
-    order, as if the items had run here one after another: each item's
-    warnings are replayed through the caller's filters, and the first item that
-    raised stops the replay with its own exception (a child's comes back
-    pickled, as itself), so no warning of a later item is replayed.  A child
+    A part runs its items with every warning recorded and stops at its first
+    exception.  The parts come back in order, as if the items had run here one
+    after another: each part's warnings are replayed through the caller's
+    filters, then its exception is raised (a child's comes back pickled, as
+    itself), so no warning of a later item is replayed.  A child
     that exits without sending its results is an ``OSError`` naming its first
     item.  ``fn``'s values and exceptions must pickle.
     """
@@ -49,19 +60,16 @@ def fork_map(fn, items) -> list:
     bounds = [len(items) * k // parts for k in range(parts + 1)]
 
     def run(part):
-        """(raised, value or exception, warnings) per item, up to the first that raises."""
-        out = []
-        for item in part:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    value, raised = fn(item), False
-                except Exception as exc:
-                    value, raised = exc, True
-            out.append((raised, value, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
-            if raised:
-                break
-        return out
+        """(values, the exception or None, warnings) of a part, up to its first exception."""
+        values, raised = [], None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                for item in part:
+                    values.append(fn(item))
+            except Exception as exc:
+                raised = exc
+        return values, raised, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
     def receive(proc):
         """A child's results; reaped at once when it sent none."""
@@ -101,13 +109,12 @@ def fork_map(fn, items) -> list:
             procs[-1][0] = pid
         own = run(items[bounds[-2] :])
         values, registry = [], {}  # one registry: a "default" filter shows a warning once a call
-        for done in itertools.chain(map(receive, procs), [own]):  # lazily, so in item order
-            for raised, value, caught in done:
-                for message, category, filename, lineno in caught:
-                    warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-                if raised:
-                    raise value
-                values.append(value)
+        for done, raised, caught in itertools.chain(map(receive, procs), [own]):  # lazily, in order
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            if raised is not None:
+                raise raised
+            values.extend(done)
         return values
     finally:
         for proc in procs:

@@ -25,13 +25,10 @@ extremum and its 6 best samples, the polish's candidate rays.  Ties go to the
 lower sample index: a later sample enters only if it is strictly better.  So
 a scale holds a block's worth of memory, whatever its budget.
 
-The scales are independent until the polish, so they are scanned in parallel:
-``_fork.fork_map`` cuts them into one contiguous run of scales per usable
-core (at most ``CORONA_PDO_THREADS``), scans the last run in this process and
-each other in a forked child, and hands back every scale's extremum and rays
-in scale order, with its warnings, or the error of the first scale that
-failed.  The polish runs jointly over all scales in this process.  Each scale
-reads only its own seed, so no byte of a result depends on the cap.
+The scales are independent until the polish, so ``_fork.fork_map`` scans them
+side by side and hands back every scale's extremum and rays in scale order, as
+the serial loop would.  The polish runs jointly over all scales in this
+process.  Each scale reads only its own seed, so no byte depends on the cap.
 
 Sampled sups are lower bounds for the true sups (sampled infs: upper bounds).
 A golden-section search along the best rays, all rays of all scales at
@@ -196,8 +193,8 @@ class _MaskedBase(FilterBase):
 
 
 class ThickenedComplementBase(_MaskedBase):
-    """Complements of thickenings of a closed set E that grow with the scale:
-    dist(xi, E) > t."""
+    """Complements of thickenings of a closed set E that grow with the scale,
+    outside the ball: dist(xi, E) > t and |xi| > t."""
 
     def __init__(self, E: ThickenedSet):
         # a set whose unit thickening covers a probe annulus (say the whole dual)

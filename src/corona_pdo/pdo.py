@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from ._fork import fork_map, part_count
+from ._fork import fork_map
 from .fourier import fourier, inverse_fourier, inverse_transform_matrix, transform_matrix
 from .groups import GroupGrid
 from .symbols import Symbol
@@ -232,32 +232,27 @@ def load_matrix_bin(path) -> np.ndarray:
     return data.view("<c16").reshape(rows, cols)
 
 
-def _csv_lines(m: np.ndarray, start: int, stop: int):
-    """The CSV lines of rows start..stop-1 of ``m``, one ASCII block per row."""
-    heads = [f",{j}," for j in range(m.shape[1])]
-    for i in range(start, stop):  # per row: a whole-matrix tolist costs ~36 MB at n=768
-        cells = zip(heads, m[i].real.tolist(), m[i].imag.tolist())
-        yield "".join([f"{i}{head}{re!r},{im!r}\n" for head, re, im in cells]).encode()
+def _csv_row(m: np.ndarray, heads: list, i: int) -> bytes:
+    """The CSV lines of row i of ``m`` as one ASCII block; ``heads[j]`` is ``",j,"``.
+    One row at a time: a whole-matrix ``tolist`` costs ~36 MB at n=768."""
+    cells = zip(heads, m[i].real.tolist(), m[i].imag.tolist())
+    return "".join([f"{i}{head}{re!r},{im!r}\n" for head, re, im in cells]).encode()
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:
     """Write ``matrix`` as CSV: the header ``row,col,re,im``, then one line
     ``i,j,re,im`` per entry in row-major order, each float as its ``repr``.
 
-    The rows are cut into one contiguous part per process of ``fork_map``,
-    which formats the parts side by side; they are written in row order, so
-    no byte depends on the part count.  A part that fails raises here as
-    itself, and nothing is written.
+    ``fork_map`` formats the rows side by side, and they are written in row
+    order, so no byte depends on the number of processes.  A row that fails
+    raises here as itself, and nothing is written.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    rows = m.shape[0]
-    parts = part_count(rows)
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    blocks = fork_map(lambda part: list(_csv_lines(m, *part)), zip(bounds, bounds[1:]))
+    heads = [f",{j}," for j in range(m.shape[1])]
+    rows = fork_map(lambda i: _csv_row(m, heads, i), range(m.shape[0]))
     with open(path, "wb") as fh:
         fh.write(b"row,col,re,im\n")
-        for part in blocks:
-            fh.writelines(part)
+        fh.writelines(rows)
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -336,23 +336,26 @@ def _noncompact_fredholm(symbol, asym_schedule, floor_tol) -> FredholmResult:
     """Verdict for a symbol on a non-compact x group, where only x-independent
     symbols get one.
 
-    f = gamma psi with gamma constant makes Op(f) = gamma psi(D), unitarily
-    equivalent to multiplication by gamma psi on L2 of the dual, so it is
-    Fredholm exactly when it is invertible: when inf |gamma psi| > 0.  The
-    floor is that inf, sampled on the dual grid and, on a dual of non-compact
-    kind, as the liminf along the standard base whatever base is configured:
-    the inf runs over the whole dual, so a cone that misses where psi
-    vanishes cannot lift it.  A floor at most 1e-10 sup_bound is 0: relative
-    to the symbol's size, where ``gohberg_verify`` calls sides below an
-    absolute 1e-10 zero.  Any other symbol may degenerate as
+    f = sum gamma_i psi_i with every gamma_i constant makes Op(f) = p(D) for
+    p = sum gamma_i(0) psi_i, unitarily equivalent to multiplication by p on
+    L2 of the dual, so it is Fredholm exactly when it is invertible: when
+    inf |p| > 0.  The floor is that inf, sampled on the dual grid and, on a
+    dual of non-compact kind, as the liminf along the standard base whatever
+    base is configured: the inf runs over the whole dual, so a cone that
+    misses where p vanishes cannot lift it.  A floor at most 1e-10 sup_bound
+    is 0: relative to the symbol's size, where ``gohberg_verify`` calls sides
+    below an absolute 1e-10 zero.  Any other symbol may degenerate as
     x -> infinity, which a finite x window cannot see; it gets no floor.
     """
     terms = symbol.tensor_terms
-    if terms is None or len(terms) != 1 or np.any(terms[0][0] != terms[0][0][0]):
+    if terms is None or any(np.any(gamma != gamma[0]) for gamma, _ in terms):
         note = "f depends on x on a non-compact x group: a finite window cannot see x -> infinity"
         return FredholmResult("INCONCLUSIVE", None, (), True, (note,))
-    gamma, psi = terms[0]
-    floor = abs(gamma[0]) * float(np.min(np.abs(psi(symbol.xigrid.coords))))
+    xi = symbol.xigrid.coords
+    if len(terms) == 1:  # |gamma| min |psi|: min |gamma psi| would round it differently
+        floor = abs(terms[0][0][0]) * float(np.min(np.abs(terms[0][1](xi))))
+    else:
+        floor = float(np.min(np.abs(sum(gamma[0] * psi(xi) for gamma, psi in terms))))
     if not symbol.xigrid.is_compact_kind:
         whole = StandardBase(symbol.xigrid.ndim)
         liminf = float(modulus_field(symbol, whole, asym_schedule, maximize=False)[0].min())

@@ -680,17 +680,17 @@ def test_build_op_writes_loadable_matrix(tmp_path):
     assert report["results"]["hs_norm"] == pytest.approx(np.linalg.norm(direct))
 
 
-def _at_caps(tmp_path, doc):
+def _at_caps(tmp_path, doc, *caps):
     """(exit code, stderr, {name: bytes} of the output files) of a run in a fresh
-    interpreter at caps 1 and 2, each read as a run reads it; report.json without
-    its timestamp."""
+    interpreter with the cap variables (``CORONA_PDO_THREADS`` unless named) at 1
+    and at 2, each read as a run reads it; report.json without its timestamp."""
     runs = []
     for cap in ("1", "2"):
         out = tmp_path / f"out{cap}"
         proc = subprocess.run(
             [sys.executable, "-m", "corona_pdo.cli", "run", "--config", _write(tmp_path, doc)]
             + ["--out", str(out)],
-            env={**os.environ, "CORONA_PDO_THREADS": cap},
+            env={**os.environ, **dict.fromkeys(caps or ["CORONA_PDO_THREADS"], cap)},
             capture_output=True,
         )
         files = {}
@@ -751,16 +751,16 @@ def test_sampled_runs_do_not_depend_on_the_thread_cap(tmp_path, doc, code):
 
 def test_failed_csv_part_is_one_error_line(tmp_path, capsys, monkeypatch):
     # the child's exception comes back as itself: an OSError is a write error
-    lines = pdo._csv_lines
+    row = pdo._csv_row
 
-    def fail(m, start, stop):  # the part of the forked child
-        if start == 0:
+    def fail(m, heads, i):  # a row of the forked child's part
+        if i == 0:
             raise OSError("part failed")
-        return lines(m, start, stop)
+        return row(m, heads, i)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setenv("CORONA_PDO_THREADS", "2")
-    monkeypatch.setattr(pdo, "_csv_lines", fail)
+    monkeypatch.setattr(pdo, "_csv_row", fail)
     doc = {"schema": 1, "task": "build-op", "group": {"kind": "finite_cyclic", "n": 4}}
     code, report, out = _run(tmp_path, {**doc, "symbol": FLAGSHIP, "matrix_format": "csv"})
     err = capsys.readouterr().err
@@ -1260,9 +1260,12 @@ def test_report_writes_each_record_type_field_by_field():
             json.dumps({"x": unknown}, default=_report_value)
 
 
+_BLAS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
 def _fresh_interpreter(code: str, **env) -> str:
-    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-    base = {k: v for k, v in os.environ.items() if k not in blas}
+    """The stdout of ``code`` in a fresh interpreter, with no thread cap but ``env``'s."""
+    base = {k: v for k, v in os.environ.items() if k not in (*_BLAS, "CORONA_PDO_THREADS")}
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**base, **env}, capture_output=True, text=True
     )
@@ -1276,6 +1279,35 @@ def test_thread_cap_reaches_blas_before_numpy():
     assert _fresh_interpreter(code, CORONA_PDO_THREADS="3") == "3"
     code = "import sys, corona_pdo; print('numpy' in sys.modules)"
     assert _fresh_interpreter(code, CORONA_PDO_THREADS="3") == "False"
+    # one rule for the BLAS pools and the parts: an integer >= 1 caps both, and
+    # anything else caps neither (numexpr is no dependency: its variable stays unset)
+    code = (
+        "import os, corona_pdo.cli; from corona_pdo._fork import part_count; "
+        "print([os.environ.get(v) for v in ('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', "
+        "'MKL_NUM_THREADS', 'NUMEXPR_NUM_THREADS')], part_count(5))"
+    )
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    for raw, cap in (("2", 2), (" 1", 1), ("+2", 2), ("0", None), ("abc", None), (None, None)):
+        env = {"CORONA_PDO_THREADS": raw} if raw is not None else {}
+        blas = [None if cap is None else str(cap)] * 3 + [None]
+        assert _fresh_interpreter(code, **env) == f"{blas} {min(cap or cores, cores, 5)}", raw
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 256}, "symbol": FLAGSHIP},
+        {"task": "fourier-selftest", "group": {"kind": "product", "factors": [
+            {"kind": "finite_cyclic", "n": 32}, {"kind": "finite_cyclic", "n": 64},
+        ]}},
+    ],
+    ids=["diagram-check", "fourier-selftest"],
+)
+def test_blas_thread_counts_do_not_change_bytes(tmp_path, doc):
+    # README, Determinism: the guard pins the BLAS pools to one thread, so this is
+    # the check that their thread count moves no byte of a dense run
+    one, two = _at_caps(tmp_path, {"schema": 1, **doc}, *_BLAS[:3])
+    assert one == two and one[:2] == (0, b"")
 
 
 def test_module_invocation_smoke():

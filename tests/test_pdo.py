@@ -355,20 +355,20 @@ def test_matrix_csv_bytes_do_not_depend_on_the_part_count(tmp_path, parts, m, co
 def test_failed_csv_part_raises_and_leaves_no_child(tmp_path, parts, monkeypatch):
     # a part's exception comes back as itself, whichever process formatted it,
     # and no file is opened
-    lines = pdo._csv_lines
+    row = pdo._csv_row
     m = np.arange(12, dtype=complex).reshape(6, 2)
 
     def failing(own):
-        def fail(m, start, stop):
-            if (stop == len(m)) == own:  # this process formats the last part
-                raise RuntimeError(f"part from row {start} failed")
-            return lines(m, start, stop)
+        def fail(m, heads, i):
+            if (i >= 4) == own:  # this process formats the last part, rows 4 and 5
+                raise RuntimeError(f"part from row {i} failed")
+            return row(m, heads, i)
 
         return fail
 
     parts(3)
     for own, first in ((False, 0), (True, 4)):  # the forked children fail at rows 0 and 2
-        monkeypatch.setattr(pdo, "_csv_lines", failing(own))
+        monkeypatch.setattr(pdo, "_csv_row", failing(own))
         with pytest.raises(RuntimeError, match=f"^part from row {first} failed$"):
             save_matrix_csv(m, tmp_path / "op.csv")
         assert not (tmp_path / "op.csv").exists()
@@ -386,17 +386,17 @@ from corona_pdo import pdo
 
 os.sched_getaffinity = lambda pid: {0, 1}
 os.environ["CORONA_PDO_THREADS"] = "2"
-lines = pdo._csv_lines
+row = pdo._csv_row
 
 
-def failing(m, start, stop):
-    if stop == len(m):  # the last part, which this process formats
+def failing(m, heads, i):
+    if i >= len(m) // 2:  # the last part, which this process formats
         raise OSError("own part failed")
-    return lines(m, start, stop)
+    return row(m, heads, i)
 
 
 if sys.argv[2] == "own-part":
-    pdo._csv_lines = failing
+    pdo._csv_row = failing
 try:
     pdo.save_matrix_csv(np.arange(16000.0).reshape(400, 40) / 3, sys.argv[1])
 except OSError as exc:

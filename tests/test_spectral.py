@@ -416,6 +416,22 @@ def test_fredholm_noncompact_x_short_circuits():
     assert any("cannot see x -> infinity" in n for n in res.notes)
 
 
+def test_fredholm_noncompact_x_reads_a_sum_constant_in_x():
+    # sin sqrt|xi| + 2 is constant in x and reaches 1 where the sine is -1: Op(f) is
+    # invertible, its floor the grid's min of |sum gamma_i(0) psi_i| and the liminf
+    line = GroupGrid.line(0.5, 32.0)
+    two = (const_profile(1.0), constant_closure(2.0))
+    f = TensorSymbol(line, line.dual(), [(const_profile(1.0), sqrt_wave()), two])
+    res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
+    assert res.verdict == "FREDHOLM-SUFFICIENT" and res.floor == pytest.approx(1.0, abs=1e-6)
+    assert res.sigma_min_full == () and res.notes == ()
+    # a term whose gamma varies makes the sum depend on x again
+    f = TensorSymbol(line, line.dual(), [(cos_profile(), sqrt_wave()), two])
+    res = fredholm_check(f, StandardBase(1), TruncationSchedule(), ASYM)
+    assert res.verdict == "INCONCLUSIVE" and res.floor is None
+    assert any("cannot see x -> infinity" in n for n in res.notes)
+
+
 def test_gohberg_compact_symbol_agrees_by_convention():
     sched = TruncationSchedule(bands=(32, 64, 128))
     f = _multiplier(inverse_decay(), sched)

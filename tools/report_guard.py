@@ -3,30 +3,30 @@ diff what they write.
 
     python3 tools/report_guard.py OLD_ROOT NEW_ROOT [--work DIR] [--atol X]
 
-Each root is a source checkout holding ``src/corona_pdo``.  All 7 tasks and
-5 presets run once per root on a small fixed config, plus variants that
-spell every config table entry (psi families, gamma profiles, CSV-backed
-symbols, filter bases, groups, ``vo`` and per-task tolerances) and leave out
-every per-task default, each in its own
-``python -m corona_pdo.cli run`` process with ``CORONA_PDO_THREADS=1`` (or the
-cap in ``THREADS``, which splits the ``operator.csv`` rows or the sampled
-scales between processes on a host with that many usable cores; on fewer it
-runs fewer parts, and the guard prints a note saying so).  The
-``meta.timestamp`` line of ``report.json`` is dropped; the exit code, every
-other report line and every side file must match byte for byte, and so must
-the stderr of a run that exits non-zero (the error line, and no traceback in
-place of it), once the paths of the work directory and the source root are
-replaced by ``<work>`` and ``<root>``.  A run whose stderr holds a Python
-traceback is reported even when both trees print the same one: a bad config
-must end in one ``[error]`` line.  A run that takes longer than ``TIMEOUT_S``
-seconds is stopped, records the exit code ``timeout`` and is reported even
-when both trees time out.  With ``--atol X``, report.json and CSV
-files compare by value instead: numbers within X of each other match (a CSV
-cell is a number when it parses as one), while strings, booleans, nulls,
-keys, list lengths, CSV shapes, exit codes and stderr must still match
-exactly.  With ``--work DIR``, a directory that must not exist yet, the run
-outputs stay in DIR.  Prints each difference and exits 1 if there is any, 0
-otherwise.
+Each root is a source checkout holding ``src/corona_pdo``.  All 7 tasks and 5
+presets run once per root on a small fixed config, plus variants that spell
+every config table entry (psi families, gamma profiles, CSV-backed symbols,
+filter bases, groups, ``vo`` and per-task tolerances) and leave out every
+per-task default, each in its own ``python -m corona_pdo.cli run`` process.
+The old tree runs at ``CORONA_PDO_THREADS=1`` and the new one with the
+variable removed, so it forks on every usable core: every config compares
+serial against forked (on a host with one usable core both run serially, and
+the guard prints a note saying so).  Both run with the OMP, OpenBLAS and MKL
+pools at one thread.  The ``meta.timestamp`` line of ``report.json`` is
+dropped; the exit code, every other report line and every side file must match
+byte for byte, and so must the stderr of a run that exits non-zero (the error
+line, and no traceback in place of it), once the paths of the work directory
+and the source root are replaced by ``<work>`` and ``<root>``.  A run whose
+stderr holds a Python traceback is reported even when both trees print the
+same one: a bad config must end in one ``[error]`` line.  A run that takes
+longer than ``TIMEOUT_S`` seconds is stopped, records the exit code
+``timeout`` and is reported even when both trees time out.  With ``--atol X``,
+report.json and CSV files compare by value instead: numbers within X of each
+other match (a CSV cell is a number when it parses as one), while strings,
+booleans, nulls, keys, list lengths, CSV shapes, exit codes and stderr must
+still match exactly.  With ``--work DIR``, a directory that must not exist
+yet, the run outputs stay in DIR.  Prints each difference and exits 1 if there
+is any, 0 otherwise.
 Standard library only.
 """
 
@@ -230,6 +230,13 @@ CONFIGS.update({
         "task": "fredholm", "symbol": {"family": "const", "value": 1.0}, **LADDER,
         "group": {"kind": "truncated_integers", "band": 32},
     },
+    # sin sqrt|xi| + 2 is a sum constant in x: FREDHOLM-SUFFICIENT with floor 1
+    "fredholm/noncompact-sum": {
+        "task": "fredholm", "group": {"kind": "line", "step": 0.5, "extent": 32}, "asym": SMALL,
+        "symbol": {"family": "tensor", "terms": [
+            {"psi": "vo:sqrt"}, {"psi": {"family": "const", "value": 2}},
+        ]},
+    },
     # a Gram bandwidth of 10: real, complex and outside-the-spectrum lambdas
     "spectrum-probe/two-term": {
         "task": "spectrum-probe", "symbol": TWO_TERM, **LADDER, "lambdas": [1.5, "0.5+0.2j", 6.0],
@@ -369,23 +376,12 @@ CONFIGS.update({
         "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
         "symbol": {"family": "const", "value": 1e308},
     },
-    # 37 rows cut into 2 uneven parts, one formatted by a forked child (with THREADS)
-    "build-op/threads=2": {
+    # 37 rows, a prime: the rows split into parts of uneven size on any number of cores
+    "build-op/n=37": {
         "task": "build-op", "group": {"kind": "finite_cyclic", "n": 37}, "symbol": FLAGSHIP,
         "matrix_format": "both",
     },
 })
-# sampled scales split between this process and a forked child (with THREADS):
-# stoskan's standard and one-sided limsups, an ethick limsup and liminf, the generic
-# two-term pass, and the error of the first empty scale in scale order
-CONFIGS.update({
-    "examples:stoskan/threads=2": {"task": "examples:stoskan", "asym": SMALL},
-    "asymptotics/base=ethick-halfline/threads=2": CONFIGS["asymptotics/base=ethick-halfline"],
-    "gohberg/two-term/threads=2": CONFIGS["gohberg/two-term"],
-    "asymptotics/base=intersection-empty/threads=2": CONFIGS["asymptotics/base=intersection-empty"],
-})
-# the CORONA_PDO_THREADS of a config that does not run at 1
-THREADS = {name: "2" for name in CONFIGS if name.endswith("/threads=2")}
 
 
 def _write_symbol_csvs(work: Path) -> None:
@@ -399,6 +395,7 @@ def _write_symbol_csvs(work: Path) -> None:
             (work / "symbol4-nan.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
 
 
+BLAS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 TRACEBACK = b"Traceback (most recent call last)"
 # seconds one config may run: about 150 times the slowest config (0.4 s on 2 cores),
 # so one that never ends stops there instead of hanging the comparison
@@ -407,9 +404,13 @@ TIMED_OUT = b"timeout"
 
 
 def run_all(root: Path, work: Path) -> dict:
-    """Run every config against ``root``; name -> {file name: bytes}."""
+    """Run every config against ``root``; name -> {file name: bytes}.  A ``work``
+    directory named ``old`` runs serially, any other on every usable core."""
     root, work = root.resolve(), work.resolve()
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = {k: v for k, v in os.environ.items() if k != "CORONA_PDO_THREADS"}
+    env.update(dict.fromkeys(BLAS, "1"), PYTHONPATH=str(root / "src"))
+    if work.name == "old":
+        env["CORONA_PDO_THREADS"] = "1"
     _write_symbol_csvs(work)
     outputs = {}
     for name, extra in CONFIGS.items():
@@ -417,7 +418,6 @@ def run_all(root: Path, work: Path) -> dict:
         cfg = work / f"{out.name}.json"
         cfg.write_text(json.dumps({"schema": 1, "task": name, "seed": 5, **extra}))
         argv = [sys.executable, "-m", "corona_pdo.cli", "run", "--config", str(cfg), "--out", str(out)]
-        env["CORONA_PDO_THREADS"] = THREADS.get(name, "1")
         try:
             proc = subprocess.run(argv, env=env, cwd=work, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
@@ -514,11 +514,8 @@ def main(argv=None) -> int:
         problems = diff(old, new, args.atol)
     for line in problems:
         print(line)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    for name, cap in THREADS.items():
-        if cores < int(cap):
-            print(f"[guard] note: {name} ran in {cores} part(s), not {cap}: "
-                  f"{cores} usable core(s) here")
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        print("[guard] note: one usable core here, so the new tree ran serially too")
     print(f"[guard] {len(CONFIGS)} configs, {'differences found' if problems else 'no differences'}")
     return 1 if problems else 0
 
