@@ -352,10 +352,7 @@ def _noncompact_fredholm(symbol, asym_schedule, floor_tol) -> FredholmResult:
         note = "f depends on x on a non-compact x group: a finite window cannot see x -> infinity"
         return FredholmResult("INCONCLUSIVE", None, (), True, (note,))
     xi = symbol.xigrid.coords
-    if len(terms) == 1:  # |gamma| min |psi|: min |gamma psi| would round it differently
-        floor = abs(terms[0][0][0]) * float(np.min(np.abs(terms[0][1](xi))))
-    else:
-        floor = float(np.min(np.abs(sum(gamma[0] * psi(xi) for gamma, psi in terms))))
+    floor = float(np.min(np.abs(sum(gamma[0] * psi(xi) for gamma, psi in terms))))
     if not symbol.xigrid.is_compact_kind:
         whole = StandardBase(symbol.xigrid.ndim)
         liminf = float(modulus_field(symbol, whole, asym_schedule, maximize=False)[0].min())

@@ -403,14 +403,14 @@ TIMEOUT_S = 60
 TIMED_OUT = b"timeout"
 
 
-def run_all(root: Path, work: Path) -> dict:
-    """Run every config against ``root``; name -> {file name: bytes}.  A ``work``
-    directory named ``old`` runs serially, any other on every usable core."""
+def run_all(root: Path, work: Path, cap: str | None) -> dict:
+    """Run every config against ``root``; name -> {file name: bytes}.  ``cap`` is
+    the ``CORONA_PDO_THREADS`` value the runs see, or None to leave it unset."""
     root, work = root.resolve(), work.resolve()
     env = {k: v for k, v in os.environ.items() if k != "CORONA_PDO_THREADS"}
     env.update(dict.fromkeys(BLAS, "1"), PYTHONPATH=str(root / "src"))
-    if work.name == "old":
-        env["CORONA_PDO_THREADS"] = "1"
+    if cap is not None:
+        env["CORONA_PDO_THREADS"] = cap
     _write_symbol_csvs(work)
     outputs = {}
     for name, extra in CONFIGS.items():
@@ -510,7 +510,8 @@ def main(argv=None) -> int:
         work = args.work or Path(tmp)
         for tag in ("old", "new"):
             (work / tag).mkdir(parents=True)
-        old, new = run_all(args.old_root, work / "old"), run_all(args.new_root, work / "new")
+        old = run_all(args.old_root, work / "old", "1")
+        new = run_all(args.new_root, work / "new", None)
         problems = diff(old, new, args.atol)
     for line in problems:
         print(line)
