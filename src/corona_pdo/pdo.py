@@ -24,9 +24,9 @@ this is a desk-scale verification tool, not a solver.  A dense section comes
 from the FFT of the symbol's table, whatever the symbol.  Frequency sections
 of tensor symbols on a 1-d grid also come in LAPACK band storage, built from
 the tensor terms: S = T(gamma^) diag(psi) is a Toeplitz-times-diagonal matrix
-whose bandwidth is the largest Fourier mode of gamma, so the truncation
-ladders never form the n x n array.  Both routes take xi_a - eta_b by the
-dual's group law, ``sub_indices``.
+whose bandwidth is the largest resolved Fourier mode of gamma, so the
+truncation ladders never form the n x n array.  Both routes take
+xi_a - eta_b by the dual's group law, ``sub_indices``.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .groups import GroupGrid
 from .symbols import Symbol
 
 DENSE_CAP = 4096
-# banded sections drop gamma^ modes worth at most this fraction of sup|f|
-BAND_TOL = 1e-13
 
 
 class PdoError(ValueError):
@@ -92,11 +90,11 @@ def frequency_section(symbol: Symbol, indices=None, banded: bool = False) -> np.
     ``banded=True`` (tensor symbols on a 1-d grid) returns the section in
     LAPACK general band storage ``ab[K + a - b, b] = S[a, b]``, shape
     (2K + 1, n), from the tensor terms and without the dense cap.  K is the
-    smallest bandwidth with w^ * sum_i sup|psi_i| * (gamma_i^ mass beyond
-    mode K) <= BAND_TOL * sup_bound.  That sum bounds every row and column
-    sum of the dropped entries, hence their norm, so by Weyl's inequality no
-    singular value moves further.  Indices that do not increase keep every
-    entry.
+    largest mode distance at which some |gamma_i^| exceeds 64 eps sum|gamma_i^|.
+    The FFT's round-off on L points stays under about log2(L) eps sum|gamma_i^|
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 24), and
+    log2(L) < 64 on any torus an index can address, so what the band drops is
+    the FFT's round-off.  Indices that do not increase keep every entry.
     """
     xig = symbol.xigrid
     if indices is None:
@@ -120,16 +118,13 @@ def _band_section(symbol, cols, embed, omega) -> np.ndarray:
     n, period = len(embed), omega.size
     wrap = (np.arange(period) + omega.factors[0].offset) % period
     wrap = np.minimum(wrap, period - wrap)  # mode distance of each bin's label
-    hats, psis, tail = [], [], 0.0
+    hats, psis, k = [], [], 0
     for gv, psi in symbol.tensor_terms:
         gh = fourier(gv, symbol.xgrid)
-        pv = psi(cols)
-        mass = np.bincount(wrap, weights=np.abs(gh))
-        beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past distance k
-        tail = tail + np.max(np.abs(pv), initial=0.0) * beyond
+        mag = np.abs(gh)
+        k = max(k, int(wrap[mag > 64 * np.finfo(float).eps * mag.sum()].max(initial=0)))
         hats.append(gh)
-        psis.append(pv)
-    k = int(np.argmax(tail * symbol.xigrid.weight_per_point <= BAND_TOL * symbol.sup_bound))
+        psis.append(psi(cols))
     # an entry outside the band is a dropped mode only when positions order modes
     ordered = np.all(np.diff(embed) > 0) and embed[-1] - embed[0] < period - k
     k = min(k, n - 1) if ordered else n - 1

@@ -35,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticFit, FilterBase, SamplingSchedule, StandardBase, modulus_field
+from .asymptotics import (
+    AsymptoticFit, FilterBase, SamplingSchedule, StandardBase, liminf_along, modulus_field,
+)
 from .groups import GroupGrid
 from .pdo import frequency_section
 from .symbols import VO_RADII, Symbol, vanishing_oscillation_test, vo_shifts
@@ -351,16 +353,16 @@ def _noncompact_fredholm(symbol, asym_schedule, floor_tol) -> FredholmResult:
     if terms is None or any(np.any(gamma != gamma[0]) for gamma, _ in terms):
         note = "f depends on x on a non-compact x group: a finite window cannot see x -> infinity"
         return FredholmResult("INCONCLUSIVE", None, (), True, (note,))
-    xi = symbol.xigrid.coords
-    floor = float(np.min(np.abs(sum(gamma[0] * psi(xi) for gamma, psi in terms))))
+    modulus = lambda xi: np.abs(sum(gamma[0] * psi(xi) for gamma, psi in terms))  # |p|
+    floor = float(np.min(modulus(symbol.xigrid.coords)))
     if not symbol.xigrid.is_compact_kind:
         whole = StandardBase(symbol.xigrid.ndim)
-        liminf = float(modulus_field(symbol, whole, asym_schedule, maximize=False)[0].min())
+        liminf = float(liminf_along(modulus, whole, asym_schedule).value)
         floor = min(floor, max(0.0, liminf))  # 0.0 first: max keeps it over a -0.0 liminf
     notes = ()
     if floor <= 1e-10 * symbol.sup_bound:
         verdict = "NOT-FREDHOLM"
-        notes = (f"f is constant in x and |f| reaches {floor:.3g}: psi(D) is not invertible",)
+        notes = (f"f is constant in x and |f| reaches {floor:.3g}: p(D) is not invertible",)
     elif floor > floor_tol:
         verdict = "FREDHOLM-SUFFICIENT"
     else:

@@ -450,6 +450,8 @@ def load_symbol_csv(path, xgrid: GroupGrid, xigrid: GroupGrid) -> TableSymbol:
                 raise SymbolError(f"{where}: re and im must be finite, got {row}")
             if not (0 <= i < xgrid.size and 0 <= k < xigrid.size):
                 raise SymbolError(f"{where}: index ({i},{k}) outside the grid pair")
+            if seen[i, k]:
+                raise SymbolError(f"{where}: cell ({i},{k}) appears again")
             vals.real[i, k], vals.imag[i, k] = re, im  # each part as written, -0.0 included
             seen[i, k] = True
     if not seen.all():

@@ -994,6 +994,10 @@ def test_non_finite_section_exits_one(tmp_path, capsys):
         # a non-finite cell would reach the eigensolvers of diagram-check
         pytest.param("x_index,xi_index,re,im\n0,0,0.5,0\n0,1,nan,0\n", "line 3", id="nan-cell"),
         pytest.param("x_index,xi_index,re,im\n0,0,0.5,-inf\n", "line 2", id="inf-cell"),
+        pytest.param(
+            "x_index,xi_index,re,im\n0,0,0.5,0\n0,0,1,0\n", "line 3: cell (0,0) appears again",
+            id="repeat-cell",
+        ),
         pytest.param("x_index,xi_index,re,im\n0,0,1.\udcff,0\n", "line 2", id="not-utf8"),
         pytest.param("", "must have header", id="empty-file"),
     ],

@@ -40,6 +40,7 @@ from corona_pdo.symbols import (
     shifted_wave,
     sqrt_wave,
     tensor_symbol,
+    values_profile,
 )
 
 ASYM = SamplingSchedule(points_per_scale=4000)
@@ -285,6 +286,17 @@ def test_sigma_min_clustered_spectrum_matches_dense_reference():
         assert abs(sigma_min(band, lam=lam) - dense) < 1e-10
 
 
+def test_band_width_ignores_fft_round_off():
+    # 2 + cos 2 pi x has modes 0 and +-1; noise at 1e-14 sits at round-off in every
+    # other bin, which a width read off the tail mass counted as modes
+    xg, xig = GroupGrid.torus(8192), GroupGrid.truncated_integers(2048)
+    noise = 1e-14 * np.random.default_rng(0).standard_normal(xg.size)
+    gamma = values_profile(2.0 + np.cos(2 * np.pi * xg.coords[:, 0]) + noise)
+    shell = np.flatnonzero(StandardBase(1).mask(xig.coords, 1024))
+    band = frequency_section(tensor_symbol(gamma, sqrt_wave(), xg, xig), shell, banded=True)
+    assert band.shape == (3, 2047)
+
+
 def test_band_storage_must_be_odd():
     with pytest.raises(SpectralError):
         sigma_top(np.ones((2, 5)))
@@ -391,7 +403,7 @@ def test_fredholm_noncompact_x_short_circuits():
         assert res.verdict == "FREDHOLM-SUFFICIENT"
         assert res.floor == 1.0
         assert res.sigma_min_full == () and res.notes == ()
-    # sin sqrt|xi| vanishes at xi = 0: psi(D) is not invertible
+    # sin sqrt|xi| vanishes at xi = 0: p(D) is not invertible
     res = fredholm_check(
         multiplier_symbol(sqrt_wave(), xg, xg.dual()), StandardBase(1), TruncationSchedule(), ASYM
     )
@@ -416,9 +428,14 @@ def test_fredholm_noncompact_x_short_circuits():
     assert any("cannot see x -> infinity" in n for n in res.notes)
 
 
-def test_fredholm_noncompact_x_reads_a_sum_constant_in_x():
+def test_fredholm_noncompact_x_reads_a_sum_constant_in_x(monkeypatch):
     # sin sqrt|xi| + 2 is constant in x and reaches 1 where the sine is -1: Op(f) is
-    # invertible, its floor the grid's min of |sum gamma_i(0) psi_i| and the liminf
+    # invertible, its floor the grid's min of |p| = |sum gamma_i(0) psi_i| and the
+    # liminf of |p|, one function of xi that needs no per-fiber field
+    def refuse(*args, **kwargs):
+        raise AssertionError("an x-constant sum has one fiber")
+
+    monkeypatch.setattr(spectral, "modulus_field", refuse)
     line = GroupGrid.line(0.5, 32.0)
     two = (const_profile(1.0), constant_closure(2.0))
     f = TensorSymbol(line, line.dual(), [(const_profile(1.0), sqrt_wave()), two])

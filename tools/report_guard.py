@@ -325,7 +325,7 @@ for label, extra in ASYM_CASES.items():
 # gohberg and fredholm ladders on a group that is no torus, a band on a group whose
 # dual is no truncated Z and one past the torus's Nyquist limit, a zero vo shift,
 # directions of the plane on a 1-d dual (a psi's default omega0, a second term's psi,
-# a vo shift, a cone axis) and a symbol CSV with a NaN cell
+# a vo shift, a cone axis) and symbol CSVs with a NaN cell and with a repeated cell
 CONFIGS.update({
     "asymptotics/base=standard-extra-3d": {
         "task": "asymptotics", "dim": 2, "asym": SMALL,
@@ -367,6 +367,10 @@ CONFIGS.update({
         "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
         "symbol": {"family": "csv", "path": "symbol4-nan.csv"},
     },
+    "build-op/symbol=csv-repeat": {
+        "task": "build-op", "group": {"kind": "finite_cyclic", "n": 4},
+        "symbol": {"family": "csv", "path": "symbol4-repeat.csv"},
+    },
     # a Gram of 1e200 squared passes float64's range; 1e308 overflows the FFT: exit 1
     "diagram-check/const=1e200": {
         "task": "diagram-check", "group": {"kind": "finite_cyclic", "n": 4},
@@ -386,11 +390,14 @@ CONFIGS.update({
 
 def _write_symbol_csvs(work: Path) -> None:
     """The n x n symbol tables symbol4.csv and symbol8.csv that the csv configs read,
-    and symbol4-nan.csv, symbol4.csv with a NaN real part at (1, 2)."""
+    symbol4-repeat.csv, symbol4.csv with a second line for (1, 2), and
+    symbol4-nan.csv, symbol4.csv with a NaN real part at (1, 2)."""
     for n in (4, 8):
         rows = [f"{i},{k},{(i * n + k) % 5 - 1.5},{0.25 * i}\n" for i in range(n) for k in range(n)]
         (work / f"symbol{n}.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
         if n == 4:
+            repeat = "x_index,xi_index,re,im\n" + "".join(rows) + "1,2,99,0\n"
+            (work / "symbol4-repeat.csv").write_text(repeat)
             rows[6] = "1,2,nan,0.25\n"
             (work / "symbol4-nan.csv").write_text("x_index,xi_index,re,im\n" + "".join(rows))
 
